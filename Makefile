@@ -1,4 +1,4 @@
-.PHONY: test accept repro demos
+.PHONY: test accept repro demos bench-smoke
 
 test:
 	pytest
@@ -13,7 +13,11 @@ repro:
 	FUZZY_KAN_FULL=1 pytest tests/test_acceptance.py -v -s -k "criterion_8 or criterion_9"
 
 demos:
-	python demos/01_autodiff_basics.py
-	python demos/02_fuzzy_pooling.py
-	python demos/03_kan_layer.py
-	python demos/04_train_small.py
+	PYTHONPATH=src python demos/01_autodiff_basics.py
+	PYTHONPATH=src python demos/02_fuzzy_pooling.py
+	PYTHONPATH=src python demos/03_kan_layer.py
+	PYTHONPATH=src python demos/04_train_small.py
+
+# the benchmark's own smoke test: every workload at a tiny length
+bench-smoke:
+	python3 -m pytest perfbench/test_smoke.py

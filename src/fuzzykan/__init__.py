@@ -30,48 +30,3 @@ from .data import BatchIterator, Dataset, batches, load_cifar10, load_dataset, l
 from .training import AdamW, ConfusionMatrix, EpochMetrics, evaluate, train
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Tensor",
-    "activate",
-    "conv2d",
-    "elementwise",
-    "flatten",
-    "matmul",
-    "reshape",
-    "set_debug_checks",
-    "set_default_dtype",
-    "softmax_cross_entropy",
-    "FuzzyPatch",
-    "MembershipParams",
-    "PoolConfig",
-    "algebraic_sum_score",
-    "defuzzify_cog",
-    "fuzzify",
-    "fuzzy_window_reference",
-    "membership",
-    "pool",
-    "select_fuzzy_patch",
-    "KanLayerParams",
-    "SplineGrid",
-    "bspline_basis",
-    "kan_init",
-    "kan_layer_forward",
-    "kan_stack_forward",
-    "Model",
-    "ModelConfig",
-    "build",
-    "build_lenet",
-    "BatchIterator",
-    "Dataset",
-    "batches",
-    "load_cifar10",
-    "load_dataset",
-    "load_idx",
-    "pad_to_32",
-    "AdamW",
-    "ConfusionMatrix",
-    "EpochMetrics",
-    "evaluate",
-    "train",
-]

@@ -52,16 +52,19 @@ def gradient_check(loss_builder, tensors, h: float = FD_STEP) -> float:
     data and return the scalar loss Tensor.
     """
     for t in tensors:
+        if not t.requires_grad:
+            raise ValueError(f"gradient_check needs tensors that require grad, got {t}")
         t.zero_grad()
     loss = loss_builder()
     loss.backward()
-    analytic = [np.array(t.grad, copy=True) for t in tensors]
+    # a tensor the loss never reaches has a zero gradient
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
 
-    worst = 0.0
-    for t, a in zip(tensors, analytic):
-        numeric = finite_difference_grad(lambda: float(loss_builder().data), t, h=h)
-        worst = max(worst, relative_error(a, numeric))
-    return worst
+    errors = [
+        relative_error(a, finite_difference_grad(lambda: float(loss_builder().data), t, h=h))
+        for t, a in zip(tensors, analytic)
+    ]
+    return float(np.max(errors))  # a NaN error propagates and fails the check
 
 
 def _away_from(values: np.ndarray, points, margin: float) -> bool:
@@ -87,7 +90,7 @@ def _fuzzy_score_margins(x: np.ndarray, config: PoolConfig) -> float:
     """Smallest gap between the winning score and the runner-up, any window."""
     from .pooling import fuzzify
 
-    win = T._window_view(np.asarray(x, dtype=float), config.k, config.stride)
+    win = T.windows(np.asarray(x, dtype=float), config.k, config.stride)
     gaps = []
     for patch in win.reshape(-1, config.k, config.k):
         scores = []
@@ -210,7 +213,7 @@ def _pool_input_is_smooth(values, config) -> bool:
             return False
         return True
     if config.pooling.kind == "max":
-        win = T._window_view(np.asarray(values, dtype=float), config.pooling.k, config.pooling.stride)
+        win = T.windows(np.asarray(values, dtype=float), config.pooling.k, config.pooling.stride)
         for patch in win.reshape(-1, config.pooling.k * config.pooling.k):
             top, second = np.sort(patch)[-2:][::-1]
             if top - second <= margin:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -18,9 +19,9 @@ from pathlib import Path
 
 from . import checks
 from .data import DataError, load_dataset
-from .model import ModelConfig, build, config_to_dict
+from .model import ModelConfig, build
 from .pooling import MembershipParams, PoolConfig
-from .training import NumericalError, train, write_metrics_csv
+from .training import NumericalError, evaluate, train, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -45,6 +46,10 @@ class RunConfig:
     precision: str = "f64"
     r_max: float = 6.0
     train_limit: int = 0  # 0 = full training split
+
+
+class UsageError(Exception):
+    """A run setting outside its valid range, from a flag or from --config."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +94,21 @@ def _resolve_run_config(args, include_variant=True) -> RunConfig:
         cfg.out_dir = args.out_dir
     if not cfg.data_dir:
         cfg.data_dir = os.environ.get("FUZZY_KAN_DATA", "")
+    _validate(cfg)
     return cfg
+
+
+def _validate(cfg: RunConfig):
+    rules = (
+        ("--batch", cfg.batch, cfg.batch >= 1, ">= 1"),
+        ("--epochs", cfg.epochs, cfg.epochs >= 0, ">= 0"),
+        ("--train-limit", cfg.train_limit, cfg.train_limit >= 0, ">= 0"),
+        ("--lr", cfg.lr, math.isfinite(cfg.lr) and cfg.lr > 0, "finite and > 0"),
+        ("--r-max", cfg.r_max, math.isfinite(cfg.r_max) and cfg.r_max > 0, "finite and > 0"),
+    )
+    for flag, value, ok, rule in rules:
+        if not ok:
+            raise UsageError(f"{flag} must be {rule}, got {value}")
 
 
 def _model_config(cfg: RunConfig) -> ModelConfig:
@@ -135,17 +154,11 @@ def _run_single(cfg: RunConfig, out_dir: Path):
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_dir / "metrics.csv", history)
-    cm, final = evaluate_final(model, test_set)
+    cm, final = evaluate(model, test_set)
     cm.write_csv(out_dir / "confusion_matrix.csv")
     model.save(out_dir / "model.fkan")
     (out_dir / "config.json").write_text(json.dumps(asdict(cfg), indent=2) + "\n")
     return history, final
-
-
-def evaluate_final(model, test_set):
-    from .training import evaluate
-
-    return evaluate(model, test_set)
 
 
 def cmd_train(args) -> int:
@@ -228,7 +241,11 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as e:
+        print(f"{parser.prog}: error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

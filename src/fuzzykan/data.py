@@ -127,12 +127,6 @@ def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-def parse_cifar_records(raw: bytes, n_records: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parse raw CIFAR-10 records without the per-file size check (fixtures)."""
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(n_records, CIFAR_RECORD_BYTES)
-    return records[:, 1:].reshape(-1, 3, 32, 32), records[:, 0]
-
-
 def load_cifar10(dir_path, split: str = "train") -> Dataset:
     """Read the five training batches or the test batch of binary CIFAR-10."""
     root = Path(dir_path)

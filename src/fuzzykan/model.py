@@ -175,32 +175,52 @@ class Model:
 
     @classmethod
     def load(cls, path, config: ModelConfig) -> "Model":
+        """Read a checkpoint written by ``save``; every tensor must appear exactly once."""
         model = build(config)
         with open(path, "rb") as f:
-            if f.read(4) != CHECKPOINT_MAGIC:
-                raise ValueError(f"{path}: not a FKAN checkpoint")
-            (version,) = struct.unpack("<I", f.read(4))
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"{path}: unsupported checkpoint version {version}")
-            (dlen,) = struct.unpack("<I", f.read(4))
-            digest = f.read(dlen)
-            if digest != config_digest(config):
-                raise ValueError(f"{path}: checkpoint config digest does not match")
-            (count,) = struct.unpack("<I", f.read(4))
-            for _ in range(count):
-                (nlen,) = struct.unpack("<I", f.read(4))
-                name = f.read(nlen).decode()
-                (rank,) = struct.unpack("<I", f.read(4))
-                dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-                values = np.frombuffer(
-                    f.read(8 * int(np.prod(dims))), dtype="<f8"
-                ).reshape(dims)
-                if name not in model.params:
-                    raise ValueError(f"{path}: unexpected tensor {name!r}")
-                target = model.params[name]
-                if target.shape != dims:
-                    raise ValueError(f"{path}: tensor {name!r} shape {dims} != {target.shape}")
-                target.data = values.astype(target.data.dtype)
+            raw = f.read()
+        pos = 0
+
+        def take(size):
+            nonlocal pos
+            if pos + size > len(raw):
+                raise ValueError(f"{path}: checkpoint truncated at byte {len(raw)}")
+            pos += size
+            return raw[pos - size : pos]
+
+        def u32(count=1):
+            return struct.unpack(f"<{count}I", take(4 * count))
+
+        if take(4) != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a FKAN checkpoint")
+        (version,) = u32()
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        (dlen,) = u32()
+        if take(dlen) != config_digest(config):
+            raise ValueError(f"{path}: checkpoint config digest does not match")
+        (count,) = u32()
+        loaded = set()
+        for _ in range(count):
+            (nlen,) = u32()
+            name = take(nlen).decode()
+            (rank,) = u32()
+            dims = u32(rank)
+            values = np.frombuffer(take(8 * int(np.prod(dims))), dtype="<f8").reshape(dims)
+            if name not in model.params:
+                raise ValueError(f"{path}: unexpected tensor {name!r}")
+            if name in loaded:
+                raise ValueError(f"{path}: duplicate tensor {name!r}")
+            target = model.params[name]
+            if target.shape != dims:
+                raise ValueError(f"{path}: tensor {name!r} shape {dims} != {target.shape}")
+            target.data = values.astype(target.data.dtype)
+            loaded.add(name)
+        missing = [name for name in model.params if name not in loaded]
+        if missing:
+            raise ValueError(f"{path}: checkpoint lacks tensors {missing}")
+        if pos != len(raw):
+            raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last tensor")
         return model
 
 

@@ -8,6 +8,11 @@ largest score, and collapse the window by center-of-gravity defuzzification.
 The vectorized ``pool`` path reproduces the scalar per-window semantics of
 ``fuzzy_window_reference`` bit-for-bit (same operations, same fold order),
 which the test suite asserts.
+
+``pool`` takes the window view from ``tensor.windows``.  Each kind maps that
+view to its pooled values plus a function from the output gradient to a
+gradient per window entry, and ``pool`` adds that back onto the input with
+``tensor.scatter_windows``.
 """
 
 from __future__ import annotations
@@ -233,51 +238,56 @@ def pool(x: T.Tensor, config: PoolConfig) -> T.Tensor:
     """Apply the configured pooling to [N,C,H,W], per channel slice."""
     if x.ndim != 4:
         raise ValueError("pool expects [N,C,H,W]")
-    n, ch, h, w = x.shape
-    k, s = config.k, config.stride
-    T._check_pool_geometry(h, w, k, s)
-    win = T._window_view(x.data, k, s)  # [N,C,Ho,Wo,k,k] view
-    ho, wo = win.shape[2], win.shape[3]
-
+    win = T.windows(x.data, config.k, config.stride)
     if config.kind == "max":
-        flat = win.reshape(n, ch, ho, wo, k * k)
-        idx = flat.argmax(axis=-1)  # first occurrence on ties
-        out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        out_data, window_grad = _max_pool(win)
+    elif config.kind == "average":
+        out_data, window_grad = _average_pool(win)
+    else:
+        out_data, window_grad = _fuzzy_pool(win, config.membership)
 
-        def backward(g):
-            dx = np.zeros_like(x.data)
-            ni, ci, ii, ji = np.indices((n, ch, ho, wo))
-            rows = ii * s + idx // k
-            cols = ji * s + idx % k
-            np.add.at(dx, (ni, ci, rows, cols), g)
-            T.accumulate_grad(x, dx)
+    def backward(g):
+        T.accumulate_grad(x, T.scatter_windows(window_grad(g), x.shape, config.stride))
 
-        return T.from_op(out_data, (x,), backward)
+    return T.from_op(out_data, (x,), backward)
 
-    if config.kind == "average":
-        acc = np.zeros((n, ch, ho, wo), dtype=x.data.dtype)
-        for u in range(k):
-            for v in range(k):
-                acc = acc + win[..., u, v]
-        out_data = acc / (k * k)
 
-        def backward(g):
-            dx = np.zeros_like(x.data)
-            gs = g / (k * k)
-            for u in range(k):
-                for v in range(k):
-                    dx[:, :, u : u + ho * s : s, v : v + wo * s : s] += gs
-            T.accumulate_grad(x, dx)
+def _max_pool(win):
+    """First-argmax value; the gradient goes to that one window entry."""
+    n, c, ho, wo, k, _ = win.shape
+    flat = win.reshape(n, c, ho, wo, k * k)
+    idx = flat.argmax(axis=-1)[..., None]  # first occurrence on ties
+    out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
 
-        return T.from_op(out_data, (x,), backward)
+    def window_grad(g):
+        onehot = np.arange(k * k) == idx
+        return (onehot * g[..., None]).reshape(win.shape)
 
-    # fuzzy
-    params = config.membership
-    pis = np.empty((3,) + win.shape, dtype=x.data.dtype)
+    return out, window_grad
+
+
+def _window_mean(win):
+    """Sequential row-major window sum divided by k*k, as the scalar oracles fold it."""
+    k = win.shape[-1]
+    acc = np.zeros(win.shape[:4], dtype=win.dtype)
+    for u in range(k):
+        for v in range(k):
+            acc = acc + win[..., u, v]
+    return acc / (k * k)
+
+
+def _average_pool(win):
+    k = win.shape[-1]
+    return _window_mean(win), lambda g: np.broadcast_to((g / (k * k))[..., None, None], win.shape)
+
+
+def _fuzzy_pool(win, params: MembershipParams):
+    k = win.shape[-1]
+    pis = np.empty((3,) + win.shape, dtype=win.dtype)
     for vi in range(3):
         pis[vi] = membership(vi + 1, win, params)
 
-    scores = np.zeros((3, n, ch, ho, wo), dtype=x.data.dtype)
+    scores = np.zeros((3,) + win.shape[:4], dtype=win.dtype)
     for u in range(k):
         for v in range(k):
             p = pis[..., u, v]
@@ -286,19 +296,17 @@ def pool(x: T.Tensor, config: PoolConfig) -> T.Tensor:
     v_star = scores.argmax(axis=0)  # first max -> lowest v on ties
     sel = np.take_along_axis(pis, v_star[None, ..., None, None], axis=0)[0]
 
-    num = np.zeros((n, ch, ho, wo), dtype=x.data.dtype)
-    den = np.zeros((n, ch, ho, wo), dtype=x.data.dtype)
-    mean_acc = np.zeros((n, ch, ho, wo), dtype=x.data.dtype)
+    num = np.zeros(win.shape[:4], dtype=win.dtype)
+    den = np.zeros(win.shape[:4], dtype=win.dtype)
     for u in range(k):
         for v in range(k):
             num = num + sel[..., u, v] * win[..., u, v]
             den = den + sel[..., u, v]
-            mean_acc = mean_acc + win[..., u, v]
     guard = den < COG_EPS
     safe_den = np.where(guard, 1.0, den)
-    out_data = np.where(guard, mean_acc / (k * k), num / safe_den)
+    out = np.where(guard, _window_mean(win), num / safe_den)
 
-    def backward(g):
+    def window_grad(g):
         # selection v* is held constant; memberships are differentiated
         dmu = np.empty_like(pis)
         for vi in range(3):
@@ -309,11 +317,6 @@ def pool(x: T.Tensor, config: PoolConfig) -> T.Tensor:
         num_e = num[..., None, None]
         dwin = (sel + dsel * win) / den_e - num_e * dsel / (den_e * den_e)
         dwin = np.where(guard[..., None, None], 1.0 / (k * k), dwin)
+        return g[..., None, None] * dwin
 
-        dx = np.zeros_like(x.data)
-        for u in range(k):
-            for v in range(k):
-                dx[:, :, u : u + ho * s : s, v : v + wo * s : s] += g * dwin[..., u, v]
-        T.accumulate_grad(x, dx)
-
-    return T.from_op(out_data, (x,), backward)
+    return out, window_grad

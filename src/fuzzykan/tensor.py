@@ -8,6 +8,11 @@ Numerics policy: float64 by default (float32 opt-in via
 ``set_default_dtype``), and the forward reductions of ``matmul`` and
 ``conv2d`` accumulate in strict row-major sequential order so that they
 agree bit-for-bit with naive nested-loop reference implementations.
+
+This module alone knows the k-by-k window layout: ``windows`` is the checked
+strided [N,C,Ho,Wo,k,k] view, and ``scatter_windows`` is its adjoint, which
+adds a per-window gradient back onto the input.  ``conv2d`` and every
+pooling kind run on that pair.
 """
 
 from __future__ import annotations
@@ -266,22 +271,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return from_op(out_data, (a, b), backward)
 
 
-def _window_view(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Strided [N,C,Ho,Wo,k,k] view over k-by-k windows (no copy)."""
+def windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Strided [N,C,Ho,Wo,k,k] view over the k-by-k windows of [N,C,H,W] (no copy).
+
+    The windows must tile the input exactly; ``scatter_windows`` is the adjoint.
+    """
     n, c, h, w = x.shape
+    if h < k or w < k or (h - k) % stride or (w - k) % stride:
+        raise ValueError(
+            f"window {k}x{k} with stride {stride} does not tile input {h}x{w} exactly"
+        )
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
     s0, s1, s2, s3 = x.strides
     return np.lib.stride_tricks.as_strided(
-        x, (n, c, ho, wo, k, k), (s0, s1, s2 * stride, s3 * stride, s2, s3)
+        x, (n, c, ho, wo, k, k), (s0, s1, s2 * stride, s3 * stride, s2, s3), writeable=False
     )
 
 
-def _check_pool_geometry(h, w, k, stride):
-    if (h - k) % stride != 0 or (w - k) % stride != 0 or h < k or w < k:
-        raise ValueError(
-            f"window {k}x{k} with stride {stride} does not tile input {h}x{w} exactly"
-        )
+def scatter_windows(dwin: np.ndarray, shape, stride: int) -> np.ndarray:
+    """Adjoint of ``windows``: add each window entry back onto its [N,C,H,W] pixel."""
+    ho, wo, k = dwin.shape[2], dwin.shape[3], dwin.shape[-1]
+    dx = np.zeros(shape, dtype=dwin.dtype)
+    for u in range(k):
+        for v in range(k):
+            dx[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += dwin[..., u, v]
+    return dx
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
@@ -291,16 +306,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise ValueError("conv2d expects input [N,C,H,W] and kernels [F,C,k,k]")
-    n, c, h, w = x.shape
     f, ck, kh, kw = kernels.shape
-    if ck != c or kh != kw:
+    if ck != x.shape[1] or kh != kw:
         raise ValueError(f"kernel shape {kernels.shape} incompatible with input {x.shape}")
     k = kh
-    _check_pool_geometry(h, w, k, stride)
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-
-    win = _window_view(x.data, k, stride)
+    win = windows(x.data, k, stride)
+    n, c, ho, wo = win.shape[:4]
     # im2col with the reduction axis ordered (c, u, v) to match the naive
     # nested-loop summation order
     col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * k * k)
@@ -316,15 +327,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
             accumulate_grad(bias, g2.sum(axis=0))
         accumulate_grad(kernels, (g2.T @ col).reshape(f, c, k, k))
         if x.requires_grad:
-            dcol = g2 @ w_t.T
-            dwin = dcol.reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-            dx = np.zeros_like(x.data)
-            for u in range(k):
-                for v in range(k):
-                    dx[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += dwin[
-                        :, :, :, :, u, v
-                    ]
-            accumulate_grad(x, dx)
+            dwin = (g2 @ w_t.T).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+            accumulate_grad(x, scatter_windows(dwin, x.shape, stride))
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
     return from_op(out_data, parents, backward)
@@ -416,40 +420,6 @@ def flatten(x: Tensor) -> Tensor:
     return reshape(x, (x.shape[0], -1))
 
 
-def pad2d(x: Tensor, pad: int) -> Tensor:
-    """Zero-pad the trailing two dimensions by `pad` on every side."""
-    if x.ndim != 4:
-        raise ValueError("pad2d expects [N,C,H,W]")
-    out_data = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-
-    def backward(g):
-        accumulate_grad(x, g[:, :, pad:-pad or None, pad:-pad or None])
-
-    return from_op(out_data, (x,), backward)
-
-
-def window_extract(x: Tensor, k: int, stride: int) -> Tensor:
-    """Materialize k-by-k stride-s patches as a [N,C,Ho,Wo,k,k] tensor."""
-    if x.ndim != 4:
-        raise ValueError("window_extract expects [N,C,H,W]")
-    _, _, h, w = x.shape
-    _check_pool_geometry(h, w, k, stride)
-    win = _window_view(x.data, k, stride)
-    out_data = win.copy()
-    n, c, ho, wo = out_data.shape[:4]
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        for u in range(k):
-            for v in range(k):
-                dx[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += g[
-                    :, :, :, :, u, v
-                ]
-        accumulate_grad(x, dx)
-
-    return from_op(out_data, (x,), backward)
-
-
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
     out_data = x.data.sum(axis=axis)
 
@@ -475,21 +445,6 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
     return from_op(out_data, (x,), backward)
 
 
-def reduce_max(x: Tensor, axis: int) -> Tensor:
-    """Max along one axis; gradient routes to the first occurrence."""
-    out_data = x.data.max(axis=axis)
-    idx = x.data.argmax(axis=axis)
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        np.put_along_axis(
-            dx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis
-        )
-        accumulate_grad(x, dx)
-
-    return from_op(out_data, (x,), backward)
-
-
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-K bias row to every row of a [N,K] tensor."""
     if x.ndim != 2 or b.ndim != 1 or b.shape[0] != x.shape[1]:
@@ -501,16 +456,3 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
         accumulate_grad(b, g.sum(axis=0))
 
     return from_op(out_data, (x, b), backward)
-
-
-def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows by index with scatter-add backward."""
-    indices = np.asarray(indices)
-    out_data = x.data[indices]
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, indices, g)
-        accumulate_grad(x, dx)
-
-    return from_op(out_data, (x,), backward)

@@ -20,7 +20,7 @@ from .model import Model
 
 
 class NumericalError(RuntimeError):
-    """Raised when training numerics break down (NaN loss or gradient)."""
+    """Raised when training numerics break down (non-finite loss or gradient)."""
 
 
 class AdamW:
@@ -53,8 +53,8 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            if np.any(np.isnan(g)):
-                raise NumericalError(f"NaN gradient in parameter {name!r}")
+            if not np.all(np.isfinite(g)):
+                raise NumericalError(f"non-finite gradient in parameter {name!r}")
             if self.weight_decay:
                 p.data = p.data - self.lr * self.weight_decay * p.data
             m = self.m[name]

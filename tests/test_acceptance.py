@@ -50,7 +50,7 @@ def test_criterion_1_gradient_checks():
     params = MembershipParams()
 
     # isolated layers
-    x = T.Tensor(rng.uniform(-2, 2, (2, 2, 6, 6)))
+    x = T.Tensor(rng.uniform(-2, 2, (2, 2, 6, 6)), requires_grad=True)
     k = T.Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)), requires_grad=True)
     b = T.Tensor(rng.uniform(-1, 1, 3), requires_grad=True)
     assert gradient_check(lambda: T.reduce_sum(T.mul(T.conv2d(x, k, b), T.conv2d(x, k, b))), [x, k, b]) < GRAD_TOL
@@ -58,13 +58,13 @@ def test_criterion_1_gradient_checks():
     for kind in ("max", "average", "fuzzy"):
         values = sample_fuzzy_safe_input((1, 2, 4, 4), rng, params)
         values += np.arange(values.size).reshape(values.shape) * 1e-2  # split ties
-        px = T.Tensor(values)
+        px = T.Tensor(values, requires_grad=True)
         config = PoolConfig(kind=kind)
         assert gradient_check(lambda: T.reduce_sum(T.mul(pool(px, config), pool(px, config))), [px]) < GRAD_TOL
 
     w = T.Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
     mb = T.Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
-    mx = T.Tensor(rng.uniform(-2, 2, (3, 6)))
+    mx = T.Tensor(rng.uniform(-2, 2, (3, 6)), requires_grad=True)
     labels = rng.integers(0, 4, 3)
 
     def mlp_loss():
@@ -73,10 +73,10 @@ def test_criterion_1_gradient_checks():
     assert gradient_check(mlp_loss, [mx, w, mb]) < GRAD_TOL
 
     layer = kan_init(4, 3, seed=1)
-    kx = T.Tensor(rng.uniform(-1.8, 1.8, (3, 4)))
+    kx = T.Tensor(rng.uniform(-1.8, 1.8, (3, 4)), requires_grad=True)
     assert gradient_check(lambda: T.reduce_sum(kan_layer_forward(kx, layer)), [kx] + layer.parameters()) < GRAD_TOL
 
-    logits = T.Tensor(rng.uniform(-2, 2, (4, 5)))
+    logits = T.Tensor(rng.uniform(-2, 2, (4, 5)), requires_grad=True)
     ce_labels = rng.integers(0, 5, 4)
     assert gradient_check(lambda: T.softmax_cross_entropy(logits, ce_labels), [logits]) < GRAD_TOL
 

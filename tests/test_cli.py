@@ -82,6 +82,37 @@ class TestTrainCommand:
             run_cli(["train", "--pooling", "median"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("batch", 0),
+            ("epochs", -1),
+            ("train-limit", -1),
+            ("lr", "nan"),
+            ("lr", "inf"),
+            ("lr", 0),
+            ("r-max", 0),
+            ("r-max", "inf"),
+        ],
+    )
+    def test_bad_run_value_exit_1(self, synthetic_idx_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        assert run_cli(train_args(synthetic_idx_dir, out, **{flag: value})) == EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and f"--{flag}" in err
+        assert not out.exists()
+
+    def test_bad_value_from_config_exit_1(self, synthetic_idx_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"batch": 0}))
+        argv = ["train", "--config", str(config), "--data-dir", str(synthetic_idx_dir), "--out-dir", str(tmp_path / "run")]
+        assert run_cli(argv) == EXIT_USAGE
+        assert "--batch" in capsys.readouterr().err
+
+    def test_bad_matrix_value_exit_1(self, synthetic_idx_dir, tmp_path):
+        argv = ["matrix", "--batch", "0", "--data-dir", str(synthetic_idx_dir), "--out-dir", str(tmp_path / "m")]
+        assert run_cli(argv) == EXIT_USAGE
+
     def test_unknown_command_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["serve"])

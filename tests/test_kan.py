@@ -149,7 +149,7 @@ class TestKanLayer:
     def test_gradients(self):
         rng = np.random.default_rng(9)
         layer = kan_init(4, 3, seed=9)
-        x = T.Tensor(rng.uniform(-1.8, 1.8, (3, 4)))
+        x = T.Tensor(rng.uniform(-1.8, 1.8, (3, 4)), requires_grad=True)
 
         def build():
             out = kan_layer_forward(x, layer)
@@ -160,7 +160,7 @@ class TestKanLayer:
     def test_gradients_outside_grid_range(self):
         rng = np.random.default_rng(10)
         layer = kan_init(3, 2, seed=10)
-        x = T.Tensor(rng.uniform(1.5, 2.5, (2, 3)))  # beyond hi = 1
+        x = T.Tensor(rng.uniform(1.5, 2.5, (2, 3)), requires_grad=True)  # beyond hi = 1
         assert gradient_check(lambda: T.reduce_sum(kan_layer_forward(x, layer)), [x] + layer.parameters()) < 1e-4
 
 

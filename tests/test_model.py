@@ -182,3 +182,43 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="checkpoint"):
             Model.load(path, config_for())
+
+    def saved_with(self, tmp_path, edit):
+        """A real checkpoint whose parameter list `edit` rewrote before saving."""
+        config = config_for("max", "mlp", seed=3)
+        model = build(config)
+        items = model.parameters()
+        model.parameters = lambda: edit(items)
+        path = tmp_path / "model.fkan"
+        model.save(path)
+        return path, config
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        path, config = self.saved_with(tmp_path, lambda items: items[:-1])
+        with pytest.raises(ValueError, match="lacks tensors") as exc:
+            Model.load(path, config)
+        assert str(path) in str(exc.value)
+
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        path, config = self.saved_with(tmp_path, lambda items: items + items[:1])
+        with pytest.raises(ValueError, match="duplicate tensor") as exc:
+            Model.load(path, config)
+        assert str(path) in str(exc.value)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path, config = self.saved_with(tmp_path, lambda items: items)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match="truncated") as exc:
+            Model.load(path, config)
+        assert str(path) in str(exc.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, config = self.saved_with(tmp_path, lambda items: items)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes") as exc:
+            Model.load(path, config)
+        assert str(path) in str(exc.value)
+
+    def test_intact_file_loads(self, tmp_path):
+        path, config = self.saved_with(tmp_path, lambda items: items)
+        Model.load(path, config)

@@ -216,7 +216,7 @@ class TestPool:
         else:
             values = rng.uniform(-1.0, 8.0, (1, 2, 4, 4))
             values += np.arange(32).reshape(1, 2, 4, 4) * 1e-2  # split max ties
-        x = T.Tensor(values)
+        x = T.Tensor(values, requires_grad=True)
         config = PoolConfig(kind=kind, k=2, stride=2)
 
         def build():
@@ -225,13 +225,37 @@ class TestPool:
 
         assert gradient_check(build, [x]) < 1e-4
 
-    def test_overlapping_stride_gradient(self):
+    @pytest.mark.parametrize("kind", ["max", "average", "fuzzy"])
+    def test_overlapping_stride_gradient(self, kind):
         rng = np.random.default_rng(10)
-        x = T.Tensor(sample_fuzzy_safe_input((1, 1, 5, 5), rng, PARAMS))
-        config = PoolConfig(kind="fuzzy", k=3, stride=1)
+        if kind == "fuzzy":
+            values = sample_fuzzy_safe_input((1, 1, 5, 5), rng, PARAMS)
+        else:
+            values = rng.uniform(-1.0, 8.0, (1, 1, 5, 5))
+            values += np.arange(25).reshape(1, 1, 5, 5) * 1e-2  # split max ties
+        x = T.Tensor(values, requires_grad=True)
+        config = PoolConfig(kind=kind, k=3, stride=1)
 
         def build():
             out = pool(x, config)
             return T.reduce_sum(T.mul(out, out))
 
         assert gradient_check(build, [x]) < 1e-4
+
+    @pytest.mark.parametrize("shape, k", [((2, 3, 8, 8), 2), ((1, 2, 6, 6), 3)])
+    def test_max_backward_matches_scatter_add(self, shape, k):
+        rng = np.random.default_rng(12)
+        # small integers make ties common, so first-argmax routing is exercised
+        values = rng.integers(0, 3, shape).astype(float)
+        x = T.Tensor(values, requires_grad=True)
+        out = pool(x, PoolConfig(kind="max", k=k, stride=k))
+        upstream = rng.uniform(-1.0, 1.0, out.shape)
+        T.reduce_sum(T.mul(out, T.Tensor(upstream))).backward()
+
+        # the formulation max pooling used before the shared window scatter
+        n, c, ho, wo = out.shape
+        idx = T.windows(values, k, k).reshape(n, c, ho, wo, k * k).argmax(axis=-1)
+        expected = np.zeros_like(values)
+        ni, ci, ii, ji = np.indices((n, c, ho, wo))
+        np.add.at(expected, (ni, ci, ii * k + idx // k, ji * k + idx % k), upstream)
+        assert np.array_equal(x.grad, expected)

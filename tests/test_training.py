@@ -77,6 +77,15 @@ class TestAdamW:
         with pytest.raises(NumericalError, match="conv1.weight"):
             opt.step()
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_names_parameter(self, bad):
+        p = scalar_param(1.0)
+        opt = AdamW([("fc0.bias", p)])
+        p.grad = np.array([bad])
+        with pytest.raises(NumericalError, match="fc0.bias"):
+            opt.step()
+        assert p.data[0] == 1.0
+
     def test_missing_grad_treated_as_zero(self):
         p = scalar_param(1.0)
         opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
