@@ -33,10 +33,10 @@ for v, pi in enumerate(pis, start=1):
 scores = tuple(algebraic_sum_score(pi) for pi in pis)
 print("\nalgebraic-sum scores:", [f"{s:.6f}" for s in scores])
 
-chosen = select_fuzzy_patch(scores, pis)
-print("selected membership set:", chosen.selected)
+v = select_fuzzy_patch(scores)
+print("selected membership set:", v)
 
-value = defuzzify_cog(patch, chosen.memberships)
+value = defuzzify_cog(patch, pis[v - 1])
 print("center-of-gravity output:", value)
 
 # the vectorized layer reproduces the scalar walk-through bit for bit

@@ -13,7 +13,6 @@ from .tensor import (
     softmax_cross_entropy,
 )
 from .pooling import (
-    FuzzyPatch,
     MembershipParams,
     PoolConfig,
     algebraic_sum_score,

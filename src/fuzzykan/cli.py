@@ -14,13 +14,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import checks
+from . import tensor as T
 from .data import DataError, load_dataset
-from .model import ModelConfig, build
-from .pooling import MembershipParams, PoolConfig
+from .model import ModelConfig, build, config_to_dict, config_update
+from .pooling import PoolConfig
 from .training import NumericalError, evaluate, train, write_metrics_csv
 
 EXIT_OK = 0
@@ -30,22 +31,48 @@ EXIT_NUMERICAL = 3
 
 POOLING_ALIASES = {"max": "max", "avg": "average", "average": "average", "fuzzy": "fuzzy"}
 MATRIX_ORDER = [("mlp", "avg"), ("mlp", "max"), ("mlp", "fuzzy"), ("kan", "avg"), ("kan", "max"), ("kan", "fuzzy")]
+PRECISIONS = {"f64": "float64", "f32": "float32"}
+# where each run flag lands in the RunConfig tree
+FLAG_KEYS = {
+    "dataset": "model.dataset",
+    "pooling": "model.pooling.kind",
+    "head": "model.head",
+    "seed": "model.seed",
+    "r_max": "model.pooling.membership.r_max",
+    "epochs": "epochs",
+    "lr": "lr",
+    "batch": "batch",
+    "precision": "precision",
+    "train_limit": "train_limit",
+    "data_dir": "data_dir",
+    "out_dir": "out_dir",
+}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    dataset: str = "mnist"
-    pooling: str = "fuzzy"
-    head: str = "kan"
+    """One run: the model tree plus the training and I/O settings around it."""
+
+    model: ModelConfig = field(default_factory=lambda: ModelConfig(pooling=PoolConfig(kind="fuzzy"), head="kan"))
     epochs: int = 10
     lr: float = 0.001
     batch: int = 32
-    seed: int = 42
+    precision: str = "f64"
+    train_limit: int = 0  # 0 = full training split
     data_dir: str = ""
     out_dir: str = "runs"
-    precision: str = "f64"
-    r_max: float = 6.0
-    train_limit: int = 0  # 0 = full training split
+
+    def __post_init__(self):
+        rules = (
+            ("batch", self.batch >= 1, ">= 1"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("train_limit", self.train_limit >= 0, ">= 0"),
+            ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+            ("precision", self.precision in PRECISIONS, f"one of {tuple(PRECISIONS)}"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 class UsageError(Exception):
@@ -60,7 +87,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(p, include_variant=True):
-    p.add_argument("--config", help="JSON file of a previous run's resolved configuration")
+    p.add_argument("--config", help="JSON file of a RunConfig tree or part of one, such as a run's config.json")
     p.add_argument("--dataset", choices=["mnist", "fashion-mnist", "cifar10"])
     if include_variant:
         p.add_argument("--pooling", choices=["max", "avg", "average", "fuzzy"])
@@ -71,75 +98,51 @@ def _add_run_flags(p, include_variant=True):
     p.add_argument("--seed", type=int)
     p.add_argument("--data-dir")
     p.add_argument("--out-dir")
-    p.add_argument("--precision", choices=["f64", "f32"])
+    p.add_argument("--precision", choices=list(PRECISIONS))
     p.add_argument("--r-max", type=float)
     p.add_argument("--train-limit", type=int, help="cap the training split (0 = all)")
 
 
-def _resolve_run_config(args, include_variant=True) -> RunConfig:
+def _nested(path: str, value) -> dict:
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def _resolve_run_config(args) -> RunConfig:
+    """Defaults, then --config, then each flag, all through config_update."""
     cfg = RunConfig()
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        for key, value in loaded.items():
-            if hasattr(cfg, key):
-                setattr(cfg, key, value)
-    for key in ("dataset", "pooling", "head", "epochs", "lr", "batch", "seed", "precision", "r_max", "train_limit"):
-        if include_variant or key not in ("pooling", "head"):
-            value = getattr(args, key, None)
-            if value is not None:
-                setattr(cfg, key, value)
-    if args.data_dir is not None:
-        cfg.data_dir = args.data_dir
-    if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
+        try:
+            cfg = config_update(cfg, json.loads(Path(args.config).read_text()))
+        except (OSError, ValueError) as e:
+            raise UsageError(f"{args.config}: {e}") from None
+    for dest, path in FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        try:
+            cfg = config_update(cfg, _nested(path, POOLING_ALIASES[value] if dest == "pooling" else value))
+        except ValueError as e:
+            raise UsageError(f"--{dest.replace('_', '-')}: {e}") from None
     if not cfg.data_dir:
-        cfg.data_dir = os.environ.get("FUZZY_KAN_DATA", "")
-    _validate(cfg)
+        cfg = replace(cfg, data_dir=os.environ.get("FUZZY_KAN_DATA", ""))
     return cfg
-
-
-def _validate(cfg: RunConfig):
-    rules = (
-        ("--batch", cfg.batch, cfg.batch >= 1, ">= 1"),
-        ("--epochs", cfg.epochs, cfg.epochs >= 0, ">= 0"),
-        ("--train-limit", cfg.train_limit, cfg.train_limit >= 0, ">= 0"),
-        ("--lr", cfg.lr, math.isfinite(cfg.lr) and cfg.lr > 0, "finite and > 0"),
-        ("--r-max", cfg.r_max, math.isfinite(cfg.r_max) and cfg.r_max > 0, "finite and > 0"),
-    )
-    for flag, value, ok, rule in rules:
-        if not ok:
-            raise UsageError(f"{flag} must be {rule}, got {value}")
-
-
-def _model_config(cfg: RunConfig) -> ModelConfig:
-    kind = POOLING_ALIASES[cfg.pooling]
-    return ModelConfig(
-        dataset=cfg.dataset,
-        pooling=PoolConfig(kind=kind, membership=MembershipParams(r_max=cfg.r_max)),
-        head=cfg.head,
-        seed=cfg.seed,
-    )
 
 
 def _load_splits(cfg: RunConfig):
     if not cfg.data_dir:
         raise DataError("no dataset directory: pass --data-dir or set FUZZY_KAN_DATA")
-    train_set = load_dataset(cfg.dataset, cfg.data_dir, "train")
-    test_set = load_dataset(cfg.dataset, cfg.data_dir, "test")
+    train_set = load_dataset(cfg.model.dataset, cfg.data_dir, "train")
+    test_set = load_dataset(cfg.model.dataset, cfg.data_dir, "test")
     if cfg.train_limit:
         train_set = train_set.subset(cfg.train_limit)
     return train_set, test_set
 
 
-def _apply_precision(cfg: RunConfig):
-    from . import tensor
-
-    tensor.set_default_dtype("float32" if cfg.precision == "f32" else "float64")
-
-
-def _run_single(cfg: RunConfig, out_dir: Path):
+def _run_single(cfg: RunConfig, out_dir: Path) -> dict:
     train_set, test_set = _load_splits(cfg)
-    model = build(_model_config(cfg))
+    model = build(cfg.model)
     history = train(
         model,
         train_set,
@@ -147,7 +150,7 @@ def _run_single(cfg: RunConfig, out_dir: Path):
         epochs=cfg.epochs,
         lr=cfg.lr,
         batch_size=cfg.batch,
-        seed=cfg.seed,
+        seed=cfg.model.seed,
         progress=lambda m: print(
             f"epoch {m.epoch}: loss {m.train_loss:.4f} acc {m.test_accuracy:.4f} ({m.seconds:.1f}s)"
         ),
@@ -157,21 +160,14 @@ def _run_single(cfg: RunConfig, out_dir: Path):
     cm, final = evaluate(model, test_set)
     cm.write_csv(out_dir / "confusion_matrix.csv")
     model.save(out_dir / "model.fkan")
-    (out_dir / "config.json").write_text(json.dumps(asdict(cfg), indent=2) + "\n")
-    return history, final
+    (out_dir / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
+    return final
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_run_config(args)
-    _apply_precision(cfg)
-    try:
-        history, final = _run_single(cfg, Path(cfg.out_dir))
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    T.set_default_dtype(PRECISIONS[cfg.precision])
+    final = _run_single(cfg, Path(cfg.out_dir))
     print(
         f"final: accuracy {final['accuracy']:.4f} precision {final['precision']:.4f} "
         f"recall {final['recall']:.4f} f1 {final['f1']:.4f}"
@@ -180,22 +176,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    cfg = _resolve_run_config(args, include_variant=False)
-    _apply_precision(cfg)
+    cfg = _resolve_run_config(args)
+    T.set_default_dtype(PRECISIONS[cfg.precision])
     out_root = Path(cfg.out_dir)
     rows = []
     for head, pooling in MATRIX_ORDER:
-        run = RunConfig(**{**asdict(cfg), "head": head, "pooling": pooling})
+        run = config_update(cfg, {"model": {"head": head, "pooling": {"kind": POOLING_ALIASES[pooling]}}})
         label = f"{head}_{pooling}"
         print(f"== {label} ==")
-        try:
-            history, final = _run_single(run, out_root / label)
-        except DataError as e:
-            print(f"data error: {e}", file=sys.stderr)
-            return EXIT_DATA
-        except NumericalError as e:
-            print(f"numerical failure: {e}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        final = _run_single(run, out_root / label)
         rows.append(
             [head.upper(), pooling, f"{final['accuracy']:.4f}", f"{final['precision']:.4f}", f"{final['recall']:.4f}", f"{final['f1']:.4f}"]
         )
@@ -241,11 +230,20 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
+    dtype = T.default_dtype()  # --precision holds for this command only
     try:
         return args.func(args)
     except UsageError as e:
         print(f"{parser.prog}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except DataError as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except NumericalError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    finally:
+        T.set_default_dtype(dtype)
 
 
 if __name__ == "__main__":

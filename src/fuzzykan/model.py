@@ -11,16 +11,18 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .kan import KanLayerParams, SplineGrid, kan_init, kan_stack_forward
-from .pooling import MembershipParams, PoolConfig, pool
+from .pooling import PoolConfig, pool
 
 CHECKPOINT_MAGIC = b"FKAN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 DATASET_CHANNELS = {"mnist": 1, "fashion-mnist": 1, "cifar10": 3}
 DEFAULT_MLP_WIDTHS = (120, 84)
@@ -34,13 +36,12 @@ class ModelConfig:
     head: str = "mlp"
     conv_activation: str = "relu"
     kan_grid: SplineGrid = field(default_factory=SplineGrid)
-    head_widths: tuple | None = None
-    kan_squash: bool = False
+    head_widths: tuple[int, ...] | None = None
     seed: int = 42
 
     def __post_init__(self):
         if self.dataset not in DATASET_CHANNELS:
-            raise ValueError(f"unknown dataset {self.dataset!r}")
+            raise ValueError(f"dataset must be one of {tuple(DATASET_CHANNELS)}, got {self.dataset!r}")
         if self.head not in ("mlp", "kan"):
             raise ValueError(f"head must be 'mlp' or 'kan', got {self.head!r}")
         if self.conv_activation not in ("relu", "tanh"):
@@ -56,45 +57,42 @@ class ModelConfig:
         return DEFAULT_MLP_WIDTHS if self.head == "mlp" else DEFAULT_KAN_WIDTHS
 
 
-def config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "dataset": config.dataset,
-        "pooling": {
-            "kind": config.pooling.kind,
-            "k": config.pooling.k,
-            "stride": config.pooling.stride,
-            "r_max": config.pooling.membership.r_max,
-        },
-        "head": config.head,
-        "conv_activation": config.conv_activation,
-        "kan_grid": {
-            "order": config.kan_grid.order,
-            "intervals": config.kan_grid.intervals,
-            "lo": config.kan_grid.lo,
-            "hi": config.kan_grid.hi,
-        },
-        "head_widths": list(config.head_widths) if config.head_widths is not None else None,
-        "kan_squash": config.kan_squash,
-        "seed": config.seed,
-    }
+config_to_dict = asdict  # the JSON form of any config tree; config_update reads it back
 
 
-def config_from_dict(d: dict) -> ModelConfig:
-    return ModelConfig(
-        dataset=d["dataset"],
-        pooling=PoolConfig(
-            kind=d["pooling"]["kind"],
-            k=d["pooling"]["k"],
-            stride=d["pooling"]["stride"],
-            membership=MembershipParams(r_max=d["pooling"]["r_max"]),
-        ),
-        head=d["head"],
-        conv_activation=d["conv_activation"],
-        kan_grid=SplineGrid(**d["kan_grid"]),
-        head_widths=tuple(d["head_widths"]) if d.get("head_widths") is not None else None,
-        kan_squash=d.get("kan_squash", False),
-        seed=d["seed"],
-    )
+def config_update(config, changes: dict, path: str = ""):
+    """Return ``config`` with the JSON-typed ``changes`` applied.
+
+    A nested dict updates the nested config of the same name.  An unknown
+    key or a value of the wrong JSON type raises ``ValueError`` naming the
+    dotted key; range checks are left to each config's ``__post_init__``.
+    """
+    if not isinstance(changes, dict):
+        raise ValueError(f"{path or 'config'} must be an object, got {changes!r}")
+    hints = typing.get_type_hints(type(config))
+    updates = {}
+    for key, value in changes.items():
+        name = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ValueError(f"unknown config key {name!r}")
+        if is_dataclass(hints[key]):
+            updates[key] = config_update(getattr(config, key), value, name)
+        else:
+            updates[key] = _json_leaf(name, hints[key], value)
+    return replace(config, **updates)
+
+
+def _json_leaf(name, hint, value):
+    """Check one leaf value against its field annotation; ints widen to float."""
+    for option in typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,):
+        if typing.get_origin(option) is tuple and isinstance(value, (list, tuple)):
+            if all(type(v) is typing.get_args(option)[0] for v in value):
+                return tuple(value)
+        elif option is float and type(value) in (int, float):
+            return float(value)
+        elif type(value) is option:
+            return value
+    raise ValueError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
 
 
 def config_digest(config: ModelConfig) -> bytes:
@@ -150,8 +148,6 @@ class Model:
                 if i < n_hidden:
                     h = T.activate(act, h)
             return h
-        if self.config.kan_squash:
-            h = T.activate("tanh", h)
         return kan_stack_forward(h, self.kan_layers)
 
     # -- checkpointing ---------------------------------------------------
@@ -287,8 +283,3 @@ def build_lenet(
 
 def build(config: ModelConfig) -> Model:
     return build_lenet(config)
-
-
-def variant(config: ModelConfig, **changes) -> ModelConfig:
-    """Convenience for deriving one of the six compared configurations."""
-    return replace(config, **changes)

@@ -17,6 +17,7 @@ gradient per window entry, and ``pool`` adds that back onto the input with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ class MembershipParams:
     r_max: float = 6.0
 
     def __post_init__(self):
-        if not self.r_max > 0:
-            raise ValueError("r_max must be positive")
+        if not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise ValueError(f"r_max must be finite and > 0, got {self.r_max}")
 
     @property
     def d(self):
@@ -86,15 +87,6 @@ class PoolConfig:
             raise ValueError(f"pooling kind must be one of {POOL_KINDS}, got {self.kind!r}")
         if self.k < 1 or self.stride < 1:
             raise ValueError("window size and stride must be >= 1")
-
-
-@dataclass
-class FuzzyPatch:
-    """Outcome of fuzzify/aggregate/select for one window."""
-
-    memberships: np.ndarray
-    selected: int  # winning membership set, 1-based
-    scores: tuple
 
 
 def membership(v: int, x, params: MembershipParams):
@@ -150,11 +142,9 @@ def algebraic_sum_score(memberships) -> float:
     return float(s)
 
 
-def select_fuzzy_patch(scores, patches) -> FuzzyPatch:
-    """Keep the membership set with the largest score; ties pick lowest v."""
-    scores = tuple(float(s) for s in scores)
-    v_star = int(np.argmax(scores)) + 1
-    return FuzzyPatch(memberships=np.asarray(patches[v_star - 1], dtype=float), selected=v_star, scores=scores)
+def select_fuzzy_patch(scores) -> int:
+    """The 1-based index of the membership set with the largest score; ties pick lowest v."""
+    return int(np.argmax(scores)) + 1
 
 
 def defuzzify_cog(patch, memberships) -> float:

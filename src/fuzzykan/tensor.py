@@ -18,6 +18,7 @@ pooling kind run on that pair.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -182,48 +183,36 @@ def _as_operand(b):
 # -- elementwise arithmetic ----------------------------------------------
 
 
+# kind -> (forward, gradient for a, gradient for b), each gradient a
+# function of the output gradient g and the operand values a and b
+_ELEMENTWISE = {
+    "add": (operator.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (operator.sub, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (operator.truediv, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+}
+
+
 def elementwise(kind: str, a: Tensor, b):
     """Elementwise add/sub/mul/div of equal-shape tensors or tensor-scalar.
 
     Broadcasting beyond a scalar right operand is deliberately unsupported.
     """
-    if kind not in ("add", "sub", "mul", "div"):
+    if kind not in _ELEMENTWISE:
         raise ValueError(f"unknown elementwise kind {kind!r}")
+    forward, grad_a, grad_b = _ELEMENTWISE[kind]
     b_t, b_val = _as_operand(b)
     if b_t is not None and b_t.data.size != 1 and b_t.shape != a.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b_t.shape}")
-
-    if kind == "add":
-        out_data = a.data + b_val
-    elif kind == "sub":
-        out_data = a.data - b_val
-    elif kind == "mul":
-        out_data = a.data * b_val
-    else:
-        if _DEBUG and np.any(np.abs(b_val) < _MACHINE_EPS):
-            raise ZeroDivisionError("division by value below machine epsilon")
-        out_data = a.data / b_val
+    if kind == "div" and _DEBUG and np.any(np.abs(b_val) < _MACHINE_EPS):
+        raise ZeroDivisionError("division by value below machine epsilon")
+    out_data = forward(a.data, b_val)
 
     def backward(g):
-        if kind == "add":
-            accumulate_grad(a, g)
-            if b_t is not None:
-                accumulate_grad(b_t, g if b_t.shape == a.shape else g.sum().reshape(b_t.shape))
-        elif kind == "sub":
-            accumulate_grad(a, g)
-            if b_t is not None:
-                gb = -g
-                accumulate_grad(b_t, gb if b_t.shape == a.shape else gb.sum().reshape(b_t.shape))
-        elif kind == "mul":
-            accumulate_grad(a, g * b_val)
-            if b_t is not None:
-                gb = g * a.data
-                accumulate_grad(b_t, gb if b_t.shape == a.shape else gb.sum().reshape(b_t.shape))
-        else:
-            accumulate_grad(a, g / b_val)
-            if b_t is not None:
-                gb = -g * a.data / (b_val * b_val)
-                accumulate_grad(b_t, gb if b_t.shape == a.shape else gb.sum().reshape(b_t.shape))
+        accumulate_grad(a, grad_a(g, a.data, b_val))
+        if b_t is not None:
+            gb = grad_b(g, a.data, b_val)
+            accumulate_grad(b_t, gb if b_t.shape == a.shape else gb.sum().reshape(b_t.shape))
 
     parents = (a,) if b_t is None else (a, b_t)
     return from_op(out_data, parents, backward)

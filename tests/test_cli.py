@@ -1,9 +1,14 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from fuzzykan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+import fuzzykan.tensor as T
+from fuzzykan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
+from fuzzykan.kan import SplineGrid
+from fuzzykan.model import ModelConfig, config_to_dict, config_update
+from fuzzykan.pooling import MembershipParams, PoolConfig
 
 
 def run_cli(argv):
@@ -68,7 +73,7 @@ class TestTrainCommand:
         first = tmp_path / "first"
         assert run_cli(train_args(synthetic_idx_dir, first, **{"pooling": "max", "head": "mlp"})) == EXIT_OK
         saved = json.loads((first / "config.json").read_text())
-        assert saved["pooling"] == "max" and saved["head"] == "mlp"
+        assert saved["model"]["pooling"]["kind"] == "max" and saved["model"]["head"] == "mlp"
 
         second = tmp_path / "second"
         argv = ["train", "--config", str(first / "config.json"), "--out-dir", str(second)]
@@ -102,12 +107,47 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and f"--{flag}" in err
         assert not out.exists()
 
-    def test_bad_value_from_config_exit_1(self, synthetic_idx_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"batch": 0}, "batch"),
+            ({"bacth": 64}, "bacth"),
+            ({"batch": "32"}, "batch"),
+            ({"precision": "f16"}, "precision"),
+            ({"model": {"dataset": "imagenet"}}, "dataset"),
+            ({"model": {"pooling": {"membership": {"r_max": "6"}}}}, "model.pooling.membership.r_max"),
+            ({"model": {"pooling": {"membership": {"r_max": 1e999}}}}, "r_max"),
+            ([64], "config"),
+            # the flat layout of earlier versions' config.json
+            ({"dataset": "mnist", "pooling": "max", "head": "mlp"}, "unknown config key 'dataset'"),
+        ],
+        ids=["batch-0", "bacth", "batch-str", "precision-f16", "dataset-imagenet", "r_max-str", "r_max-inf", "not-object", "flat-layout"],
+    )
+    def test_bad_value_from_config_exit_1(self, synthetic_idx_dir, tmp_path, capsys, payload, key):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"batch": 0}))
-        argv = ["train", "--config", str(config), "--data-dir", str(synthetic_idx_dir), "--out-dir", str(tmp_path / "run")]
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(config), "--data-dir", str(synthetic_idx_dir), "--out-dir", str(out)]
         assert run_cli(argv) == EXIT_USAGE
-        assert "--batch" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith("fuzzykan: error:") and key in err
+        assert not out.exists()
+
+    def test_f32_run_is_deterministic_and_scoped(self, synthetic_idx_dir, tmp_path, monkeypatch):
+        rows = {}
+        for name, precision in (("a", "f32"), ("b", "f32"), ("c", "f64")):
+            out = tmp_path / name
+            assert run_cli(train_args(synthetic_idx_dir, out, precision=precision)) == EXIT_OK
+            assert T.default_dtype() is np.float64
+            assert json.loads((out / "config.json").read_text())["precision"] == precision
+            rows[name] = [line.rsplit(",", 1)[0] for line in (out / "metrics.csv").read_text().splitlines()]
+        assert rows["a"] == rows["b"] and rows["a"] != rows["c"]  # identical apart from seconds; f32 is really used
+
+        monkeypatch.delenv("FUZZY_KAN_DATA", raising=False)
+        empty = tmp_path / "nodata"
+        empty.mkdir()
+        assert run_cli(train_args(empty, tmp_path / "d", precision="f32")) == EXIT_DATA
+        assert T.default_dtype() is np.float64
 
     def test_bad_matrix_value_exit_1(self, synthetic_idx_dir, tmp_path):
         argv = ["matrix", "--batch", "0", "--data-dir", str(synthetic_idx_dir), "--out-dir", str(tmp_path / "m")]
@@ -117,6 +157,31 @@ class TestTrainCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(["serve"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestRunConfig:
+    def test_round_trip_non_default_tree(self):
+        cfg = RunConfig(
+            model=ModelConfig(
+                dataset="cifar10",
+                pooling=PoolConfig(kind="average", k=3, stride=1, membership=MembershipParams(r_max=2.5)),
+                head="mlp",
+                conv_activation="tanh",
+                kan_grid=SplineGrid(order=2, intervals=7, lo=-2.0, hi=3.0),
+                head_widths=(64, 32),
+                seed=7,
+            ),
+            epochs=3,
+            lr=0.01,
+            batch=8,
+            precision="f32",
+            train_limit=100,
+            data_dir="data",
+            out_dir="out",
+        )
+        assert cfg != RunConfig()
+        assert config_update(RunConfig(), config_to_dict(cfg)) == cfg
+        assert config_update(RunConfig(), json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 class TestMatrixCommand:

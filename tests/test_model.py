@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,10 @@ from fuzzykan.model import (
     build,
     build_lenet,
     config_digest,
-    config_from_dict,
     config_to_dict,
-    variant,
+    config_update,
 )
-from fuzzykan.pooling import PoolConfig
+from fuzzykan.pooling import MembershipParams, PoolConfig
 
 
 def config_for(pooling="max", head="mlp", **kw):
@@ -35,17 +37,32 @@ class TestConfig:
 
     def test_round_trip(self):
         config = config_for("fuzzy", "kan", seed=3, head_widths=(32,))
-        assert config_from_dict(config_to_dict(config)) == config
+        assert config_update(ModelConfig(), config_to_dict(config)) == config
+        assert config_update(ModelConfig(), json.loads(json.dumps(config_to_dict(config)))) == config
+
+    def test_update_nested(self):
+        config = config_update(ModelConfig(), {"pooling": {"kind": "fuzzy", "membership": {"r_max": 2}}})
+        assert config == ModelConfig(pooling=PoolConfig(kind="fuzzy", membership=MembershipParams(r_max=2.0)))
+        assert type(config.pooling.membership.r_max) is float
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"pooling": {"membership": {"rmax": 6}}}, "unknown config key 'pooling.membership.rmax'"),
+            ({"seed": "42"}, "seed must be int"),
+            ({"seed": True}, "seed must be int"),
+            ({"head_widths": [32.0]}, "head_widths must be"),
+            ({"pooling": "max"}, "pooling must be an object"),
+        ],
+    )
+    def test_update_rejects(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            config_update(ModelConfig(), changes)
 
     def test_digest_sensitivity(self):
         a = config_for("fuzzy", "kan")
         assert config_digest(a) == config_digest(config_for("fuzzy", "kan"))
         assert config_digest(a) != config_digest(config_for("max", "kan"))
-
-    def test_variant(self):
-        base = config_for("max", "mlp")
-        assert variant(base, head="kan").head == "kan"
-        assert base.head == "mlp"
 
 
 class TestParameterCounts:
@@ -176,6 +193,14 @@ class TestCheckpoint:
         build(config_for("fuzzy", "kan")).save(path)
         with pytest.raises(ValueError, match="digest"):
             Model.load(path, config_for("max", "kan"))
+
+    def test_old_version_rejected(self, tmp_path):
+        path = tmp_path / "model.fkan"
+        build(config_for()).save(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            Model.load(path, config_for())
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.fkan"

@@ -33,6 +33,11 @@ class TestMembershipParams:
         with pytest.raises(ValueError):
             MembershipParams(r_max=0.0)
 
+    @pytest.mark.parametrize("r_max", [float("inf"), float("nan")])
+    def test_non_finite_r_max(self, r_max):
+        with pytest.raises(ValueError, match=f"r_max must be finite and > 0, got {r_max}"):
+            MembershipParams(r_max=r_max)
+
 
 class TestMembership:
     def test_mu1_midslope(self):
@@ -115,12 +120,10 @@ class TestAlgebraicSum:
 
 class TestSelect:
     def test_strict_argmax(self):
-        patches = [np.full((2, 2), i) for i in (0.1, 0.2, 0.3)]
-        assert select_fuzzy_patch((0.2, 0.9, 0.1), patches).selected == 2
+        assert select_fuzzy_patch((0.2, 0.9, 0.1)) == 2
 
     def test_tie_breaks_low(self):
-        patches = [np.zeros((2, 2))] * 3
-        assert select_fuzzy_patch((1.0, 0.5, 1.0), patches).selected == 1
+        assert select_fuzzy_patch((1.0, 0.5, 1.0)) == 1
 
     def test_worked_patch(self):
         pis = fuzzify(WORKED_PATCH, PARAMS)
@@ -128,8 +131,9 @@ class TestSelect:
         assert scores[0] == pytest.approx(0.625, abs=1e-12)
         assert scores[1] == pytest.approx(77 / 81, abs=1e-12)
         assert scores[2] == pytest.approx(7 / 9, abs=1e-12)
-        chosen = select_fuzzy_patch(scores, pis)
-        assert chosen.selected == 2
+        v = select_fuzzy_patch(scores)
+        assert v == 2
+        assert defuzzify_cog(WORKED_PATCH, pis[v - 1]) == fuzzy_window_reference(WORKED_PATCH, PARAMS)
 
 
 class TestDefuzzify:
