@@ -1,4 +1,4 @@
-.PHONY: test accept repro demos bench-smoke
+.PHONY: test accept repro demos check bench-smoke
 
 test:
 	pytest
@@ -13,10 +13,11 @@ repro:
 	FUZZY_KAN_FULL=1 pytest tests/test_acceptance.py -v -s -k "criterion_8 or criterion_9"
 
 demos:
-	PYTHONPATH=src python demos/01_autodiff_basics.py
-	PYTHONPATH=src python demos/02_fuzzy_pooling.py
-	PYTHONPATH=src python demos/03_kan_layer.py
-	PYTHONPATH=src python demos/04_train_small.py
+	for demo in demos/*.py; do PYTHONPATH=src python $$demo || exit 1; done
+
+# the diagnostic property suites: gradients, pooling oracle, spline basis
+check:
+	for kind in grad pool-oracle spline; do PYTHONPATH=src python -m fuzzykan.cli check $$kind || exit 1; done
 
 # the benchmark's own smoke test: every workload at a tiny length
 bench-smoke:

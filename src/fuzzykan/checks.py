@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .kan import SplineGrid, bspline_basis, kan_init, kan_stack_forward
-from .model import ModelConfig, build_lenet
+from .model import ModelConfig, build
 from .pooling import MembershipParams, PoolConfig, fuzzy_window_reference, pool
 
 GRAD_TOL = 1e-4
@@ -158,63 +158,37 @@ def tiny_fuzzy_kan_setup(seed: int = 0, head: str = "kan", pooling_kind: str = "
             head_widths=(3,),
             seed=trial,
         )
-        model = build_lenet(config, input_hw=8, conv_channels=(2, 2), conv_kernel=(3, 2), n_classes=3)
+        model = build(config, input_hw=8, conv_channels=(2, 2), conv_kernel=(3, 2), n_classes=3)
         images = rng.uniform(0.0, 1.0, (2, 1, 8, 8))
         labels = rng.integers(0, 3, 2)
-        if _setup_is_smooth(model, images, config):
+        if _setup_is_smooth(model, images):
             return model, images, labels
     raise RuntimeError("no finite-difference-safe seed found")
 
 
-def _setup_is_smooth(model, images, config) -> bool:
-    margin = BREAKPOINT_MARGIN
-    p = model.params
-    act = config.conv_activation
-    x = T.Tensor(images)
-    h = T.conv2d(x, p["conv1.weight"], p["conv1.bias"])
-    if np.abs(h.data).min() <= margin:  # relu kink
-        return False
-    h = T.activate(act, h)
-    if not _pool_input_is_smooth(h.data, config):
-        return False
-    h = pool(h, config.pooling)
-    h = T.conv2d(h, p["conv2.weight"], p["conv2.bias"])
-    if np.abs(h.data).min() <= margin:
-        return False
-    h = T.activate(act, h)
-    if not _pool_input_is_smooth(h.data, config):
-        return False
-    h = pool(h, config.pooling)
-    flat = h.data.reshape(h.shape[0], -1)
-    if config.head == "mlp":
-        hh = T.flatten(h)
-        widths = config.resolved_head_widths()
-        for i in range(len(widths)):
-            hh = T.bias_add(hh @ p[f"fc{i}.weight"], p[f"fc{i}.bias"])
-            if np.abs(hh.data).min() <= margin:
-                return False
-            hh = T.activate(act, hh)
-    else:
-        # spline pieces join with C^(order-1) smoothness; only order < 2
-        # would make knot crossings a finite-difference hazard
-        if model.kan_layers[0].grid.order < 2:
-            knots = model.kan_layers[0].grid.knots()
-            if not _away_from(flat, knots, margin):
-                return False
+def _setup_is_smooth(model, images) -> bool:
+    """Walk ``model.stages`` on ``images``, rejecting inputs near a kink or a tie."""
+    h = T.Tensor(images)
+    for name, stage in model.stages:
+        if name.endswith(".act") and np.abs(h.data).min() <= BREAKPOINT_MARGIN:  # relu kink
+            return False
+        if name.startswith("pool") and not _pool_input_is_smooth(h.data, model.config.pooling):
+            return False
+        h = stage(h)
     return True
 
 
-def _pool_input_is_smooth(values, config) -> bool:
+def _pool_input_is_smooth(values, config: PoolConfig) -> bool:
     margin = BREAKPOINT_MARGIN
-    if config.pooling.kind == "fuzzy":
-        if not _away_from(values, config.pooling.membership.breakpoints(), margin):
+    if config.kind == "fuzzy":
+        if not _away_from(values, config.membership.breakpoints(), margin):
             return False
-        if _fuzzy_score_margins(values, config.pooling) <= margin:
+        if _fuzzy_score_margins(values, config) <= margin:
             return False
         return True
-    if config.pooling.kind == "max":
-        win = T.windows(np.asarray(values, dtype=float), config.pooling.k, config.pooling.stride)
-        for patch in win.reshape(-1, config.pooling.k * config.pooling.k):
+    if config.kind == "max":
+        win = T.windows(np.asarray(values, dtype=float), config.k, config.stride)
+        for patch in win.reshape(-1, config.k * config.k):
             top, second = np.sort(patch)[-2:][::-1]
             if top - second <= margin:
                 return False

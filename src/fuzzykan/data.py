@@ -1,9 +1,8 @@
 """Dataset loading: IDX (MNIST/FashionMNIST) and CIFAR-10 binary formats.
 
 Both readers are bit-exact parsers of the official binary layouts; pixels
-are scaled to [0,1] and 28x28 grayscale images are zero-padded to 32x32
-(bilinear resize available as an alternative).  Gzipped files are read
-transparently.
+are scaled to [0,1] and 28x28 grayscale images are zero-padded to 32x32.
+Gzipped files are read transparently.
 """
 
 from __future__ import annotations
@@ -155,30 +154,11 @@ def pad_to_32(images: np.ndarray) -> np.ndarray:
     return np.pad(images, ((0, 0), (0, 0), (2, 2), (2, 2)))
 
 
-def resize_bilinear_to_32(images: np.ndarray) -> np.ndarray:
-    """Bilinear 28->32 resize, the alternative to zero-padding."""
-    if images.ndim != 4 or images.shape[2:] != (28, 28):
-        raise ValueError(f"expected [M,C,28,28], got {images.shape}")
-    src = np.linspace(0.0, 27.0, 32)
-    lo = np.floor(src).astype(int)
-    hi = np.minimum(lo + 1, 27)
-    frac = src - lo
-    rows = images[:, :, lo, :] * (1 - frac)[None, None, :, None] + images[:, :, hi, :] * frac[None, None, :, None]
-    out = rows[:, :, :, lo] * (1 - frac)[None, None, None, :] + rows[:, :, :, hi] * frac[None, None, None, :]
-    return out
-
-
-def to_model_input(ds: Dataset, resize: str = "pad") -> Dataset:
+def to_model_input(ds: Dataset) -> Dataset:
     """Bring a dataset to the 32x32 input geometry the models expect."""
     if ds.images.shape[2:] == (32, 32):
         return ds
-    if resize == "pad":
-        images = pad_to_32(ds.images)
-    elif resize == "bilinear":
-        images = resize_bilinear_to_32(ds.images)
-    else:
-        raise ValueError(f"unknown resize mode {resize!r}")
-    return Dataset(images, ds.labels, ds.split, ds.name)
+    return Dataset(pad_to_32(ds.images), ds.labels, ds.split, ds.name)
 
 
 IDX_FILES = {
@@ -194,7 +174,7 @@ def _find_idx_file(directory: Path, stem: str) -> Path:
     raise DataError(f"missing dataset file: {directory / stem}[.gz]")
 
 
-def load_dataset(name: str, data_dir, split: str = "train", resize: str = "pad") -> Dataset:
+def load_dataset(name: str, data_dir, split: str = "train") -> Dataset:
     """Load mnist / fashion-mnist / cifar10 from `data_dir`/<name>/."""
     root = Path(data_dir)
     if name == "cifar10":
@@ -213,7 +193,7 @@ def load_dataset(name: str, data_dir, split: str = "train", resize: str = "pad")
             split=split,
             name=name,
         )
-        return to_model_input(ds, resize)
+        return to_model_input(ds)
     raise ValueError(f"unknown dataset {name!r}")
 
 

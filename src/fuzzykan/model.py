@@ -3,7 +3,9 @@
 A LeNet backbone (conv 6@5x5 -> act -> pool -> conv 16@5x5 -> act -> pool ->
 flatten 400) is combined with one of three pooling kinds and either an MLP
 head (400-120-84-10) or a KAN head (400-84-10).  Pooling is parameter-free,
-so all three variants of a head share the same parameter count.
+so all three variants of a head share the same parameter count.  ``build``
+writes the architecture down once, as ``Model.stages``: an ordered list of
+named ``Tensor -> Tensor`` steps that ``Model.forward`` runs in turn.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import struct
 import types
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
-from .kan import KanLayerParams, SplineGrid, kan_init, kan_stack_forward
+from .kan import KanLayerParams, SplineGrid, kan_init, kan_layer_forward
 from .pooling import PoolConfig, pool
 
 CHECKPOINT_MAGIC = b"FKAN"
@@ -46,6 +49,8 @@ class ModelConfig:
             raise ValueError(f"head must be 'mlp' or 'kan', got {self.head!r}")
         if self.conv_activation not in ("relu", "tanh"):
             raise ValueError(f"conv activation must be relu or tanh, got {self.conv_activation!r}")
+        if self.head_widths is not None and any(w < 1 for w in self.head_widths):
+            raise ValueError(f"head_widths must all be >= 1, got {self.head_widths!r}")
 
     @property
     def in_channels(self) -> int:
@@ -106,13 +111,14 @@ def _glorot_uniform(rng, shape, fan_in, fan_out):
 
 
 class Model:
-    """An ordered parameter set plus the forward function they define."""
+    """An ordered parameter set plus the named stages its forward runs."""
 
-    def __init__(self, config: ModelConfig, params: dict, kan_layers: list, arch: dict):
+    def __init__(self, config: ModelConfig, params: dict, kan_layers: list, arch: dict, stages: list):
         self.config = config
         self.params = params  # name -> Tensor, insertion ordered
         self.kan_layers = kan_layers
-        self.arch = arch
+        self.arch = arch  # in_channels, input_hw, n_classes
+        self.stages = stages  # (name, Tensor -> Tensor), in forward order
 
     def parameters(self):
         return list(self.params.items())
@@ -126,29 +132,13 @@ class Model:
             t.zero_grad()
 
     def forward(self, batch) -> T.Tensor:
-        x = batch if isinstance(batch, T.Tensor) else T.Tensor(batch)
+        h = batch if isinstance(batch, T.Tensor) else T.Tensor(batch)
         expected = (self.arch["in_channels"], self.arch["input_hw"], self.arch["input_hw"])
-        if x.ndim != 4 or x.shape[1:] != expected:
-            raise ValueError(f"expected input [N,{expected[0]},{expected[1]},{expected[2]}], got {x.shape}")
-        act = self.config.conv_activation
-        p = self.params
-
-        h = T.conv2d(x, p["conv1.weight"], p["conv1.bias"])
-        h = T.activate(act, h)
-        h = pool(h, self.config.pooling)
-        h = T.conv2d(h, p["conv2.weight"], p["conv2.bias"])
-        h = T.activate(act, h)
-        h = pool(h, self.config.pooling)
-        h = T.flatten(h)
-
-        if self.config.head == "mlp":
-            n_hidden = len(self.config.resolved_head_widths())
-            for i in range(n_hidden + 1):
-                h = T.bias_add(h @ p[f"fc{i}.weight"], p[f"fc{i}.bias"])
-                if i < n_hidden:
-                    h = T.activate(act, h)
-            return h
-        return kan_stack_forward(h, self.kan_layers)
+        if h.ndim != 4 or h.shape[1:] != expected:
+            raise ValueError(f"expected input [N,{expected[0]},{expected[1]},{expected[2]}], got {h.shape}")
+        for _, stage in self.stages:
+            h = stage(h)
+        return h
 
     # -- checkpointing ---------------------------------------------------
 
@@ -220,18 +210,22 @@ class Model:
         return model
 
 
-def build_lenet(
+def _dense(x, weight, bias):
+    return T.bias_add(x @ weight, bias)
+
+
+def build(
     config: ModelConfig,
     input_hw: int = 32,
     conv_channels: tuple = (6, 16),
-    conv_kernel: int = 5,
+    conv_kernel: tuple = (5, 5),
     n_classes: int = 10,
 ) -> Model:
     """Construct a model; the non-default arguments exist for tiny test builds."""
     rng = np.random.default_rng(config.seed)
     c_in = config.in_channels
     f1, f2 = conv_channels
-    k1, k2 = (conv_kernel, conv_kernel) if isinstance(conv_kernel, int) else conv_kernel
+    k1, k2 = conv_kernel
     pk, ps = config.pooling.k, config.pooling.stride
 
     def after_pool(hw, k):
@@ -240,9 +234,7 @@ def build_lenet(
             raise ValueError(f"pooling {pk}/{ps} does not tile feature map of size {hw}")
         return (hw - pk) // ps + 1
 
-    hw1 = after_pool(input_hw, k1)
-    hw2 = after_pool(hw1, k2)
-    flat = f2 * hw2 * hw2
+    flat = f2 * after_pool(after_pool(input_hw, k1), k2) ** 2
 
     params: dict[str, T.Tensor] = {}
 
@@ -251,35 +243,36 @@ def build_lenet(
         params[name] = t
         return t
 
-    param("conv1.weight", _glorot_uniform(rng, (f1, c_in, k1, k1), c_in * k1 * k1, f1 * k1 * k1))
-    param("conv1.bias", np.zeros(f1))
-    param("conv2.weight", _glorot_uniform(rng, (f2, f1, k2, k2), f1 * k2 * k2, f2 * k2 * k2))
-    param("conv2.bias", np.zeros(f2))
+    act = partial(T.activate, config.conv_activation)
+    # binds this module's ``pool`` when the model is built, so a substitute set before then is used
+    pool_stage = partial(pool, config=config.pooling)
+    stages = []
+    for i, (n_in, n_out, k) in enumerate(((c_in, f1, k1), (f1, f2, k2)), start=1):
+        weight = param(f"conv{i}.weight", _glorot_uniform(rng, (n_out, n_in, k, k), n_in * k * k, n_out * k * k))
+        bias = param(f"conv{i}.bias", np.zeros(n_out))
+        stages += [
+            (f"conv{i}", partial(T.conv2d, kernels=weight, bias=bias)),
+            (f"conv{i}.act", act),
+            (f"pool{i}", pool_stage),
+        ]
+    stages.append(("flatten", T.flatten))
 
     kan_layers: list[KanLayerParams] = []
     widths = (flat,) + config.resolved_head_widths() + (n_classes,)
-    if config.head == "mlp":
-        for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-            param(f"fc{i}.weight", _glorot_uniform(rng, (n_in, n_out), n_in, n_out))
-            param(f"fc{i}.bias", np.zeros(n_out))
-    else:
-        for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+    for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+        if config.head == "mlp":
+            weight = param(f"fc{i}.weight", _glorot_uniform(rng, (n_in, n_out), n_in, n_out))
+            bias = param(f"fc{i}.bias", np.zeros(n_out))
+            stages.append((f"fc{i}", partial(_dense, weight=weight, bias=bias)))
+            if i < len(widths) - 2:
+                stages.append((f"fc{i}.act", act))
+        else:
             layer = kan_init(n_in, n_out, config.kan_grid, seed=rng.integers(2**31))
             params[f"kan{i}.coeffs"] = layer.coeffs
             params[f"kan{i}.w_b"] = layer.w_b
             params[f"kan{i}.w_s"] = layer.w_s
             kan_layers.append(layer)
+            stages.append((f"kan{i}", partial(kan_layer_forward, params=layer)))
 
-    arch = {
-        "input_hw": input_hw,
-        "in_channels": c_in,
-        "conv_channels": conv_channels,
-        "conv_kernel": (k1, k2),
-        "flatten_width": flat,
-        "n_classes": n_classes,
-    }
-    return Model(config, params, kan_layers, arch)
-
-
-def build(config: ModelConfig) -> Model:
-    return build_lenet(config)
+    arch = {"in_channels": c_in, "input_hw": input_hw, "n_classes": n_classes}
+    return Model(config, params, kan_layers, arch, stages)

@@ -15,7 +15,6 @@ from fuzzykan.data import (
     load_dataset,
     load_idx,
     pad_to_32,
-    resize_bilinear_to_32,
     to_model_input,
     write_idx_images,
     write_idx_labels,
@@ -148,27 +147,9 @@ class TestResize:
         with pytest.raises(ValueError):
             pad_to_32(np.zeros((1, 3, 28, 28)))
 
-    def test_bilinear_shape_and_corners(self):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, (2, 1, 28, 28))
-        out = resize_bilinear_to_32(x)
-        assert out.shape == (2, 1, 32, 32)
-        # endpoints of the sampling grid hit the original corners exactly
-        assert out[0, 0, 0, 0] == x[0, 0, 0, 0]
-        assert out[1, 0, 31, 31] == x[1, 0, 27, 27]
-
-    def test_bilinear_constant_image(self):
-        out = resize_bilinear_to_32(np.full((1, 1, 28, 28), 0.3))
-        np.testing.assert_allclose(out, 0.3, atol=1e-12)
-
     def test_to_model_input_passthrough_at_32(self):
         ds = Dataset(np.zeros((2, 3, 32, 32)), np.zeros(2, dtype=np.int64), "train", "cifar10")
         assert to_model_input(ds) is ds
-
-    def test_to_model_input_bad_mode(self):
-        ds = Dataset(np.zeros((2, 1, 28, 28)), np.zeros(2, dtype=np.int64), "train", "mnist")
-        with pytest.raises(ValueError, match="resize"):
-            to_model_input(ds, resize="nearest")
 
 
 class TestLoadDataset:

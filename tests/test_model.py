@@ -10,7 +10,6 @@ from fuzzykan.model import (
     Model,
     ModelConfig,
     build,
-    build_lenet,
     config_digest,
     config_to_dict,
     config_update,
@@ -30,6 +29,12 @@ class TestConfig:
     def test_invalid_head(self):
         with pytest.raises(ValueError, match="head"):
             ModelConfig(head="transformer")
+
+    def test_head_widths_below_1(self):
+        for widths in ((-3,), (84, 0)):
+            with pytest.raises(ValueError, match=r"head_widths must all be >= 1, got \(.*\)"):
+                ModelConfig(head_widths=widths)
+        assert build(config_for(head_widths=())).stages[-1][0] == "fc0"  # no hidden layer
 
     def test_default_widths(self):
         assert config_for(head="mlp").resolved_head_widths() == (120, 84)
@@ -124,6 +129,13 @@ class TestForward:
         out = model.forward(rng.uniform(0, 1, (2, 3, 32, 32)))
         assert out.shape == (2, 10) and np.isfinite(out.data).all()
 
+    def test_stage_names(self):
+        backbone = ["conv1", "conv1.act", "pool1", "conv2", "conv2.act", "pool2", "flatten"]
+        mlp = [name for name, _ in build(config_for(head="mlp")).stages]
+        kan = [name for name, _ in build(config_for(head="kan")).stages]
+        assert mlp == backbone + ["fc0", "fc0.act", "fc1", "fc1.act", "fc2"]
+        assert kan == backbone + ["kan0", "kan1"]
+
     def test_wrong_input_shape(self):
         model = build(config_for())
         with pytest.raises(ValueError, match="expected input"):
@@ -170,6 +182,8 @@ class TestEndToEndGradients:
     @pytest.mark.parametrize("head", ["mlp", "kan"])
     def test_tiny_model(self, pooling, head):
         model, images, labels = tiny_fuzzy_kan_setup(head=head, pooling_kind=pooling)
+        # the smoothness scan's pick; a change to the scan must not silently move this check
+        assert model.config.seed == {"max": 21, "average": 0, "fuzzy": 0}[pooling]
         x = T.Tensor(images, requires_grad=True)
         tensors = [t for _, t in model.parameters()] + [x]
         worst = gradient_check(lambda: T.softmax_cross_entropy(model.forward(x), labels), tensors)
