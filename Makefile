@@ -1,4 +1,4 @@
-.PHONY: test accept repro demos check bench-smoke
+.PHONY: test accept repro demos check bench-smoke verify
 
 test:
 	pytest
@@ -22,3 +22,9 @@ check:
 # the benchmark's own smoke test: every workload at a tiny length
 bench-smoke:
 	python3 -m pytest perfbench/test_smoke.py
+
+# the tier-1 tests, the check suites and the benchmark smoke test, stopping at the first failure
+verify:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+	$(MAKE) check
+	$(MAKE) bench-smoke

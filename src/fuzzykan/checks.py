@@ -113,6 +113,10 @@ def check_pool_oracle(n_windows: int = 1000, k: int = 2, seed: int = 0):
     params = MembershipParams()
     worst = 0.0
     x = rng.uniform(-1.0, 8.0, (n_windows, 1, k, k))
+    # half the windows lie wholly below c, negatives included, so fuzzy pooling
+    # averages them; every other one of those gets one entry exactly at c
+    x[::2] = rng.uniform(-1.0, params.c, x[::2].shape)
+    x[::4, 0, 0, 0] = params.c
     for kind in ("max", "average", "fuzzy"):
         config = PoolConfig(kind=kind, k=k, stride=k)
         out = pool(T.Tensor(x), config).data.reshape(-1)

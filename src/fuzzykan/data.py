@@ -81,6 +81,11 @@ def _parse_idx(raw: bytes, expected_magic: int, path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, count=count, offset=header).reshape(dims)
 
 
+def _check_labels(labels: np.ndarray, path):
+    if labels.size and labels.max() > 9:
+        raise BadLabelError(f"{path}: label byte {labels.max()} out of range")
+
+
 def load_idx(images_path, labels_path, split: str = "train", name: str = "mnist") -> Dataset:
     """Read an IDX image/label file pair into a normalized Dataset."""
     images = _parse_idx(_read_bytes(images_path), IDX_IMAGES_MAGIC, images_path)
@@ -89,6 +94,7 @@ def load_idx(images_path, labels_path, split: str = "train", name: str = "mnist"
         raise CountMismatchError(
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels"
         )
+    _check_labels(labels, labels_path)
     m, h, w = images.shape
     return Dataset(
         images=images.reshape(m, 1, h, w).astype(np.float64) / 255.0,
@@ -120,8 +126,7 @@ def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
         )
     records = np.frombuffer(raw, dtype=np.uint8).reshape(CIFAR_RECORDS_PER_FILE, CIFAR_RECORD_BYTES)
     labels = records[:, 0]
-    if labels.max() > 9:
-        raise BadLabelError(f"{path}: label byte {labels.max()} out of range")
+    _check_labels(labels, path)
     images = records[:, 1:].reshape(-1, 3, 32, 32)
     return images, labels
 

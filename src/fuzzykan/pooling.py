@@ -9,6 +9,14 @@ The vectorized ``pool`` path reproduces the scalar per-window semantics of
 ``fuzzy_window_reference`` bit-for-bit (same operations, same fold order),
 which the test suite asserts.
 
+Fuzzy pooling splits the windows in two.  A window whose entries are all
+finite and below c has mu1 == 1 and mu2 == mu3 == 0 everywhere, because
+a = r_max/4 and r = r_max/2 both exceed c = r_max/6; so v* = 1, the output
+is the window mean, and the COG gradient reduces to 1/(k*k), all bit for
+bit.  The other windows are gathered into one (M, k, k) block that keeps
+only the three running scores and evaluates the membership (and, in
+backward, the derivative) of the selected set alone.
+
 ``pool`` takes the window view from ``tensor.windows``.  Each kind maps that
 view to its pooled values plus a function from the output gradient to a
 gradient per window entry, and ``pool`` adds that back onto the input with
@@ -272,41 +280,59 @@ def _average_pool(win):
 
 
 def _fuzzy_pool(win, params: MembershipParams):
+    """Windows wholly below c are averaged; the rest are fuzzified as one (M, k, k) block."""
     k = win.shape[-1]
-    pis = np.empty((3,) + win.shape, dtype=win.dtype)
+    out = _window_mean(win)
+    # every entry finite and below c: mu1 == 1, mu2 == mu3 == 0, so v* = 1 and the
+    # COG is the window mean (a finite mean rules out -inf and an overflowing sum)
+    fast = np.isfinite(out)
+    for u in range(k):
+        for v in range(k):
+            fast &= win[..., u, v] < params.c
+    rest = ~fast
+    w = win[rest]
+
+    scores = []
     for vi in range(3):
-        pis[vi] = membership(vi + 1, win, params)
+        pi = membership(vi + 1, w, params).astype(win.dtype, copy=False)
+        s = np.zeros(len(w), dtype=win.dtype)
+        for u in range(k):
+            for v in range(k):
+                s = s + pi[:, u, v] - s * pi[:, u, v]
+        scores.append(s)
+    v_star = np.argmax(scores, axis=0)  # first max -> lowest v on ties
+    sel = _of_selected(membership, v_star, w, params)
 
-    scores = np.zeros((3,) + win.shape[:4], dtype=win.dtype)
+    num = np.zeros(len(w), dtype=win.dtype)
+    den = np.zeros(len(w), dtype=win.dtype)
     for u in range(k):
         for v in range(k):
-            p = pis[..., u, v]
-            scores = scores + p - scores * p
-
-    v_star = scores.argmax(axis=0)  # first max -> lowest v on ties
-    sel = np.take_along_axis(pis, v_star[None, ..., None, None], axis=0)[0]
-
-    num = np.zeros(win.shape[:4], dtype=win.dtype)
-    den = np.zeros(win.shape[:4], dtype=win.dtype)
-    for u in range(k):
-        for v in range(k):
-            num = num + sel[..., u, v] * win[..., u, v]
-            den = den + sel[..., u, v]
+            num = num + sel[:, u, v] * w[:, u, v]
+            den = den + sel[:, u, v]
     guard = den < COG_EPS
     safe_den = np.where(guard, 1.0, den)
-    out = np.where(guard, _window_mean(win), num / safe_den)
+    out[rest] = np.where(guard, out[rest], num / safe_den)
 
     def window_grad(g):
+        # an averaged window's entry gradient is the COG rule below at dsel = 0 and den = k*k
+        dwin = np.empty(win.shape, dtype=np.result_type(g, win))
+        dwin[...] = (g * (win.dtype.type(1.0) / (k * k)))[..., None, None]
         # selection v* is held constant; memberships are differentiated
-        dmu = np.empty_like(pis)
-        for vi in range(3):
-            dmu[vi] = membership_derivative(vi + 1, win, params)
-        dsel = np.take_along_axis(dmu, v_star[None, ..., None, None], axis=0)[0]
-
-        den_e = safe_den[..., None, None]
-        num_e = num[..., None, None]
-        dwin = (sel + dsel * win) / den_e - num_e * dsel / (den_e * den_e)
-        dwin = np.where(guard[..., None, None], 1.0 / (k * k), dwin)
-        return g[..., None, None] * dwin
+        dsel = _of_selected(membership_derivative, v_star, w, params)
+        den_e = safe_den[:, None, None]
+        num_e = num[:, None, None]
+        dw = (sel + dsel * w) / den_e - num_e * dsel / (den_e * den_e)
+        dw = np.where(guard[:, None, None], 1.0 / (k * k), dw)
+        dwin[rest] = g[rest][:, None, None] * dw
+        return dwin
 
     return out, window_grad
+
+
+def _of_selected(fn, v_star, w, params: MembershipParams):
+    """fn(v, x, params) over the (M, k, k) block, evaluated for each window's v* only."""
+    out = np.empty_like(w)
+    for vi in range(3):
+        chosen = v_star == vi
+        out[chosen] = fn(vi + 1, w[chosen], params)
+    return out

@@ -6,9 +6,12 @@ import pytest
 
 import fuzzykan.tensor as T
 from fuzzykan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
+from fuzzykan.data import IDX_FILES, write_idx_images, write_idx_labels
 from fuzzykan.kan import SplineGrid
 from fuzzykan.model import ModelConfig, config_to_dict, config_update
 from fuzzykan.pooling import MembershipParams, PoolConfig
+
+from conftest import make_synthetic_images
 
 
 def run_cli(argv):
@@ -63,6 +66,22 @@ class TestTrainCommand:
         argv = ["train", "--dataset", "mnist", "--epochs", "0", "--out-dir", str(tmp_path)]
         assert run_cli(argv) == EXIT_DATA
         assert "FUZZY_KAN_DATA" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "matrix"])
+    def test_bad_test_label_exit_2(self, tmp_path, capsys, command):
+        d = tmp_path / "mnist"
+        d.mkdir()
+        images, labels = make_synthetic_images(8, seed=2)
+        bad = labels.copy()
+        bad[-1] = 12
+        for split, split_labels in (("train", labels), ("test", bad)):
+            img_name, lbl_name = IDX_FILES[split]
+            write_idx_images(d / img_name, images)
+            write_idx_labels(d / lbl_name, split_labels)
+        argv = [command, "--dataset", "mnist", "--epochs", "0", "--data-dir", str(tmp_path),
+                "--out-dir", str(tmp_path / "run")]
+        assert run_cli(argv) == EXIT_DATA
+        assert "t10k-labels-idx1-ubyte: label byte 12 out of range" in capsys.readouterr().err
 
     def test_env_var_fallback(self, synthetic_idx_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("FUZZY_KAN_DATA", str(synthetic_idx_dir))

@@ -66,6 +66,14 @@ class TestIdx:
         with pytest.raises(TruncatedFileError):
             load_idx(tmp_path / "img", tmp_path / "lbl")
 
+    def test_bad_label(self, tmp_path):
+        images, labels = make_synthetic_images(3, seed=7)
+        labels[1] = 12
+        write_idx_images(tmp_path / "img", images)
+        write_idx_labels(tmp_path / "lbl", labels)
+        with pytest.raises(BadLabelError, match=r"lbl: label byte 12 out of range"):
+            load_idx(tmp_path / "img", tmp_path / "lbl")
+
     def test_count_mismatch(self, tmp_path):
         images, labels = make_synthetic_images(4, seed=6)
         write_idx_images(tmp_path / "img", images)

@@ -202,6 +202,21 @@ class TestCheckpoint:
         x = np.random.default_rng(5).uniform(0, 1, (2, 1, 32, 32))
         np.testing.assert_array_equal(model.forward(x).data, loaded.forward(x).data)
 
+    def test_f32_round_trip(self, tmp_path):
+        previous = T.default_dtype()
+        T.set_default_dtype(np.float32)
+        try:
+            config = config_for("fuzzy", "kan", seed=9)
+            model = build(config)
+            path = tmp_path / "model.fkan"
+            model.save(path)
+            loaded = Model.load(path, config)
+        finally:
+            T.set_default_dtype(previous)
+        for (name, ta), (_, tb) in zip(model.parameters(), loaded.parameters()):
+            assert ta.data.dtype == tb.data.dtype == np.float32, name
+            assert np.array_equal(ta.data, tb.data), name
+
     def test_digest_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.fkan"
         build(config_for("fuzzy", "kan")).save(path)

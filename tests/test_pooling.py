@@ -4,6 +4,7 @@ import pytest
 import fuzzykan.tensor as T
 from fuzzykan.checks import gradient_check, sample_fuzzy_safe_input
 from fuzzykan.pooling import (
+    COG_EPS,
     MembershipParams,
     PoolConfig,
     algebraic_sum_score,
@@ -11,6 +12,7 @@ from fuzzykan.pooling import (
     fuzzify,
     fuzzy_window_reference,
     membership,
+    membership_derivative,
     pool,
     select_fuzzy_patch,
 )
@@ -263,3 +265,88 @@ class TestPool:
         ni, ci, ii, ji = np.indices((n, c, ho, wo))
         np.add.at(expected, (ni, ci, ii * k + idx // k, ji * k + idx % k), upstream)
         assert np.array_equal(x.grad, expected)
+
+
+def fuzzy_window_grad_reference(patch, params):
+    """d(pooled value)/d(entry) of one window: v* held fixed, scalar folds in row-major order."""
+    flat = [float(x) for x in patch.ravel()]
+    pis = [[membership(v, x, params) for x in flat] for v in (1, 2, 3)]
+    scores = []
+    for pi in pis:
+        s = 0.0
+        for p in pi:
+            s = s + p - s * p
+        scores.append(s)
+    v_star = select_fuzzy_patch(scores)
+    sel = pis[v_star - 1]
+    num = 0.0
+    den = 0.0
+    for w, x in zip(sel, flat):
+        num = num + w * x
+        den = den + w
+    if den < COG_EPS:
+        return np.full(patch.shape, 1.0 / len(flat))
+    dsel = [membership_derivative(v_star, x, params) for x in flat]
+    grads = [(w + dw * x) / den - num * dw / (den * den) for w, dw, x in zip(sel, dsel, flat)]
+    return np.reshape(grads, patch.shape)
+
+
+def fuzzy_pool_grad(values, k, stride, upstream=None):
+    """The pooled output and the input gradient of sum(upstream * pool(values))."""
+    x = T.Tensor(np.asarray(values, dtype=float), requires_grad=True)
+    out = pool(x, PoolConfig(kind="fuzzy", k=k, stride=stride))
+    upstream = np.ones(out.shape) if upstream is None else upstream
+    T.reduce_sum(T.mul(out, T.Tensor(upstream))).backward()
+    return out.data, x.grad
+
+
+class TestFuzzyPaths:
+    """Windows wholly below c are averaged; every other window is fuzzified."""
+
+    @pytest.mark.parametrize("k, stride", [(2, 2), (3, 1)])
+    def test_gradient_matches_scalar_reference(self, k, stride):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-1.0, 8.0, (2, 3, 8, 8))
+        low = rng.random(x.shape) < 0.8
+        x[low] = rng.uniform(-1.0, PARAMS.c, int(low.sum()))  # many windows wholly below c
+        marks = rng.random(x.shape)
+        x[marks < 0.03] = PARAMS.c
+        on_breakpoint = (marks >= 0.03) & (marks < 0.06)
+        x[on_breakpoint] = rng.choice(PARAMS.breakpoints(), int(on_breakpoint.sum()))
+        win = T.windows(x, k, stride)
+        below = (win < PARAMS.c).all(axis=(-2, -1))
+        assert 0 < below.sum() < below.size  # both paths run
+
+        upstream = rng.uniform(-1.0, 1.0, below.shape)
+        out, grad = fuzzy_pool_grad(x, k, stride, upstream)
+        dwin = np.empty(win.shape)
+        for idx in np.ndindex(below.shape):
+            assert out[idx] == fuzzy_window_reference(win[idx], PARAMS)
+            dwin[idx] = fuzzy_window_grad_reference(win[idx], PARAMS)
+        expected = np.zeros_like(x)
+        for u, v in np.ndindex(k, k):  # each pixel sums its windows' entries in (u, v) order
+            for ni, ci, i, j in np.ndindex(below.shape):
+                contribution = upstream[ni, ci, i, j] * dwin[ni, ci, i, j, u, v]
+                expected[ni, ci, i * stride + u, j * stride + v] += contribution
+        assert np.array_equal(grad, expected)
+
+    def test_entry_at_c_is_fuzzified(self):
+        # mu1(c) = 1, so the output is the mean, but d(mu1)/dx at c is not 0
+        patch = np.array([[PARAMS.c, 0.2], [-0.3, 0.1]])
+        out, grad = fuzzy_pool_grad(patch[None, None], 2, 2)
+        assert out[0, 0, 0, 0] == fuzzy_window_reference(patch, PARAMS) == (PARAMS.c + 0.2 - 0.3 + 0.1) / 4
+        assert np.array_equal(grad[0, 0], fuzzy_window_grad_reference(patch, PARAMS))
+        assert grad[0, 0, 0, 0] != 0.25 and np.all(grad[0, 0].ravel()[1:] == 0.25)
+
+    def test_all_negative_window_is_the_mean(self):
+        patch = np.array([[-0.5, -2.0], [-7.25, -1e-3]])
+        out, grad = fuzzy_pool_grad(patch[None, None], 2, 2)
+        assert out[0, 0, 0, 0] == fuzzy_window_reference(patch, PARAMS)
+        assert np.all(grad == 0.25)
+
+    def test_minus_inf_window_has_nan_gradient(self):
+        values = np.array([[-np.inf, 0.2, 0.5, 0.5], [0.3, 0.1, 0.5, 0.5]])
+        with np.errstate(invalid="ignore"):  # -inf * 0 in the COG rule
+            out, grad = fuzzy_pool_grad(values[None, None], 2, 2)
+        assert out[0, 0, 0, 0] == -np.inf and out[0, 0, 0, 1] == 0.5
+        assert np.all(np.isnan(grad[0, 0, :, :2])) and np.all(grad[0, 0, :, 2:] == 0.25)
