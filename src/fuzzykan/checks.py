@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .kan import SplineGrid, bspline_basis, kan_init, kan_stack_forward
+from .kan import SplineGrid, bspline_basis, bspline_derivative_reference, bspline_reference, kan_init, kan_stack_forward
 from .model import ModelConfig, build
 from .pooling import MembershipParams, PoolConfig, fuzzy_window_reference, pool
 
 GRAD_TOL = 1e-4
+SPLINE_ORACLE_TOL = 1e-12
 FD_STEP = 1e-5
 BREAKPOINT_MARGIN = 1e-3
 
@@ -135,15 +136,45 @@ def check_pool_oracle(n_windows: int = 1000, k: int = 2, seed: int = 0):
     return worst == 0.0, worst
 
 
+def spline_oracle(x, grid: SplineGrid):
+    """Basis and derivative rows [x.size, num_basis] from the scalar Cox-de Boor oracles.
+
+    x == hi is evaluated one ulp below hi: ``bspline_basis`` closes the top
+    in-range interval on the right, so it takes the left limit there.
+    """
+    knots = grid.knots()
+    x = np.asarray(x, dtype=float).reshape(-1)
+    basis = np.zeros((x.size, grid.num_basis))
+    deriv = np.zeros_like(basis)
+    for n, xi in enumerate(x):
+        at = float(np.nextafter(grid.hi, -np.inf)) if xi == grid.hi else float(xi)
+        for i in range(grid.num_basis):
+            basis[n, i] = bspline_reference(i, grid.order, knots, at)
+            deriv[n, i] = bspline_derivative_reference(i, grid.order, knots, at)
+    return basis, deriv
+
+
 def check_spline(grid: SplineGrid | None = None, n_points: int = 2001):
-    """Partition of unity and non-negativity across the grid range."""
+    """Partition of unity and non-negativity across the grid range, and the
+    basis and its derivative against the scalar oracle across the extension
+    zones, beyond them and at every knot.
+
+    Returns (ok, unity_deviation, min_value, oracle_error).
+    """
     grid = grid or SplineGrid()
     x = np.linspace(grid.lo, grid.hi, n_points)
     basis = bspline_basis(x, grid)
     deviation = float(np.abs(basis.sum(axis=-1) - 1.0).max())
     min_value = float(basis.min())
-    ok = deviation < 1e-9 and min_value >= -1e-15
-    return ok, deviation, min_value
+
+    knots = grid.knots()
+    probe = np.concatenate([np.linspace(knots[0] - grid.step, knots[-1] + grid.step, 401), knots])
+    values, deriv = bspline_basis(probe, grid, with_derivative=True)
+    ref_values, ref_deriv = spline_oracle(probe, grid)
+    oracle_error = float(max(np.abs(values - ref_values).max(), np.abs(deriv - ref_deriv).max()))
+
+    ok = deviation < 1e-9 and min_value >= -1e-15 and oracle_error <= SPLINE_ORACLE_TOL
+    return ok, deviation, min_value, oracle_error
 
 
 def tiny_fuzzy_kan_setup(seed: int = 0, head: str = "kan", pooling_kind: str = "fuzzy"):

@@ -207,8 +207,9 @@ def cmd_check(args) -> int:
         ok, worst = checks.check_pool_oracle()
         print(f"pooling oracle check: max |vectorized - scalar| = {worst:.3e} (must be exact)")
     else:  # spline
-        ok, deviation, min_value = checks.check_spline()
-        print(f"spline check: partition-of-unity deviation {deviation:.3e}, min basis value {min_value:.3e}")
+        ok, deviation, min_value, oracle_error = checks.check_spline()
+        print(f"spline check: partition-of-unity deviation {deviation:.3e}, min basis value {min_value:.3e}, "
+              f"max |basis - scalar oracle| {oracle_error:.3e} (tolerance {checks.SPLINE_ORACLE_TOL:.0e})")
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_NUMERICAL
 

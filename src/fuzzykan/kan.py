@@ -3,10 +3,24 @@
 Each edge carries phi(x) = w_b * silu(x) + w_s * sum_i c_i * B_i(x); a layer
 output sums its incoming edge functions, and stacking layers composes the
 outer/inner univariate functions.
+
+A layer on N samples with `in` inputs, `out` outputs and nb basis functions
+per edge contracts by GEMMs over one flattened (input, basis) axis, as
+efficient-kan does.  With sil = silu(x), w = (c * w_s)[out, in*nb] and the
+output gradient g[N, out]:
+
+    out   = sil @ w_b.T + basis[N, in*nb] @ w.T
+    gb    = g.T @ basis                          # [out, in*nb]
+    dc    = gb * w_s,  dw_s = sum_i gb * c,  dw_b = g.T @ sil
+    dx    = silu'(x) * (g @ w_b) + sum_i (g @ w) * dbasis
+
+The basis derivative dbasis is built in the backward rule, and only when x
+needs a gradient, so a forward-only evaluation never pays for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,55 +47,141 @@ class SplineGrid:
             raise ValueError("spline order must be >= 0")
         if self.intervals < 1:
             raise ValueError("grid must have at least one interval")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"grid range must be finite, got lo={self.lo}, hi={self.hi}")
         if not self.lo < self.hi:
             raise ValueError("grid range must satisfy lo < hi")
+        if not math.isfinite(self.step):
+            raise ValueError(f"grid step (hi - lo) / intervals must be finite, got {self.step}")
 
     @property
     def num_basis(self) -> int:
         return self.intervals + self.order
 
+    @property
+    def step(self) -> float:
+        return (self.hi - self.lo) / self.intervals
+
     def knots(self) -> np.ndarray:
-        h = (self.hi - self.lo) / self.intervals
-        return self.lo + np.arange(-self.order, self.intervals + self.order + 1) * h
+        return self.lo + np.arange(-self.order, self.intervals + self.order + 1) * self.step
 
 
 def bspline_basis(x, grid: SplineGrid, with_derivative: bool = False):
-    """Cox-de Boor basis values B_i(x) (and optionally dB_i/dx).
+    """B-spline basis values B_i(x) (and optionally dB_i/dx) on the extended knots.
 
     Works on arrays of any shape; the basis index is appended as a trailing
-    axis.  Values outside [lo, hi] are evaluated on the extended knots
-    rather than clamped.
+    axis.  De Boor's local recursion evaluates only the order+1 functions
+    that are nonzero on each point's knot interval; the rest of the row is
+    exactly zero.  Edge semantics, those of the Cox-de Boor recursion
+    (``bspline_reference``):
+
+    - x lies in interval m when knots[m] <= x < knots[m+1], decided by
+      comparison with ``grid.knots()``;
+    - x == hi lies in the top in-range interval, which keeps the in-range
+      partition of unity closed on the right;
+    - values outside [lo, hi] come from the extended knots rather than
+      clamping, and a point outside [knots[0], knots[-1]) has a zero row;
+    - a NaN or infinite point has a NaN row (a zero row at order 0, whose
+      basis is an indicator); the derivative's row is NaN from order 2 on.
     """
-    t = grid.knots()
-    k = grid.order
     x = np.asarray(x, dtype=float)
-    xe = x[..., None]
-
-    basis = ((xe >= t[:-1]) & (xe < t[1:])).astype(float)
-    # move x == hi from the first extension interval into the top in-range
-    # interval, keeping the in-range partition of unity closed on the right
-    top = grid.intervals + k - 1
-    at_hi = x == grid.hi
-    basis[..., top] = np.where(at_hi, 1.0, basis[..., top])
-    if k > 0:  # k == 0 has no interval beyond hi to double-count
-        basis[..., top + 1] = np.where(at_hi, 0.0, basis[..., top + 1])
-
-    prev = None
-    for deg in range(1, k + 1):
-        prev = basis
-        left = (xe - t[: -(deg + 1)]) / (t[deg:-1] - t[: -(deg + 1)]) * basis[..., :-1]
-        right = (t[deg + 1 :] - xe) / (t[deg + 1 :] - t[1:-deg]) * basis[..., 1:]
-        basis = left + right
-
+    interval, lower, values = _local_basis(x, grid)
+    basis = _dense(x, interval, values, grid, nan_rows=grid.order > 0)
     if not with_derivative:
         return basis
+    return basis, _derivative(x, interval, lower, grid)
 
-    if k == 0:
-        return basis, np.zeros_like(basis)
-    deriv = k * (
-        prev[..., :-1] / (t[k:-1] - t[:-k - 1]) - prev[..., 1:] / (t[k + 1 :] - t[1:-k])
-    )
-    return basis, deriv
+
+def _local_basis(x: np.ndarray, grid: SplineGrid):
+    """Each point's knot interval m and its nonzero B-splines of degrees order-1 and order.
+
+    Over the flattened points, values[r] is B_{m-order+r}(x) and lower[r] is
+    the degree-(order-1) B_{m-order+1+r}(x).  A point outside the extended
+    knots gets m = 0 and zero values.
+    """
+    k = grid.order
+    t = grid.knots()
+    x = x.reshape(-1)
+    # by comparison, not floor((x - t[0]) / step): a point one ulp below a
+    # knot must not land in the interval above it
+    interval = np.searchsorted(t, x, side="right") - 1
+    interval[x == grid.hi] = grid.intervals + k - 1
+    inside = (interval >= 0) & (interval < len(t) - 1)
+    interval[~inside] = 0
+    u = np.clip((x - t[interval]) / grid.step, 0.0, 1.0)  # clipped, so no value rounds below 0
+    # de Boor's BSPLVB in units of the step: x - t[m+1-j] = u + j - 1 and t[m+j] - x = j - u
+    left = [u + (j - 1) for j in range(1, k + 1)]
+    right = [j - u for j in range(1, k + 1)]
+    values, lower = [inside.astype(float)], []
+    for d in range(1, k + 1):
+        lower, values, saved = values, [], 0.0
+        for r in range(d):
+            temp = lower[r] / d
+            values.append(saved + right[r] * temp)
+            saved = left[d - 1 - r] * temp
+        values.append(saved)
+    return interval, lower, values
+
+
+def _dense(x: np.ndarray, interval, values, grid: SplineGrid, nan_rows: bool) -> np.ndarray:
+    """Rows [..., num_basis] from the order+1 local values at each point's interval.
+
+    nan_rows gives a non-finite point a NaN row, as the Cox-de Boor recursion
+    does from degree 1 on, where its zero indicator meets x = NaN or +-inf.
+    """
+    k = grid.order
+    n_intervals = grid.intervals + 2 * k
+    # column m + r holds B_{m-k+r}; the first and last k columns hold
+    # functions beyond the knot vector and are sliced away
+    padded = np.zeros((interval.size, n_intervals + k))
+    at = np.arange(0, padded.size, padded.shape[1]) + interval
+    for r, v in enumerate(values):
+        padded.reshape(-1)[at + r] = v
+    dense = padded[:, k:n_intervals]
+    if nan_rows:
+        dense[~np.isfinite(x.reshape(-1))] = np.nan
+    return dense.reshape(x.shape + (grid.num_basis,))
+
+
+def _derivative(x: np.ndarray, interval, lower, grid: SplineGrid) -> np.ndarray:
+    """dB_{i,k}/dx = (B_{i,k-1} - B_{i+1,k-1}) / step on uniform knots, from the local values."""
+    zero = np.zeros(interval.size)
+    lower = [zero, *lower, zero]
+    slopes = [(a - b) / grid.step for a, b in zip(lower[:-1], lower[1:])]
+    # the derivative combines degree-(order-1) functions, NaN at a non-finite point from degree 1 on
+    return _dense(x, interval, slopes, grid, nan_rows=grid.order > 1)
+
+
+def bspline_reference(i: int, degree: int, knots, x: float) -> float:
+    """Textbook recursive Cox-de Boor definition of B_{i,degree}(x) (oracle).
+
+    Intervals are half-open, so at x == hi this gives the first extension
+    interval's value, where ``bspline_basis`` takes the top in-range one.
+    """
+    if degree == 0:
+        return 1.0 if knots[i] <= x < knots[i + 1] else 0.0
+    value = 0.0
+    left = knots[i + degree] - knots[i]
+    if left > 0:
+        value += (x - knots[i]) / left * bspline_reference(i, degree - 1, knots, x)
+    right = knots[i + degree + 1] - knots[i + 1]
+    if right > 0:
+        value += (knots[i + degree + 1] - x) / right * bspline_reference(i + 1, degree - 1, knots, x)
+    return value
+
+
+def bspline_derivative_reference(i: int, degree: int, knots, x: float) -> float:
+    """dB_{i,k}/dx = k B_{i,k-1}/(t_{i+k} - t_i) - k B_{i+1,k-1}/(t_{i+k+1} - t_{i+1}) (oracle)."""
+    if degree == 0:
+        return 0.0
+    value = 0.0
+    left = knots[i + degree] - knots[i]
+    if left > 0:
+        value += degree * bspline_reference(i, degree - 1, knots, x) / left
+    right = knots[i + degree + 1] - knots[i + 1]
+    if right > 0:
+        value -= degree * bspline_reference(i + 1, degree - 1, knots, x) / right
+    return value
 
 
 @dataclass
@@ -119,24 +219,26 @@ def kan_layer_forward(x: T.Tensor, params: KanLayerParams) -> T.Tensor:
     if x.ndim != 2 or x.shape[1] != params.in_features:
         raise ValueError(f"expected input [N,{params.in_features}], got {x.shape}")
 
-    basis, dbasis = bspline_basis(x.data, params.grid, with_derivative=True)  # [N,n,nb]
+    grid = params.grid
+    xb = np.asarray(x.data, dtype=float)
+    interval, lower, values = _local_basis(xb, grid)
+    basis = _dense(xb, interval, values, grid, nan_rows=grid.order > 0).reshape(len(xb), -1)  # [N, in*nb]
     sil = T.silu_values(x.data)
     c, wb, ws = params.coeffs, params.w_b, params.w_s
+    spline_w = (c.data * ws.data[..., None]).reshape(params.out_features, -1)  # [out, in*nb]
 
-    out_data = np.einsum("sp,jp->sj", sil, wb.data, optimize=True)
-    out_data += np.einsum("spi,jpi,jp->sj", basis, c.data, ws.data, optimize=True)
+    out_data = sil @ wb.data.T
+    out_data += basis @ spline_w.T
 
     def backward(g):
-        T.accumulate_grad(wb, np.einsum("sj,sp->jp", g, sil, optimize=True))
-        T.accumulate_grad(
-            ws, np.einsum("sj,spi,jpi->jp", g, basis, c.data, optimize=True)
-        )
-        T.accumulate_grad(
-            c, np.einsum("sj,jp,spi->jpi", g, ws.data, basis, optimize=True)
-        )
+        g_basis = (g.T @ basis).reshape(c.data.shape)  # [out, in, nb]
+        T.accumulate_grad(c, g_basis * ws.data[..., None])
+        T.accumulate_grad(ws, np.einsum("jpi,jpi->jp", g_basis, c.data))
+        T.accumulate_grad(wb, g.T @ sil)
         if x.requires_grad:
-            dx = T.silu_derivative(x.data) * np.einsum("sj,jp->sp", g, wb.data, optimize=True)
-            dx += np.einsum("sj,jp,jpi,spi->sp", g, ws.data, c.data, dbasis, optimize=True)
+            dbasis = _derivative(xb, interval, lower, grid)  # [N, in, nb]
+            dx = T.silu_derivative(x.data) * (g @ wb.data)
+            dx += np.einsum("spi,spi->sp", (g @ spline_w).reshape(dbasis.shape), dbasis)
             T.accumulate_grad(x, dx)
 
     return T.from_op(out_data, (x, c, wb, ws), backward)

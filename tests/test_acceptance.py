@@ -107,8 +107,8 @@ def test_criterion_2_fuzzy_pool_oracle():
 
 
 def test_criterion_3_spline_properties():
-    ok, deviation, min_value = check_spline()
-    assert ok, (deviation, min_value)
+    ok, deviation, min_value, oracle_error = check_spline()
+    assert ok, (deviation, min_value, oracle_error)
 
     layer = kan_init(3, 2, seed=5)
     rng = np.random.default_rng(5)

@@ -138,11 +138,12 @@ class TestTrainCommand:
             ({"model": {"pooling": {"membership": {"r_max": 1e999}}}}, "r_max"),
             ({"model": {"head_widths": [-3]}}, "head_widths"),
             ({"model": {"head_widths": [0]}}, "head_widths"),
+            ({"model": {"kan_grid": {"lo": -1e999}}}, "lo"),
             ([64], "config"),
             # the flat layout of earlier versions' config.json
             ({"dataset": "mnist", "pooling": "max", "head": "mlp"}, "unknown config key 'dataset'"),
         ],
-        ids=["batch-0", "bacth", "batch-str", "precision-f16", "dataset-imagenet", "r_max-str", "r_max-inf", "head_widths-neg", "head_widths-0", "not-object", "flat-layout"],
+        ids=["batch-0", "bacth", "batch-str", "precision-f16", "dataset-imagenet", "r_max-str", "r_max-inf", "head_widths-neg", "head_widths-0", "kan_grid-lo-inf", "not-object", "flat-layout"],
     )
     def test_bad_value_from_config_exit_1(self, synthetic_idx_dir, tmp_path, capsys, payload, key):
         config = tmp_path / "config.json"

@@ -2,22 +2,23 @@ import numpy as np
 import pytest
 
 import fuzzykan.tensor as T
-from fuzzykan.checks import check_kan_gradients, gradient_check
+from fuzzykan.checks import check_kan_gradients, gradient_check, spline_oracle
 from fuzzykan.kan import SplineGrid, bspline_basis, kan_init, kan_layer_forward, kan_stack_forward
 
+# every order up to quartic on the default range, and an asymmetric range
+GRIDS = [SplineGrid(order=k) for k in range(5)] + [SplineGrid(order=3, intervals=5, lo=-0.3, hi=0.7)]
 
-def bspline_ref(i, degree, knots, x):
-    """Textbook recursive Cox-de Boor definition (oracle)."""
-    if degree == 0:
-        return 1.0 if knots[i] <= x < knots[i + 1] else 0.0
-    value = 0.0
-    left = knots[i + degree] - knots[i]
-    if left > 0:
-        value += (x - knots[i]) / left * bspline_ref(i, degree - 1, knots, x)
-    right = knots[i + degree + 1] - knots[i + 1]
-    if right > 0:
-        value += (knots[i + degree + 1] - x) / right * bspline_ref(i + 1, degree - 1, knots, x)
-    return value
+
+def edge_points(grid):
+    """The extension zones and beyond, every knot and one ulp either side of it, and hi."""
+    knots = grid.knots()
+    return np.concatenate([
+        np.linspace(knots[0] - grid.step, knots[-1] + grid.step, 97),
+        knots,
+        np.nextafter(knots, -np.inf),
+        np.nextafter(knots, np.inf),
+        [grid.hi],
+    ])
 
 
 class TestSplineGrid:
@@ -35,6 +36,10 @@ class TestSplineGrid:
             SplineGrid(lo=1.0, hi=-1.0)
         with pytest.raises(ValueError):
             SplineGrid(intervals=0)
+        with pytest.raises(ValueError, match="lo=-inf"):
+            SplineGrid(lo=-np.inf)
+        with pytest.raises(ValueError, match="step"):
+            SplineGrid(lo=-1e308, hi=1e308)  # finite bounds, infinite step
 
 
 class TestBasis:
@@ -54,37 +59,46 @@ class TestBasis:
         assert ((basis == 0.0) | (basis == 1.0)).all()
 
     def test_nonnegative(self):
-        g = SplineGrid()
-        x = np.linspace(-2.5, 2.5, 1001)  # includes the extension zone
-        assert bspline_basis(x, g).min() >= 0.0
+        for g in GRIDS:
+            x = np.concatenate([np.linspace(-2.5, 2.5, 1001), edge_points(g)])  # includes the extension zone
+            assert bspline_basis(x, g).min() >= 0.0, g
 
     def test_local_support(self):
-        g = SplineGrid()
-        knots = g.knots()
-        x = np.linspace(g.lo, g.hi, 2001)
-        basis = bspline_basis(x, g)
-        for i in range(g.num_basis):
-            inside = (x >= knots[i]) & (x <= knots[i + g.order + 1])
-            assert np.abs(basis[~inside, i]).max(initial=0.0) == 0.0
+        rng = np.random.default_rng(14)
+        for g in GRIDS:
+            knots = g.knots()
+            x = np.concatenate([edge_points(g), rng.uniform(knots[0] - g.step, knots[-1] + g.step, 500)])
+            basis, deriv = bspline_basis(x, g, with_derivative=True)
+            for i in range(g.num_basis):
+                inside = (x >= knots[i]) & (x <= knots[i + g.order + 1])
+                assert np.abs(basis[~inside, i]).max(initial=0.0) == 0.0, (g, i)
+                assert np.abs(deriv[~inside, i]).max(initial=0.0) == 0.0, (g, i)
 
     def test_against_recursive_oracle(self):
-        g = SplineGrid()
-        knots = g.knots()
         rng = np.random.default_rng(12)
-        xs = rng.uniform(-1, 1, 50)
-        basis = bspline_basis(xs, g)
-        for xi, x in enumerate(xs):
-            for i in range(g.num_basis):
-                assert abs(basis[xi, i] - bspline_ref(i, g.order, knots, x)) < 1e-12
+        for g in GRIDS:
+            xs = np.concatenate([rng.uniform(g.lo, g.hi, 50), edge_points(g), [np.nan, np.inf, -np.inf]])
+            basis, deriv = bspline_basis(xs, g, with_derivative=True)
+            with np.errstate(invalid="ignore"):  # the oracle's inf * 0 at x = +-inf
+                ref_basis, ref_deriv = spline_oracle(xs, g)
+            # NaN only where the oracle is NaN
+            np.testing.assert_allclose(basis, ref_basis, rtol=0, atol=1e-12, err_msg=str(g))
+            np.testing.assert_allclose(deriv, ref_deriv, rtol=0, atol=1e-12, err_msg=str(g))
+            # non-finite input: a NaN row, or a zero row for the order-0 indicator
+            nonfinite = basis[-3:]
+            assert np.isnan(nonfinite).all() if g.order else (nonfinite == 0.0).all(), g
 
     def test_derivative_vs_finite_difference(self):
-        g = SplineGrid()
         rng = np.random.default_rng(13)
-        xs = rng.uniform(-0.95, 0.95, 30)
-        _, deriv = bspline_basis(xs, g, with_derivative=True)
         h = 1e-6
-        numeric = (bspline_basis(xs + h, g) - bspline_basis(xs - h, g)) / (2 * h)
-        assert np.abs(deriv - numeric).max() < 1e-6
+        for g in GRIDS:
+            knots = g.knots()
+            # across the extension zones and beyond, clear of the knots where low orders kink
+            xs = rng.uniform(knots[0] - g.step, knots[-1] + g.step, 200)
+            xs = xs[np.abs(xs[:, None] - knots).min(axis=1) > 1e-3][:60]
+            _, deriv = bspline_basis(xs, g, with_derivative=True)
+            numeric = (bspline_basis(xs + h, g) - bspline_basis(xs - h, g)) / (2 * h)
+            assert np.abs(deriv - numeric).max() < 1e-6, g
 
 
 class TestKanLayer:

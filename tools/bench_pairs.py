@@ -1,0 +1,136 @@
+"""Run alternating parent/change pairs of the benchmark and judge a claimed gain.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload train-fuzzy-kan --seeds 1-10 --metric samples_per_s --raw pairs.jsonl
+
+Each checkout runs its own ``perfbench/run.py`` untraced, from its own root,
+so a parent checkout made with ``git worktree`` or ``git archive`` measures
+the parent's code with the parent's benchmark.  Pair i runs the parent first
+when i is even and the change first when i is odd.  Every output line of
+every run is kept in ``--raw`` as one JSON object.
+
+The report lists each pair, then each side's median and quartiles for every
+end-to-end metric in the change's ``BENCHMARK.json``, whether the change's
+median stays within that metric's bound, and the total failed/attempted.
+The verdict applies the benchmark rule to ``--metric``: the change wins at
+least 9 of 10 pairs (ties count for neither side), the medians differ by
+more than the parent's interquartile range, and no larger share of
+operations fails than at the parent.  The exit status is 0 when
+the claim holds and 1 when it does not.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WIN_SHARE = 0.9
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1-10', '11,12' or '1-3,7' -> the listed seeds, in order."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[list[str], dict]:
+    """One untraced benchmark run; returns its output lines and its result line."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"bench_pairs: {checkout}: run.py exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    return lines, json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def value(result: dict, name: str) -> float:
+    return result["metrics"][name]["value"]
+
+
+def better(a: float, b: float, direction: str) -> bool:
+    """Is a strictly better than b?"""
+    return a > b if direction == "higher" else a < b
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 11,12")
+    parser.add_argument("--metric", required=True, help="the end-to-end metric the change claims")
+    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
+    parser.add_argument("--raw", type=Path, required=True, help="JSON-lines file for every raw output line")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    if args.metric not in metrics:
+        parser.error(f"--metric must be one of {', '.join(metrics)}")
+    direction = metrics[args.metric]["better"]
+    seconds = args.seconds or bench["run_seconds"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    results = {"parent": [], "change": []}
+
+    with args.raw.open("a") as raw:
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                lines, result = run_once(sides[side], args.workload, seed, seconds)
+                results[side].append(result)
+                for line in lines:
+                    record = {"pair": i, "seed": seed, "side": side, "first": order[0], "line": line}
+                    raw.write(json.dumps(record) + "\n")
+                raw.flush()
+            p = value(results["parent"][-1], args.metric)
+            c = value(results["change"][-1], args.metric)
+            winner = "change wins" if better(c, p, direction) else "parent wins" if better(p, c, direction) else "tie"
+            ratio = c / p if p else float("nan")
+            print(f"pair {i + 1:2d}  seed {seed:3d}  {order[0]} first  "
+                  f"parent {p:10.4g}  change {c:10.4g}  ({ratio:.3f}x)  {winner}", flush=True)
+
+    print(f"\n{args.workload}, {len(args.seeds)} pairs of {seconds:g} s runs")
+    print(f"{'metric':16s} {'unit':5s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} {'ratio':>7s}  bound")
+    for name, spec in metrics.items():
+        sides_q = {s: quartiles([value(r, name) for r in results[s]]) for s in results}
+        (pq1, pm, pq3), (cq1, cm, cq3) = sides_q["parent"], sides_q["change"]
+        worse = (pm - cm if spec["better"] == "higher" else cm - pm) / abs(pm) if pm else 0.0
+        print(f"{name:16s} {spec['unit']:5s} {pm:12.4g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.4g} [{cq1:8.4g}, {cq3:8.4g}] "
+              f"{cm / pm if pm else float('nan'):7.3f}  {'ok' if worse <= spec['bound'] else 'WORSE'} (bound {spec['bound']:g})")
+    failed_share = {}
+    for side, rows in results.items():
+        failed, attempted = sum(r["failed"] for r in rows), sum(r["attempted"] for r in rows)
+        failed_share[side] = failed / attempted if attempted else 1.0
+        print(f"{side}: failed {failed} of {attempted} attempted")
+
+    pairs = list(zip(results["parent"], results["change"]))
+    wins = sum(better(value(c, args.metric), value(p, args.metric), direction) for p, c in pairs)
+    pq1, pm, pq3 = quartiles([value(r, args.metric) for r in results["parent"]])
+    _, cm, _ = quartiles([value(r, args.metric) for r in results["change"]])
+    gap = cm - pm if direction == "higher" else pm - cm
+    more_failures = failed_share["change"] > failed_share["parent"]
+    met = wins >= WIN_SHARE * len(pairs) and gap > pq3 - pq1 and not more_failures
+    print(f"\n{args.metric}: change wins {wins} of {len(pairs)} pairs; "
+          f"median gap {gap:.4g} against parent IQR {pq3 - pq1:.4g}"
+          f"{'; a larger share of operations failed than at the parent' if more_failures else ''}")
+    print("CLAIM MET" if met else "CLAIM NOT MET")
+    return 0 if met else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
