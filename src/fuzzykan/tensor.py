@@ -6,8 +6,22 @@ calling ``backward()`` on a scalar loss.
 
 Numerics policy: float64 by default (float32 opt-in via
 ``set_default_dtype``), and the forward reductions of ``matmul`` and
-``conv2d`` accumulate in strict row-major sequential order so that they
-agree bit-for-bit with naive nested-loop reference implementations.
+``conv2d`` accumulate in strict sequential order so that they agree
+bit-for-bit with naive nested-loop reference implementations.
+
+``conv2d`` lays its im2col out as [(c,u,v), N, (i,j)] and contracts it with
+one non-optimized einsum into a C-ordered [N, F, (i,j)] output.  The
+einsum's inner loop is then an axpy along the Ho*Wo output pixels, and the
+reduction index (c,u,v) only selects which axpy runs next, so each output
+still adds its terms one at a time in ascending (c,u,v) order, from 0, as
+the nested loops do.  The output array is passed in (``out=``): einsum would
+otherwise allocate it in its operands' (f, n, (i,j)) memory order, and that
+layout would flow on through the activation into the gradient.  The
+backward keeps the row-major formulas' operands.  It copies the gradient
+into a C-ordered [(n,i,j), F] matrix, whose rows the bias gradient sums in
+sequence (an F-ordered view would sum them pairwise), and the kernel
+gradient is one GEMM of that matrix against the free [(n,i,j), (c,u,v)]
+view of the im2col.
 
 This module alone knows the k-by-k window layout: ``windows`` is the checked
 strided [N,C,Ho,Wo,k,k] view, and ``scatter_windows`` is its adjoint, which
@@ -23,8 +37,6 @@ import operator
 import numpy as np
 
 _DEFAULT_DTYPE = np.float64
-_DEBUG = False
-_MACHINE_EPS = np.finfo(np.float64).eps
 _node_counter = itertools.count()
 
 
@@ -39,16 +51,6 @@ def set_default_dtype(dtype):
 
 def default_dtype():
     return _DEFAULT_DTYPE
-
-
-def set_debug_checks(enabled: bool):
-    """Enable per-op finite checks and div-by-near-zero detection."""
-    global _DEBUG
-    _DEBUG = bool(enabled)
-
-
-def debug_checks_enabled() -> bool:
-    return _DEBUG
 
 
 class Tensor:
@@ -83,9 +85,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -164,8 +163,6 @@ def accumulate_grad(t: Tensor, g: np.ndarray):
 def from_op(data, parents, backward):
     """Wrap an op result, wiring the graph only if a parent needs grad."""
     out = Tensor(data)
-    if _DEBUG and not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("non-finite values produced by a forward op")
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -204,8 +201,6 @@ def elementwise(kind: str, a: Tensor, b):
     b_t, b_val = _as_operand(b)
     if b_t is not None and b_t.data.size != 1 and b_t.shape != a.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b_t.shape}")
-    if kind == "div" and _DEBUG and np.any(np.abs(b_val) < _MACHINE_EPS):
-        raise ZeroDivisionError("division by value below machine epsilon")
     out_data = forward(a.data, b_val)
 
     def backward(g):
@@ -265,6 +260,8 @@ def windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
 
     The windows must tile the input exactly; ``scatter_windows`` is the adjoint.
     """
+    if k < 1 or stride < 1:
+        raise ValueError(f"window size k={k} and stride={stride} must both be >= 1")
     n, c, h, w = x.shape
     if h < k or w < k or (h - k) % stride or (w - k) % stride:
         raise ValueError(
@@ -301,22 +298,28 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
     k = kh
     win = windows(x.data, k, stride)
     n, c, ho, wo = win.shape[:4]
-    # im2col with the reduction axis ordered (c, u, v) to match the naive
-    # nested-loop summation order
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * k * k)
-    w_t = np.ascontiguousarray(kernels.data.reshape(f, c * k * k).T)
-    out2 = np.einsum("ik,kj->ij", col, w_t, optimize=False)
+    p, ckk = ho * wo, c * k * k
+    # im2col laid out [(c,u,v), N, (i,j)]: the einsum runs axpys along the
+    # output pixels (i,j) and adds each output's terms in ascending (c,u,v)
+    # order from 0, the nested-loop order.  Left to itself einsum would
+    # allocate its output in (f, n, (i,j)) order; out= keeps it C-ordered NCHW.
+    col = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(ckk, n, p)
+    w2 = kernels.data.reshape(f, ckk)
+    out3 = np.empty((n, f, p), dtype=np.result_type(w2, col))
+    np.einsum("fk,knp->nfp", w2, col, optimize=False, out=out3)
     if bias is not None:
-        out2 = out2 + bias.data[None, :]
-    out_data = out2.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
+        out3 = out3 + bias.data[:, None]
+    out_data = out3.reshape(n, f, ho, wo)
 
     def backward(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+        # a C-ordered [(n,i,j), f] copy whatever g's layout (module docstring)
+        g3 = g.reshape(n, f, p)
+        g2 = np.ascontiguousarray(g3.transpose(0, 2, 1)).reshape(n * p, f)
         if bias is not None:
             accumulate_grad(bias, g2.sum(axis=0))
-        accumulate_grad(kernels, (g2.T @ col).reshape(f, c, k, k))
+        accumulate_grad(kernels, (g2.T @ col.reshape(ckk, n * p).T).reshape(f, c, k, k))
         if x.requires_grad:
-            dwin = (g2 @ w_t.T).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+            dwin = np.matmul(w2.T, g3).reshape(n, c, k, k, ho, wo).transpose(0, 1, 4, 5, 2, 3)
             accumulate_grad(x, scatter_windows(dwin, x.shape, stride))
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
@@ -327,12 +330,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; this is 1 / (1 + exp(-z)) for z >= 0 and
+    # exp(z) / (1 + exp(z)) below, bit for bit.  -|z| is minimum(z, -z),
+    # which keeps the sign bit of a NaN input as those two formulas do.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu_values(z: np.ndarray) -> np.ndarray:

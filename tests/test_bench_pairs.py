@@ -1,0 +1,72 @@
+"""The verdict of tools/bench_pairs.py on canned results; no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = {
+    "samples_per_s": {"name": "samples_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    "peak_rss_mb": {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+}
+
+
+def result(samples_per_s, peak_rss_mb=100.0, failed=0):
+    return {
+        "failed": failed,
+        "attempted": 1000,
+        "metrics": {"samples_per_s": {"value": samples_per_s}, "peak_rss_mb": {"value": peak_rss_mb}},
+    }
+
+
+def pairs(count, change_rss=100.0):
+    return {
+        "parent": [result(500.0 + i) for i in range(count)],
+        "change": [result(600.0 + i, change_rss) for i in range(count)],
+    }
+
+
+def test_clear_gain_over_ten_pairs_is_met():
+    lines, met = bench_pairs.report(pairs(10), METRICS, "samples_per_s")
+    assert met
+    assert lines[-1] == "CLAIM MET"
+
+
+def test_too_few_pairs_give_no_verdict():
+    for count in (1, 5, 9):
+        lines, met = bench_pairs.report(pairs(count), METRICS, "samples_per_s")
+        assert not met
+        assert any(line.startswith("too few pairs for a verdict") for line in lines)
+        assert lines[-1] == "CLAIM NOT MET"
+
+
+def test_metric_worse_than_its_bound_fails_the_verdict():
+    lines, met = bench_pairs.report(pairs(10, change_rss=120.0), METRICS, "samples_per_s")
+    assert not met
+    assert any(line.startswith("peak_rss_mb") and "WORSE" in line for line in lines)
+    assert "worse than its bound: peak_rss_mb" in lines
+    assert lines[-1] == "CLAIM NOT MET"
+
+
+def test_metric_within_its_bound_does_not_fail_the_verdict():
+    _, met = bench_pairs.report(pairs(10, change_rss=105.0), METRICS, "samples_per_s")
+    assert met
+
+
+def test_larger_failed_share_fails_the_verdict():
+    results = pairs(10)
+    results["change"][3] = result(603.0, failed=1)
+    lines, met = bench_pairs.report(results, METRICS, "samples_per_s")
+    assert not met
+    assert "a larger share of operations failed than at the parent" in lines
+
+
+def test_eight_wins_of_ten_is_not_met():
+    results = pairs(10)
+    results["change"][0] = result(400.0)
+    results["change"][1] = result(400.0)
+    _, met = bench_pairs.report(results, METRICS, "samples_per_s")
+    assert not met

@@ -14,9 +14,11 @@ end-to-end metric in the change's ``BENCHMARK.json``, whether the change's
 median stays within that metric's bound, and the total failed/attempted.
 The verdict applies the benchmark rule to ``--metric``: the change wins at
 least 9 of 10 pairs (ties count for neither side), the medians differ by
-more than the parent's interquartile range, and no larger share of
-operations fails than at the parent.  The exit status is 0 when
-the claim holds and 1 when it does not.  Standard library only.
+more than the parent's interquartile range, no larger share of operations
+fails than at the parent, and no end-to-end metric is worse than its
+bound.  Fewer than 10 pairs give no verdict ("too few pairs for a
+verdict").  The exit status is 0 when the claim holds and 1 when it does
+not.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9
+MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -65,6 +68,52 @@ def value(result: dict, name: str) -> float:
 def better(a: float, b: float, direction: str) -> bool:
     """Is a strictly better than b?"""
     return a > b if direction == "higher" else a < b
+
+
+def report(results: dict, metrics: dict, claim: str) -> tuple[list[str], bool]:
+    """Judge the claimed gain in ``claim`` on paired results; no benchmark runs.
+
+    ``results`` maps "parent" and "change" to their result dicts, pair i of
+    each side at index i; ``metrics`` maps each end-to-end metric's name to its
+    BENCHMARK.json entry.  Returns the report lines and whether the claim is
+    met: at least MIN_PAIRS pairs, the change winning WIN_SHARE of them, a
+    median gap wider than the parent's IQR, no larger failed share, and no
+    end-to-end metric worse than its bound.
+    """
+    direction = metrics[claim]["better"]
+    lines = [f"{'metric':16s} {'unit':5s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} {'ratio':>7s}  bound"]
+    worse_metrics = []
+    for name, spec in metrics.items():
+        sides_q = {s: quartiles([value(r, name) for r in results[s]]) for s in results}
+        (pq1, pm, pq3), (cq1, cm, cq3) = sides_q["parent"], sides_q["change"]
+        worse = (pm - cm if spec["better"] == "higher" else cm - pm) / abs(pm) if pm else 0.0
+        if worse > spec["bound"]:
+            worse_metrics.append(name)
+        lines.append(f"{name:16s} {spec['unit']:5s} {pm:12.4g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.4g} [{cq1:8.4g}, {cq3:8.4g}] "
+                     f"{cm / pm if pm else float('nan'):7.3f}  {'WORSE' if name in worse_metrics else 'ok'} (bound {spec['bound']:g})")
+    failed_share = {}
+    for side, rows in results.items():
+        failed, attempted = sum(r["failed"] for r in rows), sum(r["attempted"] for r in rows)
+        failed_share[side] = failed / attempted if attempted else 1.0
+        lines.append(f"{side}: failed {failed} of {attempted} attempted")
+
+    pairs = list(zip(results["parent"], results["change"]))
+    wins = sum(better(value(c, claim), value(p, claim), direction) for p, c in pairs)
+    pq1, pm, pq3 = quartiles([value(r, claim) for r in results["parent"]])
+    _, cm, _ = quartiles([value(r, claim) for r in results["change"]])
+    gap = cm - pm if direction == "higher" else pm - cm
+    more_failures = failed_share["change"] > failed_share["parent"]
+    lines.append("")
+    lines.append(f"{claim}: change wins {wins} of {len(pairs)} pairs; median gap {gap:.4g} against parent IQR {pq3 - pq1:.4g}")
+    if more_failures:
+        lines.append("a larger share of operations failed than at the parent")
+    if worse_metrics:
+        lines.append(f"worse than its bound: {', '.join(worse_metrics)}")
+    if len(pairs) < MIN_PAIRS:
+        lines.append(f"too few pairs for a verdict: {len(pairs)}, at least {MIN_PAIRS} needed")
+    met = (len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs) and gap > pq3 - pq1
+           and not more_failures and not worse_metrics)
+    return lines + ["CLAIM MET" if met else "CLAIM NOT MET"], met
 
 
 def main(argv=None) -> int:
@@ -105,30 +154,8 @@ def main(argv=None) -> int:
                   f"parent {p:10.4g}  change {c:10.4g}  ({ratio:.3f}x)  {winner}", flush=True)
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs of {seconds:g} s runs")
-    print(f"{'metric':16s} {'unit':5s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} {'ratio':>7s}  bound")
-    for name, spec in metrics.items():
-        sides_q = {s: quartiles([value(r, name) for r in results[s]]) for s in results}
-        (pq1, pm, pq3), (cq1, cm, cq3) = sides_q["parent"], sides_q["change"]
-        worse = (pm - cm if spec["better"] == "higher" else cm - pm) / abs(pm) if pm else 0.0
-        print(f"{name:16s} {spec['unit']:5s} {pm:12.4g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.4g} [{cq1:8.4g}, {cq3:8.4g}] "
-              f"{cm / pm if pm else float('nan'):7.3f}  {'ok' if worse <= spec['bound'] else 'WORSE'} (bound {spec['bound']:g})")
-    failed_share = {}
-    for side, rows in results.items():
-        failed, attempted = sum(r["failed"] for r in rows), sum(r["attempted"] for r in rows)
-        failed_share[side] = failed / attempted if attempted else 1.0
-        print(f"{side}: failed {failed} of {attempted} attempted")
-
-    pairs = list(zip(results["parent"], results["change"]))
-    wins = sum(better(value(c, args.metric), value(p, args.metric), direction) for p, c in pairs)
-    pq1, pm, pq3 = quartiles([value(r, args.metric) for r in results["parent"]])
-    _, cm, _ = quartiles([value(r, args.metric) for r in results["change"]])
-    gap = cm - pm if direction == "higher" else pm - cm
-    more_failures = failed_share["change"] > failed_share["parent"]
-    met = wins >= WIN_SHARE * len(pairs) and gap > pq3 - pq1 and not more_failures
-    print(f"\n{args.metric}: change wins {wins} of {len(pairs)} pairs; "
-          f"median gap {gap:.4g} against parent IQR {pq3 - pq1:.4g}"
-          f"{'; a larger share of operations failed than at the parent' if more_failures else ''}")
-    print("CLAIM MET" if met else "CLAIM NOT MET")
+    lines, met = report(results, metrics, args.metric)
+    print("\n".join(lines))
     return 0 if met else 1
 
 
