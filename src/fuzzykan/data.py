@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,18 +132,23 @@ def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
+def _find_cifar_files(root: Path, split: str) -> list[Path]:
+    """The split's batch files, from the first layout under ``root`` that holds them all."""
+    names = [f"data_batch_{i}.bin" for i in range(1, 6)] if split == "train" else ["test_batch.bin"]
+    for directory in (root / "cifar10" / "cifar-10-batches-bin", root / "cifar10", root / "cifar-10-batches-bin", root):
+        files = [directory / name for name in names]
+        if all(f.exists() for f in files):
+            return files
+    raise DataError(f"CIFAR-10 binary batches not found under {root}: missing {', '.join(names)}")
+
+
 def load_cifar10(dir_path, split: str = "train") -> Dataset:
-    """Read the five training batches or the test batch of binary CIFAR-10."""
-    root = Path(dir_path)
-    if (root / "cifar-10-batches-bin").is_dir():
-        root = root / "cifar-10-batches-bin"
-    if split == "train":
-        files = [root / f"data_batch_{i}.bin" for i in range(1, 6)]
-    else:
-        files = [root / "test_batch.bin"]
-    for f in files:
-        if not f.exists():
-            raise DataError(f"missing CIFAR-10 file: {f}")
+    """Read the five training batches or the test batch of binary CIFAR-10.
+
+    The files may sit in ``dir_path`` itself, in its ``cifar10/`` or
+    ``cifar-10-batches-bin/``, or in ``cifar10/cifar-10-batches-bin/``.
+    """
+    files = _find_cifar_files(Path(dir_path), split)
     images, labels = zip(*(_parse_cifar_file(f) for f in files))
     return Dataset(
         images=np.concatenate(images).astype(np.float64) / 255.0,
@@ -183,12 +189,7 @@ def load_dataset(name: str, data_dir, split: str = "train") -> Dataset:
     """Load mnist / fashion-mnist / cifar10 from `data_dir`/<name>/."""
     root = Path(data_dir)
     if name == "cifar10":
-        for candidate in (root / "cifar10", root):
-            try:
-                return load_cifar10(candidate, split)
-            except DataError:
-                continue
-        raise DataError(f"CIFAR-10 binary batches not found under {root}")
+        return load_cifar10(root, split)
     if name in ("mnist", "fashion-mnist"):
         directory = root / name if (root / name).is_dir() else root
         img_stem, lbl_stem = IDX_FILES[split]
@@ -202,32 +203,21 @@ def load_dataset(name: str, data_dir, split: str = "train") -> Dataset:
     raise ValueError(f"unknown dataset {name!r}")
 
 
-class BatchIterator:
-    """One epoch over a dataset in seeded-permutation order.
+def batches(dataset: Dataset, batch_size: int, seed: int = 0, shuffle: bool = True) -> Iterator:
+    """One epoch over a dataset in seeded-permutation order, as (images, labels) pairs.
 
-    The final partial batch is emitted as-is so every sample is visited
-    exactly once.
+    The batch size is checked and the permutation drawn on the call, not on
+    the first batch.  The final partial batch is emitted as-is so every
+    sample is visited exactly once.
     """
+    if batch_size < 1:
+        raise ValueError("batch size must be >= 1")
+    m = len(dataset)
+    permutation = np.random.default_rng(seed).permutation(m) if shuffle else np.arange(m)
 
-    def __init__(self, dataset: Dataset, batch_size: int, seed: int = 0, shuffle: bool = True):
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        m = len(dataset)
-        if shuffle:
-            self.permutation = np.random.default_rng(seed).permutation(m)
-        else:
-            self.permutation = np.arange(m)
+    def epoch():
+        for start in range(0, m, batch_size):
+            idx = permutation[start : start + batch_size]
+            yield dataset.images[idx], dataset.labels[idx]
 
-    def __len__(self):
-        return -(-len(self.dataset) // self.batch_size)
-
-    def __iter__(self):
-        for start in range(0, len(self.dataset), self.batch_size):
-            idx = self.permutation[start : start + self.batch_size]
-            yield self.dataset.images[idx], self.dataset.labels[idx]
-
-
-def batches(dataset: Dataset, batch_size: int, seed: int = 0, shuffle: bool = True) -> BatchIterator:
-    return BatchIterator(dataset, batch_size, seed=seed, shuffle=shuffle)
+    return epoch()

@@ -127,10 +127,6 @@ class Model:
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.parameters())
 
-    def zero_grad(self):
-        for _, t in self.parameters():
-            t.zero_grad()
-
     def forward(self, batch) -> T.Tensor:
         h = batch if isinstance(batch, T.Tensor) else T.Tensor(batch)
         expected = (self.arch["in_channels"], self.arch["input_hw"], self.arch["input_hw"])

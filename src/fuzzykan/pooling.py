@@ -17,6 +17,17 @@ bit.  The other windows are gathered into one (M, k, k) block that keeps
 only the three running scores and evaluates the membership (and, in
 backward, the derivative) of the selected set alone.
 
+The COG of a fuzzified window divides by the mass ``den`` of its winning
+set, and ``den`` is never small.  For any finite x, max(mu1, mu2, mu3) >=
+3/7: below c, mu1 = 1; on [c, a], mu1 >= 3/4; on [a, d], mu1 and mu2 cross
+at x = 5*r_max/14, where both equal 3/7; on [d, b], mu2 + mu3 = 1; above q,
+mu3 = 1.  A set's algebraic-sum score lies between its largest membership
+and its mass, max(pi_i) <= 1 - prod(1 - pi_i) <= sum(pi_i), so the winning
+score is at least 3/7, and so is the winning set's mass, for any window
+size and any r_max.  An entry of +-inf has a membership of exactly 1, and
+a NaN entry gives a NaN mass.  So ``pool`` needs no fall-back;
+``defuzzify_cog``, which takes arbitrary memberships, keeps one.
+
 ``pool`` takes the window view from ``tensor.windows``.  Each kind maps that
 view to its pooled values plus a function from the output gradient to a
 gradient per window entry, and ``pool`` adds that back onto the input with
@@ -309,9 +320,7 @@ def _fuzzy_pool(win, params: MembershipParams):
         for v in range(k):
             num = num + sel[:, u, v] * w[:, u, v]
             den = den + sel[:, u, v]
-    guard = den < COG_EPS
-    safe_den = np.where(guard, 1.0, den)
-    out[rest] = np.where(guard, out[rest], num / safe_den)
+    out[rest] = num / den  # den >= 3/7 (module docstring)
 
     def window_grad(g):
         # an averaged window's entry gradient is the COG rule below at dsel = 0 and den = k*k
@@ -319,10 +328,9 @@ def _fuzzy_pool(win, params: MembershipParams):
         dwin[...] = (g * (win.dtype.type(1.0) / (k * k)))[..., None, None]
         # selection v* is held constant; memberships are differentiated
         dsel = _of_selected(membership_derivative, v_star, w, params)
-        den_e = safe_den[:, None, None]
+        den_e = den[:, None, None]
         num_e = num[:, None, None]
         dw = (sel + dsel * w) / den_e - num_e * dsel / (den_e * den_e)
-        dw = np.where(guard[:, None, None], 1.0 / (k * k), dw)
         dwin[rest] = g[rest][:, None, None] * dw
         return dwin
 

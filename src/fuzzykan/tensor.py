@@ -7,7 +7,9 @@ calling ``backward()`` on a scalar loss.
 Numerics policy: float64 by default (float32 opt-in via
 ``set_default_dtype``), and the forward reductions of ``matmul`` and
 ``conv2d`` accumulate in strict sequential order so that they agree
-bit-for-bit with naive nested-loop reference implementations.
+bit-for-bit with naive nested-loop reference implementations.  The one
+exception is a 1x1 ``matmul`` output, a single dot product, which einsum
+reduces with unrolled partial sums.
 
 ``conv2d`` lays its im2col out as [(c,u,v), N, (i,j)] and contracts it with
 one non-optimized einsum into a C-ordered [N, F, (i,j)] output.  The
@@ -127,29 +129,8 @@ class Tensor:
 
     # -- operator sugar --------------------------------------------------
 
-    def __add__(self, other):
-        return elementwise("add", self, other)
-
-    def __radd__(self, other):
-        return elementwise("add", self, other)
-
-    def __sub__(self, other):
-        return elementwise("sub", self, other)
-
-    def __mul__(self, other):
-        return elementwise("mul", self, other)
-
-    def __rmul__(self, other):
-        return elementwise("mul", self, other)
-
-    def __truediv__(self, other):
-        return elementwise("div", self, other)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return elementwise("mul", self, -1.0)
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray):
@@ -184,14 +165,12 @@ def _as_operand(b):
 # function of the output gradient g and the operand values a and b
 _ELEMENTWISE = {
     "add": (operator.add, lambda g, a, b: g, lambda g, a, b: g),
-    "sub": (operator.sub, lambda g, a, b: g, lambda g, a, b: -g),
     "mul": (operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a),
-    "div": (operator.truediv, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
 }
 
 
 def elementwise(kind: str, a: Tensor, b):
-    """Elementwise add/sub/mul/div of equal-shape tensors or tensor-scalar.
+    """Elementwise add/mul of equal-shape tensors or tensor-scalar.
 
     Broadcasting beyond a scalar right operand is deliberately unsupported.
     """
@@ -217,16 +196,8 @@ def add(a, b):
     return elementwise("add", a, b)
 
 
-def sub(a, b):
-    return elementwise("sub", a, b)
-
-
 def mul(a, b):
     return elementwise("mul", a, b)
-
-
-def div(a, b):
-    return elementwise("div", a, b)
 
 
 # -- linear algebra -------------------------------------------------------
@@ -239,14 +210,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
 
-    # optimize=False + C-contiguous operands keeps the k-accumulation
-    # strictly sequential, so results match a triple-loop reference exactly
-    out_data = np.einsum(
-        "ik,kj->ij",
-        np.ascontiguousarray(a.data),
-        np.ascontiguousarray(b.data),
-        optimize=False,
-    )
+    # with a laid out [k, i], einsum's inner loop is an axpy along an output
+    # row (along the column when b has one), and k only selects the next
+    # axpy, so each output adds its terms in order from 0 as the triple loop
+    # does.  A 1x1 output is one dot product: einsum sums it with unrolled
+    # partial sums, which is not that order.
+    out_data = np.einsum("ki,kj->ij", np.ascontiguousarray(a.data.T), np.ascontiguousarray(b.data), optimize=False)
 
     def backward(g):
         accumulate_grad(a, g @ b.data.T)
@@ -348,14 +317,11 @@ def silu_derivative(z: np.ndarray) -> np.ndarray:
 
 
 def activate(kind: str, x: Tensor) -> Tensor:
-    """Elementwise relu / silu / tanh with analytic backward."""
+    """Elementwise relu / tanh with analytic backward."""
     if kind == "relu":
         out_data = np.maximum(x.data, 0.0)
         # derivative at 0 taken from the x <= 0 branch
         dact = (x.data > 0).astype(x.data.dtype)
-    elif kind == "silu":
-        out_data = silu_values(x.data)
-        dact = silu_derivative(x.data)
     elif kind == "tanh":
         out_data = np.tanh(x.data)
         dact = 1.0 - out_data * out_data

@@ -2,8 +2,7 @@
 
 Metrics follow the usual multiclass conventions: a 10x10 confusion matrix
 (rows = true class), per-class precision/recall/F1 with 0/0 defined as 0,
-and unweighted macro averages (micro averages are also available since the
-benchmarks are class-balanced and the two nearly coincide).
+and unweighted macro averages.
 """
 
 from __future__ import annotations
@@ -73,18 +72,11 @@ class ConfusionMatrix:
         self.counts = np.zeros((n_classes, n_classes), dtype=np.int64)
 
     @property
-    def n_classes(self):
-        return self.counts.shape[0]
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 
     def update(self, true_labels, predicted):
         np.add.at(self.counts, (np.asarray(true_labels), np.asarray(predicted)), 1)
-
-    def merge(self, other: "ConfusionMatrix"):
-        self.counts += other.counts
 
     @property
     def accuracy(self) -> float:
@@ -104,15 +96,6 @@ class ConfusionMatrix:
     def macro(self):
         precision, recall, f1 = self.per_class()
         return float(precision.mean()), float(recall.mean()), float(f1.mean())
-
-    def micro(self):
-        tp = np.diag(self.counts).astype(float)
-        fp = self.counts.sum(axis=0) - tp
-        fn = self.counts.sum(axis=1) - tp
-        precision = tp.sum() / (tp.sum() + fp.sum()) if tp.sum() + fp.sum() else 0.0
-        recall = tp.sum() / (tp.sum() + fn.sum()) if tp.sum() + fn.sum() else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        return float(precision), float(recall), float(f1)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:

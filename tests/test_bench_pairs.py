@@ -70,3 +70,33 @@ def test_eight_wins_of_ten_is_not_met():
     results["change"][1] = result(400.0)
     _, met = bench_pairs.report(results, METRICS, "samples_per_s")
     assert not met
+
+
+def test_no_claim_passes_on_few_pairs_without_a_gain():
+    results = {"parent": [result(500.0 + i) for i in range(3)], "change": [result(499.0 + i) for i in range(3)]}
+    lines, ok = bench_pairs.report(results, METRICS)
+    assert ok
+    assert lines[-1] == "NO REGRESSION"
+    assert not any(line.startswith("too few pairs") for line in lines)
+
+
+def test_no_claim_fails_on_a_metric_worse_than_its_bound():
+    lines, ok = bench_pairs.report(pairs(3, change_rss=120.0), METRICS)
+    assert not ok
+    assert "worse than its bound: peak_rss_mb" in lines
+    assert lines[-1] == "REGRESSION"
+
+
+def test_no_claim_fails_on_a_larger_failed_share():
+    results = pairs(3)
+    results["change"][1] = result(601.0, failed=1)
+    lines, ok = bench_pairs.report(results, METRICS)
+    assert not ok
+    assert "a larger share of operations failed than at the parent" in lines
+    assert lines[-1] == "REGRESSION"
+
+
+def test_no_claim_slower_within_its_bound_passes():
+    results = {"parent": [result(500.0 + i) for i in range(3)], "change": [result(400.0 + i) for i in range(3)]}
+    _, ok = bench_pairs.report(results, METRICS)
+    assert ok  # 20% slower, inside samples_per_s's 25% bound

@@ -48,6 +48,14 @@ class TestTrainCommand:
             rows = list(csv.reader(f))
         assert rows[0][0] == "epoch" and len(rows) == 2
 
+    def test_non_finite_loss_exit_3(self, synthetic_idx_dir, tmp_path, capsys):
+        with np.errstate(all="ignore"):  # the first step sends every weight towards 1e300
+            code = run_cli(train_args(synthetic_idx_dir, tmp_path / "run", lr=1e300))
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure: loss became non-finite at epoch 0, batch 1;")
+
     def test_zero_epochs_valid(self, synthetic_idx_dir, tmp_path):
         out = tmp_path / "run"
         assert run_cli(train_args(synthetic_idx_dir, out, epochs=0)) == EXIT_OK

@@ -1,9 +1,12 @@
 import gzip
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from fuzzykan.data import (
+    IDX_IMAGES_MAGIC,
     BadLabelError,
     BadMagicError,
     CountMismatchError,
@@ -64,6 +67,18 @@ class TestIdx:
         raw = (tmp_path / "img").read_bytes()
         (tmp_path / "img").write_bytes(raw[:-100])
         with pytest.raises(TruncatedFileError):
+            load_idx(tmp_path / "img", tmp_path / "lbl")
+
+    def test_shorter_than_magic(self, tmp_path):
+        (tmp_path / "img").write_bytes(b"\x00\x00\x08")
+        write_idx_labels(tmp_path / "lbl", np.zeros(1, dtype=np.uint8))
+        with pytest.raises(TruncatedFileError, match="img: too short for an IDX header"):
+            load_idx(tmp_path / "img", tmp_path / "lbl")
+
+    def test_truncated_dimension_header(self, tmp_path):
+        (tmp_path / "img").write_bytes(struct.pack(">III", IDX_IMAGES_MAGIC, 1, 28))  # 3 dims, 2 written
+        write_idx_labels(tmp_path / "lbl", np.zeros(1, dtype=np.uint8))
+        with pytest.raises(TruncatedFileError, match="img: truncated dimension header"):
             load_idx(tmp_path / "img", tmp_path / "lbl")
 
     def test_bad_label(self, tmp_path):
@@ -137,6 +152,39 @@ class TestCifar:
         assert len(load_cifar10(tmp_path, "test")) == 10000
 
 
+class TestLoadDatasetCifar:
+    """``load_dataset("cifar10")`` on the test split: each layout resolves, and a bad file is named."""
+
+    def write_test_batch(self, directory, last_label=3):
+        directory.mkdir(parents=True, exist_ok=True)
+        labels = np.full(10000, 3, dtype=np.uint8)
+        labels[-1] = last_label
+        write_cifar_batch(directory / "test_batch.bin", np.zeros((10000, 3, 32, 32), dtype=np.uint8), labels)
+        return directory / "test_batch.bin"
+
+    @pytest.mark.parametrize("layout", ["", "cifar10", "cifar-10-batches-bin", "cifar10/cifar-10-batches-bin"])
+    def test_layouts_resolve(self, tmp_path, layout):
+        self.write_test_batch(tmp_path / layout, last_label=9)
+        ds = load_dataset("cifar10", tmp_path, "test")
+        assert ds.images.shape == (10000, 3, 32, 32) and ds.labels[-1] == 9
+
+    def test_bad_label_is_reported(self, tmp_path):
+        path = self.write_test_batch(tmp_path / "cifar-10-batches-bin", last_label=12)
+        with pytest.raises(BadLabelError, match=re.escape(f"{path}: label byte 12 out of range")):
+            load_dataset("cifar10", tmp_path, "test")
+
+    def test_truncated_file_is_reported(self, tmp_path):
+        path = self.write_test_batch(tmp_path / "cifar10")
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedFileError, match=re.escape(f"{path}: size")):
+            load_dataset("cifar10", tmp_path, "test")
+
+    def test_missing_file_is_not_found(self, tmp_path):
+        (tmp_path / "cifar10").mkdir()
+        with pytest.raises(DataError, match="CIFAR-10 binary batches not found under .*test_batch.bin"):
+            load_dataset("cifar10", tmp_path, "test")
+
+
 class TestResize:
     def test_pad_shape_and_zeros(self):
         x = np.ones((2, 1, 28, 28))
@@ -184,7 +232,6 @@ class TestBatches:
     def test_sizes(self):
         sizes = [len(lbl) for _, lbl in batches(self.make_dataset(10), 3, seed=0)]
         assert sizes == [3, 3, 3, 1]
-        assert len(batches(self.make_dataset(10), 3)) == 4
 
     def test_no_shuffle_identity_order(self):
         ds = self.make_dataset(6)

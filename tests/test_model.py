@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -272,6 +273,25 @@ class TestCheckpoint:
         path, config = self.saved_with(tmp_path, lambda items: items)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing bytes") as exc:
+            Model.load(path, config)
+        assert str(path) in str(exc.value)
+
+    def test_unexpected_tensor_rejected(self, tmp_path):
+        path, config = self.saved_with(tmp_path, lambda items: items)
+        raw = path.read_bytes()
+        assert raw.count(b"conv1.bias") == 1
+        path.write_bytes(raw.replace(b"conv1.bias", b"conv9.bias"))
+        with pytest.raises(ValueError, match="unexpected tensor 'conv9.bias'") as exc:
+            Model.load(path, config)
+        assert str(path) in str(exc.value)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        # the same number of values as conv1.weight's [6, 1, 5, 5], in another shape
+        path, config = self.saved_with(
+            tmp_path,
+            lambda items: [(n, T.Tensor(t.data.reshape(1, 6, 5, 5)) if n == "conv1.weight" else t) for n, t in items],
+        )
+        with pytest.raises(ValueError, match=re.escape("tensor 'conv1.weight' shape (1, 6, 5, 5) != (6, 1, 5, 5)")) as exc:
             Model.load(path, config)
         assert str(path) in str(exc.value)
 

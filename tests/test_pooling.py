@@ -155,6 +155,34 @@ class TestDefuzzify:
             defuzzify_cog(np.zeros((2, 2)), np.zeros(3))
 
 
+class TestWinningMassBound:
+    """The winning set's mass is at least 3/7, so ``pool`` divides by it without a fall-back."""
+
+    @pytest.mark.parametrize("r_max", [1e-3, 0.5, 6.0, 1e3])
+    def test_at_least_three_sevenths(self, r_max):
+        params = MembershipParams(r_max)
+        crossing = 5 * r_max / 14  # mu1 == mu2 == 3/7
+        points = sorted(params.breakpoints() + [crossing])
+        xs = {points[0] - r_max, points[-1] + r_max}
+        for p in points:
+            xs |= {p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)}
+        xs |= {(lo + hi) / 2 for lo, hi in zip(points[:-1], points[1:])}
+        xs = np.array(sorted(xs))
+        rng = np.random.default_rng(4)
+        lowest = np.inf
+        for k in (1, 2, 3, 5):
+            patches = [np.full((k, k), x) for x in xs] + [rng.choice(xs, (k, k)) for _ in range(100)]
+            for patch in patches:
+                pis = fuzzify(patch, params)
+                v = select_fuzzy_patch([algebraic_sum_score(pi) for pi in pis])
+                mass = 0.0
+                for w in pis[v - 1].ravel():  # the COG's row-major fold
+                    mass = mass + w
+                lowest = min(lowest, mass)
+        assert lowest >= 3 / 7 - 1e-12
+        assert abs(lowest - 3 / 7) <= 1e-12
+
+
 def pool_values(values, kind, k=2, stride=2):
     x = T.Tensor(np.asarray(values, dtype=float).reshape(1, 1, *np.shape(values)))
     return pool(x, PoolConfig(kind=kind, k=k, stride=stride)).data[0, 0]

@@ -2,6 +2,8 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload train-fuzzy-kan --seeds 1-10 --metric samples_per_s --raw pairs.jsonl
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload train-max-mlp --seeds 1-3 --raw pairs.jsonl    # claims no gain
 
 Each checkout runs its own ``perfbench/run.py`` untraced, from its own root,
 so a parent checkout made with ``git worktree`` or ``git archive`` measures
@@ -18,7 +20,9 @@ more than the parent's interquartile range, no larger share of operations
 fails than at the parent, and no end-to-end metric is worse than its
 bound.  Fewer than 10 pairs give no verdict ("too few pairs for a
 verdict").  The exit status is 0 when the claim holds and 1 when it does
-not.  Standard library only.
+not.  Without ``--metric`` the change claims no gain, and only the last two
+rules apply, on any number of pairs: the verdict is ``NO REGRESSION``
+(exit 0) or ``REGRESSION`` (exit 1).  Standard library only.
 """
 
 from __future__ import annotations
@@ -70,17 +74,16 @@ def better(a: float, b: float, direction: str) -> bool:
     return a > b if direction == "higher" else a < b
 
 
-def report(results: dict, metrics: dict, claim: str) -> tuple[list[str], bool]:
-    """Judge the claimed gain in ``claim`` on paired results; no benchmark runs.
+def report(results: dict, metrics: dict, claim: str | None = None) -> tuple[list[str], bool]:
+    """Judge the claimed gain in ``claim``, or no regression, on paired results; no benchmark runs.
 
     ``results`` maps "parent" and "change" to their result dicts, pair i of
     each side at index i; ``metrics`` maps each end-to-end metric's name to its
-    BENCHMARK.json entry.  Returns the report lines and whether the claim is
-    met: at least MIN_PAIRS pairs, the change winning WIN_SHARE of them, a
-    median gap wider than the parent's IQR, no larger failed share, and no
-    end-to-end metric worse than its bound.
+    BENCHMARK.json entry.  Returns the report lines and whether the verdict
+    passes: no larger failed share and no end-to-end metric worse than its
+    bound, and for a claim also at least MIN_PAIRS pairs, the change winning
+    WIN_SHARE of them, and a median gap wider than the parent's IQR.
     """
-    direction = metrics[claim]["better"]
     lines = [f"{'metric':16s} {'unit':5s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} {'ratio':>7s}  bound"]
     worse_metrics = []
     for name, spec in metrics.items():
@@ -97,23 +100,27 @@ def report(results: dict, metrics: dict, claim: str) -> tuple[list[str], bool]:
         failed_share[side] = failed / attempted if attempted else 1.0
         lines.append(f"{side}: failed {failed} of {attempted} attempted")
 
-    pairs = list(zip(results["parent"], results["change"]))
-    wins = sum(better(value(c, claim), value(p, claim), direction) for p, c in pairs)
-    pq1, pm, pq3 = quartiles([value(r, claim) for r in results["parent"]])
-    _, cm, _ = quartiles([value(r, claim) for r in results["change"]])
-    gap = cm - pm if direction == "higher" else pm - cm
     more_failures = failed_share["change"] > failed_share["parent"]
     lines.append("")
-    lines.append(f"{claim}: change wins {wins} of {len(pairs)} pairs; median gap {gap:.4g} against parent IQR {pq3 - pq1:.4g}")
+    gain = True
+    if claim is not None:
+        direction = metrics[claim]["better"]
+        pairs = list(zip(results["parent"], results["change"]))
+        wins = sum(better(value(c, claim), value(p, claim), direction) for p, c in pairs)
+        pq1, pm, pq3 = quartiles([value(r, claim) for r in results["parent"]])
+        _, cm, _ = quartiles([value(r, claim) for r in results["change"]])
+        gap = cm - pm if direction == "higher" else pm - cm
+        lines.append(f"{claim}: change wins {wins} of {len(pairs)} pairs; median gap {gap:.4g} against parent IQR {pq3 - pq1:.4g}")
+        if len(pairs) < MIN_PAIRS:
+            lines.append(f"too few pairs for a verdict: {len(pairs)}, at least {MIN_PAIRS} needed")
+        gain = len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs) and gap > pq3 - pq1
     if more_failures:
         lines.append("a larger share of operations failed than at the parent")
     if worse_metrics:
         lines.append(f"worse than its bound: {', '.join(worse_metrics)}")
-    if len(pairs) < MIN_PAIRS:
-        lines.append(f"too few pairs for a verdict: {len(pairs)}, at least {MIN_PAIRS} needed")
-    met = (len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs) and gap > pq3 - pq1
-           and not more_failures and not worse_metrics)
-    return lines + ["CLAIM MET" if met else "CLAIM NOT MET"], met
+    ok = gain and not more_failures and not worse_metrics
+    passed, failed = ("NO REGRESSION", "REGRESSION") if claim is None else ("CLAIM MET", "CLAIM NOT MET")
+    return lines + [passed if ok else failed], ok
 
 
 def main(argv=None) -> int:
@@ -122,16 +129,17 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 11,12")
-    parser.add_argument("--metric", required=True, help="the end-to-end metric the change claims")
+    parser.add_argument("--metric", help="the end-to-end metric the change claims (omit to claim no gain)")
     parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--raw", type=Path, required=True, help="JSON-lines file for every raw output line")
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
-    if args.metric not in metrics:
+    if args.metric is not None and args.metric not in metrics:
         parser.error(f"--metric must be one of {', '.join(metrics)}")
-    direction = metrics[args.metric]["better"]
+    shown = args.metric or next(iter(metrics))  # the metric each pair's line compares
+    direction = metrics[shown]["better"]
     seconds = args.seconds or bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results = {"parent": [], "change": []}
@@ -146,11 +154,11 @@ def main(argv=None) -> int:
                     record = {"pair": i, "seed": seed, "side": side, "first": order[0], "line": line}
                     raw.write(json.dumps(record) + "\n")
                 raw.flush()
-            p = value(results["parent"][-1], args.metric)
-            c = value(results["change"][-1], args.metric)
+            p = value(results["parent"][-1], shown)
+            c = value(results["change"][-1], shown)
             winner = "change wins" if better(c, p, direction) else "parent wins" if better(p, c, direction) else "tie"
             ratio = c / p if p else float("nan")
-            print(f"pair {i + 1:2d}  seed {seed:3d}  {order[0]} first  "
+            print(f"pair {i + 1:2d}  seed {seed:3d}  {order[0]} first  {shown}  "
                   f"parent {p:10.4g}  change {c:10.4g}  ({ratio:.3f}x)  {winner}", flush=True)
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs of {seconds:g} s runs")
