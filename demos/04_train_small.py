@@ -21,7 +21,7 @@ def synthetic(n, seed):
         r, c = divmod(int(lbl), 5)
         images[i, 0, 4 + r * 12 : 12 + r * 12, 2 + c * 5 : 10 + c * 5] = 0.85
     padded = np.pad(images, ((0, 0), (0, 0), (2, 2), (2, 2)))
-    return Dataset(padded, labels.astype(np.int64), "train", "synthetic")
+    return Dataset(padded, labels.astype(np.int64))
 
 
 train_set = synthetic(256, seed=0)

@@ -14,7 +14,7 @@ import numpy as np
 from . import tensor as T
 from .kan import SplineGrid, bspline_basis, bspline_derivative_reference, bspline_reference, kan_init, kan_stack_forward
 from .model import ModelConfig, build
-from .pooling import MembershipParams, PoolConfig, algebraic_sum_score, fuzzify, fuzzy_window_reference, pool
+from .pooling import MembershipParams, PoolConfig, fuzzy_scores, fuzzy_window_reference, pool
 
 GRAD_TOL = 1e-4
 SPLINE_ORACLE_TOL = 1e-12
@@ -89,13 +89,9 @@ def sample_fuzzy_safe_input(shape, rng, params: MembershipParams, lo=-1.0, hi=8.
 
 def _fuzzy_score_margins(x: np.ndarray, config: PoolConfig) -> float:
     """Smallest gap between the winning score and the runner-up, any window."""
-    win = T.windows(np.asarray(x, dtype=float), config.k, config.stride)
-    gaps = []
-    for patch in win.reshape(-1, config.k, config.k):
-        scores = [algebraic_sum_score(pi) for pi in fuzzify(patch, config.membership)]
-        top, second = sorted(scores)[-1], sorted(scores)[-2]
-        gaps.append(top - second)
-    return min(gaps)
+    _, scores = fuzzy_scores(T.windows(np.asarray(x, dtype=float), config.k, config.stride), config.membership)
+    runner_up, top = np.sort(scores, axis=0)[-2:]
+    return float((top - runner_up).min())
 
 
 def check_pool_oracle(n_windows: int = 1000, k: int = 2, seed: int = 0):

@@ -1,14 +1,16 @@
 """Dataset loading: IDX (MNIST/FashionMNIST) and CIFAR-10 binary formats.
 
 Both readers are bit-exact parsers of the official binary layouts; pixels
-are scaled to [0,1] and 28x28 grayscale images are zero-padded to 32x32.
-Gzipped files are read transparently.
+are scaled to [0,1] and 28x28 grayscale images are zero-padded to 32x32
+(``load_dataset`` refuses IDX images of any other size but 32x32).
+Gzipped files are read transparently, and a corrupt one is a DataError.
 """
 
 from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,22 +47,23 @@ class BadLabelError(DataError):
 class Dataset:
     images: np.ndarray  # [M, C, H, W] floats in [0,1]
     labels: np.ndarray  # [M] int64 class indices
-    split: str
-    name: str
 
     def __len__(self):
         return len(self.labels)
 
     def subset(self, count: int) -> "Dataset":
-        return Dataset(self.images[:count], self.labels[:count], self.split, self.name)
+        return Dataset(self.images[:count], self.labels[:count])
 
 
 def _read_bytes(path) -> bytes:
     path = Path(path)
     raw = path.read_bytes()
-    if raw[:2] == b"\x1f\x8b":
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
         return gzip.decompress(raw)
-    return raw
+    except (EOFError, OSError, zlib.error) as e:  # truncated stream, bad header, corrupt data
+        raise DataError(f"{path}: corrupt gzip file: {e}") from None
 
 
 def _parse_idx(raw: bytes, expected_magic: int, path) -> np.ndarray:
@@ -87,7 +90,7 @@ def _check_labels(labels: np.ndarray, path):
         raise BadLabelError(f"{path}: label byte {labels.max()} out of range")
 
 
-def load_idx(images_path, labels_path, split: str = "train", name: str = "mnist") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Read an IDX image/label file pair into a normalized Dataset."""
     images = _parse_idx(_read_bytes(images_path), IDX_IMAGES_MAGIC, images_path)
     labels = _parse_idx(_read_bytes(labels_path), IDX_LABELS_MAGIC, labels_path)
@@ -100,8 +103,6 @@ def load_idx(images_path, labels_path, split: str = "train", name: str = "mnist"
     return Dataset(
         images=images.reshape(m, 1, h, w).astype(np.float64) / 255.0,
         labels=labels.astype(np.int64),
-        split=split,
-        name=name,
     )
 
 
@@ -153,8 +154,6 @@ def load_cifar10(dir_path, split: str = "train") -> Dataset:
     return Dataset(
         images=np.concatenate(images).astype(np.float64) / 255.0,
         labels=np.concatenate(labels).astype(np.int64),
-        split=split,
-        name="cifar10",
     )
 
 
@@ -169,7 +168,7 @@ def to_model_input(ds: Dataset) -> Dataset:
     """Bring a dataset to the 32x32 input geometry the models expect."""
     if ds.images.shape[2:] == (32, 32):
         return ds
-    return Dataset(pad_to_32(ds.images), ds.labels, ds.split, ds.name)
+    return Dataset(pad_to_32(ds.images), ds.labels)
 
 
 IDX_FILES = {
@@ -193,12 +192,11 @@ def load_dataset(name: str, data_dir, split: str = "train") -> Dataset:
     if name in ("mnist", "fashion-mnist"):
         directory = root / name if (root / name).is_dir() else root
         img_stem, lbl_stem = IDX_FILES[split]
-        ds = load_idx(
-            _find_idx_file(directory, img_stem),
-            _find_idx_file(directory, lbl_stem),
-            split=split,
-            name=name,
-        )
+        images_path = _find_idx_file(directory, img_stem)
+        ds = load_idx(images_path, _find_idx_file(directory, lbl_stem))
+        h, w = ds.images.shape[2:]
+        if (h, w) not in ((28, 28), (32, 32)):
+            raise DataError(f"{images_path}: images are {h}x{w}, expected 28x28 or 32x32")
         return to_model_input(ds)
     raise ValueError(f"unknown dataset {name!r}")
 

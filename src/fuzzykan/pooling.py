@@ -13,9 +13,9 @@ Fuzzy pooling splits the windows in two.  A window whose entries are all
 finite and below c has mu1 == 1 and mu2 == mu3 == 0 everywhere, because
 a = r_max/4 and r = r_max/2 both exceed c = r_max/6; so v* = 1, the output
 is the window mean, and the COG gradient reduces to 1/(k*k), all bit for
-bit.  The other windows are gathered into one (M, k, k) block that keeps
-only the three running scores and evaluates the membership (and, in
-backward, the derivative) of the selected set alone.
+bit.  The other windows form one (M, k, k) block, which ``fuzzy_scores``
+fuzzifies once, folding all three scores in one pass; ``np.choose`` takes
+the winning set's memberships and, in backward, its derivatives.
 
 The COG of a fuzzified window divides by the mass ``den`` of its winning
 set, and ``den`` is never small.  For any finite x, max(mu1, mu2, mu3) >=
@@ -60,6 +60,9 @@ class MembershipParams:
     def __post_init__(self):
         if not (math.isfinite(self.r_max) and self.r_max > 0):
             raise ValueError(f"r_max must be finite and > 0, got {self.r_max}")
+        # a subnormal r_max can round breakpoints together, and a ramp would divide by 0
+        if not self.c < self.a < self.d < self.b:
+            raise ValueError(f"r_max {self.r_max!r} is too small: its breakpoints need c < a < d < b")
 
     @property
     def d(self):
@@ -109,18 +112,15 @@ class PoolConfig:
 
 
 def membership(v: int, x, params: MembershipParams):
-    """Evaluate triangular membership mu_v at x (scalar or array)."""
+    """Triangular membership mu_v at x (scalar or array): its ramps clipped to [0, 1], which
+    c < a < d < b makes bit-identical to the piecewise triangle, signed zeros included."""
     x = np.asarray(x, dtype=float)
     if v == 1:
-        out = np.where(x > params.d, 0.0, np.where(x < params.c, 1.0, (params.d - x) / (params.d - params.c)))
+        out = np.clip((params.d - x) / (params.d - params.c), 0.0, 1.0)
     elif v == 2:
-        out = np.where(
-            (x <= params.a) | (x >= params.b),
-            0.0,
-            np.where(x <= params.m, (x - params.a) / (params.m - params.a), (params.b - x) / (params.b - params.m)),
-        )
+        out = np.maximum(0.0, np.minimum((x - params.a) / (params.m - params.a), (params.b - x) / (params.b - params.m)))
     elif v == 3:
-        out = np.where(x < params.r, 0.0, np.where(x > params.q, 1.0, (x - params.r) / (params.q - params.r)))
+        out = np.clip((x - params.r) / (params.q - params.r), 0.0, 1.0)
     else:
         raise ValueError(f"membership index must be 1, 2 or 3, got {v}")
     return out if out.ndim else float(out)
@@ -290,6 +290,20 @@ def _average_pool(win):
     return _window_mean(win), lambda g: np.broadcast_to((g / (k * k))[..., None, None], win.shape)
 
 
+def fuzzy_scores(win, params: MembershipParams):
+    """Memberships [3, ..., k, k] of windows [..., k, k] and their algebraic-sum scores [3, ...].
+
+    In ``win``'s dtype; each score folds its window row-major, as ``algebraic_sum_score`` does.
+    """
+    k = win.shape[-1]
+    pis = np.stack(fuzzify(win, params)).astype(win.dtype, copy=False)
+    scores = np.zeros(pis.shape[:-2], dtype=win.dtype)
+    for u in range(k):
+        for v in range(k):
+            scores = scores + pis[..., u, v] - scores * pis[..., u, v]
+    return pis, scores
+
+
 def _fuzzy_pool(win, params: MembershipParams):
     """Windows wholly below c are averaged; the rest are fuzzified as one (M, k, k) block."""
     k = win.shape[-1]
@@ -303,16 +317,9 @@ def _fuzzy_pool(win, params: MembershipParams):
     rest = ~fast
     w = win[rest]
 
-    scores = []
-    for vi in range(3):
-        pi = membership(vi + 1, w, params).astype(win.dtype, copy=False)
-        s = np.zeros(len(w), dtype=win.dtype)
-        for u in range(k):
-            for v in range(k):
-                s = s + pi[:, u, v] - s * pi[:, u, v]
-        scores.append(s)
-    v_star = np.argmax(scores, axis=0)  # first max -> lowest v on ties
-    sel = _of_selected(membership, v_star, w, params)
+    pis, scores = fuzzy_scores(w, params)
+    v_star = scores.argmax(axis=0)[:, None, None]  # first max -> lowest v on ties
+    sel = np.choose(v_star, pis)
 
     num = np.zeros(len(w), dtype=win.dtype)
     den = np.zeros(len(w), dtype=win.dtype)
@@ -327,7 +334,7 @@ def _fuzzy_pool(win, params: MembershipParams):
         dwin = np.empty(win.shape, dtype=np.result_type(g, win))
         dwin[...] = (g * (win.dtype.type(1.0) / (k * k)))[..., None, None]
         # selection v* is held constant; memberships are differentiated
-        dsel = _of_selected(membership_derivative, v_star, w, params)
+        dsel = np.choose(v_star, [membership_derivative(v, w, params) for v in (1, 2, 3)]).astype(win.dtype, copy=False)
         den_e = den[:, None, None]
         num_e = num[:, None, None]
         dw = (sel + dsel * w) / den_e - num_e * dsel / (den_e * den_e)
@@ -335,12 +342,3 @@ def _fuzzy_pool(win, params: MembershipParams):
         return dwin
 
     return out, window_grad
-
-
-def _of_selected(fn, v_star, w, params: MembershipParams):
-    """fn(v, x, params) over the (M, k, k) block, evaluated for each window's v* only."""
-    out = np.empty_like(w)
-    for vi in range(3):
-        chosen = v_star == vi
-        out[chosen] = fn(vi + 1, w[chosen], params)
-    return out

@@ -60,8 +60,9 @@ class Tensor:
 
     Tensors created by primitive ops remember their parents and a backward
     rule; ``backward()`` on a scalar walks the recorded graph once in
-    reverse topological order, accumulating gradients into every reachable
-    tensor that has ``requires_grad`` set.
+    reverse creation order, accumulating gradients into every reachable
+    tensor that has ``requires_grad`` set.  A tensor with several consumers
+    sums their gradients from the last-created consumer to the first.
     """
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -105,24 +106,17 @@ class Tensor:
         if self._backward_done:
             raise RuntimeError("backward already called on this graph; build a fresh graph")
 
-        order = []
-        seen = set()
-        stack = [(self, False)]
+        # a node is created after its parents, so descending node ids are a topological order
+        reachable, stack = {}, [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            node = stack.pop()
+            if node.node_id not in reachable:
+                reachable[node.node_id] = node
+                stack.extend(node._parents)
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        for node_id in sorted(reachable, reverse=True):
+            node = reachable[node_id]
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
         self._backward_done = True

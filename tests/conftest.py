@@ -18,10 +18,10 @@ def make_synthetic_images(n, seed=0):
     return images, labels
 
 
-def make_synthetic_dataset(n, seed=0, split="train"):
+def make_synthetic_dataset(n, seed=0):
     images, labels = make_synthetic_images(n, seed)
     padded = np.pad(images.astype(np.float64) / 255.0, ((0, 0), (2, 2), (2, 2)))
-    return Dataset(padded[:, None, :, :], labels.astype(np.int64), split, "synthetic")
+    return Dataset(padded[:, None, :, :], labels.astype(np.int64))
 
 
 @pytest.fixture(scope="session")

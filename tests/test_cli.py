@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 
 import numpy as np
@@ -91,6 +92,26 @@ class TestTrainCommand:
         assert run_cli(argv) == EXIT_DATA
         assert "t10k-labels-idx1-ubyte: label byte 12 out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["truncated-gz", "garbage-gz", "20x20"])
+    def test_bad_images_file_exit_2(self, tmp_path, capsys, defect):
+        d = tmp_path / "mnist"
+        d.mkdir()
+        img_name, lbl_name = IDX_FILES["train"]
+        images, labels = make_synthetic_images(8, seed=2)
+        write_idx_labels(d / lbl_name, labels)
+        if defect == "20x20":
+            bad = d / img_name
+            write_idx_images(bad, images[:, :20, :20])
+        else:
+            write_idx_images(tmp_path / "raw", images)
+            packed = gzip.compress((tmp_path / "raw").read_bytes())
+            bad = d / f"{img_name}.gz"
+            bad.write_bytes(packed[: len(packed) // 2] if defect == "truncated-gz" else packed[:10] + b"garbage" * 40)
+        argv = train_args(tmp_path, tmp_path / "run", epochs=0)
+        assert run_cli(argv) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {bad}: ")
+
     def test_env_var_fallback(self, synthetic_idx_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("FUZZY_KAN_DATA", str(synthetic_idx_dir))
         argv = ["train", "--dataset", "mnist", "--epochs", "0", "--out-dir", str(tmp_path / "run")]
@@ -132,6 +153,13 @@ class TestTrainCommand:
         assert run_cli(train_args(synthetic_idx_dir, out, **{flag: value})) == EXIT_USAGE
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and f"--{flag}" in err
+        assert not out.exists()
+
+    def test_r_max_with_collapsed_breakpoints_exit_1(self, synthetic_idx_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(train_args(synthetic_idx_dir, out, **{"r-max": "5e-324"})) == EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith("fuzzykan: error: --r-max: r_max 5e-324 ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fuzzykan.data import (
+    IDX_FILES,
     IDX_IMAGES_MAGIC,
     BadLabelError,
     BadMagicError,
@@ -53,6 +54,17 @@ class TestIdx:
             (tmp_path / f"{stem}.gz").write_bytes(gzip.compress(raw))
         ds = load_idx(tmp_path / "img.gz", tmp_path / "lbl.gz")
         np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
+
+    @pytest.mark.parametrize("defect", ["truncated", "garbage"])
+    def test_corrupt_gzip(self, tmp_path, defect):
+        images, labels = make_synthetic_images(3, seed=4)
+        write_idx_images(tmp_path / "img", images)
+        write_idx_labels(tmp_path / "lbl", labels)
+        packed = gzip.compress((tmp_path / "img").read_bytes())
+        bad = packed[: len(packed) // 2] if defect == "truncated" else packed[:10] + b"garbage" * 40
+        (tmp_path / "img.gz").write_bytes(bad)
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'img.gz'}: corrupt gzip file: ")):
+            load_idx(tmp_path / "img.gz", tmp_path / "lbl")
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "img").write_bytes(b"\x00\x00\x00\x00" + b"\x00" * 16)
@@ -204,7 +216,7 @@ class TestResize:
             pad_to_32(np.zeros((1, 3, 28, 28)))
 
     def test_to_model_input_passthrough_at_32(self):
-        ds = Dataset(np.zeros((2, 3, 32, 32)), np.zeros(2, dtype=np.int64), "train", "cifar10")
+        ds = Dataset(np.zeros((2, 3, 32, 32)), np.zeros(2, dtype=np.int64))
         assert to_model_input(ds) is ds
 
 
@@ -215,6 +227,26 @@ class TestLoadDataset:
         assert train.images.shape == (120, 1, 32, 32)
         assert test.images.shape == (40, 1, 32, 32)
         assert train.labels.dtype == np.int64
+
+    def write_mnist(self, root, hw):
+        d = root / "mnist"
+        d.mkdir()
+        img_name, lbl_name = IDX_FILES["train"]
+        images = np.random.default_rng(0).integers(0, 256, (4, hw, hw)).astype(np.uint8)
+        write_idx_images(d / img_name, images)
+        write_idx_labels(d / lbl_name, np.arange(4, dtype=np.uint8))
+        return d / img_name, images
+
+    def test_32x32_passes_through(self, tmp_path):
+        _, images = self.write_mnist(tmp_path, 32)
+        ds = load_dataset("mnist", tmp_path, "train")
+        np.testing.assert_array_equal(ds.images[:, 0], images / 255.0)
+
+    @pytest.mark.parametrize("hw", [20, 30])
+    def test_other_geometry_is_a_data_error(self, tmp_path, hw):
+        path, _ = self.write_mnist(tmp_path, hw)
+        with pytest.raises(DataError, match=re.escape(f"{path}: images are {hw}x{hw}, expected 28x28 or 32x32")):
+            load_dataset("mnist", tmp_path, "train")
 
     def test_missing_dataset_dir(self, tmp_path):
         with pytest.raises(DataError):

@@ -10,6 +10,7 @@ from fuzzykan.pooling import (
     algebraic_sum_score,
     defuzzify_cog,
     fuzzify,
+    fuzzy_scores,
     fuzzy_window_reference,
     membership,
     membership_derivative,
@@ -18,6 +19,7 @@ from fuzzykan.pooling import (
 )
 
 PARAMS = MembershipParams()
+SMALLEST_R_MAX = 3e-323  # six times the smallest subnormal; below it breakpoints collapse
 WORKED_PATCH = np.array([[2.0, 2.5], [3.5, 4.0]])
 
 
@@ -39,6 +41,21 @@ class TestMembershipParams:
     def test_non_finite_r_max(self, r_max):
         with pytest.raises(ValueError, match=f"r_max must be finite and > 0, got {r_max}"):
             MembershipParams(r_max=r_max)
+
+    @pytest.mark.parametrize("r_max", [5e-324, 1e-323, 1.5e-323, 2e-323, 2.5e-323, 5e-323])
+    def test_collapsed_breakpoints_rejected(self, r_max):
+        with pytest.raises(ValueError, match=f"r_max {r_max!r} is too small: its breakpoints need c < a < d < b"):
+            MembershipParams(r_max=r_max)
+
+    def test_smallest_accepted_r_max_pools_like_the_reference(self):
+        params = MembershipParams(SMALLEST_R_MAX)
+        assert params.c < params.a < params.d < params.b
+        x = np.random.default_rng(8).uniform(-0.5, 1.5, (1, 2, 4, 4)) * SMALLEST_R_MAX
+        out = pool(T.Tensor(x), PoolConfig(kind="fuzzy", membership=params)).data
+        win = T.windows(x, 2, 2)
+        assert np.all(np.isfinite(out))
+        for idx in np.ndindex(out.shape):
+            assert out[idx] == fuzzy_window_reference(win[idx], params)
 
 
 class TestMembership:
@@ -71,6 +88,46 @@ class TestMembership:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             membership(4, 1.0, PARAMS)
+
+
+def branch_membership(v, x, p):
+    """The three-branch piecewise definition that ``membership``'s clipped ramps replace."""
+    if v == 1:
+        return np.where(x > p.d, 0.0, np.where(x < p.c, 1.0, (p.d - x) / (p.d - p.c)))
+    if v == 2:
+        ramp = np.where(x <= p.m, (x - p.a) / (p.m - p.a), (p.b - x) / (p.b - p.m))
+        return np.where((x <= p.a) | (x >= p.b), 0.0, ramp)
+    return np.where(x < p.r, 0.0, np.where(x > p.q, 1.0, (x - p.r) / (p.q - p.r)))
+
+
+def ulps_around(points, n):
+    out, up, down = [points], points, points
+    for _ in range(n):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestClippedRamps:
+    """``membership`` gives the three-branch definition's bits, signed zeros included."""
+
+    # subnormal multiples from the smallest accepted r_max up, less 5e-323, whose breakpoints collapse
+    R_MAXES = [k * np.nextafter(0.0, 1.0) for k in range(6, 40) if k != 10]
+    R_MAXES += list(np.geomspace(1e-320, 1e308, 400)) + [0.5, 6.0, np.finfo(float).max]
+    SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308])
+
+    def test_bit_identical_to_branches(self):
+        rng = np.random.default_rng(9)
+        for r_max in self.R_MAXES:
+            p = MembershipParams(float(r_max))
+            points = np.array(p.breakpoints() + [0.0, 5 * p.r_max / 14])
+            with np.errstate(all="ignore"):  # overflow to +-inf at the largest r_max
+                x = np.concatenate([ulps_around(points, 3), self.SPECIALS, rng.uniform(-0.5, 1.5, 200) * p.r_max])
+                for v in (1, 2, 3):
+                    got, want = membership(v, x, p), branch_membership(v, x, p)
+                    nan = np.isnan(want)
+                    assert np.array_equal(np.isnan(got), nan), (r_max, v)
+                    assert got[~nan].tobytes() == want[~nan].tobytes(), (r_max, v)
 
 
 class TestFuzzify:
@@ -118,6 +175,17 @@ class TestAlgebraicSum:
             values = list(rng.uniform(0, 1, 4))
             base = algebraic_sum_score(values)
             assert algebraic_sum_score(values + [rng.uniform(0.01, 1)]) >= base
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fuzzy_scores_match_scalar_folds(self, k):
+        win = np.random.default_rng(k).uniform(-1.0, 8.0, (4, 5, k, k))
+        pis, scores = fuzzy_scores(win, PARAMS)
+        assert pis.shape == (3, 4, 5, k, k) and scores.shape == (3, 4, 5)
+        for idx in np.ndindex(win.shape[:-2]):
+            patch_pis = fuzzify(win[idx], PARAMS)
+            for v in range(3):
+                assert np.array_equal(pis[v][idx], patch_pis[v])
+                assert scores[v][idx] == algebraic_sum_score(patch_pis[v])
 
 
 class TestSelect:

@@ -386,6 +386,18 @@ class TestBackward:
         loss.backward()
         np.testing.assert_array_equal(x.grad, [5.0, 5.0])
 
+    def test_three_consumers_and_a_diamond(self):
+        # x feeds u, v and w; u feeds both y and z, which meet again in y * z
+        x = tensor([1.0, 2.0, -0.5])
+        u = T.mul(x, 2.0)
+        v = T.mul(x, x)
+        w = T.add(x, 1.0)
+        y, z = T.mul(u, 3.0), T.add(u, 5.0)
+        T.reduce_sum(T.add(T.add(T.mul(y, z), v), w)).backward()
+        # d/dx of 6x(2x + 5) + x^2 + x + 1 is 26x + 31
+        np.testing.assert_array_equal(x.grad, [57.0, 83.0, 18.0])
+        np.testing.assert_array_equal(u.grad, 6 * u.data + 15)
+
     def test_forward_determinism(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, (2, 2, 6, 6))

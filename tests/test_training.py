@@ -158,7 +158,7 @@ class TestEvaluate:
 
     def test_counts_cover_dataset(self):
         model = build(tiny_config())
-        ds = make_synthetic_dataset(15, seed=2, split="test")
+        ds = make_synthetic_dataset(15, seed=2)
         cm, metrics = evaluate(model, ds, batch_size=4)
         assert cm.total == 15
         assert 0.0 <= metrics["accuracy"] <= 1.0
@@ -168,7 +168,7 @@ class TestTrain:
     def test_zero_epochs(self):
         model = build(tiny_config())
         before = {name: t.data.copy() for name, t in model.parameters()}
-        history = train(model, make_synthetic_dataset(8), make_synthetic_dataset(4, seed=1, split="test"), epochs=0)
+        history = train(model, make_synthetic_dataset(8), make_synthetic_dataset(4, seed=1), epochs=0)
         assert history == []
         for name, t in model.parameters():
             assert np.array_equal(t.data, before[name]), name
@@ -176,7 +176,7 @@ class TestTrain:
     def test_updates_all_parameters(self):
         model = build(tiny_config())
         before = {name: t.data.copy() for name, t in model.parameters()}
-        train(model, make_synthetic_dataset(8), make_synthetic_dataset(4, seed=1, split="test"), epochs=1, batch_size=8)
+        train(model, make_synthetic_dataset(8), make_synthetic_dataset(4, seed=1), epochs=1, batch_size=8)
         changed = [name for name, t in model.parameters() if not np.array_equal(t.data, before[name])]
         assert set(changed) == {name for name, _ in model.parameters()}
 
@@ -186,7 +186,7 @@ class TestTrain:
             history = train(
                 model,
                 make_synthetic_dataset(16),
-                make_synthetic_dataset(8, seed=1, split="test"),
+                make_synthetic_dataset(8, seed=1),
                 epochs=2,
                 batch_size=8,
                 seed=11,
@@ -204,7 +204,7 @@ class TestTrain:
             return train(
                 model,
                 make_synthetic_dataset(16),
-                make_synthetic_dataset(8, seed=1, split="test"),
+                make_synthetic_dataset(8, seed=1),
                 epochs=2,
                 batch_size=8,
                 seed=11,
@@ -226,7 +226,7 @@ class TestTrain:
             return train(
                 model,
                 make_synthetic_dataset(16),
-                make_synthetic_dataset(8, seed=1, split="test"),
+                make_synthetic_dataset(8, seed=1),
                 epochs=1,
                 batch_size=4,
                 seed=seed,
@@ -238,7 +238,7 @@ class TestTrain:
         model = build(tiny_config())
         model.params["conv1.weight"].data[:] = np.inf
         with pytest.raises(NumericalError, match="non-finite"):
-            train(model, make_synthetic_dataset(8), make_synthetic_dataset(4, seed=1, split="test"), epochs=1)
+            train(model, make_synthetic_dataset(8), make_synthetic_dataset(4, seed=1), epochs=1)
 
     def test_progress_callback(self):
         seen = []
@@ -246,7 +246,7 @@ class TestTrain:
         train(
             model,
             make_synthetic_dataset(8),
-            make_synthetic_dataset(4, seed=1, split="test"),
+            make_synthetic_dataset(4, seed=1),
             epochs=2,
             batch_size=8,
             progress=seen.append,
@@ -259,7 +259,7 @@ class TestTrain:
         history = train(
             model,
             make_synthetic_dataset(64, seed=4),
-            make_synthetic_dataset(16, seed=5, split="test"),
+            make_synthetic_dataset(16, seed=5),
             epochs=4,
             batch_size=16,
             seed=0,
