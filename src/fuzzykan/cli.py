@@ -20,7 +20,7 @@ from pathlib import Path
 from . import checks
 from . import tensor as T
 from .data import DataError, load_dataset
-from .model import ModelConfig, build, config_to_dict, config_update
+from .model import DATASET_CHANNELS, HEADS, ModelConfig, build, config_to_dict, config_update
 from .pooling import PoolConfig
 from .training import NumericalError, evaluate, train, write_metrics_csv
 
@@ -32,20 +32,21 @@ EXIT_NUMERICAL = 3
 POOLING_ALIASES = {"max": "max", "avg": "average", "average": "average", "fuzzy": "fuzzy"}
 MATRIX_ORDER = [("mlp", "avg"), ("mlp", "max"), ("mlp", "fuzzy"), ("kan", "avg"), ("kan", "max"), ("kan", "fuzzy")]
 PRECISIONS = {"f64": "float64", "f32": "float32"}
-# where each run flag lands in the RunConfig tree
-FLAG_KEYS = {
-    "dataset": "model.dataset",
-    "pooling": "model.pooling.kind",
-    "head": "model.head",
-    "seed": "model.seed",
-    "r_max": "model.pooling.membership.r_max",
-    "epochs": "epochs",
-    "lr": "lr",
-    "batch": "batch",
-    "precision": "precision",
-    "train_limit": "train_limit",
-    "data_dir": "data_dir",
-    "out_dir": "out_dir",
+FINAL_METRICS = ("accuracy", "precision", "recall", "f1")  # of evaluate(), as printed and in comparison.csv
+# each run flag: where it lands in the RunConfig tree, and its argparse options
+RUN_FLAGS = {
+    "dataset": ("model.dataset", {"choices": list(DATASET_CHANNELS)}),
+    "pooling": ("model.pooling.kind", {"choices": list(POOLING_ALIASES)}),
+    "head": ("model.head", {"choices": list(HEADS)}),
+    "epochs": ("epochs", {"type": int}),
+    "lr": ("lr", {"type": float}),
+    "batch": ("batch", {"type": int}),
+    "seed": ("model.seed", {"type": int}),
+    "data_dir": ("data_dir", {}),
+    "out_dir": ("out_dir", {}),
+    "precision": ("precision", {"choices": list(PRECISIONS)}),
+    "r_max": ("model.pooling.membership.r_max", {"type": float}),
+    "train_limit": ("train_limit", {"type": int, "help": "cap the training split (0 = all)"}),
 }
 
 
@@ -86,21 +87,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_run_flags(p, include_variant=True):
+def _add_run_flags(p, flags):
     p.add_argument("--config", help="JSON file of a RunConfig tree or part of one, such as a run's config.json")
-    p.add_argument("--dataset", choices=["mnist", "fashion-mnist", "cifar10"])
-    if include_variant:
-        p.add_argument("--pooling", choices=["max", "avg", "average", "fuzzy"])
-        p.add_argument("--head", choices=["mlp", "kan"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--data-dir")
-    p.add_argument("--out-dir")
-    p.add_argument("--precision", choices=list(PRECISIONS))
-    p.add_argument("--r-max", type=float)
-    p.add_argument("--train-limit", type=int, help="cap the training split (0 = all)")
+    for dest, (_, options) in flags.items():
+        p.add_argument(f"--{dest.replace('_', '-')}", **options)
 
 
 def _nested(path: str, value) -> dict:
@@ -117,7 +107,7 @@ def _resolve_run_config(args) -> RunConfig:
             cfg = config_update(cfg, json.loads(Path(args.config).read_text()))
         except (OSError, ValueError) as e:
             raise UsageError(f"{args.config}: {e}") from None
-    for dest, path in FLAG_KEYS.items():
+    for dest, (path, _) in RUN_FLAGS.items():
         value = getattr(args, dest, None)
         if value is None:
             continue
@@ -130,68 +120,73 @@ def _resolve_run_config(args) -> RunConfig:
     return cfg
 
 
-def _load_splits(cfg: RunConfig):
+def _run(cfg: RunConfig, runs: dict[str, RunConfig]) -> list[dict]:
+    """Build every run's model, read ``cfg``'s two splits once, then train, evaluate and write each run.
+
+    Run ``label`` writes its artifacts to ``cfg.out_dir``/``label``; a
+    non-empty label is printed as a header before the run trains.  Returns
+    each run's final test metrics, in order.
+    """
+    T.set_default_dtype(PRECISIONS[cfg.precision])
+    models = []
+    for run in runs.values():
+        try:
+            models.append(build(run.model))
+        except ValueError as e:
+            raise UsageError(f"model.pooling: {e}") from None
     if not cfg.data_dir:
         raise DataError("no dataset directory: pass --data-dir or set FUZZY_KAN_DATA")
     train_set = load_dataset(cfg.model.dataset, cfg.data_dir, "train")
     test_set = load_dataset(cfg.model.dataset, cfg.data_dir, "test")
     if cfg.train_limit:
         train_set = train_set.subset(cfg.train_limit)
-    return train_set, test_set
-
-
-def _run_single(cfg: RunConfig, out_dir: Path) -> dict:
-    train_set, test_set = _load_splits(cfg)
-    model = build(cfg.model)
-    history = train(
-        model,
-        train_set,
-        test_set,
-        epochs=cfg.epochs,
-        lr=cfg.lr,
-        batch_size=cfg.batch,
-        seed=cfg.model.seed,
-        progress=lambda m: print(
-            f"epoch {m.epoch}: loss {m.train_loss:.4f} acc {m.test_accuracy:.4f} ({m.seconds:.1f}s)"
-        ),
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out_dir / "metrics.csv", history)
-    cm, final = evaluate(model, test_set)
-    cm.write_csv(out_dir / "confusion_matrix.csv")
-    model.save(out_dir / "model.fkan")
-    (out_dir / "config.json").write_text(json.dumps(config_to_dict(cfg), indent=2) + "\n")
-    return final
+    finals = []
+    for (label, run), model in zip(runs.items(), models):
+        if label:
+            print(f"== {label} ==")
+        history = train(
+            model,
+            train_set,
+            test_set,
+            epochs=run.epochs,
+            lr=run.lr,
+            batch_size=run.batch,
+            seed=run.model.seed,
+            progress=lambda m: print(
+                f"epoch {m.epoch}: loss {m.train_loss:.4f} acc {m.test_accuracy:.4f} ({m.seconds:.1f}s)"
+            ),
+        )
+        out_dir = Path(cfg.out_dir) / label
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_metrics_csv(out_dir / "metrics.csv", history)
+        cm, final = evaluate(model, test_set)
+        cm.write_csv(out_dir / "confusion_matrix.csv")
+        model.save(out_dir / "model.fkan")
+        (out_dir / "config.json").write_text(json.dumps(config_to_dict(run), indent=2) + "\n")
+        finals.append(final)
+    return finals
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_run_config(args)
-    T.set_default_dtype(PRECISIONS[cfg.precision])
-    final = _run_single(cfg, Path(cfg.out_dir))
-    print(
-        f"final: accuracy {final['accuracy']:.4f} precision {final['precision']:.4f} "
-        f"recall {final['recall']:.4f} f1 {final['f1']:.4f}"
-    )
+    [final] = _run(cfg, {"": cfg})
+    print("final: " + " ".join(f"{key} {final[key]:.4f}" for key in FINAL_METRICS))
     return EXIT_OK
 
 
 def cmd_matrix(args) -> int:
     cfg = _resolve_run_config(args)
-    T.set_default_dtype(PRECISIONS[cfg.precision])
-    out_root = Path(cfg.out_dir)
-    rows = []
-    for head, pooling in MATRIX_ORDER:
-        run = config_update(cfg, {"model": {"head": head, "pooling": {"kind": POOLING_ALIASES[pooling]}}})
-        label = f"{head}_{pooling}"
-        print(f"== {label} ==")
-        final = _run_single(run, out_root / label)
-        rows.append(
-            [head.upper(), pooling, f"{final['accuracy']:.4f}", f"{final['precision']:.4f}", f"{final['recall']:.4f}", f"{final['f1']:.4f}"]
-        )
-    out_root.mkdir(parents=True, exist_ok=True)
-    with open(out_root / "comparison.csv", "w", newline="") as f:
+    runs = {
+        f"{head}_{pooling}": config_update(cfg, {"model": {"head": head, "pooling": {"kind": POOLING_ALIASES[pooling]}}})
+        for head, pooling in MATRIX_ORDER
+    }
+    rows = [
+        [head.upper(), pooling, *(f"{final[key]:.4f}" for key in FINAL_METRICS)]
+        for (head, pooling), final in zip(MATRIX_ORDER, _run(cfg, runs))
+    ]
+    with open(Path(cfg.out_dir) / "comparison.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["head", "pooling", "accuracy", "precision", "recall", "f1"])
+        writer.writerow(["head", "pooling", *FINAL_METRICS])
         writer.writerows(rows)
     for row in rows:
         print(",".join(row))
@@ -219,11 +214,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one configuration and write artifacts")
-    _add_run_flags(p_train)
+    _add_run_flags(p_train, RUN_FLAGS)
     p_train.set_defaults(func=cmd_train)
 
     p_matrix = sub.add_parser("matrix", help="run all six head/pooling combinations")
-    _add_run_flags(p_matrix, include_variant=False)
+    _add_run_flags(p_matrix, {dest: flag for dest, flag in RUN_FLAGS.items() if dest not in ("pooling", "head")})
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_check = sub.add_parser("check", help="run a diagnostic property suite")

@@ -1,14 +1,16 @@
 """Dataset loading: IDX (MNIST/FashionMNIST) and CIFAR-10 binary formats.
 
 Both readers are bit-exact parsers of the official binary layouts; pixels
-are scaled to [0,1] and 28x28 grayscale images are zero-padded to 32x32
-(``load_dataset`` refuses IDX images of any other size but 32x32).
+are scaled to [0,1].  ``load_dataset`` alone decides the input geometry: it
+zero-pads 28x28 grayscale images to 32x32, passes 32x32 ones through, and
+refuses IDX images of any other size.
 Gzipped files are read transparently, and a corrupt one is a DataError.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from collections.abc import Iterator
@@ -77,7 +79,7 @@ def _parse_idx(raw: bytes, expected_magic: int, path) -> np.ndarray:
     if len(raw) < header:
         raise TruncatedFileError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header])
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(raw) < header + count:
         raise TruncatedFileError(
             f"{path}: expected {count} data bytes, file holds {len(raw) - header}"
@@ -157,20 +159,6 @@ def load_cifar10(dir_path, split: str = "train") -> Dataset:
     )
 
 
-def pad_to_32(images: np.ndarray) -> np.ndarray:
-    """Zero-pad [M,1,28,28] images by 2 pixels per border to [M,1,32,32]."""
-    if images.ndim != 4 or images.shape[1:] != (1, 28, 28):
-        raise ValueError(f"expected [M,1,28,28], got {images.shape}")
-    return np.pad(images, ((0, 0), (0, 0), (2, 2), (2, 2)))
-
-
-def to_model_input(ds: Dataset) -> Dataset:
-    """Bring a dataset to the 32x32 input geometry the models expect."""
-    if ds.images.shape[2:] == (32, 32):
-        return ds
-    return Dataset(pad_to_32(ds.images), ds.labels)
-
-
 IDX_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
@@ -195,9 +183,11 @@ def load_dataset(name: str, data_dir, split: str = "train") -> Dataset:
         images_path = _find_idx_file(directory, img_stem)
         ds = load_idx(images_path, _find_idx_file(directory, lbl_stem))
         h, w = ds.images.shape[2:]
-        if (h, w) not in ((28, 28), (32, 32)):
+        if (h, w) == (28, 28):  # zero-pad by 2 pixels per border to the 32x32 model input
+            return Dataset(np.pad(ds.images, ((0, 0), (0, 0), (2, 2), (2, 2))), ds.labels)
+        if (h, w) != (32, 32):
             raise DataError(f"{images_path}: images are {h}x{w}, expected 28x28 or 32x32")
-        return to_model_input(ds)
+        return ds
     raise ValueError(f"unknown dataset {name!r}")
 
 

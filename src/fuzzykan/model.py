@@ -28,6 +28,7 @@ CHECKPOINT_MAGIC = b"FKAN"
 CHECKPOINT_VERSION = 2
 
 DATASET_CHANNELS = {"mnist": 1, "fashion-mnist": 1, "cifar10": 3}
+HEADS = ("mlp", "kan")
 DEFAULT_MLP_WIDTHS = (120, 84)
 DEFAULT_KAN_WIDTHS = (84,)
 
@@ -45,12 +46,14 @@ class ModelConfig:
     def __post_init__(self):
         if self.dataset not in DATASET_CHANNELS:
             raise ValueError(f"dataset must be one of {tuple(DATASET_CHANNELS)}, got {self.dataset!r}")
-        if self.head not in ("mlp", "kan"):
-            raise ValueError(f"head must be 'mlp' or 'kan', got {self.head!r}")
+        if self.head not in HEADS:
+            raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
         if self.conv_activation not in ("relu", "tanh"):
             raise ValueError(f"conv activation must be relu or tanh, got {self.conv_activation!r}")
         if self.head_widths is not None and any(w < 1 for w in self.head_widths):
             raise ValueError(f"head_widths must all be >= 1, got {self.head_widths!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
     @property
     def in_channels(self) -> int:
@@ -185,10 +188,12 @@ class Model:
         loaded = set()
         for _ in range(count):
             (nlen,) = u32()
-            name = take(nlen).decode()
+            try:
+                name = take(nlen).decode()
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: tensor name at byte {pos - nlen} is not UTF-8") from None
             (rank,) = u32()
             dims = u32(rank)
-            values = np.frombuffer(take(8 * int(np.prod(dims))), dtype="<f8").reshape(dims)
             if name not in model.params:
                 raise ValueError(f"{path}: unexpected tensor {name!r}")
             if name in loaded:
@@ -196,6 +201,7 @@ class Model:
             target = model.params[name]
             if target.shape != dims:
                 raise ValueError(f"{path}: tensor {name!r} shape {dims} != {target.shape}")
+            values = np.frombuffer(take(8 * target.size), dtype="<f8").reshape(dims)
             target.data = values.astype(target.data.dtype)
             loaded.add(name)
         missing = [name for name in model.params if name not in loaded]

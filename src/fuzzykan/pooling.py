@@ -218,14 +218,14 @@ def fuzzy_window_reference(patch, params: MembershipParams) -> float:
         return (x - r) / (q - r)
 
     flat = [float(x) for x in patch.ravel()]
-    best_v, best_score, best_pi = 0, -1.0, None
-    for v, mu in enumerate((mu1, mu2, mu3)):
+    best_score, best_pi = None, None
+    for mu in (mu1, mu2, mu3):
         pi = [mu(x) for x in flat]
         s = 0.0
         for p in pi:
             s = s + p - s * p
-        if s > best_score:
-            best_v, best_score, best_pi = v, s, pi
+        if best_pi is None or s > best_score:  # a later set must score strictly higher: lowest v wins ties
+            best_score, best_pi = s, pi
 
     num = 0.0
     den = 0.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,7 +136,6 @@ def train(
     lr: float = 1e-3,
     batch_size: int = 32,
     seed: int = 42,
-    weight_decay: float = 0.01,
     clock=time.perf_counter,
     progress=None,
 ):
@@ -146,7 +145,7 @@ def train(
     epoch).  Fully deterministic under `seed` apart from the wall-clock
     column; pass a fixed `clock` for byte-reproducible artifacts.
     """
-    optimizer = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
+    optimizer = AdamW(model.parameters(), lr=lr)
     history: list[EpochMetrics] = []
     for epoch in range(epochs):
         started = clock()
@@ -180,7 +179,7 @@ def train(
     return history
 
 
-METRICS_HEADER = ["epoch", "train_loss", "test_accuracy", "precision", "recall", "f1", "seconds"]
+METRICS_HEADER = [f.name for f in fields(EpochMetrics)]
 
 
 def write_metrics_csv(path, history):
@@ -188,6 +187,4 @@ def write_metrics_csv(path, history):
         writer = csv.writer(f)
         writer.writerow(METRICS_HEADER)
         for m in history:
-            writer.writerow(
-                [m.epoch, repr(m.train_loss), repr(m.test_accuracy), repr(m.precision), repr(m.recall), repr(m.f1), repr(m.seconds)]
-            )
+            writer.writerow([m.epoch, *(repr(getattr(m, name)) for name in METRICS_HEADER[1:])])

@@ -100,3 +100,24 @@ def test_no_claim_slower_within_its_bound_passes():
     results = {"parent": [result(500.0 + i) for i in range(3)], "change": [result(400.0 + i) for i in range(3)]}
     _, ok = bench_pairs.report(results, METRICS)
     assert ok  # 20% slower, inside samples_per_s's 25% bound
+
+
+def test_parent_spread_wider_than_the_bound_is_unresolved():
+    results = pairs(3)
+    for run, rss in zip(results["parent"], (80.0, 100.0, 120.0)):  # IQR 20 over median 100: wider than 0.1
+        run["metrics"]["peak_rss_mb"]["value"] = rss
+    lines, ok = bench_pairs.report(results, METRICS)
+    assert ok  # the exit status does not depend on it
+    assert any(line.startswith("peak_rss_mb") and "unresolved (bound 0.1)" in line for line in lines)
+    assert any(line.startswith("samples_per_s") and "ok (bound 0.25)" in line for line in lines)
+    assert lines[-1] == "NO REGRESSION; unresolved: peak_rss_mb"
+
+
+def test_wide_parent_spread_is_resolved_when_every_change_run_wins():
+    results = pairs(3, change_rss=79.0)
+    for run, rss in zip(results["parent"], (80.0, 100.0, 120.0)):
+        run["metrics"]["peak_rss_mb"]["value"] = rss
+    lines, ok = bench_pairs.report(results, METRICS)
+    assert ok
+    assert any(line.startswith("peak_rss_mb") and "ok (bound 0.1)" in line for line in lines)
+    assert lines[-1] == "NO REGRESSION"

@@ -1,13 +1,14 @@
 import csv
 import gzip
 import json
+import struct
 
 import numpy as np
 import pytest
 
 import fuzzykan.tensor as T
 from fuzzykan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
-from fuzzykan.data import IDX_FILES, write_idx_images, write_idx_labels
+from fuzzykan.data import IDX_FILES, IDX_IMAGES_MAGIC, load_dataset, write_idx_images, write_idx_labels
 from fuzzykan.kan import SplineGrid
 from fuzzykan.model import ModelConfig, config_to_dict, config_update
 from fuzzykan.pooling import MembershipParams, PoolConfig
@@ -191,6 +192,38 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and err.startswith("fuzzykan: error:") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "matrix"])
+    @pytest.mark.parametrize(
+        "payload, flags, named",
+        [
+            ({}, ["--seed", "-1"], "--seed: seed must be >= 0, got -1"),
+            ({"model": {"pooling": {"stride": 3}}}, [], "model.pooling: pooling 2/3 does not tile"),
+        ],
+        ids=["seed-negative", "pooling-stride-3"],
+    )
+    def test_run_checked_before_data_is_read(self, tmp_path, capsys, monkeypatch, command, payload, flags, named):
+        monkeypatch.delenv("FUZZY_KAN_DATA", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        empty = tmp_path / "nodata"
+        empty.mkdir()
+        out = tmp_path / "run"
+        argv = [command, "--config", str(config), *flags, "--epochs", "0", "--data-dir", str(empty), "--out-dir", str(out)]
+        assert run_cli(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"fuzzykan: error: {named}")
+        assert not out.exists()
+
+    def test_header_size_beyond_64_bits_exit_2(self, tmp_path, capsys):
+        d = tmp_path / "mnist"
+        d.mkdir()
+        img_name, lbl_name = IDX_FILES["train"]
+        (d / img_name).write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**22, 2**21, 2**21))
+        write_idx_labels(d / lbl_name, np.zeros(1, dtype=np.uint8))
+        assert run_cli(train_args(tmp_path, tmp_path / "run", epochs=0)) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {d / img_name}: expected {2**64} data bytes")
+
     def test_f32_run_is_deterministic_and_scoped(self, synthetic_idx_dir, tmp_path, monkeypatch):
         rows = {}
         for name, precision in (("a", "f32"), ("b", "f32"), ("c", "f64")):
@@ -267,6 +300,18 @@ class TestMatrixCommand:
         ]
         for head, pooling in (("mlp", "avg"), ("kan", "fuzzy")):
             assert (out / f"{head}_{pooling}" / "metrics.csv").exists()
+
+    def test_data_is_read_once(self, synthetic_idx_dir, tmp_path, monkeypatch):
+        loads = []
+
+        def counting_load(*args):
+            loads.append(args)
+            return load_dataset(*args)
+
+        monkeypatch.setattr("fuzzykan.cli.load_dataset", counting_load)
+        argv = ["matrix", "--epochs", "0", "--data-dir", str(synthetic_idx_dir), "--out-dir", str(tmp_path / "m")]
+        assert run_cli(argv) == EXIT_OK
+        assert [split for _, _, split in loads] == ["train", "test"]
 
 
 class TestCheckCommand:

@@ -18,8 +18,6 @@ from fuzzykan.data import (
     load_cifar10,
     load_dataset,
     load_idx,
-    pad_to_32,
-    to_model_input,
     write_idx_images,
     write_idx_labels,
 )
@@ -99,6 +97,13 @@ class TestIdx:
         write_idx_images(tmp_path / "img", images)
         write_idx_labels(tmp_path / "lbl", labels)
         with pytest.raises(BadLabelError, match=r"lbl: label byte 12 out of range"):
+            load_idx(tmp_path / "img", tmp_path / "lbl")
+
+    def test_header_size_beyond_64_bits_is_truncation(self, tmp_path):
+        # 2^22 * 2^21 * 2^21 = 2^64 bytes, which a uint64 product wraps to 0
+        (tmp_path / "img").write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**22, 2**21, 2**21))
+        write_idx_labels(tmp_path / "lbl", np.zeros(1, dtype=np.uint8))
+        with pytest.raises(TruncatedFileError, match=f"img: expected {2**64} data bytes, file holds 0"):
             load_idx(tmp_path / "img", tmp_path / "lbl")
 
     def test_count_mismatch(self, tmp_path):
@@ -198,26 +203,36 @@ class TestLoadDatasetCifar:
 
 
 class TestResize:
-    def test_pad_shape_and_zeros(self):
-        x = np.ones((2, 1, 28, 28))
-        out = pad_to_32(x)
+    """``load_dataset`` zero-pads 28x28 IDX images by 2 pixels per border
+    and passes 32x32 ones through unchanged."""
+
+    def load_idx_images(self, root, images):
+        d = root / "mnist"
+        d.mkdir()
+        img_name, lbl_name = IDX_FILES["train"]
+        write_idx_images(d / img_name, images)
+        write_idx_labels(d / lbl_name, np.zeros(len(images), dtype=np.uint8))
+        return load_dataset("mnist", root, "train")
+
+    def test_pad_shape_and_zeros(self, tmp_path):
+        out = self.load_idx_images(tmp_path, np.full((2, 28, 28), 255, dtype=np.uint8)).images
         assert out.shape == (2, 1, 32, 32)
         assert out[:, :, :2, :].max() == 0.0 and out[:, :, -2:, :].max() == 0.0
+        assert out[:, :, :, :2].max() == 0.0 and out[:, :, :, -2:].max() == 0.0
+        assert out[:, :, 2:-2, 2:-2].min() == 1.0
 
-    def test_pad_pixel_placement(self):
-        x = np.zeros((1, 1, 28, 28))
-        x[0, 0, 0, 0] = 0.7
-        out = pad_to_32(x)
-        assert out[0, 0, 2, 2] == 0.7
-        assert out.sum() == 0.7  # mass preserved
+    def test_pad_pixel_placement(self, tmp_path):
+        images = np.zeros((1, 28, 28), dtype=np.uint8)
+        images[0, 0, 0] = 170
+        out = self.load_idx_images(tmp_path, images).images
+        assert out[0, 0, 2, 2] == 170 / 255
+        assert out.sum() == 170 / 255  # mass preserved
 
-    def test_pad_shape_error(self):
-        with pytest.raises(ValueError):
-            pad_to_32(np.zeros((1, 3, 28, 28)))
-
-    def test_to_model_input_passthrough_at_32(self):
-        ds = Dataset(np.zeros((2, 3, 32, 32)), np.zeros(2, dtype=np.int64))
-        assert to_model_input(ds) is ds
+    def test_to_model_input_passthrough_at_32(self, tmp_path):
+        images = np.arange(2 * 32 * 32, dtype=np.int64).reshape(2, 32, 32).astype(np.uint8)
+        out = self.load_idx_images(tmp_path, images).images
+        assert out.shape == (2, 1, 32, 32)
+        np.testing.assert_array_equal(out[:, 0], images / 255.0)
 
 
 class TestLoadDataset:

@@ -31,6 +31,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="head"):
             ModelConfig(head="transformer")
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ModelConfig(seed=-1)
+        assert ModelConfig(seed=0).seed == 0
+
     def test_head_widths_below_1(self):
         for widths in ((-3,), (84, 0)):
             with pytest.raises(ValueError, match=r"head_widths must all be >= 1, got \(.*\)"):
@@ -292,6 +297,26 @@ class TestCheckpoint:
             lambda items: [(n, T.Tensor(t.data.reshape(1, 6, 5, 5)) if n == "conv1.weight" else t) for n, t in items],
         )
         with pytest.raises(ValueError, match=re.escape("tensor 'conv1.weight' shape (1, 6, 5, 5) != (6, 1, 5, 5)")) as exc:
+            Model.load(path, config)
+        assert str(path) in str(exc.value)
+
+    def test_shape_checked_before_values_are_read(self, tmp_path):
+        # conv1.weight's header claims 2^64 values, which a uint64 product wraps to 0
+        path, config = self.saved_with(tmp_path, lambda items: items)
+        raw = path.read_bytes()
+        header = b"conv1.weight" + struct.pack("<5I", 4, 6, 1, 5, 5)
+        assert raw.count(header) == 1
+        path.write_bytes(raw.replace(header, b"conv1.weight" + struct.pack("<4I", 3, 2**22, 2**21, 2**21)))
+        with pytest.raises(ValueError, match=re.escape("tensor 'conv1.weight' shape (4194304, 2097152, 2097152) != (6, 1, 5, 5)")) as exc:
+            Model.load(path, config)
+        assert str(path) in str(exc.value)
+
+    def test_name_not_utf8_rejected(self, tmp_path):
+        path, config = self.saved_with(tmp_path, lambda items: items)
+        raw = path.read_bytes()
+        assert raw.count(b"conv1.bias") == 1
+        path.write_bytes(raw.replace(b"conv1.bias", b"conv1.\xff\xfe\xfd\xfc"))
+        with pytest.raises(ValueError, match="tensor name at byte [0-9]+ is not UTF-8") as exc:
             Model.load(path, config)
         assert str(path) in str(exc.value)
 

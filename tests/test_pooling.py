@@ -277,9 +277,11 @@ class TestPool:
     @pytest.mark.parametrize("kind", ["max", "average", "fuzzy"])
     def test_oracle_equivalence_exact(self, kind):
         rng = np.random.default_rng(17)
-        for shape, k, stride in [((2, 4, 8, 8), 2, 2), ((1, 2, 6, 6), 3, 3), ((2, 1, 8, 8), 2, 2)]:
+        for shape, k, stride, nans in [((2, 4, 8, 8), 2, 2, 0), ((1, 2, 6, 6), 3, 3, 0), ((2, 1, 8, 8), 2, 2, 0), ((1, 3, 6, 6), 2, 2, 9)]:
             x = rng.uniform(-1.0, 8.0, shape)
-            out = pool(T.Tensor(x), PoolConfig(kind=kind, k=k, stride=stride)).data
+            x.flat[rng.choice(x.size, nans, replace=False)] = np.nan  # NaN windows must stay NaN, in place
+            with np.errstate(invalid="ignore"):
+                out = pool(T.Tensor(x), PoolConfig(kind=kind, k=k, stride=stride)).data
             n, c, ho, wo = out.shape
             for ni in range(n):
                 for ci in range(c):
@@ -295,7 +297,7 @@ class TestPool:
                                 expected = acc / patch.size
                             else:
                                 expected = fuzzy_window_reference(patch, PARAMS)
-                            assert out[ni, ci, i, j] == expected
+                            assert out[ni, ci, i, j] == expected or np.isnan(out[ni, ci, i, j]) and np.isnan(expected)
 
     def test_constant_patch_passthrough(self):
         for value in (0.5, 2.0, 3.7, 5.0):

@@ -14,6 +14,10 @@ every run is kept in ``--raw`` as one JSON object.
 The report lists each pair, then each side's median and quartiles for every
 end-to-end metric in the change's ``BENCHMARK.json``, whether the change's
 median stays within that metric's bound, and the total failed/attempted.
+A metric whose parent runs spread wider than its bound (interquartile range
+over |median|) is ``unresolved`` rather than ``ok``, unless every change run
+beats every parent run; the verdict line names it, and the exit status does
+not depend on it.
 The verdict applies the benchmark rule to ``--metric``: the change wins at
 least 9 of 10 pairs (ties count for neither side), the medians differ by
 more than the parent's interquartile range, no larger share of operations
@@ -85,15 +89,23 @@ def report(results: dict, metrics: dict, claim: str | None = None) -> tuple[list
     WIN_SHARE of them, and a median gap wider than the parent's IQR.
     """
     lines = [f"{'metric':16s} {'unit':5s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} {'ratio':>7s}  bound"]
-    worse_metrics = []
+    worse_metrics, unresolved = [], []
     for name, spec in metrics.items():
-        sides_q = {s: quartiles([value(r, name) for r in results[s]]) for s in results}
-        (pq1, pm, pq3), (cq1, cm, cq3) = sides_q["parent"], sides_q["change"]
+        values = {s: [value(r, name) for r in results[s]] for s in results}
+        (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(values["parent"]), quartiles(values["change"])
         worse = (pm - cm if spec["better"] == "higher" else cm - pm) / abs(pm) if pm else 0.0
+        spread = (pq3 - pq1) / abs(pm) if pm else 0.0
+        every_change_run_wins = all(better(c, p, spec["better"]) for c in values["change"] for p in values["parent"])
         if worse > spec["bound"]:
             worse_metrics.append(name)
+            status = "WORSE"
+        elif spread > spec["bound"] and not every_change_run_wins:
+            unresolved.append(name)
+            status = "unresolved"
+        else:
+            status = "ok"
         lines.append(f"{name:16s} {spec['unit']:5s} {pm:12.4g} [{pq1:8.4g}, {pq3:8.4g}] {cm:12.4g} [{cq1:8.4g}, {cq3:8.4g}] "
-                     f"{cm / pm if pm else float('nan'):7.3f}  {'WORSE' if name in worse_metrics else 'ok'} (bound {spec['bound']:g})")
+                     f"{cm / pm if pm else float('nan'):7.3f}  {status} (bound {spec['bound']:g})")
     failed_share = {}
     for side, rows in results.items():
         failed, attempted = sum(r["failed"] for r in rows), sum(r["attempted"] for r in rows)
@@ -120,7 +132,10 @@ def report(results: dict, metrics: dict, claim: str | None = None) -> tuple[list
         lines.append(f"worse than its bound: {', '.join(worse_metrics)}")
     ok = gain and not more_failures and not worse_metrics
     passed, failed = ("NO REGRESSION", "REGRESSION") if claim is None else ("CLAIM MET", "CLAIM NOT MET")
-    return lines + [passed if ok else failed], ok
+    verdict = passed if ok else failed
+    if unresolved:
+        verdict += f"; unresolved: {', '.join(unresolved)}"
+    return lines + [verdict], ok
 
 
 def main(argv=None) -> int:
