@@ -18,6 +18,9 @@ from .data import Dataset, batches
 from .model import Model
 
 
+_BLOCK = 32768  # elements per in-place AdamW block; two f64 scratch blocks take 512 KB
+
+
 class NumericalError(RuntimeError):
     """Raised when training numerics break down (non-finite loss or gradient)."""
 
@@ -28,6 +31,23 @@ class AdamW:
     The decay step p <- p - lr*wd*p is applied separately from the
     bias-corrected moment update, so with zero gradients the parameters
     undergo pure multiplicative decay.
+
+    ``step`` updates every parameter and both moments in place, ``_BLOCK``
+    elements at a time, through two block-sized scratch buffers per dtype
+    that all parameters share; its only per-step allocation is the boolean
+    mask of the finiteness check.  Each block runs the out-of-place
+    formula's correctly rounded elementwise operations in the same order,
+
+        p <- p - (lr*wd)*p
+        m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
+        p <- p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+
+    so the result is bit-identical to it.  A missing gradient counts as
+    zeros.  Every gradient and layout is checked before any state changes,
+    so a non-finite gradient raises `NumericalError` and leaves the
+    parameters, the moments and ``t`` as they were.  Since the update lands
+    in ``p.data`` itself, every ``p.data`` must be C-contiguous, and every
+    view of it sees the new values.
     """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
@@ -37,32 +57,54 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in self.params}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.params}
+        self.m = {name: np.zeros(t.shape, t.data.dtype) for name, t in self.params}
+        self.v = {name: np.zeros(t.shape, t.data.dtype) for name, t in self.params}
+        dtypes = {t.data.dtype for _, t in self.params}
+        self._scratch = {dtype: (np.empty(_BLOCK, dtype), np.empty(_BLOCK, dtype)) for dtype in dtypes}
 
     def zero_grad(self):
         for _, t in self.params:
             t.zero_grad()
 
     def step(self):
+        for name, p in self.params:
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r} is not C-contiguous, so it cannot be updated in place")
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericalError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        decay = self.lr * self.weight_decay
         for name, p in self.params:
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise NumericalError(f"non-finite gradient in parameter {name!r}")
-            if self.weight_decay:
-                p.data = p.data - self.lr * self.weight_decay * p.data
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            a_buf, b_buf = self._scratch[p.data.dtype]
+            p_all, m_all, v_all = p.data.reshape(-1), self.m[name].reshape(-1), self.v[name].reshape(-1)
+            g_all = None if p.grad is None else p.grad.reshape(-1)
+            for lo in range(0, p_all.size, _BLOCK):
+                p_blk, m, v = p_all[lo : lo + _BLOCK], m_all[lo : lo + _BLOCK], v_all[lo : lo + _BLOCK]
+                a, b = a_buf[: p_blk.size], b_buf[: p_blk.size]
+                if g_all is None:
+                    g = b  # b is free until v/bc2 below
+                    g.fill(0.0)
+                else:
+                    g = g_all[lo : lo + _BLOCK]
+                if self.weight_decay:
+                    np.multiply(decay, p_blk, out=a)
+                    p_blk -= a
+                m *= self.beta1
+                np.multiply(1.0 - self.beta1, g, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(1.0 - self.beta2, g, out=a)
+                a *= g
+                v += a
+                np.divide(m, bc1, out=a)
+                np.multiply(self.lr, a, out=a)
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                p_blk -= a
 
 
 class ConfusionMatrix:

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -121,3 +123,16 @@ def test_wide_parent_spread_is_resolved_when_every_change_run_wins():
     assert ok
     assert any(line.startswith("peak_rss_mb") and "ok (bound 0.1)" in line for line in lines)
     assert lines[-1] == "NO REGRESSION"
+
+
+def test_descending_seed_range_is_a_usage_error(tmp_path, capsys):
+    assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    with pytest.raises(ValueError, match="'3-1'"):
+        bench_pairs.parse_seeds("3-1")
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "train-fuzzy-kan",
+            "--seeds", "3-1", "--raw", str(tmp_path / "pairs.jsonl")]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "pairs.jsonl").exists()

@@ -5,6 +5,7 @@ import fuzzykan.tensor as T
 from fuzzykan.model import ModelConfig, build
 from fuzzykan.pooling import PoolConfig
 from fuzzykan.training import (
+    _BLOCK,
     AdamW,
     ConfusionMatrix,
     NumericalError,
@@ -18,6 +19,24 @@ from conftest import make_synthetic_dataset
 
 def scalar_param(value):
     return T.Tensor(np.array([value]), requires_grad=True)
+
+
+def out_of_place_adamw_step(params, m, v, t, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    """The out-of-place AdamW update, kept as the oracle for the in-place one."""
+    beta1, beta2 = betas
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params:
+        g = p.grad
+        if g is None:
+            g = np.zeros_like(p.data)
+        if weight_decay:
+            p.data = p.data - lr * weight_decay * p.data
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        p.data = p.data - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
 
 
 class TestAdamW:
@@ -91,6 +110,59 @@ class TestAdamW:
         opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
         opt.step()
         assert p.data[0] == 1.0
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_blocks_are_bit_identical_to_the_out_of_place_step(self, dtype, weight_decay):
+        # "big" spans two blocks and a partial third; "none" never gets a gradient
+        shapes = {"big": (3, (2 * _BLOCK + 1000) // 3), "one": (1,), "none": (4, 3), "small": (5, 7)}
+        rng = np.random.default_rng(21)
+        init = {name: rng.normal(0.0, 0.5, shape).astype(dtype) for name, shape in shapes.items()}
+        params = [(name, T.Tensor(init[name].copy(), requires_grad=True, dtype=dtype)) for name in shapes]
+        oracle = [(name, T.Tensor(init[name].copy(), requires_grad=True, dtype=dtype)) for name in shapes]
+        opt = AdamW(params, lr=0.01, weight_decay=weight_decay)
+        m = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
+        for t in range(1, 31):
+            for (name, p), (_, q) in zip(params, oracle):
+                if name == "none":
+                    p.grad = q.grad = None
+                    continue
+                g = (rng.normal(0.0, 1.0, shapes[name]) * 10.0 ** rng.integers(-8, 2, shapes[name])).astype(dtype)
+                signed_zeros = rng.random(shapes[name]) < 0.1
+                g[signed_zeros] = np.where(rng.random(signed_zeros.sum()) < 0.5, -0.0, 0.0)
+                p.grad, q.grad = g, g.copy()
+            opt.step()
+            out_of_place_adamw_step(oracle, m, v, t, lr=0.01, weight_decay=weight_decay)
+        assert opt.t == 30
+        for (name, p), (_, q) in zip(params, oracle):
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == q.data.tobytes(), name
+            assert opt.m[name].tobytes() == m[name].tobytes(), name
+            assert opt.v[name].tobytes() == v[name].tobytes(), name
+
+    def test_non_finite_gradient_leaves_every_state_unchanged(self):
+        first, second = T.Tensor(np.array([0.5, -1.0]), requires_grad=True), scalar_param(2.0)
+        opt = AdamW([("first", first), ("second", second)], lr=0.1)
+        first.grad, second.grad = np.array([0.3, -0.2]), np.array([0.1])
+        opt.step()
+        before = (first.data.copy(), opt.m["first"].copy(), opt.v["first"].copy(), second.data.copy())
+        first.grad, second.grad = np.array([0.4, 0.1]), np.array([np.inf])
+        with pytest.raises(NumericalError, match="second"):
+            opt.step()
+        assert opt.t == 1
+        after = (first.data, opt.m["first"], opt.v["first"], second.data)
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes()
+
+    def test_parameter_that_is_not_c_contiguous_is_refused(self):
+        p = T.Tensor(np.arange(6.0).reshape(2, 3).T, requires_grad=True)
+        opt = AdamW([("fc0.weight", p)])
+        p.grad = np.ones((3, 2))
+        with pytest.raises(ValueError, match="fc0.weight"):
+            opt.step()
+        assert opt.t == 0
+        assert p.data.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
 
 
 class TestConfusionMatrix:

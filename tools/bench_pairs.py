@@ -43,11 +43,14 @@ MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10', '11,12' or '1-3,7' -> the listed seeds, in order."""
+    """'1-10', '11,12' or '1-3,7' -> the listed seeds, in order; ValueError for a range that ends below its start."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        first, last = int(lo), int(hi or lo)
+        if last < first:
+            raise ValueError(f"seed range {part!r} ends below its start")
+        seeds.extend(range(first, last + 1))
     return seeds
 
 
