@@ -97,7 +97,7 @@ def _fuzzy_score_margins(x: np.ndarray, config: PoolConfig) -> float:
 def check_pool_oracle(n_windows: int = 1000, k: int = 2, seed: int = 0):
     """Vectorized pooling vs the scalar per-window reference, exact match.
 
-    Returns (ok, max_abs_diff) over all three pooling kinds.
+    Returns (ok, max_abs_diff) over all three pooling kinds; a NaN fails.
     """
     rng = np.random.default_rng(seed)
     params = MembershipParams()
@@ -121,8 +121,8 @@ def check_pool_oracle(n_windows: int = 1000, k: int = 2, seed: int = 0):
                 expected = s / patch.size
             else:
                 expected = fuzzy_window_reference(patch, params)
-            worst = max(worst, abs(out[w] - expected))
-    return worst == 0.0, worst
+            worst = np.maximum(worst, abs(out[w] - expected))  # unlike max(), keeps a NaN
+    return bool(worst == 0.0), float(worst)
 
 
 def spline_oracle(x, grid: SplineGrid):
@@ -160,7 +160,7 @@ def check_spline(grid: SplineGrid | None = None, n_points: int = 2001):
     probe = np.concatenate([np.linspace(knots[0] - grid.step, knots[-1] + grid.step, 401), knots])
     values, deriv = bspline_basis(probe, grid, with_derivative=True)
     ref_values, ref_deriv = spline_oracle(probe, grid)
-    oracle_error = float(max(np.abs(values - ref_values).max(), np.abs(deriv - ref_deriv).max()))
+    oracle_error = float(np.maximum(np.abs(values - ref_values).max(), np.abs(deriv - ref_deriv).max()))
 
     ok = deviation < 1e-9 and min_value >= -1e-15 and oracle_error <= SPLINE_ORACLE_TOL
     return ok, deviation, min_value, oracle_error

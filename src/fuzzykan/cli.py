@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import checks
-from . import tensor as T
 from .data import DataError, load_dataset
 from .model import DATASET_CHANNELS, HEADS, ModelConfig, build, config_to_dict, config_update
 from .pooling import PoolConfig
@@ -127,11 +126,10 @@ def _run(cfg: RunConfig, runs: dict[str, RunConfig]) -> list[dict]:
     non-empty label is printed as a header before the run trains.  Returns
     each run's final test metrics, in order.
     """
-    T.set_default_dtype(PRECISIONS[cfg.precision])
     models = []
     for run in runs.values():
         try:
-            models.append(build(run.model))
+            models.append(build(run.model, dtype=PRECISIONS[run.precision]))
         except ValueError as e:
             raise UsageError(f"model.pooling: {e}") from None
     if not cfg.data_dir:
@@ -226,7 +224,6 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    dtype = T.default_dtype()  # --precision holds for this command only
     try:
         return args.func(args)
     except UsageError as e:
@@ -238,8 +235,6 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    finally:
-        T.set_default_dtype(dtype)
 
 
 if __name__ == "__main__":

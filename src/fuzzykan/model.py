@@ -131,7 +131,9 @@ class Model:
         return sum(t.size for _, t in self.parameters())
 
     def forward(self, batch) -> T.Tensor:
-        h = batch if isinstance(batch, T.Tensor) else T.Tensor(batch)
+        """Run the stages; a raw batch is first cast to the parameters' dtype."""
+        dtype = next(iter(self.params.values())).data.dtype
+        h = batch if isinstance(batch, T.Tensor) else T.Tensor(np.asarray(batch, dtype=dtype))
         expected = (self.arch["in_channels"], self.arch["input_hw"], self.arch["input_hw"])
         if h.ndim != 4 or h.shape[1:] != expected:
             raise ValueError(f"expected input [N,{expected[0]},{expected[1]},{expected[2]}], got {h.shape}")
@@ -159,9 +161,9 @@ class Model:
                 f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
     @classmethod
-    def load(cls, path, config: ModelConfig) -> "Model":
-        """Read a checkpoint written by ``save``; every tensor must appear exactly once."""
-        model = build(config)
+    def load(cls, path, config: ModelConfig, dtype=np.float64) -> "Model":
+        """Read a checkpoint written by ``save`` into a ``dtype`` model; every tensor must appear exactly once."""
+        model = build(config, dtype=dtype)
         with open(path, "rb") as f:
             raw = f.read()
         pos = 0
@@ -222,8 +224,9 @@ def build(
     conv_channels: tuple = (6, 16),
     conv_kernel: tuple = (5, 5),
     n_classes: int = 10,
+    dtype=np.float64,
 ) -> Model:
-    """Construct a model; the non-default arguments exist for tiny test builds."""
+    """Construct a model with ``dtype`` (float64 or float32) parameters; the sizes are for tiny test builds."""
     rng = np.random.default_rng(config.seed)
     c_in = config.in_channels
     f1, f2 = conv_channels
@@ -276,5 +279,7 @@ def build(
             kan_layers.append(layer)
             stages.append((f"kan{i}", partial(kan_layer_forward, params=layer)))
 
+    for t in params.values():
+        t.data = t.data.astype(dtype, copy=False)
     arch = {"in_channels": c_in, "input_hw": input_hw, "n_classes": n_classes}
     return Model(config, params, kan_layers, arch, stages)

@@ -4,9 +4,10 @@ Every layer in the library is a composition of the primitives defined here,
 so gradients of arbitrary model compositions are obtained mechanically by
 calling ``backward()`` on a scalar loss.
 
-Numerics policy: float64 by default (float32 opt-in via
-``set_default_dtype``), and the forward reductions of ``matmul`` and
-``conv2d`` accumulate in strict sequential order so that they agree
+Numerics policy: a tensor keeps a float32 or float64 array's dtype and
+turns other data into float64, so a model computes in the dtype
+``model.build`` gives its parameters.  The forward reductions of ``matmul``
+and ``conv2d`` accumulate in strict sequential order so that they agree
 bit-for-bit with naive nested-loop reference implementations.  The one
 exception is a 1x1 ``matmul`` output, a single dot product, which einsum
 reduces with unrolled partial sums.
@@ -38,21 +39,12 @@ import operator
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float64
 _node_counter = itertools.count()
 
 
-def set_default_dtype(dtype):
-    """Set the dtype used for newly created tensors (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"unsupported dtype {dtype}; use float64 or float32")
-    _DEFAULT_DTYPE = dtype.type
-
-
 def default_dtype():
-    return _DEFAULT_DTYPE
+    """The dtype a ``Tensor`` gives data that is not float32 or float64."""
+    return np.float64
 
 
 class Tensor:
@@ -65,8 +57,9 @@ class Tensor:
     sums their gradients from the last-created consumer to the first.
     """
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        data = np.asarray(data)
+        self.data = data if data.dtype in (np.float32, np.float64) else data.astype(default_dtype())
         self.grad = None
         self.requires_grad = requires_grad
         self.node_id = next(_node_counter)

@@ -125,6 +125,19 @@ def test_wide_parent_spread_is_resolved_when_every_change_run_wins():
     assert lines[-1] == "NO REGRESSION"
 
 
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("claim", [None, "samples_per_s"])
+def test_null_metric_counts_as_worse(side, claim):
+    name = claim or "peak_rss_mb"
+    results = pairs(10)
+    results[side][4]["metrics"][name]["value"] = None  # a non-finite value, as perfbench writes it
+    lines, ok = bench_pairs.report(results, METRICS, claim)
+    assert not ok
+    assert any(line.startswith(name) and "WORSE, null in a run" in line for line in lines)
+    assert f"worse than its bound: {name}" in lines
+    assert lines[-1] == ("REGRESSION" if claim is None else "CLAIM NOT MET") + f"; null: {name}"
+
+
 def test_descending_seed_range_is_a_usage_error(tmp_path, capsys):
     assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
     with pytest.raises(ValueError, match="'3-1'"):

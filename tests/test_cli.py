@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+import fuzzykan.checks as checks
+import fuzzykan.kan as kan
 import fuzzykan.tensor as T
 from fuzzykan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from fuzzykan.data import IDX_FILES, IDX_IMAGES_MAGIC, load_dataset, write_idx_images, write_idx_labels
@@ -324,3 +326,30 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(["check", "entropy"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_nan_pool_output_fails(self, capsys, monkeypatch):
+        real_pool = checks.pool
+
+        def pool_with_one_nan_window(x, config):
+            out = real_pool(x, config).data.copy()
+            if config.kind == "fuzzy":
+                out.reshape(-1)[7] = np.nan
+            return T.Tensor(out)
+
+        monkeypatch.setattr(checks, "pool", pool_with_one_nan_window)
+        assert run_cli(["check", "pool-oracle"]) == EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert "= nan" in out and out.splitlines()[-1] == "FAIL"
+
+    def test_nan_spline_derivative_fails(self, capsys, monkeypatch):
+        real_derivative = kan._derivative
+
+        def derivative_with_one_nan(*args):
+            deriv = real_derivative(*args)
+            deriv[5, 2] = np.nan
+            return deriv
+
+        monkeypatch.setattr(kan, "_derivative", derivative_with_one_nan)
+        assert run_cli(["check", "spline"]) == EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert "scalar oracle| nan" in out and out.splitlines()[-1] == "FAIL"

@@ -16,6 +16,7 @@ from fuzzykan.model import (
     config_update,
 )
 from fuzzykan.pooling import MembershipParams, PoolConfig
+from fuzzykan.training import AdamW
 
 
 def config_for(pooling="max", head="mlp", **kw):
@@ -198,6 +199,25 @@ class TestEndToEndGradients:
         assert worst < 1e-4, f"{pooling}/{head}: worst relative error {worst}"
 
 
+class TestPrecision:
+    @pytest.mark.parametrize("head", ["mlp", "kan"])
+    def test_f32_and_f64_models_keep_their_dtype_in_one_process(self, head):
+        config = config_for("fuzzy", head, seed=5)
+        models = {dtype: build(config, dtype=dtype) for dtype in (np.float32, np.float64)}
+        for (name, p32), (_, p64) in zip(models[np.float32].parameters(), models[np.float64].parameters()):
+            assert np.array_equal(p32.data, p64.data.astype(np.float32)), name  # the same draws, cast once
+        images = np.random.default_rng(4).uniform(0, 1, (3, 1, 32, 32))
+        labels = np.array([0, 3, 9])
+        for dtype, model in models.items():
+            optimizer = AdamW(model.parameters())
+            logits = model.forward(images)
+            assert logits.data.dtype == dtype
+            T.softmax_cross_entropy(logits, labels).backward()
+            optimizer.step()
+            for name, p in model.parameters():
+                assert p.data.dtype == p.grad.dtype == dtype, name
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = config_for("fuzzy", "kan", seed=9)
@@ -211,16 +231,11 @@ class TestCheckpoint:
         np.testing.assert_array_equal(model.forward(x).data, loaded.forward(x).data)
 
     def test_f32_round_trip(self, tmp_path):
-        previous = T.default_dtype()
-        T.set_default_dtype(np.float32)
-        try:
-            config = config_for("fuzzy", "kan", seed=9)
-            model = build(config)
-            path = tmp_path / "model.fkan"
-            model.save(path)
-            loaded = Model.load(path, config)
-        finally:
-            T.set_default_dtype(previous)
+        config = config_for("fuzzy", "kan", seed=9)
+        model = build(config, dtype=np.float32)
+        path = tmp_path / "model.fkan"
+        model.save(path)
+        loaded = Model.load(path, config, dtype=np.float32)
         for (name, ta), (_, tb) in zip(model.parameters(), loaded.parameters()):
             assert ta.data.dtype == tb.data.dtype == np.float32, name
             assert np.array_equal(ta.data, tb.data), name

@@ -1,4 +1,3 @@
-import contextlib
 import math
 
 import numpy as np
@@ -10,16 +9,6 @@ from fuzzykan.checks import gradient_check
 
 def tensor(values, grad=True):
     return T.Tensor(np.asarray(values, dtype=float), requires_grad=grad)
-
-
-@contextlib.contextmanager
-def default_dtype(dtype):
-    saved = T.default_dtype()
-    T.set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        T.set_default_dtype(saved)
 
 
 def row_major_conv2d(x, kernels, bias, stride, g):
@@ -46,12 +35,29 @@ def row_major_conv2d(x, kernels, bias, stride, g):
 
 def conv2d_grads(x, kernels, bias, stride, g):
     """T.conv2d's output and (input, kernel, bias) gradients for upstream ``g``."""
-    xt = T.Tensor(x, requires_grad=True, dtype=x.dtype)
-    kt = T.Tensor(kernels, requires_grad=True, dtype=kernels.dtype)
-    bt = None if bias is None else T.Tensor(bias, requires_grad=True, dtype=bias.dtype)
+    xt = T.Tensor(x, requires_grad=True)
+    kt = T.Tensor(kernels, requires_grad=True)
+    bt = None if bias is None else T.Tensor(bias, requires_grad=True)
     out = T.conv2d(xt, kt, bt, stride=stride)
     T.reduce_sum(T.mul(out, T.Tensor(g))).backward()
     return out.data, (xt.grad, kt.grad, None if bt is None else bt.grad)
+
+
+class TestDtype:
+    def test_float_arrays_keep_their_dtype_and_other_data_becomes_f64(self):
+        for dtype in (np.float32, np.float64):
+            values = np.ones(3, dtype)
+            assert T.Tensor(values).data is values
+        for data in (np.ones(3, np.uint8), np.ones(3, np.float16), [1, 2], 3):
+            assert T.Tensor(data).data.dtype == T.default_dtype() == np.float64
+
+    def test_f32_operands_give_f32_outputs_and_gradients(self):
+        rng = np.random.default_rng(2)
+        a, b = (T.Tensor(rng.uniform(-1, 1, (2, 3)).astype(np.float32), requires_grad=True) for _ in range(2))
+        out = T.reduce_sum(T.mul(T.add(a, b), 0.5))
+        assert out.data.dtype == np.float32
+        out.backward()
+        assert a.grad.dtype == b.grad.dtype == np.float32
 
 
 class TestElementwise:
@@ -138,8 +144,7 @@ class TestConv2d:
         x = rng.uniform(-2, 2, (2, c, 9, 9)).astype(dtype)
         kernels = rng.uniform(-1, 1, (f, c, k, k)).astype(dtype)
         bias = rng.uniform(-1, 1, f).astype(dtype) if with_bias else None
-        with default_dtype(dtype):
-            out = T.conv2d(T.Tensor(x), T.Tensor(kernels), None if bias is None else T.Tensor(bias), stride=stride).data
+        out = T.conv2d(T.Tensor(x), T.Tensor(kernels), None if bias is None else T.Tensor(bias), stride=stride).data
         ho = (9 - k) // stride + 1
         expected = np.zeros((2, f, ho, ho), dtype=dtype)
         for n in range(2):
@@ -168,8 +173,7 @@ class TestConv2d:
         bias = rng.uniform(-1, 1, f).astype(dtype) if with_bias else None
         ho = (11 - k) // stride + 1
         g = rng.uniform(-1, 1, (3, f, ho, ho)).astype(dtype)
-        with default_dtype(dtype):
-            _, grads = conv2d_grads(x, kernels, bias, stride, g)
+        _, grads = conv2d_grads(x, kernels, bias, stride, g)
         _, ref_grads = row_major_conv2d(x, kernels, bias, stride, g)
         # With F == 1 or c*k*k == 1 one product is a matrix-vector product, for
         # which BLAS picks a kernel whose summation order follows the operand
@@ -224,20 +228,19 @@ class TestConv2d:
         x = rng.uniform(-2, 2, (2, 3, 8, 8)).astype(x_dtype)
         kernels = rng.uniform(-1, 1, (4, 3, 3, 3)).astype(k_dtype)
         bias = None if b_dtype is None else rng.uniform(-1, 1, 4).astype(b_dtype)
-        for dtype in (np.float64, np.float32):
-            g = rng.uniform(-1, 1, (2, 4, 6, 6)).astype(dtype)
-            with default_dtype(dtype):
-                out, grads = conv2d_grads(x, kernels, bias, 1, g)
-            # the row-major formulas compute in np.result_type of the operands;
-            # the tape then stores the default dtype
-            ref_out, ref_grads = row_major_conv2d(x, kernels, bias, 1, g)
-            assert ref_out.dtype == np.result_type(*(a for a in (x, kernels, bias) if a is not None))
-            assert out.dtype == dtype
-            assert np.array_equal(out, ref_out.astype(dtype))
-            for got, want, param in zip(grads, ref_grads, (x, kernels, bias)):
-                if param is not None:
-                    assert got.dtype == param.dtype
-                    assert np.array_equal(got, want.astype(param.dtype))
+        # the output, and so the gradient reaching conv2d, has np.result_type
+        # of the operands, in which the row-major formulas compute too; each
+        # operand's gradient is stored in that operand's dtype
+        dtype = np.result_type(*(a for a in (x, kernels, bias) if a is not None))
+        g = rng.uniform(-1, 1, (2, 4, 6, 6)).astype(dtype)
+        out, grads = conv2d_grads(x, kernels, bias, 1, g)
+        ref_out, ref_grads = row_major_conv2d(x, kernels, bias, 1, g)
+        assert out.dtype == ref_out.dtype == dtype
+        assert np.array_equal(out, ref_out)
+        for got, want, param in zip(grads, ref_grads, (x, kernels, bias)):
+            if param is not None:
+                assert got.dtype == param.dtype
+                assert np.array_equal(got, want.astype(param.dtype))
 
     def test_stride(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -118,8 +120,8 @@ class TestAdamW:
         shapes = {"big": (3, (2 * _BLOCK + 1000) // 3), "one": (1,), "none": (4, 3), "small": (5, 7)}
         rng = np.random.default_rng(21)
         init = {name: rng.normal(0.0, 0.5, shape).astype(dtype) for name, shape in shapes.items()}
-        params = [(name, T.Tensor(init[name].copy(), requires_grad=True, dtype=dtype)) for name in shapes]
-        oracle = [(name, T.Tensor(init[name].copy(), requires_grad=True, dtype=dtype)) for name in shapes]
+        params = [(name, T.Tensor(init[name].copy(), requires_grad=True)) for name in shapes]
+        oracle = [(name, T.Tensor(init[name].copy(), requires_grad=True)) for name in shapes]
         opt = AdamW(params, lr=0.01, weight_decay=weight_decay)
         m = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
         v = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
@@ -234,6 +236,22 @@ class TestEvaluate:
         cm, metrics = evaluate(model, ds, batch_size=4)
         assert cm.total == 15
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+    def test_batch_logits_are_freed_before_the_next_forward(self):
+        # a batch's logits keep its whole graph alive, im2col included
+        model = build(tiny_config())
+        forward, previous, alive = model.forward, [], []
+
+        def recording_forward(images):
+            alive.extend(ref() is not None for ref in previous)
+            logits = forward(images)
+            previous[:] = [weakref.ref(logits)]
+            return logits
+
+        model.forward = recording_forward
+        cm, _ = evaluate(model, make_synthetic_dataset(12, seed=3), batch_size=4)
+        assert cm.total == 12
+        assert alive == [False, False]
 
 
 class TestTrain:

@@ -17,7 +17,9 @@ median stays within that metric's bound, and the total failed/attempted.
 A metric whose parent runs spread wider than its bound (interquartile range
 over |median|) is ``unresolved`` rather than ``ok``, unless every change run
 beats every parent run; the verdict line names it, and the exit status does
-not depend on it.
+not depend on it.  A metric that any run of either side reports as null
+(perfbench writes null for a non-finite value) counts as worse than its
+bound, and the verdict line names it too.
 The verdict applies the benchmark rule to ``--metric``: the change wins at
 least 9 of 10 pairs (ties count for neither side), the medians differ by
 more than the parent's interquartile range, no larger share of operations
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -73,7 +76,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def value(result: dict, name: str) -> float:
-    return result["metrics"][name]["value"]
+    """The metric's value; NaN where the run wrote null, as perfbench does for a non-finite value."""
+    v = result["metrics"][name]["value"]
+    return math.nan if v is None else v
 
 
 def better(a: float, b: float, direction: str) -> bool:
@@ -92,16 +97,20 @@ def report(results: dict, metrics: dict, claim: str | None = None) -> tuple[list
     WIN_SHARE of them, and a median gap wider than the parent's IQR.
     """
     lines = [f"{'metric':16s} {'unit':5s} {'parent median [q1, q3]':>32s} {'change median [q1, q3]':>32s} {'ratio':>7s}  bound"]
-    worse_metrics, unresolved = [], []
+    worse_metrics, unresolved, nulls = [], [], []
     for name, spec in metrics.items():
         values = {s: [value(r, name) for r in results[s]] for s in results}
+        null = any(math.isnan(v) for side in values.values() for v in side)
         (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(values["parent"]), quartiles(values["change"])
         worse = (pm - cm if spec["better"] == "higher" else cm - pm) / abs(pm) if pm else 0.0
         spread = (pq3 - pq1) / abs(pm) if pm else 0.0
         every_change_run_wins = all(better(c, p, spec["better"]) for c in values["change"] for p in values["parent"])
-        if worse > spec["bound"]:
+        if null or worse > spec["bound"]:
             worse_metrics.append(name)
             status = "WORSE"
+            if null:
+                nulls.append(name)
+                status += ", null in a run"
         elif spread > spec["bound"] and not every_change_run_wins:
             unresolved.append(name)
             status = "unresolved"
@@ -136,6 +145,8 @@ def report(results: dict, metrics: dict, claim: str | None = None) -> tuple[list
     ok = gain and not more_failures and not worse_metrics
     passed, failed = ("NO REGRESSION", "REGRESSION") if claim is None else ("CLAIM MET", "CLAIM NOT MET")
     verdict = passed if ok else failed
+    if nulls:
+        verdict += f"; null: {', '.join(nulls)}"
     if unresolved:
         verdict += f"; unresolved: {', '.join(unresolved)}"
     return lines + [verdict], ok
