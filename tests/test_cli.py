@@ -199,7 +199,7 @@ class TestTrainCommand:
         "payload, flags, named",
         [
             ({}, ["--seed", "-1"], "--seed: seed must be >= 0, got -1"),
-            ({"model": {"pooling": {"stride": 3}}}, [], "model.pooling: pooling 2/3 does not tile"),
+            ({"model": {"pooling": {"stride": 3}}}, [], "model.pooling: window 2x2 with stride 3 does not tile input 28x28 exactly"),
         ],
         ids=["seed-negative", "pooling-stride-3"],
     )

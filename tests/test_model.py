@@ -218,6 +218,15 @@ class TestPrecision:
                 assert p.data.dtype == p.grad.dtype == dtype, name
 
 
+    def test_tensor_batch_of_another_dtype_is_rejected(self):
+        model = build(config_for("fuzzy", "kan", seed=5), dtype=np.float32)
+        images = np.random.default_rng(4).uniform(0, 1, (2, 1, 32, 32))
+        with pytest.raises(ValueError, match="batch dtype float64 is not the parameters' dtype float32"):
+            model.forward(T.Tensor(images))
+        assert model.forward(T.Tensor(images.astype(np.float32))).data.dtype == np.float32
+        assert model.forward(images).data.dtype == np.float32  # a raw batch is cast
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = config_for("fuzzy", "kan", seed=9)

@@ -281,6 +281,12 @@ class TestWindows:
         with pytest.raises(ValueError):
             win[0, 0, 0, 0, 0, 0] = 1.0
 
+    def test_fold_walks_each_window_row_major(self):
+        # 1e16 + 1.0 rounds back to 1e16: the (u, v) walk sums to 0.0, a (v, u) walk to 1.0
+        win = np.array([[1e16, 1.0], [-1e16, 0.0]]).reshape(1, 1, 1, 1, 2, 2)
+        total = T.fold_windows(win, np.add, np.zeros((1, 1, 1, 1)))
+        assert total.shape == (1, 1, 1, 1) and total[0, 0, 0, 0] == 0.0
+
     def test_non_tiling_rejected(self):
         with pytest.raises(ValueError, match="does not tile"):
             T.windows(np.zeros((1, 1, 3, 3)), 4, 1)

@@ -3,13 +3,15 @@
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload train-fuzzy-kan --seeds 1-10 --metric samples_per_s --raw pairs.jsonl
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload train-max-mlp --seeds 1-3 --raw pairs.jsonl    # claims no gain
+        --workload train-max-mlp --seeds 1-4 --raw pairs.jsonl    # claims no gain
 
 Each checkout runs its own ``perfbench/run.py`` untraced, from its own root,
 so a parent checkout made with ``git worktree`` or ``git archive`` measures
 the parent's code with the parent's benchmark.  Pair i runs the parent first
-when i is even and the change first when i is odd.  Every output line of
-every run is kept in ``--raw`` as one JSON object.
+when i is even and the change first when i is odd.  The side that runs first
+tends to win its pair by 2-5%, so ``--seeds`` must list an even number of
+seeds, which lets each side run first equally often; an odd count is a usage
+error.  Every output line of every run is kept in ``--raw`` as one JSON object.
 
 The report lists each pair, then each side's median and quartiles for every
 end-to-end metric in the change's ``BENCHMARK.json``, whether the change's
@@ -27,7 +29,7 @@ fails than at the parent, and no end-to-end metric is worse than its
 bound.  Fewer than 10 pairs give no verdict ("too few pairs for a
 verdict").  The exit status is 0 when the claim holds and 1 when it does
 not.  Without ``--metric`` the change claims no gain, and only the last two
-rules apply, on any number of pairs: the verdict is ``NO REGRESSION``
+rules apply, on any even number of pairs: the verdict is ``NO REGRESSION``
 (exit 0) or ``REGRESSION`` (exit 1).  Standard library only.
 """
 
@@ -162,6 +164,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--raw", type=Path, required=True, help="JSON-lines file for every raw output line")
     args = parser.parse_args(argv)
+    if len(args.seeds) % 2:
+        parser.error(f"--seeds must list an even number of seeds, so each side runs first equally often; got {len(args.seeds)}")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
