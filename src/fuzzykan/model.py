@@ -25,7 +25,8 @@ from .kan import KanLayerParams, SplineGrid, kan_init, kan_layer_forward
 from .pooling import PoolConfig, pool
 
 CHECKPOINT_MAGIC = b"FKAN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+_PREFIX = 44  # magic, version, SHA-256, header length
 
 DATASET_CHANNELS = {"mnist": 1, "fashion-mnist": 1, "cifar10": 3}
 HEADS = ("mlp", "kan")
@@ -103,11 +104,6 @@ def _json_leaf(name, hint, value):
     raise ValueError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
 
 
-def config_digest(config: ModelConfig) -> bytes:
-    payload = json.dumps(config_to_dict(config), sort_keys=True).encode()
-    return hashlib.sha256(payload).digest()
-
-
 def _glorot_uniform(rng, shape, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
@@ -146,73 +142,56 @@ class Model:
     # -- checkpointing ---------------------------------------------------
 
     def save(self, path):
-        digest = config_digest(self.config)
+        """Write one self-describing file, so that ``Model.load(path)`` needs nothing else.
+
+        The ``FKAN`` magic, a u32 version, the SHA-256 of the rest, a u32 length
+        and a JSON header ``{"config", "dtype", "tensors": [[name, shape], ...]}``;
+        then each parameter's little-endian values in that dtype, in ``parameters()`` order.
+        """
+        items = self.parameters()
+        stored = items[0][1].data.dtype.newbyteorder("<")
+        tensors = [[name, list(t.shape)] for name, t in items]
+        header = json.dumps({"config": config_to_dict(self.config), "dtype": stored.name, "tensors": tensors}).encode()
+        body = struct.pack("<I", len(header)) + header + b"".join(t.data.astype(stored).tobytes() for _, t in items)
         with open(path, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(digest)))
-            f.write(digest)
-            items = self.parameters()
-            f.write(struct.pack("<I", len(items)))
-            for name, t in items:
-                encoded = name.encode()
-                f.write(struct.pack("<I", len(encoded)))
-                f.write(encoded)
-                f.write(struct.pack("<I", t.ndim))
-                f.write(struct.pack(f"<{t.ndim}I", *t.shape))
-                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + hashlib.sha256(body).digest() + body)
 
     @classmethod
-    def load(cls, path, config: ModelConfig, dtype=np.float64) -> "Model":
-        """Read a checkpoint written by ``save`` into a ``dtype`` model; every tensor must appear exactly once."""
-        model = build(config, dtype=dtype)
+    def load(cls, path) -> "Model":
+        """Build the model a ``save`` file describes, in its dtype, with its parameters.
+
+        Any other file, a version 1 or 2 checkpoint too, raises ``ValueError`` naming ``path``.
+        """
         with open(path, "rb") as f:
             raw = f.read()
-        pos = 0
-
-        def take(size):
-            nonlocal pos
-            if pos + size > len(raw):
-                raise ValueError(f"{path}: checkpoint truncated at byte {len(raw)}")
-            pos += size
-            return raw[pos - size : pos]
-
-        def u32(count=1):
-            return struct.unpack(f"<{count}I", take(4 * count))
-
-        if take(4) != CHECKPOINT_MAGIC:
+        if len(raw) < _PREFIX or raw[:4] != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a FKAN checkpoint")
-        (version,) = u32()
+        (version,) = struct.unpack_from("<I", raw, 4)
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (dlen,) = u32()
-        if take(dlen) != config_digest(config):
-            raise ValueError(f"{path}: checkpoint config digest does not match")
-        (count,) = u32()
-        loaded = set()
-        for _ in range(count):
-            (nlen,) = u32()
-            try:
-                name = take(nlen).decode()
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}: tensor name at byte {pos - nlen} is not UTF-8") from None
-            (rank,) = u32()
-            dims = u32(rank)
-            if name not in model.params:
-                raise ValueError(f"{path}: unexpected tensor {name!r}")
-            if name in loaded:
-                raise ValueError(f"{path}: duplicate tensor {name!r}")
-            target = model.params[name]
-            if target.shape != dims:
-                raise ValueError(f"{path}: tensor {name!r} shape {dims} != {target.shape}")
-            values = np.frombuffer(take(8 * target.size), dtype="<f8").reshape(dims)
-            target.data = values.astype(target.data.dtype)
-            loaded.add(name)
-        missing = [name for name in model.params if name not in loaded]
-        if missing:
-            raise ValueError(f"{path}: checkpoint lacks tensors {missing}")
-        if pos != len(raw):
-            raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last tensor")
+            raise ValueError(f"{path}: checkpoint version {version} is not {CHECKPOINT_VERSION}; re-run train")
+        if hashlib.sha256(raw[40:]).digest() != raw[8:40]:
+            raise ValueError(f"{path}: checkpoint digest does not match its contents")
+        (size,) = struct.unpack_from("<I", raw, 40)
+        try:
+            header = json.loads(raw[_PREFIX : _PREFIX + size].decode())
+            if not isinstance(header, dict) or sorted(header) != ["config", "dtype", "tensors"]:
+                raise ValueError("must be an object with the keys config, dtype and tensors")
+            if header["dtype"] not in ("float32", "float64"):
+                raise ValueError(f"dtype must be float32 or float64, got {header['dtype']!r}")
+            model = build(config_update(ModelConfig(), header["config"]), dtype=header["dtype"])
+        except ValueError as e:
+            raise ValueError(f"{path}: checkpoint header: {e}") from None
+        tensors = [[name, list(t.shape)] for name, t in model.parameters()]
+        if header["tensors"] != tensors:
+            raise ValueError(f"{path}: checkpoint tensors {header['tensors']} are not the model's {tensors}")
+        stored, payload = np.dtype(header["dtype"]).newbyteorder("<"), memoryview(raw)[_PREFIX + size :]
+        if len(payload) != model.parameter_count * stored.itemsize:
+            raise ValueError(f"{path}: {len(payload)} tensor bytes, not {model.parameter_count * stored.itemsize}")
+        offset = 0
+        for _, t in model.parameters():
+            # a writable, C-contiguous copy: AdamW updates the parameters in place
+            t.data = np.frombuffer(payload, stored, t.size, offset).reshape(t.shape).astype(t.data.dtype)
+            offset += t.data.nbytes
         return model
 
 

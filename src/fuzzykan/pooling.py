@@ -28,6 +28,14 @@ size and any r_max.  An entry of +-inf has a membership of exactly 1, and
 a NaN entry gives a NaN mass.  So ``pool`` needs no fall-back;
 ``defuzzify_cog``, which takes arbitrary memberships, keeps one.
 
+A window of +inf among entries below c pools to NaN, as it does in
+``fuzzy_window_reference``.  mu1 and mu3 tie at score 1 (the entries below
+c have mu1 = 1, the +inf entry mu3 = 1), the lowest v wins the tie, and the
++inf entry's mu1 is 0, so 0 * inf puts NaN in the COG numerator.  With
+entries above q instead, mu3 wins alone and the window pools to inf.  No
+finite training reaches such a window: a non-finite logit stops ``train``
+with ``NumericalError``.
+
 ``pool`` takes the window view from ``tensor.windows``.  Each kind maps that
 view to its pooled values plus a function from the output gradient to a
 gradient per window entry, and ``pool`` adds that back onto the input with

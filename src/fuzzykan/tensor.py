@@ -315,18 +315,19 @@ def silu_derivative(z: np.ndarray) -> np.ndarray:
 
 
 def activate(kind: str, x: Tensor) -> Tensor:
-    """Elementwise relu / tanh with analytic backward."""
+    """Elementwise relu / tanh; the derivative is built only in backward, so a forward alone does no derivative work."""
     if kind == "relu":
         out_data = np.maximum(x.data, 0.0)
-        # derivative at 0 taken from the x <= 0 branch
-        dact = (x.data > 0).astype(x.data.dtype)
     elif kind == "tanh":
         out_data = np.tanh(x.data)
-        dact = 1.0 - out_data * out_data
     else:
         raise ValueError(f"unknown activation {kind!r}")
 
     def backward(g):
+        if kind == "relu":
+            dact = (x.data > 0).astype(x.data.dtype)  # derivative at 0 taken from the x <= 0 branch
+        else:
+            dact = 1.0 - out_data * out_data
         accumulate_grad(x, g * dact)
 
     return from_op(out_data, (x,), backward)

@@ -12,8 +12,9 @@ import fuzzykan.tensor as T
 from fuzzykan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from fuzzykan.data import IDX_FILES, IDX_IMAGES_MAGIC, load_dataset, write_idx_images, write_idx_labels
 from fuzzykan.kan import SplineGrid
-from fuzzykan.model import ModelConfig, config_to_dict, config_update
+from fuzzykan.model import Model, ModelConfig, build, config_to_dict, config_update
 from fuzzykan.pooling import MembershipParams, PoolConfig
+from fuzzykan.training import evaluate
 
 from conftest import make_synthetic_images
 
@@ -241,6 +242,19 @@ class TestTrainCommand:
         empty.mkdir()
         assert run_cli(train_args(empty, tmp_path / "d", precision="f32")) == EXIT_DATA
         assert T.default_dtype() is np.float64
+
+    @pytest.mark.parametrize("precision, dtype", [("f64", np.float64), ("f32", np.float32)])
+    def test_checkpoint_alone_reproduces_the_confusion_matrix(self, synthetic_idx_dir, tmp_path, precision, dtype):
+        out = tmp_path / "run"
+        assert run_cli(train_args(synthetic_idx_dir, out, precision=precision)) == EXIT_OK
+        model = Model.load(out / "model.fkan")
+        assert model.config == config_update(ModelConfig(), json.loads((out / "config.json").read_text())["model"])
+        assert all(t.data.dtype == dtype for _, t in model.parameters())
+        test_set = load_dataset("mnist", synthetic_idx_dir, "test")
+        for name, candidate in (("reloaded", model), ("untrained", build(model.config, dtype=dtype))):
+            evaluate(candidate, test_set)[0].write_csv(tmp_path / f"{name}.csv")
+        assert (tmp_path / "reloaded.csv").read_bytes() == (out / "confusion_matrix.csv").read_bytes()
+        assert (tmp_path / "untrained.csv").read_bytes() != (out / "confusion_matrix.csv").read_bytes()  # training shows
 
     def test_bad_matrix_value_exit_1(self, synthetic_idx_dir, tmp_path):
         argv = ["matrix", "--batch", "0", "--data-dir", str(synthetic_idx_dir), "--out-dir", str(tmp_path / "m")]

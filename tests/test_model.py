@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -11,7 +12,6 @@ from fuzzykan.model import (
     Model,
     ModelConfig,
     build,
-    config_digest,
     config_to_dict,
     config_update,
 )
@@ -71,10 +71,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             config_update(ModelConfig(), changes)
 
-    def test_digest_sensitivity(self):
-        a = config_for("fuzzy", "kan")
-        assert config_digest(a) == config_digest(config_for("fuzzy", "kan"))
-        assert config_digest(a) != config_digest(config_for("max", "kan"))
+    def test_digest_sensitivity(self, tmp_path):
+        # pooling has no parameters, so the two kinds save the same values and differ only in the config
+        files = []
+        for i, kind in enumerate(("fuzzy", "fuzzy", "max")):
+            build(config_for(kind, "kan")).save(tmp_path / f"{i}.fkan")
+            files.append((tmp_path / f"{i}.fkan").read_bytes())
+        assert files[0] == files[1]
+        assert files[0][8:40] != files[2][8:40]  # the SHA-256
 
 
 class TestParameterCounts:
@@ -227,15 +231,44 @@ class TestPrecision:
         assert model.forward(images).data.dtype == np.float32  # a raw batch is cast
 
 
+def reseal(path, header=None, payload=None):
+    """Rewrite a checkpoint's header bytes and/or payload bytes under a fresh, valid digest."""
+    raw = path.read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 40)
+    header = raw[44 : 44 + size] if header is None else header
+    payload = raw[44 + size :] if payload is None else payload
+    body = struct.pack("<I", len(header)) + header + payload
+    path.write_bytes(raw[:8] + hashlib.sha256(body).digest() + body)
+
+
+def edit_header(path, edit):
+    """Reseal a checkpoint after ``edit`` changed its decoded JSON header in place."""
+    raw = path.read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 40)
+    header = json.loads(raw[44 : 44 + size])
+    edit(header)
+    reseal(path, header=json.dumps(header).encode())
+
+
+def rejected(path, message):
+    """``Model.load(path)`` raises ValueError matching ``message``, naming the path."""
+    with pytest.raises(ValueError, match=message) as exc:
+        Model.load(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = config_for("fuzzy", "kan", seed=9)
         model = build(config)
         path = tmp_path / "model.fkan"
         model.save(path)
-        loaded = Model.load(path, config)
+        loaded = Model.load(path)
+        assert loaded.config == config
         for (name, ta), (_, tb) in zip(model.parameters(), loaded.parameters()):
-            assert np.array_equal(ta.data, tb.data), name
+            assert ta.data.dtype == tb.data.dtype == np.float64, name
+            assert ta.data.tobytes() == tb.data.tobytes(), name
+            assert tb.data.flags.writeable and tb.data.flags.c_contiguous, name  # AdamW steps in place
         x = np.random.default_rng(5).uniform(0, 1, (2, 1, 32, 32))
         np.testing.assert_array_equal(model.forward(x).data, loaded.forward(x).data)
 
@@ -244,30 +277,43 @@ class TestCheckpoint:
         model = build(config, dtype=np.float32)
         path = tmp_path / "model.fkan"
         model.save(path)
-        loaded = Model.load(path, config, dtype=np.float32)
+        loaded = Model.load(path)
+        assert loaded.config == config
         for (name, ta), (_, tb) in zip(model.parameters(), loaded.parameters()):
             assert ta.data.dtype == tb.data.dtype == np.float32, name
-            assert np.array_equal(ta.data, tb.data), name
+            assert ta.data.tobytes() == tb.data.tobytes(), name
+            assert tb.data.flags.writeable and tb.data.flags.c_contiguous, name
+        build(config).save(tmp_path / "f64.fkan")
+        f32_size, f64_size = path.stat().st_size, (tmp_path / "f64.fkan").stat().st_size
+        assert f32_size - 4 * model.parameter_count == f64_size - 8 * model.parameter_count  # the same header
 
     def test_digest_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.fkan"
-        build(config_for("fuzzy", "kan")).save(path)
-        with pytest.raises(ValueError, match="digest"):
-            Model.load(path, config_for("max", "kan"))
+        build(config_for("max", "mlp", seed=3)).save(path)
+        raw = path.read_bytes()
+        for at in (40, 44, 60, len(raw) // 2, len(raw) - 1):  # the header length, the header, the values
+            flipped = bytearray(raw)
+            flipped[at] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            rejected(path, "checkpoint digest does not match its contents")
 
     def test_old_version_rejected(self, tmp_path):
         path = tmp_path / "model.fkan"
         build(config_for()).save(path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
-            Model.load(path, config_for())
+        for version in (1, 2, 4):
+            path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+            rejected(path, f"checkpoint version {version} is not 3; re-run train")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.fkan"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="checkpoint"):
-            Model.load(path, config_for())
+        rejected(path, "not a FKAN checkpoint")
+        build(config_for()).save(path)
+        raw = path.read_bytes()
+        for cut in (0, 3, 8, 40, 43):  # shorter than the magic, version, digest and header length
+            path.write_bytes(raw[:cut])
+            rejected(path, "not a FKAN checkpoint")
 
     def saved_with(self, tmp_path, edit):
         """A real checkpoint whose parameter list `edit` rewrote before saving."""
@@ -280,70 +326,112 @@ class TestCheckpoint:
         return path, config
 
     def test_missing_tensor_rejected(self, tmp_path):
-        path, config = self.saved_with(tmp_path, lambda items: items[:-1])
-        with pytest.raises(ValueError, match="lacks tensors") as exc:
-            Model.load(path, config)
-        assert str(path) in str(exc.value)
+        path, _ = self.saved_with(tmp_path, lambda items: items[:-1])
+        rejected(path, r"checkpoint tensors \[.*\['fc2.weight', \[84, 10\]\]\] are not the model's \[.*'fc2.bias'")
 
     def test_duplicate_tensor_rejected(self, tmp_path):
-        path, config = self.saved_with(tmp_path, lambda items: items + items[:1])
-        with pytest.raises(ValueError, match="duplicate tensor") as exc:
-            Model.load(path, config)
-        assert str(path) in str(exc.value)
+        path, _ = self.saved_with(tmp_path, lambda items: items + items[:1])
+        rejected(path, r"checkpoint tensors \[.*\['fc2.bias', \[10\]\], \['conv1.weight', \[6, 1, 5, 5\]\]\] are not")
 
     def test_truncated_file_rejected(self, tmp_path):
-        path, config = self.saved_with(tmp_path, lambda items: items)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(ValueError, match="truncated") as exc:
-            Model.load(path, config)
-        assert str(path) in str(exc.value)
+        path, _ = self.saved_with(tmp_path, lambda items: items)
+        raw = path.read_bytes()
+        for cut in (44, 100, len(raw) - 3):
+            path.write_bytes(raw[:cut])
+            rejected(path, "checkpoint digest does not match its contents")
+        path.write_bytes(raw)
+        (size,) = struct.unpack_from("<I", raw, 40)
+        reseal(path, payload=raw[44 + size : -3])
+        rejected(path, "493645 tensor bytes, not 493648")
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        path, config = self.saved_with(tmp_path, lambda items: items)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="trailing bytes") as exc:
-            Model.load(path, config)
-        assert str(path) in str(exc.value)
+        path, _ = self.saved_with(tmp_path, lambda items: items)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00")
+        rejected(path, "checkpoint digest does not match its contents")
+        path.write_bytes(raw)
+        (size,) = struct.unpack_from("<I", raw, 40)
+        reseal(path, payload=raw[44 + size :] + b"\x00")
+        rejected(path, "493649 tensor bytes, not 493648")
 
     def test_unexpected_tensor_rejected(self, tmp_path):
-        path, config = self.saved_with(tmp_path, lambda items: items)
-        raw = path.read_bytes()
-        assert raw.count(b"conv1.bias") == 1
-        path.write_bytes(raw.replace(b"conv1.bias", b"conv9.bias"))
-        with pytest.raises(ValueError, match="unexpected tensor 'conv9.bias'") as exc:
-            Model.load(path, config)
-        assert str(path) in str(exc.value)
+        renamed = lambda items: [("conv9.bias" if n == "conv1.bias" else n, t) for n, t in items]  # noqa: E731
+        path, _ = self.saved_with(tmp_path, renamed)
+        rejected(path, r"checkpoint tensors \[\['conv1.weight', \[6, 1, 5, 5\]\], \['conv9.bias', \[6\]\]")
+        path, _ = self.saved_with(tmp_path, lambda items: items + [("fc9.bias", T.Tensor(np.zeros(3)))])
+        rejected(path, r"checkpoint tensors \[.*\['fc9.bias', \[3\]\]\] are not the model's")
 
     def test_wrong_shape_rejected(self, tmp_path):
         # the same number of values as conv1.weight's [6, 1, 5, 5], in another shape
-        path, config = self.saved_with(
+        path, _ = self.saved_with(
             tmp_path,
             lambda items: [(n, T.Tensor(t.data.reshape(1, 6, 5, 5)) if n == "conv1.weight" else t) for n, t in items],
         )
-        with pytest.raises(ValueError, match=re.escape("tensor 'conv1.weight' shape (1, 6, 5, 5) != (6, 1, 5, 5)")) as exc:
-            Model.load(path, config)
-        assert str(path) in str(exc.value)
+        rejected(path, re.escape("checkpoint tensors [['conv1.weight', [1, 6, 5, 5]], ['conv1.bias', [6]]"))
 
     def test_shape_checked_before_values_are_read(self, tmp_path):
         # conv1.weight's header claims 2^64 values, which a uint64 product wraps to 0
-        path, config = self.saved_with(tmp_path, lambda items: items)
-        raw = path.read_bytes()
-        header = b"conv1.weight" + struct.pack("<5I", 4, 6, 1, 5, 5)
-        assert raw.count(header) == 1
-        path.write_bytes(raw.replace(header, b"conv1.weight" + struct.pack("<4I", 3, 2**22, 2**21, 2**21)))
-        with pytest.raises(ValueError, match=re.escape("tensor 'conv1.weight' shape (4194304, 2097152, 2097152) != (6, 1, 5, 5)")) as exc:
-            Model.load(path, config)
-        assert str(path) in str(exc.value)
+        path, _ = self.saved_with(tmp_path, lambda items: items)
+        edit_header(path, lambda header: header["tensors"][0].__setitem__(1, [2**22, 2**21, 2**21]))
+        rejected(path, re.escape("checkpoint tensors [['conv1.weight', [4194304, 2097152, 2097152]], ['conv1.bias'"))
 
     def test_name_not_utf8_rejected(self, tmp_path):
-        path, config = self.saved_with(tmp_path, lambda items: items)
+        path, _ = self.saved_with(tmp_path, lambda items: items)
         raw = path.read_bytes()
-        assert raw.count(b"conv1.bias") == 1
-        path.write_bytes(raw.replace(b"conv1.bias", b"conv1.\xff\xfe\xfd\xfc"))
-        with pytest.raises(ValueError, match="tensor name at byte [0-9]+ is not UTF-8") as exc:
-            Model.load(path, config)
-        assert str(path) in str(exc.value)
+        (size,) = struct.unpack_from("<I", raw, 40)
+        header = raw[44 : 44 + size]
+        assert header.count(b"conv1.bias") == 1
+        reseal(path, header=header.replace(b"conv1.bias", b"conv1.\xff\xfe\xfd\xfc"))
+        rejected(path, "checkpoint header: 'utf-8' codec can't decode byte 0xff")
+        reseal(path, header=header[:-1])
+        rejected(path, "checkpoint header: Expecting")
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ([], "checkpoint header: must be an object with the keys config, dtype and tensors"),
+            ({"config": {}, "dtype": "float64"}, "must be an object with the keys config, dtype and tensors"),
+            ({"config": {}, "dtype": "float64", "tensors": [], "x": 1}, "must be an object with the keys"),
+        ],
+    )
+    def test_header_holds_config_dtype_and_tensors(self, tmp_path, header, message):
+        path, _ = self.saved_with(tmp_path, lambda items: items)
+        reseal(path, header=json.dumps(header).encode())
+        rejected(path, message)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"pooling": {"membership": {"rmax": 6}}}, "checkpoint header: unknown config key 'pooling.membership.rmax'"),
+            ({"seed": "3"}, "checkpoint header: seed must be int, got '3'"),
+            ({"head_widths": [120.0, 84]}, "checkpoint header: head_widths must be"),
+            ("max", "checkpoint header: config must be an object"),
+            ({"seed": -3}, "checkpoint header: seed must be >= 0, got -3"),
+            ({"pooling": {"stride": 3}}, "checkpoint header: window 2x2 with stride 3 does not tile"),
+        ],
+    )
+    def test_bad_config_rejected(self, tmp_path, config, message):
+        path, _ = self.saved_with(tmp_path, lambda items: items)
+        edit_header(path, lambda header: header.__setitem__("config", config))
+        rejected(path, message)
+
+    @pytest.mark.parametrize("dtype", ["float16", "int64", "<f8", None, ["float64"]])
+    def test_dtype_is_float32_or_float64(self, tmp_path, dtype):
+        path, _ = self.saved_with(tmp_path, lambda items: items)
+        edit_header(path, lambda header: header.__setitem__("dtype", dtype))
+        rejected(path, re.escape(f"checkpoint header: dtype must be float32 or float64, got {dtype!r}"))
+
+    def test_dtype_sets_the_value_width(self, tmp_path):
+        # an f64 payload read as float32 is twice as long as the model's tensors
+        path, _ = self.saved_with(tmp_path, lambda items: items)
+        edit_header(path, lambda header: header.__setitem__("dtype", "float32"))
+        rejected(path, "493648 tensor bytes, not 246824")
+
+    def test_tiny_test_build_is_a_tensor_mismatch(self, tmp_path):
+        path = tmp_path / "tiny.fkan"
+        build(config_for("fuzzy", "kan"), input_hw=16, conv_channels=(2, 3)).save(path)
+        rejected(path, r"checkpoint tensors \[\['conv1.weight', \[2, 1, 5, 5\]\].* are not the model's")
 
     def test_intact_file_loads(self, tmp_path):
         path, config = self.saved_with(tmp_path, lambda items: items)
-        Model.load(path, config)
+        assert Model.load(path).config == config

@@ -442,6 +442,23 @@ class TestFuzzyPaths:
         assert out[0, 0, 0, 0] == fuzzy_window_reference(patch, PARAMS)
         assert np.all(grad == 0.25)
 
+    @pytest.mark.parametrize(
+        "window, expected",
+        [
+            ([[np.inf, 0.0], [0.0, 0.0]], np.nan),  # mu1 and mu3 tie at 1, mu1 wins, and mu1(inf) * inf is NaN
+            ([[np.inf, 5.0], [5.0, 5.0]], np.inf),
+            ([[-np.inf, 0.0], [0.0, 0.0]], -np.inf),
+            ([[np.inf, np.inf], [np.inf, np.inf]], np.inf),
+            ([[-np.inf, -np.inf], [-np.inf, -np.inf]], -np.inf),
+        ],
+    )
+    def test_infinite_entries_pool_like_the_reference(self, window, expected):
+        patch = np.array(window)
+        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf in the COG rule
+            out = pool(T.Tensor(patch[None, None]), PoolConfig(kind="fuzzy", membership=PARAMS)).data
+            reference = fuzzy_window_reference(patch, PARAMS)
+        np.testing.assert_equal([out[0, 0, 0, 0], reference], [expected, expected])  # a NaN equals a NaN
+
     def test_minus_inf_window_has_nan_gradient(self):
         values = np.array([[-np.inf, 0.2, 0.5, 0.5], [0.3, 0.1, 0.5, 0.5]])
         with np.errstate(invalid="ignore"):  # -inf * 0 in the COG rule

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,32 @@ class TestActivations:
 
     def test_tanh(self):
         np.testing.assert_allclose(T.activate("tanh", tensor([0.5])).data, np.tanh([0.5]))
+
+    def test_relu_forward_builds_no_derivative(self):
+        # the eager derivative held a bool mask and a full-size f64 copy of it: about 2.1x the output
+        x = T.Tensor(np.random.default_rng(3).normal(size=1_000_000), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = T.activate("relu", x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.data.nbytes
+
+    @pytest.mark.parametrize("kind", ["relu", "tanh"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gradient_is_upstream_times_derivative(self, kind, dtype):
+        rng = np.random.default_rng(6)
+        x = np.concatenate([[0.0, -0.0, 1e-310, -1e-310, 20.0, -20.0], rng.normal(0, 2, 200)]).astype(dtype)
+        g = rng.normal(0, 1, x.shape).astype(dtype)
+        xt = T.Tensor(x, requires_grad=True)
+        T.reduce_sum(T.mul(T.activate(kind, xt), T.Tensor(g))).backward()
+        out = np.maximum(x, 0.0) if kind == "relu" else np.tanh(x)
+        dact = (x > 0).astype(dtype) if kind == "relu" else 1.0 - out * out
+        want = np.zeros_like(x)
+        want += g * dact  # as accumulate_grad adds it, which turns -0.0 into 0.0
+        assert xt.grad.dtype == dtype
+        assert xt.grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_sigmoid_matches_two_branch_formula(self, dtype):
