@@ -131,7 +131,7 @@ def _run(cfg: RunConfig, runs: dict[str, RunConfig]) -> list[dict]:
         try:
             models.append(build(run.model, dtype=PRECISIONS[run.precision]))
         except ValueError as e:
-            raise UsageError(f"model.pooling: {e}") from None
+            raise UsageError(f"model.{e}") from None  # build names the field at fault
     if not cfg.data_dir:
         raise DataError("no dataset directory: pass --data-dir or set FUZZY_KAN_DATA")
     train_set = load_dataset(cfg.model.dataset, cfg.data_dir, "train")

@@ -207,15 +207,23 @@ def build(
     n_classes: int = 10,
     dtype=np.float64,
 ) -> Model:
-    """Construct a model with ``dtype`` (float64 or float32) parameters; the sizes are for tiny test builds."""
+    """Construct a model with ``dtype`` (float64 or float32) parameters; the sizes are for tiny test builds.
+
+    A config that cannot be built raises ``ValueError`` starting with the
+    field at fault: ``pooling`` that does not tile, or ``head_widths`` too
+    large to allocate.
+    """
     rng = np.random.default_rng(config.seed)
     c_in = config.in_channels
     f1, f2 = conv_channels
     k1, k2 = conv_kernel
     pooling = (config.pooling.k, config.pooling.stride)
     hw = input_hw
-    for k, stride in ((k1, 1), pooling, (k2, 1), pooling):
-        hw = T.windows(np.empty((0, 0, hw, hw)), k, stride).shape[2]  # the stage's own tiling check
+    try:
+        for k, stride in ((k1, 1), pooling, (k2, 1), pooling):
+            hw = T.windows(np.empty((0, 0, hw, hw)), k, stride).shape[2]  # the stage's own tiling check
+    except ValueError as e:
+        raise ValueError(f"pooling: {e}") from None
     flat = f2 * hw * hw
 
     params: dict[str, T.Tensor] = {}
@@ -241,20 +249,23 @@ def build(
 
     kan_layers: list[KanLayerParams] = []
     widths = (flat,) + config.resolved_head_widths() + (n_classes,)
-    for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
-        if config.head == "mlp":
-            weight = param(f"fc{i}.weight", _glorot_uniform(rng, (n_in, n_out), n_in, n_out))
-            bias = param(f"fc{i}.bias", np.zeros(n_out))
-            stages.append((f"fc{i}", partial(_dense, weight=weight, bias=bias)))
-            if i < len(widths) - 2:
-                stages.append((f"fc{i}.act", act))
-        else:
-            layer = kan_init(n_in, n_out, config.kan_grid, seed=rng.integers(2**31))
-            params[f"kan{i}.coeffs"] = layer.coeffs
-            params[f"kan{i}.w_b"] = layer.w_b
-            params[f"kan{i}.w_s"] = layer.w_s
-            kan_layers.append(layer)
-            stages.append((f"kan{i}", partial(kan_layer_forward, params=layer)))
+    try:
+        for i, (n_in, n_out) in enumerate(zip(widths[:-1], widths[1:])):
+            if config.head == "mlp":
+                weight = param(f"fc{i}.weight", _glorot_uniform(rng, (n_in, n_out), n_in, n_out))
+                bias = param(f"fc{i}.bias", np.zeros(n_out))
+                stages.append((f"fc{i}", partial(_dense, weight=weight, bias=bias)))
+                if i < len(widths) - 2:
+                    stages.append((f"fc{i}.act", act))
+            else:
+                layer = kan_init(n_in, n_out, config.kan_grid, seed=rng.integers(2**31))
+                params[f"kan{i}.coeffs"] = layer.coeffs
+                params[f"kan{i}.w_b"] = layer.w_b
+                params[f"kan{i}.w_s"] = layer.w_s
+                kan_layers.append(layer)
+                stages.append((f"kan{i}", partial(kan_layer_forward, params=layer)))
+    except (MemoryError, ValueError) as e:  # numpy's errors for an array it cannot allocate or index
+        raise ValueError(f"head_widths: {list(widths[1:-1])} cannot be allocated: {e}") from None
 
     for t in params.values():
         t.data = t.data.astype(dtype, copy=False)

@@ -19,12 +19,24 @@ reduction index (c,u,v) only selects which axpy runs next, so each output
 still adds its terms one at a time in ascending (c,u,v) order, from 0, as
 the nested loops do.  The output array is passed in (``out=``): einsum would
 otherwise allocate it in its operands' (f, n, (i,j)) memory order, and that
-layout would flow on through the activation into the gradient.  The
-backward keeps the row-major formulas' operands.  It copies the gradient
+layout would flow on through the activation into the gradient.
+
+The forward never holds the whole im2col.  It walks the batch in blocks of
+images, ``_COL_BLOCK`` im2col elements at most (one image at least), and
+contracts each block's columns, in the same [(c,u,v), n, (i,j)] layout, into
+that block's rows of the output.  No output sums across images, so each
+output still adds the same terms in the same ascending (c,u,v) order, and
+every bit matches the unblocked contraction.  At the eval conv1 shape the
+full im2col is 75 x 256 x 784 doubles (120 MB); a block is 512 KB, so it
+stays in cache and is never freshly mapped memory.
+
+The backward keeps the row-major formulas' operands.  It copies the gradient
 into a C-ordered [(n,i,j), F] matrix, whose rows the bias gradient sums in
 sequence (an F-ordered view would sum them pairwise), and the kernel
 gradient is one GEMM of that matrix against the free [(n,i,j), (c,u,v)]
-view of the im2col.
+view of the im2col.  The backward rebuilds that full im2col from ``x.data``,
+and only when the kernels need a gradient: like every rule on the tape, it
+assumes its operands are unchanged until the backward runs.
 
 This module alone knows the k-by-k window layout.  ``windows`` is the checked
 strided [N,C,Ho,Wo,k,k] view, ``fold_windows`` folds each window's entries in
@@ -43,6 +55,7 @@ import operator
 import numpy as np
 
 _node_counter = itertools.count()
+_COL_BLOCK = 65536  # im2col elements per conv2d forward block (at least one image): 512 KB in f64
 
 
 def default_dtype():
@@ -252,6 +265,12 @@ def scatter_windows(dwin: np.ndarray, shape, stride: int) -> np.ndarray:
     return dx
 
 
+def _im2col(win: np.ndarray) -> np.ndarray:
+    """The [(c,u,v), N, (i,j)] columns of an [N,C,Ho,Wo,k,k] window view, C-contiguous."""
+    n, c, ho, wo, k, _ = win.shape
+    return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, n, ho * wo)
+
+
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
     """Valid (no-padding) 2-D cross-correlation.
 
@@ -270,10 +289,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
     # output pixels (i,j) and adds each output's terms in ascending (c,u,v)
     # order from 0, the nested-loop order.  Left to itself einsum would
     # allocate its output in (f, n, (i,j)) order; out= keeps it C-ordered NCHW.
-    col = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(ckk, n, p)
+    # No output sums across images, so each block of images gets its own
+    # columns, and no im2col outlives the forward (module docstring).
     w2 = kernels.data.reshape(f, ckk)
-    out3 = np.empty((n, f, p), dtype=np.result_type(w2, col))
-    np.einsum("fk,knp->nfp", w2, col, optimize=False, out=out3)
+    out3 = np.empty((n, f, p), dtype=np.result_type(w2, x.data))
+    step = max(1, _COL_BLOCK // (ckk * p))
+    for lo in range(0, n, step):
+        np.einsum("fk,knp->nfp", w2, _im2col(win[lo : lo + step]), optimize=False, out=out3[lo : lo + step])
     if bias is not None:
         out3 = out3 + bias.data[:, None]
     out_data = out3.reshape(n, f, ho, wo)
@@ -284,7 +306,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
         g2 = np.ascontiguousarray(g3.transpose(0, 2, 1)).reshape(n * p, f)
         if bias is not None:
             accumulate_grad(bias, g2.sum(axis=0))
-        accumulate_grad(kernels, (g2.T @ col.reshape(ckk, n * p).T).reshape(f, c, k, k))
+        if kernels.requires_grad:
+            accumulate_grad(kernels, (g2.T @ _im2col(win).reshape(ckk, n * p).T).reshape(f, c, k, k))
         if x.requires_grad:
             dwin = np.matmul(w2.T, g3).reshape(n, c, k, k, ho, wo).transpose(0, 1, 4, 5, 2, 3)
             accumulate_grad(x, scatter_windows(dwin, x.shape, stride))

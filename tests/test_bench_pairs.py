@@ -1,6 +1,7 @@
 """The verdict of tools/bench_pairs.py on canned results; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -160,3 +161,28 @@ def test_odd_number_of_seeds_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--seeds must list an even number of seeds" in err and err.rstrip().endswith("got 3")
     assert not (tmp_path / "pairs.jsonl").exists()
+
+
+def test_raw_figures_are_shown_and_leave_the_verdict_alone(tmp_path, monkeypatch, capsys):
+    # the change runs at the parent's raw speed while the speed probe reads it 10% faster
+    # (a higher scale), so only its scaled figures move: the raw lines show where it came from
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": list(METRICS.values())}))
+    runs = {"parent": iter([(500.0, 1.0), (510.0, 1.02)]), "change": iter([(505.0, 1.1), (495.0, 1.12)])}
+
+    def canned(checkout, workload, seed, seconds):
+        side = "parent" if checkout.name == "parent" else "change"
+        raw, scale = next(runs[side])
+        details = {"raw": {"samples_per_s": raw}, "speed_scale": {"median": scale}}
+        line = result(raw * scale)
+        return [json.dumps(details), json.dumps(line)], line
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "train-max-mlp",
+            "--seeds", "1-2", "--raw", str(tmp_path / "pairs.jsonl")]
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "parent: raw samples_per_s median 505, speed_scale median 1.01 (information only)" in out
+    assert "change: raw samples_per_s median 500, speed_scale median 1.11 (information only)" in out
+    assert out[-1] == "NO REGRESSION"

@@ -201,8 +201,10 @@ class TestTrainCommand:
         [
             ({}, ["--seed", "-1"], "--seed: seed must be >= 0, got -1"),
             ({"model": {"pooling": {"stride": 3}}}, [], "model.pooling: window 2x2 with stride 3 does not tile input 28x28 exactly"),
+            # a width whose first head layer needs petabytes: the allocation fails outright
+            ({"model": {"head_widths": [10**12]}}, [], "model.head_widths: [1000000000000] cannot be allocated: "),
         ],
-        ids=["seed-negative", "pooling-stride-3"],
+        ids=["seed-negative", "pooling-stride-3", "head-widths-petabytes"],
     )
     def test_run_checked_before_data_is_read(self, tmp_path, capsys, monkeypatch, command, payload, flags, named):
         monkeypatch.delenv("FUZZY_KAN_DATA", raising=False)

@@ -43,6 +43,14 @@ class TestConfig:
                 ModelConfig(head_widths=widths)
         assert build(config_for(head_widths=())).stages[-1][0] == "fc0"  # no hidden layer
 
+    # each first head layer needs petabytes or more than numpy can index, so
+    # its allocation fails outright and no memory is touched
+    @pytest.mark.parametrize("width", [10**12, 2**62, 10**30])
+    @pytest.mark.parametrize("head", ["mlp", "kan"])
+    def test_head_widths_too_large_to_allocate(self, head, width):
+        with pytest.raises(ValueError, match=re.escape(f"head_widths: [{width}] cannot be allocated: ")):
+            build(config_for(head=head, head_widths=(width,)))
+
     def test_default_widths(self):
         assert config_for(head="mlp").resolved_head_widths() == (120, 84)
         assert config_for(head="kan").resolved_head_widths() == (84,)
@@ -407,7 +415,8 @@ class TestCheckpoint:
             ({"head_widths": [120.0, 84]}, "checkpoint header: head_widths must be"),
             ("max", "checkpoint header: config must be an object"),
             ({"seed": -3}, "checkpoint header: seed must be >= 0, got -3"),
-            ({"pooling": {"stride": 3}}, "checkpoint header: window 2x2 with stride 3 does not tile"),
+            ({"pooling": {"stride": 3}}, "checkpoint header: pooling: window 2x2 with stride 3 does not tile"),
+            ({"head_widths": [10**12]}, r"checkpoint header: head_widths: \[1000000000000\] cannot be allocated"),
         ],
     )
     def test_bad_config_rejected(self, tmp_path, config, message):

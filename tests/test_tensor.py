@@ -243,6 +243,49 @@ class TestConv2d:
                 assert got.dtype == param.dtype
                 assert np.array_equal(got, want.astype(param.dtype))
 
+    @pytest.mark.parametrize(
+        "x_dtype, k_dtype, b_dtype",
+        [
+            (np.float64, np.float64, np.float64),
+            (np.float32, np.float32, np.float32),
+            (np.float32, np.float64, np.float64),
+            (np.float32, np.float64, None),
+            (np.float64, np.float32, np.float32),
+            (np.float32, np.float32, np.float64),
+        ],
+    )
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_blocks_match_row_major_im2col(self, monkeypatch, stride, x_dtype, k_dtype, b_dtype):
+        # two images per forward block, so 5 images are two whole blocks and a partial one
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-2, 2, (5, 3, 9, 9)).astype(x_dtype)
+        kernels = rng.uniform(-1, 1, (4, 3, 3, 3)).astype(k_dtype)
+        bias = None if b_dtype is None else rng.uniform(-1, 1, 4).astype(b_dtype)
+        ho = (9 - 3) // stride + 1
+        monkeypatch.setattr(T, "_COL_BLOCK", 2 * 27 * ho * ho + 1)
+        dtype = np.result_type(*(a for a in (x, kernels, bias) if a is not None))
+        g = rng.uniform(-1, 1, (5, 4, ho, ho)).astype(dtype)
+        out, grads = conv2d_grads(x, kernels, bias, stride, g)
+        ref_out, ref_grads = row_major_conv2d(x, kernels, bias, stride, g)
+        assert out.dtype == ref_out.dtype and out.tobytes() == np.ascontiguousarray(ref_out).tobytes()
+        for got, want, param in zip(grads, ref_grads, (x, kernels, bias)):
+            if param is not None:
+                assert got.dtype == param.dtype and got.tobytes() == want.astype(param.dtype).tobytes()
+
+    def test_forward_keeps_no_im2col(self):
+        # the full [(c,u,v), N, (i,j)] im2col is 75 x 64 x 784 doubles (30 MB), 12.5x the output
+        rng = np.random.default_rng(12)
+        x = T.Tensor(rng.uniform(-1, 1, (64, 3, 32, 32)))
+        kernels = T.Tensor(rng.uniform(-1, 1, (6, 3, 5, 5)), requires_grad=True)
+        bias = T.Tensor(np.zeros(6), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, kernels, bias)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < out.data.nbytes + T._COL_BLOCK * out.data.itemsize
+
     def test_stride(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, (1, 1, 6, 6))

@@ -22,6 +22,10 @@ beats every parent run; the verdict line names it, and the exit status does
 not depend on it.  A metric that any run of either side reports as null
 (perfbench writes null for a non-finite value) counts as worse than its
 bound, and the verdict line names it too.
+Before the table, one line per side gives the median raw (unscaled)
+``samples_per_s`` and the median ``speed_scale`` from the runs' details
+lines, for information only: a scale that moves between the sides moves the
+scaled figures with it, and the verdict does not use these two.
 The verdict applies the benchmark rule to ``--metric``: the change wins at
 least 9 of 10 pairs (ties count for neither side), the medians differ by
 more than the parent's interquartile range, no larger share of operations
@@ -60,7 +64,7 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[list[str], dict]:
-    """One untraced benchmark run; returns its output lines and its result line."""
+    """One untraced benchmark run; returns its output lines, which end with the details and the result line, and its result line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
@@ -81,6 +85,16 @@ def value(result: dict, name: str) -> float:
     """The metric's value; NaN where the run wrote null, as perfbench does for a non-finite value."""
     v = result["metrics"][name]["value"]
     return math.nan if v is None else v
+
+
+def raw_figures(details: dict) -> list[str]:
+    """Each side's median raw samples/s and median speed scale, from its runs' details lines; for information only."""
+    lines = []
+    for side, rows in details.items():
+        raw = statistics.median(d["raw"]["samples_per_s"] for d in rows)
+        scale = statistics.median(d["speed_scale"]["median"] for d in rows)
+        lines.append(f"{side}: raw samples_per_s median {raw:.4g}, speed_scale median {scale:.4g} (information only)")
+    return lines
 
 
 def better(a: float, b: float, direction: str) -> bool:
@@ -176,6 +190,7 @@ def main(argv=None) -> int:
     seconds = args.seconds or bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results = {"parent": [], "change": []}
+    details = {"parent": [], "change": []}
 
     with args.raw.open("a") as raw:
         for i, seed in enumerate(args.seeds):
@@ -183,6 +198,7 @@ def main(argv=None) -> int:
             for side in order:
                 lines, result = run_once(sides[side], args.workload, seed, seconds)
                 results[side].append(result)
+                details[side].append(json.loads(lines[-2]))
                 for line in lines:
                     record = {"pair": i, "seed": seed, "side": side, "first": order[0], "line": line}
                     raw.write(json.dumps(record) + "\n")
@@ -195,6 +211,7 @@ def main(argv=None) -> int:
                   f"parent {p:10.4g}  change {c:10.4g}  ({ratio:.3f}x)  {winner}", flush=True)
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs of {seconds:g} s runs")
+    print("\n".join(raw_figures(details)))
     lines, met = report(results, metrics, args.metric)
     print("\n".join(lines))
     return 0 if met else 1
