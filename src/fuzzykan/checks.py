@@ -89,29 +89,33 @@ def sample_fuzzy_safe_input(shape, rng, params: MembershipParams, lo=-1.0, hi=8.
 
 def _fuzzy_score_margins(x: np.ndarray, config: PoolConfig) -> float:
     """Smallest gap between the winning score and the runner-up, any window."""
-    _, scores = fuzzy_scores(T.windows(np.asarray(x, dtype=float), config.k, config.stride), config.membership)
+    scores, _, _ = fuzzy_scores(T.windows(np.asarray(x, dtype=float), config.k, config.stride), config.membership)
     runner_up, top = np.sort(scores, axis=0)[-2:]
     return float((top - runner_up).min())
 
 
-def check_pool_oracle(n_windows: int = 1000, k: int = 2, seed: int = 0):
+def check_pool_oracle(k: int = 2, seed: int = 0):
     """Vectorized pooling vs the scalar per-window reference, exact match.
 
+    The batch is five images of ``tensor.IMAGE_BLOCK / 2`` window entries
+    each, so ``pool`` walks it as two whole image blocks and a partial one,
+    and every window on either side of a block seam is checked too.
     Returns (ok, max_abs_diff) over all three pooling kinds; a NaN fails.
     """
     rng = np.random.default_rng(seed)
     params = MembershipParams()
     worst = 0.0
-    x = rng.uniform(-1.0, 8.0, (n_windows, 1, k, k))
+    rows = T.IMAGE_BLOCK // (2 * k * k)  # windows per image, in one column
+    x = rng.uniform(-1.0, 8.0, (5, 1, rows * k, k))
+    patches = x.reshape(-1, k, k)  # every window, in output order
     # half the windows lie wholly below c, negatives included, so fuzzy pooling
     # averages them; every other one of those gets one entry exactly at c
-    x[::2] = rng.uniform(-1.0, params.c, x[::2].shape)
-    x[::4, 0, 0, 0] = params.c
+    patches[::2] = rng.uniform(-1.0, params.c, patches[::2].shape)
+    patches[::4, 0, 0] = params.c
     for kind in ("max", "average", "fuzzy"):
         config = PoolConfig(kind=kind, k=k, stride=k)
         out = pool(T.Tensor(x), config).data.reshape(-1)
-        for w in range(n_windows):
-            patch = x[w, 0]
+        for w, patch in enumerate(patches):
             if kind == "max":
                 expected = patch.max()
             elif kind == "average":

@@ -13,9 +13,16 @@ Fuzzy pooling splits the windows in two.  A window whose entries are all
 finite and below c has mu1 == 1 and mu2 == mu3 == 0 everywhere, because
 a = r_max/4 and r = r_max/2 both exceed c = r_max/6; so v* = 1, the output
 is the window mean, and the COG gradient reduces to 1/(k*k), all bit for
-bit.  The other windows form one (M, k, k) block, which ``fuzzy_scores``
-fuzzifies once and scores with one fold; ``np.choose`` takes the winning
-set's memberships and, in backward, its derivatives.
+bit.  The other windows of an image block are gathered into one (M, k, k)
+array, which ``fuzzy_scores`` fuzzifies once into the block's [3, M, k, k]
+memberships; it folds each set's algebraic-sum score, COG numerator and COG
+denominator in place into [3, M] arrays.  Selection comes after the folds:
+v* is picked per window from the scores, and the output divides the
+winner's numerator by its denominator, so selecting touches [M] arrays and
+no membership is gathered again.  Each fold makes the sums of the scalar
+oracle, so the output keeps its bits.  The forward keeps only v* for the
+backward (-1 for an averaged window), which rebuilds the winner's
+memberships, COG folds and derivatives from the input.
 
 The COG of a fuzzified window divides by the mass ``den`` of its winning
 set, and ``den`` is never small.  For any finite x, max(mu1, mu2, mu3) >=
@@ -36,12 +43,18 @@ entries above q instead, mu3 wins alone and the window pools to inf.  No
 finite training reaches such a window: a non-finite logit stops ``train``
 with ``NumericalError``.
 
-``pool`` takes the window view from ``tensor.windows``.  Each kind maps that
-view to its pooled values plus a function from the output gradient to a
-gradient per window entry, and ``pool`` adds that back onto the input with
-``tensor.scatter_windows``.  Every sum, score and mask over a window's
-entries is a ``tensor.fold_windows``, which walks them in the row-major
-order of the scalar oracles.
+``pool`` takes the window view from ``tensor.windows`` and walks it in
+``tensor.image_blocks``: blocks of whole images, at most
+``tensor.IMAGE_BLOCK`` window entries each, the rule ``conv2d`` uses.  Each
+kind pools one block into that block's rows of the output and of one
+per-window state array (the max-pool argmax, the fuzzy v*), and maps the
+block's output gradient to a gradient per window entry, which ``pool`` adds
+onto the block's rows of the input gradient with ``tensor.scatter_windows``.
+No window spans two images, so every output and gradient has the bits of
+one pass over the batch, while a block's temporaries stay a few hundred KB.
+Every sum, score and mask over a window's entries is a
+``tensor.fold_windows``, which walks them in the row-major order of the
+scalar oracles.
 """
 
 from __future__ import annotations
@@ -254,89 +267,122 @@ def fuzzy_window_reference(patch, params: MembershipParams) -> float:
 
 
 def pool(x: T.Tensor, config: PoolConfig) -> T.Tensor:
-    """Apply the configured pooling to [N,C,H,W], per channel slice."""
+    """Apply the configured pooling to [N,C,H,W], per channel slice, one ``tensor.image_blocks`` block at a time."""
     if x.ndim != 4:
         raise ValueError("pool expects [N,C,H,W]")
     win = T.windows(x.data, config.k, config.stride)
-    if config.kind == "max":
-        out_data, window_grad = _max_pool(win)
-    elif config.kind == "average":
-        out_data, window_grad = _average_pool(win)
-    else:
-        out_data, window_grad = _fuzzy_pool(win, config.membership)
+    pool_block, window_grad = _KINDS[config.kind]
+    blocks = T.image_blocks(win)
+    out_data = np.empty(win.shape[:4], dtype=win.dtype)
+    # what the backward needs of each window, in one array made before the blocks:
+    # max pooling's argmax, or the fuzzy winner v* (-1 for an averaged window)
+    state = np.empty(win.shape[:4], dtype=np.int32)
+    for b in blocks:
+        pool_block(win[b], out_data[b], state[b], config.membership)
 
     def backward(g):
-        T.accumulate_grad(x, T.scatter_windows(window_grad(g), x.shape, config.stride))
+        dx = np.zeros(x.shape, dtype=g.dtype)
+        for b in blocks:
+            T.scatter_windows(window_grad(win[b], g[b], state[b], config.membership), dx[b], config.stride)
+        T.accumulate_fresh_grad(x, dx)
 
     return T.from_op(out_data, (x,), backward)
 
 
-def _max_pool(win):
+# Each kind pools one block of windows [n,C,Ho,Wo,k,k] into ``out`` and ``state``
+# [n,C,Ho,Wo], and maps the block's output gradient to a gradient per window entry.
+
+
+def _max_pool(win, out, state, params):
     """First-argmax value; the gradient goes to that one window entry."""
     n, c, ho, wo, k, _ = win.shape
     flat = win.reshape(n, c, ho, wo, k * k)
-    idx = flat.argmax(axis=-1)[..., None]  # first occurrence on ties
-    out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
+    idx = flat.argmax(axis=-1)  # first occurrence on ties
+    out[...] = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    state[...] = idx
 
-    def window_grad(g):
-        onehot = np.arange(k * k) == idx
-        return (onehot * g[..., None]).reshape(win.shape)
 
-    return out, window_grad
+def _max_window_grad(win, g, state, params):
+    k = win.shape[-1]
+    onehot = np.arange(k * k) == state[..., None]
+    return (onehot * g[..., None]).reshape(win.shape)
+
+
+def _add_into(acc, x):
+    return np.add(acc, x, out=acc)
+
+
+def _algebraic_sum_into(s, p):
+    """s + p - s * p, computed into s."""
+    sp = s * p
+    s += p
+    s -= sp
+    return s
 
 
 def _window_sum(win):
     """Each window's entries added one at a time, row-major, as the scalar oracles fold them."""
-    return T.fold_windows(win, np.add, np.zeros(win.shape[:-2], dtype=win.dtype))
+    return T.fold_windows(win, _add_into, np.zeros(win.shape[:-2], dtype=win.dtype))
 
 
-def _window_mean(win):
+def _average_pool(win, out, state, params):
     k = win.shape[-1]
-    return _window_sum(win) / (k * k)
+    np.divide(_window_sum(win), k * k, out=out)
 
 
-def _average_pool(win):
+def _average_window_grad(win, g, state, params):
     k = win.shape[-1]
-    return _window_mean(win), lambda g: np.broadcast_to((g / (k * k))[..., None, None], win.shape)
+    return np.broadcast_to((g / (k * k))[..., None, None], win.shape)
 
 
 def fuzzy_scores(win, params: MembershipParams):
-    """Memberships [3, ..., k, k] of windows [..., k, k] and their algebraic-sum scores [3, ...].
+    """Each membership set's algebraic-sum score, COG numerator and COG denominator, [3, ...] each, over windows [..., k, k].
 
-    In ``win``'s dtype; each score folds its window row-major, as ``algebraic_sum_score`` does.
+    In ``win``'s dtype; every fold walks a window row-major, as ``algebraic_sum_score`` and ``defuzzify_cog`` do.
     """
     pis = np.stack(fuzzify(win, params)).astype(win.dtype, copy=False)
-    scores = T.fold_windows(pis, lambda s, p: s + p - s * p, np.zeros(pis.shape[:-2], dtype=win.dtype))
-    return pis, scores
+    scores, nums, dens = np.zeros((3,) + pis.shape[:-2], dtype=win.dtype)
+    T.fold_windows(pis, _algebraic_sum_into, scores)
+    T.fold_windows(pis, _add_into, dens)
+    T.fold_windows(np.multiply(pis, win, out=pis), _add_into, nums)
+    return scores, nums, dens
 
 
-def _fuzzy_pool(win, params: MembershipParams):
-    """Windows wholly below c are averaged; the rest are fuzzified as one (M, k, k) block."""
+def _fuzzy_pool(win, out, state, params: MembershipParams):
+    """Windows wholly below c are averaged; the rest are folded once per set, and each keeps its winner's COG."""
     k = win.shape[-1]
-    out = _window_mean(win)
+    np.divide(_window_sum(win), k * k, out=out)
     # every entry finite and below c: mu1 == 1, mu2 == mu3 == 0, so v* = 1 and the
     # COG is the window mean (a finite mean rules out -inf and an overflowing sum)
-    fast = T.fold_windows(win, lambda f, x: f & (x < params.c), np.isfinite(out))
+    fast = T.fold_windows(win, lambda f, x: np.logical_and(f, x < params.c, out=f), np.isfinite(out))
     rest = ~fast
-    w = win[rest]
+    scores, nums, dens = fuzzy_scores(win[rest], params)
+    v_star = scores.argmax(axis=0)  # first max -> lowest v on ties
+    out[rest] = np.choose(v_star, nums) / np.choose(v_star, dens)  # den >= 3/7 (module docstring)
+    state[...] = -1
+    state[rest] = v_star
 
-    pis, scores = fuzzy_scores(w, params)
-    v_star = scores.argmax(axis=0)[:, None, None]  # first max -> lowest v on ties
-    sel = np.choose(v_star, pis)
 
-    num, den = _window_sum(sel * w), _window_sum(sel)
-    out[rest] = num / den  # den >= 3/7 (module docstring)
+def _fuzzy_window_grad(win, g, state, params: MembershipParams):
+    k = win.shape[-1]
+    # an averaged window's entry gradient is the COG rule below at dsel = 0 and den = k*k
+    dwin = np.empty(win.shape, dtype=np.result_type(g, win))
+    dwin[...] = (g * (win.dtype.type(1.0) / (k * k)))[..., None, None]
+    # v* is held constant; the winner's memberships, its COG folds (as the forward
+    # made them) and its derivatives come from the input, which the tape keeps unchanged
+    rest = state >= 0
+    w, winner = win[rest], state[rest][:, None, None]
+    sel = np.choose(winner, fuzzify(w, params)).astype(win.dtype, copy=False)
+    dsel = np.choose(winner, [membership_derivative(v, w, params) for v in (1, 2, 3)]).astype(win.dtype, copy=False)
+    den = _window_sum(sel)[:, None, None]
+    num = _window_sum(sel * w)[:, None, None]
+    dw = (sel + dsel * w) / den - num * dsel / (den * den)
+    dwin[rest] = g[rest][:, None, None] * dw
+    return dwin
 
-    def window_grad(g):
-        # an averaged window's entry gradient is the COG rule below at dsel = 0 and den = k*k
-        dwin = np.empty(win.shape, dtype=np.result_type(g, win))
-        dwin[...] = (g * (win.dtype.type(1.0) / (k * k)))[..., None, None]
-        # selection v* is held constant; memberships are differentiated
-        dsel = np.choose(v_star, [membership_derivative(v, w, params) for v in (1, 2, 3)]).astype(win.dtype, copy=False)
-        den_e = den[:, None, None]
-        num_e = num[:, None, None]
-        dw = (sel + dsel * w) / den_e - num_e * dsel / (den_e * den_e)
-        dwin[rest] = g[rest][:, None, None] * dw
-        return dwin
 
-    return out, window_grad
+_KINDS = {
+    "max": (_max_pool, _max_window_grad),
+    "average": (_average_pool, _average_window_grad),
+    "fuzzy": (_fuzzy_pool, _fuzzy_window_grad),
+}

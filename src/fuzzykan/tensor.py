@@ -21,14 +21,15 @@ the nested loops do.  The output array is passed in (``out=``): einsum would
 otherwise allocate it in its operands' (f, n, (i,j)) memory order, and that
 layout would flow on through the activation into the gradient.
 
-The forward never holds the whole im2col.  It walks the batch in blocks of
-images, ``_COL_BLOCK`` im2col elements at most (one image at least), and
-contracts each block's columns, in the same [(c,u,v), n, (i,j)] layout, into
-that block's rows of the output.  No output sums across images, so each
-output still adds the same terms in the same ascending (c,u,v) order, and
-every bit matches the unblocked contraction.  At the eval conv1 shape the
-full im2col is 75 x 256 x 784 doubles (120 MB); a block is 512 KB, so it
-stays in cache and is never freshly mapped memory.
+The forward never holds the whole im2col.  It walks the batch in the image
+blocks of ``image_blocks`` and contracts each block's columns, in the same
+[(c,u,v), n, (i,j)] layout, into that block's rows of the output.  No output
+sums across images, so each output still adds the same terms in the same
+ascending (c,u,v) order, and every bit matches the unblocked contraction.
+At the eval conv1 shape the full im2col is 75 x 256 x 784 doubles (120 MB);
+a block is 512 KB, so it stays in cache and is never freshly mapped memory.
+The bias is added into the output in place, unless the bias's dtype is the
+wider one: then the sum is a new array of that dtype, as ``out + bias`` is.
 
 The backward keeps the row-major formulas' operands.  It copies the gradient
 into a C-ordered [(n,i,j), F] matrix, whose rows the bias gradient sums in
@@ -45,6 +46,19 @@ view's adjoint, adds a per-window gradient back onto the input.  Fuzzy
 pooling's below-c mask is a fold too, though its order does not matter: on
 the [32,6,14,14,2,2] train pool1 view, ``.all(axis=(-2, -1))`` took 1.8 ms
 and the fold 0.18 ms (numpy 2.4.6, one thread).
+
+``image_blocks`` is the one rule by which ``conv2d`` and every pooling kind
+walk a batch: blocks of whole images, each at most ``IMAGE_BLOCK`` window
+entries (one image at least).  A window never spans two images, so a
+window's output and its gradient depend on its own image alone, and the
+adjoint adds onto an image's pixels only that image's windows, in the same
+(u, v) order.  Every value and gradient therefore has the bits of one pass
+over the whole batch, while each block's temporaries are a few hundred KB
+that the allocator hands on to the next block, not batch-sized arrays that
+can fault in fresh pages on every call.  Both backward passes sum their
+window gradients onto fresh +0 zeros with ``scatter_windows``, and an input
+with no gradient yet takes that array as it is (``accumulate_fresh_grad``):
+0 + dx would copy it bit for bit.
 """
 
 from __future__ import annotations
@@ -55,7 +69,7 @@ import operator
 import numpy as np
 
 _node_counter = itertools.count()
-_COL_BLOCK = 65536  # im2col elements per conv2d forward block (at least one image): 512 KB in f64
+IMAGE_BLOCK = 65536  # window entries per image block (at least one image): 512 KB in f64
 
 
 def default_dtype():
@@ -142,6 +156,18 @@ def accumulate_grad(t: Tensor, g: np.ndarray):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
+
+
+def accumulate_fresh_grad(t: Tensor, g: np.ndarray):
+    """``accumulate_grad`` for a ``g`` that nothing else holds, summed onto fresh +0 zeros.
+
+    Such a sum is never -0, so 0 + g is g bit for bit, and a tensor with no
+    gradient yet takes ``g`` itself instead of a zero-filled copy.
+    """
+    if t.requires_grad and t.grad is None and g.dtype == t.data.dtype:
+        t.grad = g
+    else:
+        accumulate_grad(t, g)
 
 
 def from_op(data, parents, backward):
@@ -255,14 +281,20 @@ def fold_windows(win: np.ndarray, step, acc):
     return acc
 
 
-def scatter_windows(dwin: np.ndarray, shape, stride: int) -> np.ndarray:
-    """Adjoint of ``windows``: add each window entry back onto its [N,C,H,W] pixel."""
+def scatter_windows(dwin: np.ndarray, dx: np.ndarray, stride: int) -> np.ndarray:
+    """Adjoint of ``windows``: add each window entry onto its pixel of the [N,C,H,W] ``dx``, in place; returns ``dx``."""
     ho, wo, k = dwin.shape[2], dwin.shape[3], dwin.shape[-1]
-    dx = np.zeros(shape, dtype=dwin.dtype)
     for u in range(k):
         for v in range(k):
             dx[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += dwin[..., u, v]
     return dx
+
+
+def image_blocks(win: np.ndarray):
+    """Slices of whole images of a window view, each at most ``IMAGE_BLOCK`` window entries, at least one image."""
+    n = win.shape[0]
+    step = max(1, IMAGE_BLOCK // max(1, win[:1].size))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _im2col(win: np.ndarray) -> np.ndarray:
@@ -293,11 +325,12 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
     # columns, and no im2col outlives the forward (module docstring).
     w2 = kernels.data.reshape(f, ckk)
     out3 = np.empty((n, f, p), dtype=np.result_type(w2, x.data))
-    step = max(1, _COL_BLOCK // (ckk * p))
-    for lo in range(0, n, step):
-        np.einsum("fk,knp->nfp", w2, _im2col(win[lo : lo + step]), optimize=False, out=out3[lo : lo + step])
+    for b in image_blocks(win):
+        np.einsum("fk,knp->nfp", w2, _im2col(win[b]), optimize=False, out=out3[b])
     if bias is not None:
-        out3 = out3 + bias.data[:, None]
+        # in place, unless a wider bias promotes the sum (module docstring)
+        bias_col = bias.data[:, None]
+        out3 = np.add(out3, bias_col, out=out3 if np.result_type(out3, bias_col) == out3.dtype else None)
     out_data = out3.reshape(n, f, ho, wo)
 
     def backward(g):
@@ -310,7 +343,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
             accumulate_grad(kernels, (g2.T @ _im2col(win).reshape(ckk, n * p).T).reshape(f, c, k, k))
         if x.requires_grad:
             dwin = np.matmul(w2.T, g3).reshape(n, c, k, k, ho, wo).transpose(0, 1, 4, 5, 2, 3)
-            accumulate_grad(x, scatter_windows(dwin, x.shape, stride))
+            accumulate_fresh_grad(x, scatter_windows(dwin, np.zeros(x.shape, dtype=dwin.dtype), stride))
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
     return from_op(out_data, parents, backward)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,13 +181,16 @@ class TestAlgebraicSum:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fuzzy_scores_match_scalar_folds(self, k):
         win = np.random.default_rng(k).uniform(-1.0, 8.0, (4, 5, k, k))
-        pis, scores = fuzzy_scores(win, PARAMS)
-        assert pis.shape == (3, 4, 5, k, k) and scores.shape == (3, 4, 5)
+        scores, nums, dens = fuzzy_scores(win, PARAMS)
+        assert scores.shape == nums.shape == dens.shape == (3, 4, 5)
         for idx in np.ndindex(win.shape[:-2]):
             patch_pis = fuzzify(win[idx], PARAMS)
             for v in range(3):
-                assert np.array_equal(pis[v][idx], patch_pis[v])
                 assert scores[v][idx] == algebraic_sum_score(patch_pis[v])
+                num = den = 0.0
+                for w, x in zip(patch_pis[v].ravel(), win[idx].ravel()):  # defuzzify_cog's folds
+                    num, den = num + w * x, den + w
+                assert (nums[v][idx], dens[v][idx]) == (num, den)
 
 
 class TestSelect:
@@ -465,3 +470,82 @@ class TestFuzzyPaths:
             out, grad = fuzzy_pool_grad(values[None, None], 2, 2)
         assert out[0, 0, 0, 0] == -np.inf and out[0, 0, 0, 1] == 0.5
         assert np.all(np.isnan(grad[0, 0, :, :2])) and np.all(grad[0, 0, :, 2:] == 0.25)
+
+
+def window_oracle(patch, kind, params):
+    if kind == "max":
+        return patch.max()
+    if kind == "average":
+        acc = 0.0
+        for v in patch.ravel():
+            acc += v
+        return acc / patch.size
+    return fuzzy_window_reference(patch, params)
+
+
+def edge_images(rng, params, dtype, shape):
+    """Entries at and one ulp around every breakpoint and 5*r_max/14, whole images and half images
+    below c (the averaged windows), and +-0, +-inf and NaN, in ``dtype``."""
+    points = np.array(params.breakpoints() + [5 * params.r_max / 14]).astype(dtype)
+    near = np.concatenate([points, np.nextafter(points, dtype(np.inf)), np.nextafter(points, dtype(-np.inf))])
+    x = rng.uniform(-1.0, 1.4 * params.r_max, shape).astype(dtype)
+    flat = x.reshape(-1)
+    pick = rng.random(flat.size) < 0.3
+    flat[pick] = rng.choice(near, int(pick.sum()))
+    x[1] = rng.uniform(-1.0, params.c, x[1].shape)
+    x[3, :, : shape[2] // 2] = rng.uniform(-1.0, params.c, x[3, :, : shape[2] // 2].shape)
+    flat[rng.choice(flat.size, 10, replace=False)] = [0.0, -0.0, np.inf, -np.inf, np.nan] * 2
+    return x
+
+
+def pool_and_grad(x, config, upstream):
+    xt = T.Tensor(x, requires_grad=True)
+    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf at the infinite entries
+        out = pool(xt, config)
+        T.reduce_sum(T.mul(out, T.Tensor(upstream))).backward()
+    return out.data, xt.grad
+
+
+class TestImageBlocks:
+    """``pool`` walks the batch in ``tensor.image_blocks``; no window spans two images."""
+
+    @pytest.mark.parametrize("r_max", [6.0, 0.5])
+    @pytest.mark.parametrize("k, stride", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["max", "average", "fuzzy"])
+    def test_blocks_match_one_pass(self, monkeypatch, kind, dtype, k, stride, r_max):
+        # two images per block, so 5 images are two whole blocks and a partial one
+        params = MembershipParams(r_max)
+        config = PoolConfig(kind=kind, k=k, stride=stride, membership=params)
+        rng = np.random.default_rng(31)
+        x = edge_images(rng, params, dtype, (5, 2, 6, 6))
+        win = T.windows(x, k, stride)
+        upstream = rng.uniform(-1.0, 1.0, win.shape[:4]).astype(dtype)
+
+        monkeypatch.setattr(T, "IMAGE_BLOCK", 1 << 40)
+        assert len(T.image_blocks(win)) == 1
+        one_out, one_grad = pool_and_grad(x, config, upstream)
+        monkeypatch.setattr(T, "IMAGE_BLOCK", 2 * win[0].size + 1)
+        assert [(b.start, b.stop) for b in T.image_blocks(win)] == [(0, 2), (2, 4), (4, 6)]
+        out, grad = pool_and_grad(x, config, upstream)
+
+        assert out.dtype == grad.dtype == dtype
+        assert out.tobytes() == one_out.tobytes() and grad.tobytes() == one_grad.tobytes()
+        if dtype == np.float64:  # every window of every block, against the scalar oracle
+            for idx in np.ndindex(out.shape):
+                expected = window_oracle(win[idx], kind, params)
+                assert out[idx] == expected or np.isnan(out[idx]) and np.isnan(expected), idx
+
+    def test_fuzzy_forward_holds_the_output_and_one_block(self):
+        # at the parent the graph held every fuzzified window and its winning memberships
+        rng = np.random.default_rng(32)
+        x = T.Tensor(np.maximum(rng.normal(0.0, 0.3, (64, 6, 28, 28)), 0.0), requires_grad=True)
+        config = PoolConfig(kind="fuzzy", membership=MembershipParams(0.5))
+        assert (T.windows(x.data, 2, 2) >= config.membership.c).any(axis=(-2, -1)).mean() > 0.5
+        tracemalloc.start()
+        try:
+            out = pool(x, config)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < out.data.nbytes + T.IMAGE_BLOCK * out.data.itemsize

@@ -31,7 +31,7 @@ def row_major_conv2d(x, kernels, bias, stride, g):
     dbias = None if bias is None else g2.sum(axis=0)
     dkernels = (g2.T @ col).reshape(f, c, k, k)
     dwin = (g2 @ w_t.T).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    return out, (T.scatter_windows(dwin, x.shape, stride), dkernels, dbias)
+    return out, (T.scatter_windows(dwin, np.zeros(x.shape, dtype=dwin.dtype), stride), dkernels, dbias)
 
 
 def conv2d_grads(x, kernels, bias, stride, g):
@@ -262,7 +262,7 @@ class TestConv2d:
         kernels = rng.uniform(-1, 1, (4, 3, 3, 3)).astype(k_dtype)
         bias = None if b_dtype is None else rng.uniform(-1, 1, 4).astype(b_dtype)
         ho = (9 - 3) // stride + 1
-        monkeypatch.setattr(T, "_COL_BLOCK", 2 * 27 * ho * ho + 1)
+        monkeypatch.setattr(T, "IMAGE_BLOCK", 2 * 27 * ho * ho + 1)
         dtype = np.result_type(*(a for a in (x, kernels, bias) if a is not None))
         g = rng.uniform(-1, 1, (5, 4, ho, ho)).astype(dtype)
         out, grads = conv2d_grads(x, kernels, bias, stride, g)
@@ -284,7 +284,21 @@ class TestConv2d:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < out.data.nbytes + T._COL_BLOCK * out.data.itemsize
+        assert held < out.data.nbytes + T.IMAGE_BLOCK * out.data.itemsize
+
+    def test_bias_is_added_in_place(self):
+        # out + bias would hold a second output-sized array at the peak
+        rng = np.random.default_rng(13)
+        x = T.Tensor(rng.uniform(-1, 1, (64, 3, 32, 32)))
+        kernels = T.Tensor(rng.uniform(-1, 1, (6, 3, 5, 5)))
+        bias = T.Tensor(rng.uniform(-1, 1, 6))
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, kernels, bias)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + 2 * T.IMAGE_BLOCK * out.data.itemsize
 
     def test_stride(self):
         rng = np.random.default_rng(4)
@@ -317,7 +331,7 @@ class TestWindows:
         win = T.windows(x, k, stride)
         y = rng.uniform(-1, 1, win.shape)
         lhs = np.sum(win * y)
-        rhs = np.sum(x * T.scatter_windows(y, x.shape, stride))
+        rhs = np.sum(x * T.scatter_windows(y, np.zeros(x.shape), stride))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_view_is_read_only(self):
@@ -330,6 +344,16 @@ class TestWindows:
         win = np.array([[1e16, 1.0], [-1e16, 0.0]]).reshape(1, 1, 1, 1, 2, 2)
         total = T.fold_windows(win, np.add, np.zeros((1, 1, 1, 1)))
         assert total.shape == (1, 1, 1, 1) and total[0, 0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("n, budget, starts", [(5, 2, [0, 2, 4]), (4, 2, [0, 2]), (3, 1, [0, 1, 2]), (3, 0.5, [0, 1, 2]), (3, 9, [0]), (0, 2, [])])
+    def test_image_blocks_tile_the_batch(self, monkeypatch, n, budget, starts):
+        # ``budget`` images' worth of window entries per block; a block holds one image at least
+        win = T.windows(np.zeros((n, 2, 6, 6)), 2, 2)
+        monkeypatch.setattr(T, "IMAGE_BLOCK", int(budget * 2 * 3 * 3 * 4))
+        blocks = T.image_blocks(win)
+        assert [b.start for b in blocks] == starts
+        covered = np.concatenate([np.arange(n)[b] for b in blocks]) if blocks else np.arange(0)
+        assert np.array_equal(covered, np.arange(n))
 
     def test_non_tiling_rejected(self):
         with pytest.raises(ValueError, match="does not tile"):
@@ -476,6 +500,22 @@ class TestBackward:
         # d/dx of 6x(2x + 5) + x^2 + x + 1 is 26x + 31
         np.testing.assert_array_equal(x.grad, [57.0, 83.0, 18.0])
         np.testing.assert_array_equal(u.grad, 6 * u.data + 15)
+
+    def test_fresh_gradient_is_taken_without_a_copy(self):
+        x = tensor([1.0, 2.0])
+        g = np.array([0.5, np.nan])
+        T.accumulate_fresh_grad(x, g)
+        assert x.grad is g
+        T.accumulate_fresh_grad(x, np.array([1.0, 1.0]))  # a second gradient is added
+        assert x.grad is g and x.grad[0] == 1.5 and np.isnan(x.grad[1])
+
+    def test_fresh_gradient_of_another_dtype_is_cast(self):
+        x = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        T.accumulate_fresh_grad(x, np.array([0.1, 0.2]))
+        assert x.grad.dtype == np.float32 and np.array_equal(x.grad, np.float32([0.1, 0.2]))
+        y = T.Tensor(np.ones(2))
+        T.accumulate_fresh_grad(y, np.ones(2))  # no gradient wanted
+        assert y.grad is None
 
     def test_forward_determinism(self):
         rng = np.random.default_rng(5)
