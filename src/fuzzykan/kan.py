@@ -83,8 +83,12 @@ def bspline_basis(x, grid: SplineGrid, with_derivative: bool = False):
       clamping, and a point outside [knots[0], knots[-1]) has a zero row;
     - a NaN or infinite point has a NaN row (a zero row at order 0, whose
       basis is an indicator); the derivative's row is NaN from order 2 on.
+
+    A float32 ``x`` gives float32 rows, computed in float32; anything else
+    is taken as float64.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
     interval, lower, values = _local_basis(x, grid)
     basis = _dense(x, interval, values, grid, nan_rows=grid.order > 0)
     if not with_derivative:
@@ -97,7 +101,8 @@ def _local_basis(x: np.ndarray, grid: SplineGrid):
 
     Over the flattened points, values[r] is B_{m-order+r}(x) and lower[r] is
     the degree-(order-1) B_{m-order+1+r}(x).  A point outside the extended
-    knots gets m = 0 and zero values.
+    knots gets m = 0 and zero values.  The values have x's dtype; the
+    interval is decided against the float64 knots, exactly, in either dtype.
     """
     k = grid.order
     t = grid.knots()
@@ -105,14 +110,15 @@ def _local_basis(x: np.ndarray, grid: SplineGrid):
     # by comparison, not floor((x - t[0]) / step): a point one ulp below a
     # knot must not land in the interval above it
     interval = np.searchsorted(t, x, side="right") - 1
-    interval[x == grid.hi] = grid.intervals + k - 1
+    interval[x == np.float64(grid.hi)] = grid.intervals + k - 1
     inside = (interval >= 0) & (interval < len(t) - 1)
     interval[~inside] = 0
-    u = np.clip((x - t[interval]) / grid.step, 0.0, 1.0)  # clipped, so no value rounds below 0
+    # clipped, so no value rounds below 0
+    u = np.clip((x - t.astype(x.dtype, copy=False)[interval]) / grid.step, 0.0, 1.0)
     # de Boor's BSPLVB in units of the step: x - t[m+1-j] = u + j - 1 and t[m+j] - x = j - u
     left = [u + (j - 1) for j in range(1, k + 1)]
     right = [j - u for j in range(1, k + 1)]
-    values, lower = [inside.astype(float)], []
+    values, lower = [inside.astype(x.dtype)], []
     for d in range(1, k + 1):
         lower, values, saved = values, [], 0.0
         for r in range(d):
@@ -133,7 +139,7 @@ def _dense(x: np.ndarray, interval, values, grid: SplineGrid, nan_rows: bool) ->
     n_intervals = grid.intervals + 2 * k
     # column m + r holds B_{m-k+r}; the first and last k columns hold
     # functions beyond the knot vector and are sliced away
-    padded = np.zeros((interval.size, n_intervals + k))
+    padded = np.zeros((interval.size, n_intervals + k), x.dtype)
     at = np.arange(0, padded.size, padded.shape[1]) + interval
     for r, v in enumerate(values):
         padded.reshape(-1)[at + r] = v
@@ -145,7 +151,7 @@ def _dense(x: np.ndarray, interval, values, grid: SplineGrid, nan_rows: bool) ->
 
 def _derivative(x: np.ndarray, interval, lower, grid: SplineGrid) -> np.ndarray:
     """dB_{i,k}/dx = (B_{i,k-1} - B_{i+1,k-1}) / step on uniform knots, from the local values."""
-    zero = np.zeros(interval.size)
+    zero = np.zeros(interval.size, x.dtype)
     lower = [zero, *lower, zero]
     slopes = [(a - b) / grid.step for a, b in zip(lower[:-1], lower[1:])]
     # the derivative combines degree-(order-1) functions, NaN at a non-finite point from degree 1 on
@@ -220,7 +226,7 @@ def kan_layer_forward(x: T.Tensor, params: KanLayerParams) -> T.Tensor:
         raise ValueError(f"expected input [N,{params.in_features}], got {x.shape}")
 
     grid = params.grid
-    xb = np.asarray(x.data, dtype=float)
+    xb = x.data  # float32 or float64, kept through the basis and both GEMMs
     interval, lower, values = _local_basis(xb, grid)
     basis = _dense(xb, interval, values, grid, nan_rows=grid.order > 0).reshape(len(xb), -1)  # [N, in*nb]
     sil = T.silu_values(x.data)

@@ -189,7 +189,7 @@ class Model:
             raise ValueError(f"{path}: {len(payload)} tensor bytes, not {model.parameter_count * stored.itemsize}")
         offset = 0
         for _, t in model.parameters():
-            # a writable, C-contiguous copy: AdamW updates the parameters in place
+            # a copy in native byte order: the frombuffer view is read-only and holds the whole file
             t.data = np.frombuffer(payload, stored, t.size, offset).reshape(t.shape).astype(t.data.dtype)
             offset += t.data.nbytes
         return model
@@ -211,7 +211,7 @@ def build(
 
     A config that cannot be built raises ``ValueError`` starting with the
     field at fault: ``pooling`` that does not tile, or ``head_widths`` too
-    large to allocate.
+    large to allocate, a line that also names ``kan_grid`` for a KAN head.
     """
     rng = np.random.default_rng(config.seed)
     c_in = config.in_channels
@@ -265,7 +265,9 @@ def build(
                 kan_layers.append(layer)
                 stages.append((f"kan{i}", partial(kan_layer_forward, params=layer)))
     except (MemoryError, ValueError) as e:  # numpy's errors for an array it cannot allocate or index
-        raise ValueError(f"head_widths: {list(widths[1:-1])} cannot be allocated: {e}") from None
+        # a KAN layer holds out x in x num_basis coefficients, so its grid shares the blame
+        grid = f"kan_grid gives {config.kan_grid.num_basis} basis functions per edge: " if config.head == "kan" else ""
+        raise ValueError(f"head_widths: {list(widths[1:-1])} cannot be allocated: {grid}{e}") from None
 
     for t in params.values():
         t.data = t.data.astype(dtype, copy=False)

@@ -18,7 +18,7 @@ from .data import Dataset, batches
 from .model import Model
 
 
-_BLOCK = 32768  # elements per in-place AdamW block; two f64 scratch blocks take 512 KB
+_BLOCK = 32768  # elements per AdamW block; its two f64 scratch blocks take 512 KB
 
 
 class NumericalError(RuntimeError):
@@ -26,28 +26,35 @@ class NumericalError(RuntimeError):
 
 
 class AdamW:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay, over one flat parameter store.
 
     The decay step p <- p - lr*wd*p is applied separately from the
     bias-corrected moment update, so with zero gradients the parameters
     undergo pure multiplicative decay.
 
-    ``step`` updates every parameter and both moments in place, ``_BLOCK``
-    elements at a time, through two block-sized scratch buffers per dtype
-    that all parameters share; its only per-step allocation is the boolean
-    mask of the finiteness check.  Each block runs the out-of-place
-    formula's correctly rounded elementwise operations in the same order,
+    The constructor copies every parameter, in order, into one C-contiguous
+    array ``values`` and rebinds each ``p.data`` and ``p.grad`` as views of
+    ``values`` and of one zero-filled array ``grads``; ``m`` and ``v`` are
+    flat arrays of the same size.  So an array the caller held before is no
+    longer the parameter, the parameters must share one dtype (else
+    ``ValueError``), a parameter the backward never reaches keeps a zero
+    gradient, and ``zero_grad`` is one fill.  The backward adds into the
+    views, and 0 + g has the bits of g.
+
+    ``step`` checks finiteness, then updates the whole store, ``_BLOCK``
+    elements at a time through preallocated scratch, so it allocates
+    nothing.  Each block runs the out-of-place formula's correctly rounded
+    elementwise operations in the same order,
 
         p <- p - (lr*wd)*p
         m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
         p <- p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
 
-    so the result is bit-identical to it.  A missing gradient counts as
-    zeros.  Every gradient and layout is checked before any state changes,
-    so a non-finite gradient raises `NumericalError` and leaves the
-    parameters, the moments and ``t`` as they were.  Since the update lands
-    in ``p.data`` itself, every ``p.data`` must be C-contiguous, and every
-    view of it sees the new values.
+    so the result is bit-identical to it.  Before any state changes, a
+    parameter whose ``p.data`` or ``p.grad`` is no longer its view (after
+    ``p.grad = g`` or ``p.zero_grad()``, say) raises ``ValueError``, and a
+    non-finite gradient raises `NumericalError`; either names the parameter
+    and leaves the values, the moments and ``t`` as they were.
     """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
@@ -57,54 +64,62 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros(t.shape, t.data.dtype) for name, t in self.params}
-        self.v = {name: np.zeros(t.shape, t.data.dtype) for name, t in self.params}
-        dtypes = {t.data.dtype for _, t in self.params}
-        self._scratch = {dtype: (np.empty(_BLOCK, dtype), np.empty(_BLOCK, dtype)) for dtype in dtypes}
+        dtypes = sorted({p.data.dtype.name for _, p in self.params})
+        if len(dtypes) != 1:
+            raise ValueError(f"AdamW needs parameters of one dtype, got {dtypes}")
+        self.values = np.concatenate([p.data.reshape(-1) for _, p in self.params])
+        self.grads = np.zeros_like(self.values)
+        self.m = np.zeros_like(self.values)
+        self.v = np.zeros_like(self.values)
+        self._views, start = [], 0
+        for _, p in self.params:
+            part = slice(start, start + p.size)
+            p.data, p.grad = self.values[part].reshape(p.shape), self.grads[part].reshape(p.shape)
+            self._views.append((p.data, p.grad))
+            start += p.size
+        self._a, self._b = np.empty(_BLOCK, self.values.dtype), np.empty(_BLOCK, self.values.dtype)
+        self._finite = np.empty(_BLOCK, bool)
 
     def zero_grad(self):
-        for _, t in self.params:
-            t.zero_grad()
+        self.grads.fill(0)
 
     def step(self):
-        for name, p in self.params:
-            if not p.data.flags.c_contiguous:
-                raise ValueError(f"parameter {name!r} is not C-contiguous, so it cannot be updated in place")
-            if p.grad is not None and not np.isfinite(p.grad).all():
+        for (name, p), (data, grad) in zip(self.params, self._views):
+            if p.data is not data or p.grad is not grad:
+                raise ValueError(
+                    f"parameter {name!r} is no longer a view of the optimizer's store; "
+                    "write into p.data[...] and p.grad[...] instead of rebinding them"
+                )
+        for lo in range(0, self.grads.size, _BLOCK):
+            g = self.grads[lo : lo + _BLOCK]
+            if not np.isfinite(g, out=self._finite[: g.size]).all():
+                name = next(name for name, p in self.params if not np.isfinite(p.grad).all())
                 raise NumericalError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         decay = self.lr * self.weight_decay
-        for name, p in self.params:
-            a_buf, b_buf = self._scratch[p.data.dtype]
-            p_all, m_all, v_all = p.data.reshape(-1), self.m[name].reshape(-1), self.v[name].reshape(-1)
-            g_all = None if p.grad is None else p.grad.reshape(-1)
-            for lo in range(0, p_all.size, _BLOCK):
-                p_blk, m, v = p_all[lo : lo + _BLOCK], m_all[lo : lo + _BLOCK], v_all[lo : lo + _BLOCK]
-                a, b = a_buf[: p_blk.size], b_buf[: p_blk.size]
-                if g_all is None:
-                    g = b  # b is free until v/bc2 below
-                    g.fill(0.0)
-                else:
-                    g = g_all[lo : lo + _BLOCK]
-                if self.weight_decay:
-                    np.multiply(decay, p_blk, out=a)
-                    p_blk -= a
-                m *= self.beta1
-                np.multiply(1.0 - self.beta1, g, out=a)
-                m += a
-                v *= self.beta2
-                np.multiply(1.0 - self.beta2, g, out=a)
-                a *= g
-                v += a
-                np.divide(m, bc1, out=a)
-                np.multiply(self.lr, a, out=a)
-                np.divide(v, bc2, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
-                p_blk -= a
+        for lo in range(0, self.values.size, _BLOCK):
+            p, g = self.values[lo : lo + _BLOCK], self.grads[lo : lo + _BLOCK]
+            m, v = self.m[lo : lo + _BLOCK], self.v[lo : lo + _BLOCK]
+            a, b = self._a[: p.size], self._b[: p.size]
+            if self.weight_decay:
+                np.multiply(decay, p, out=a)
+                p -= a
+            m *= self.beta1
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=a)
+            np.multiply(self.lr, a, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 class ConfusionMatrix:

@@ -203,8 +203,14 @@ class TestTrainCommand:
             ({"model": {"pooling": {"stride": 3}}}, [], "model.pooling: window 2x2 with stride 3 does not tile input 28x28 exactly"),
             # a width whose first head layer needs petabytes: the allocation fails outright
             ({"model": {"head_widths": [10**12]}}, [], "model.head_widths: [1000000000000] cannot be allocated: "),
+            # the KAN coefficients are out x in x num_basis, so a huge grid is named too
+            (
+                {"model": {"head": "kan", "kan_grid": {"intervals": 10**12}}},
+                [],
+                "model.head_widths: [84] cannot be allocated: kan_grid gives 1000000000003 basis functions per edge: ",
+            ),
         ],
-        ids=["seed-negative", "pooling-stride-3", "head-widths-petabytes"],
+        ids=["seed-negative", "pooling-stride-3", "head-widths-petabytes", "kan-grid-petabytes"],
     )
     def test_run_checked_before_data_is_read(self, tmp_path, capsys, monkeypatch, command, payload, flags, named):
         monkeypatch.delenv("FUZZY_KAN_DATA", raising=False)

@@ -229,6 +229,24 @@ class TestPrecision:
             for name, p in model.parameters():
                 assert p.data.dtype == p.grad.dtype == dtype, name
 
+    # float32 keeps 24 bits (u = 2^-24).  A logit sums up to 3,600 rounded
+    # products per KAN output and 150 or 400 per conv output; the worst of
+    # 60 builds (six datasets and poolings, five seeds, inputs in [0, 0.05]
+    # and [0, 1]) measured 9.8e-7 of the logit scale, about 16 u.  2^-16 is
+    # 256 u: room for sqrt(n) growth (sqrt(3,600) = 60), and far below a
+    # stage run in half precision (u = 2^-11).
+    F32_LOGIT_BOUND = 2.0**-16
+
+    @pytest.mark.parametrize("pooling", ["max", "fuzzy"])
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+    def test_f32_kan_logits_are_within_the_bound_of_f64(self, dataset, pooling):
+        config = config_for(pooling, "kan", seed=5, dataset=dataset)
+        images = np.random.default_rng(6).uniform(0, 1, (4, config.in_channels, 32, 32))
+        l64 = build(config).forward(images).data
+        l32 = build(config, dtype=np.float32).forward(images).data
+        assert l32.dtype == np.float32
+        assert np.abs(l32 - l64).max() <= self.F32_LOGIT_BOUND * max(1.0, np.abs(l64).max())
+
 
     def test_tensor_batch_of_another_dtype_is_rejected(self):
         model = build(config_for("fuzzy", "kan", seed=5), dtype=np.float32)
@@ -276,7 +294,7 @@ class TestCheckpoint:
         for (name, ta), (_, tb) in zip(model.parameters(), loaded.parameters()):
             assert ta.data.dtype == tb.data.dtype == np.float64, name
             assert ta.data.tobytes() == tb.data.tobytes(), name
-            assert tb.data.flags.writeable and tb.data.flags.c_contiguous, name  # AdamW steps in place
+            assert tb.data.flags.writeable and tb.data.flags.c_contiguous, name  # not a view of the file's bytes
         x = np.random.default_rng(5).uniform(0, 1, (2, 1, 32, 32))
         np.testing.assert_array_equal(model.forward(x).data, loaded.forward(x).data)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -41,11 +42,20 @@ def out_of_place_adamw_step(params, m, v, t, lr=1e-3, betas=(0.9, 0.999), eps=1e
         p.data = p.data - lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
 
 
+def store_slices(opt):
+    """Each parameter's slice of the optimizer's flat store, by name."""
+    slices, start = {}, 0
+    for name, p in opt.params:
+        slices[name] = slice(start, start + p.size)
+        start += p.size
+    return slices
+
+
 class TestAdamW:
     def test_zero_grad_no_decay_is_identity(self):
         p = scalar_param(1.5)
         opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
-        p.grad = np.zeros(1)
+        p.grad[...] = 0.0
         opt.step()
         assert p.data[0] == 1.5
 
@@ -53,7 +63,7 @@ class TestAdamW:
         p = scalar_param(2.0)
         opt = AdamW([("p", p)], lr=0.1, weight_decay=0.5)
         for _ in range(3):
-            p.grad = np.zeros(1)
+            opt.zero_grad()
             opt.step()
         assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5) ** 3, abs=1e-15)
 
@@ -70,7 +80,7 @@ class TestAdamW:
             v = b2 * v + (1 - b2) * g * g
             theta = theta - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         for g in grads:
-            p.grad = np.array([g])
+            p.grad[...] = g
             opt.step()
         assert abs(p.data[0] - theta) < 1e-12
 
@@ -87,14 +97,14 @@ class TestAdamW:
             mhat = m / (1 - b1**t)
             vhat = v / (1 - b2**t)
             theta -= lr * mhat / (np.sqrt(vhat) + eps)
-            p.grad = np.array([g])
+            p.grad[...] = g
             opt.step()
             assert abs(p.data[0] - theta) < 1e-12
 
     def test_nan_gradient_names_parameter(self):
         p = scalar_param(1.0)
         opt = AdamW([("conv1.weight", p)])
-        p.grad = np.array([np.nan])
+        p.grad[...] = np.nan
         with pytest.raises(NumericalError, match="conv1.weight"):
             opt.step()
 
@@ -102,12 +112,13 @@ class TestAdamW:
     def test_infinite_gradient_names_parameter(self, bad):
         p = scalar_param(1.0)
         opt = AdamW([("fc0.bias", p)])
-        p.grad = np.array([bad])
+        p.grad[...] = bad
         with pytest.raises(NumericalError, match="fc0.bias"):
             opt.step()
         assert p.data[0] == 1.0
 
     def test_missing_grad_treated_as_zero(self):
+        # a parameter the backward never reaches keeps its zero-filled gradient
         p = scalar_param(1.0)
         opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
         opt.step()
@@ -126,45 +137,109 @@ class TestAdamW:
         m = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
         v = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
         for t in range(1, 31):
+            opt.zero_grad()
             for (name, p), (_, q) in zip(params, oracle):
                 if name == "none":
-                    p.grad = q.grad = None
+                    q.grad = None
                     continue
                 g = (rng.normal(0.0, 1.0, shapes[name]) * 10.0 ** rng.integers(-8, 2, shapes[name])).astype(dtype)
                 signed_zeros = rng.random(shapes[name]) < 0.1
                 g[signed_zeros] = np.where(rng.random(signed_zeros.sum()) < 0.5, -0.0, 0.0)
-                p.grad, q.grad = g, g.copy()
+                p.grad[...], q.grad = g, g.copy()
             opt.step()
             out_of_place_adamw_step(oracle, m, v, t, lr=0.01, weight_decay=weight_decay)
         assert opt.t == 30
+        slices = store_slices(opt)
         for (name, p), (_, q) in zip(params, oracle):
             assert p.data.dtype == dtype
             assert p.data.tobytes() == q.data.tobytes(), name
-            assert opt.m[name].tobytes() == m[name].tobytes(), name
-            assert opt.v[name].tobytes() == v[name].tobytes(), name
+            assert opt.m[slices[name]].tobytes() == m[name].tobytes(), name
+            assert opt.v[slices[name]].tobytes() == v[name].tobytes(), name
 
     def test_non_finite_gradient_leaves_every_state_unchanged(self):
         first, second = T.Tensor(np.array([0.5, -1.0]), requires_grad=True), scalar_param(2.0)
         opt = AdamW([("first", first), ("second", second)], lr=0.1)
-        first.grad, second.grad = np.array([0.3, -0.2]), np.array([0.1])
+        first.grad[...], second.grad[...] = [0.3, -0.2], 0.1
         opt.step()
-        before = (first.data.copy(), opt.m["first"].copy(), opt.v["first"].copy(), second.data.copy())
-        first.grad, second.grad = np.array([0.4, 0.1]), np.array([np.inf])
+        before = (opt.values.copy(), opt.m.copy(), opt.v.copy())
+        first.grad[...], second.grad[...] = [0.4, 0.1], np.inf
         with pytest.raises(NumericalError, match="second"):
             opt.step()
         assert opt.t == 1
-        after = (first.data, opt.m["first"], opt.v["first"], second.data)
-        for old, new in zip(before, after):
+        for old, new in zip(before, (opt.values, opt.m, opt.v)):
             assert old.tobytes() == new.tobytes()
 
-    def test_parameter_that_is_not_c_contiguous_is_refused(self):
-        p = T.Tensor(np.arange(6.0).reshape(2, 3).T, requires_grad=True)
-        opt = AdamW([("fc0.weight", p)])
-        p.grad = np.ones((3, 2))
-        with pytest.raises(ValueError, match="fc0.weight"):
+    def test_transposed_parameter_steps_like_its_contiguous_copy(self):
+        values = np.arange(6.0).reshape(2, 3).T
+        p = T.Tensor(values, requires_grad=True)
+        q = T.Tensor(np.ascontiguousarray(values), requires_grad=True)
+        opts = AdamW([("fc0.weight", p)], lr=0.1), AdamW([("fc0.weight", q)], lr=0.1)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            g = rng.normal(0.0, 1.0, (3, 2))
+            p.grad[...], q.grad[...] = g, g
+            for opt in opts:
+                opt.step()
+        assert p.data.flags.c_contiguous and p.shape == (3, 2)
+        assert p.data.tobytes() == q.data.tobytes()
+        assert values.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]  # the caller's array is not the parameter
+
+    def test_mixed_dtypes_are_refused(self):
+        params = [("a", T.Tensor(np.ones(2, np.float32), requires_grad=True)), ("b", scalar_param(1.0))]
+        with pytest.raises(ValueError, match=r"one dtype, got \['float32', 'float64'\]"):
+            AdamW(params)
+
+    def test_parameters_are_views_of_one_store(self):
+        first, second = T.Tensor(np.array([0.5, -1.0]), requires_grad=True), scalar_param(2.0)
+        opt = AdamW([("first", first), ("second", second)], lr=0.1)
+        grads = first.grad, second.grad
+        for _ in range(2):
+            opt.zero_grad()
+            assert not opt.grads.any()
+            first.grad[...], second.grad[...] = [0.3, -0.2], 0.1
             opt.step()
-        assert opt.t == 0
-        assert p.data.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+            assert first.grad is grads[0] and second.grad is grads[1]  # the same views on every step
+        assert all(np.shares_memory(g, opt.grads) for g in grads)
+        assert np.shares_memory(first.data, opt.values) and np.shares_memory(second.data, opt.values)
+        assert opt.values.tolist() == [*first.data, *second.data]
+
+    @pytest.mark.parametrize(
+        "rebind",
+        [
+            lambda p: setattr(p, "grad", np.ones(p.shape)),
+            lambda p: p.zero_grad(),
+            lambda p: setattr(p, "data", p.data.copy()),
+        ],
+        ids=["grad-assigned", "tensor-zero-grad", "data-assigned"],
+    )
+    def test_rebound_parameter_is_refused_before_any_state_changes(self, rebind):
+        # without the check, a rebound gradient would be ignored and the last one reused
+        first, second = T.Tensor(np.array([0.5, -1.0]), requires_grad=True), scalar_param(2.0)
+        opt = AdamW([("first", first), ("second", second)], lr=0.1)
+        first.grad[...], second.grad[...] = [0.3, -0.2], 0.1
+        opt.step()
+        before = (opt.values.copy(), opt.m.copy(), opt.v.copy())
+        rebind(second)
+        with pytest.raises(ValueError, match="parameter 'second' is no longer a view"):
+            opt.step()
+        assert opt.t == 1
+        for old, new in zip(before, (opt.values, opt.m, opt.v)):
+            assert old.tobytes() == new.tobytes()
+
+    def test_step_allocates_less_than_one_block_of_scratch(self):
+        # the finiteness check runs block by block into preallocated scratch,
+        # so no per-step array grows with the parameter
+        p = T.Tensor(np.zeros(2 * _BLOCK + 5), requires_grad=True)
+        opt = AdamW([("big", p)])
+        p.grad[...] = np.random.default_rng(2).normal(0.0, 1.0, p.shape)
+        opt.step()  # warm up
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < _BLOCK  # the bytes of one block's boolean scratch
 
 
 class TestConfusionMatrix:
