@@ -120,7 +120,7 @@ def _resolve_run_config(args) -> RunConfig:
 
 
 def _run(cfg: RunConfig, runs: dict[str, RunConfig]) -> list[dict]:
-    """Build every run's model, read ``cfg``'s two splits once, then train, evaluate and write each run.
+    """Build every run's model and output directory, read ``cfg``'s two splits once, then train, evaluate and write each run.
 
     Run ``label`` writes its artifacts to ``cfg.out_dir``/``label``; a
     non-empty label is printed as a header before the run trains.  Returns
@@ -134,12 +134,18 @@ def _run(cfg: RunConfig, runs: dict[str, RunConfig]) -> list[dict]:
             raise UsageError(f"model.{e}") from None  # build names the field at fault
     if not cfg.data_dir:
         raise DataError("no dataset directory: pass --data-dir or set FUZZY_KAN_DATA")
+    out_dirs = [Path(cfg.out_dir) / label for label in runs]
+    try:
+        for out_dir in out_dirs:
+            out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"--out-dir: {e}") from None
     train_set = load_dataset(cfg.model.dataset, cfg.data_dir, "train")
     test_set = load_dataset(cfg.model.dataset, cfg.data_dir, "test")
     if cfg.train_limit:
         train_set = train_set.subset(cfg.train_limit)
     finals = []
-    for (label, run), model in zip(runs.items(), models):
+    for (label, run), model, out_dir in zip(runs.items(), models, out_dirs):
         if label:
             print(f"== {label} ==")
         history = train(
@@ -154,8 +160,6 @@ def _run(cfg: RunConfig, runs: dict[str, RunConfig]) -> list[dict]:
                 f"epoch {m.epoch}: loss {m.train_loss:.4f} acc {m.test_accuracy:.4f} ({m.seconds:.1f}s)"
             ),
         )
-        out_dir = Path(cfg.out_dir) / label
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(out_dir / "metrics.csv", history)
         cm, final = evaluate(model, test_set)
         cm.write_csv(out_dir / "confusion_matrix.csv")

@@ -284,7 +284,7 @@ def pool(x: T.Tensor, config: PoolConfig) -> T.Tensor:
         dx = np.zeros(x.shape, dtype=g.dtype)
         for b in blocks:
             T.scatter_windows(window_grad(win[b], g[b], state[b], config.membership), dx[b], config.stride)
-        T.accumulate_fresh_grad(x, dx)
+        T.accumulate_grad(x, dx)
 
     return T.from_op(out_data, (x,), backward)
 

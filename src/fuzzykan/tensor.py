@@ -55,10 +55,14 @@ adjoint adds onto an image's pixels only that image's windows, in the same
 (u, v) order.  Every value and gradient therefore has the bits of one pass
 over the whole batch, while each block's temporaries are a few hundred KB
 that the allocator hands on to the next block, not batch-sized arrays that
-can fault in fresh pages on every call.  Both backward passes sum their
-window gradients onto fresh +0 zeros with ``scatter_windows``, and an input
-with no gradient yet takes that array as it is (``accumulate_fresh_grad``):
-0 + dx would copy it bit for bit.
+can fault in fresh pages on every call.
+
+Every rule hands a gradient over through ``accumulate_grad``, and the array
+belongs to the rule: nothing else holds or reads it afterwards.  A tensor's
+first gradient is that array, as PyTorch's ``AccumulateGrad`` steals one
+nothing else references, so ``add``, ``reshape`` and ``bias_add``'s input
+pass a copy of their output gradient.  Adding 0 to a first gradient in place
+turns -0 into +0, so every gradient has the bits it had on zeros.
 """
 
 from __future__ import annotations
@@ -151,23 +155,12 @@ class Tensor:
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray):
+    """Hand ``g`` to ``t``: ``g`` is the calling rule's own, and nothing else holds or reads it afterwards."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
+    if t.grad is None:  # t takes g, which then gets 0 added so that a -0 comes out +0
+        t.grad, g = np.asarray(g, dtype=t.data.dtype), 0
     t.grad += g
-
-
-def accumulate_fresh_grad(t: Tensor, g: np.ndarray):
-    """``accumulate_grad`` for a ``g`` that nothing else holds, summed onto fresh +0 zeros.
-
-    Such a sum is never -0, so 0 + g is g bit for bit, and a tensor with no
-    gradient yet takes ``g`` itself instead of a zero-filled copy.
-    """
-    if t.requires_grad and t.grad is None and g.dtype == t.data.dtype:
-        t.grad = g
-    else:
-        accumulate_grad(t, g)
 
 
 def from_op(data, parents, backward):
@@ -193,7 +186,7 @@ def _as_operand(b):
 # kind -> (forward, gradient for a, gradient for b), each gradient a
 # function of the output gradient g and the operand values a and b
 _ELEMENTWISE = {
-    "add": (operator.add, lambda g, a, b: g, lambda g, a, b: g),
+    "add": (operator.add, lambda g, a, b: g.copy(), lambda g, a, b: g.copy()),
     "mul": (operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a),
 }
 
@@ -343,7 +336,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
             accumulate_grad(kernels, (g2.T @ _im2col(win).reshape(ckk, n * p).T).reshape(f, c, k, k))
         if x.requires_grad:
             dwin = np.matmul(w2.T, g3).reshape(n, c, k, k, ho, wo).transpose(0, 1, 4, 5, 2, 3)
-            accumulate_fresh_grad(x, scatter_windows(dwin, np.zeros(x.shape, dtype=dwin.dtype), stride))
+            accumulate_grad(x, scatter_windows(dwin, np.zeros(x.shape, dtype=dwin.dtype), stride))
 
     parents = (x, kernels) if bias is None else (x, kernels, bias)
     return from_op(out_data, parents, backward)
@@ -422,7 +415,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     out_data = x.data.reshape(shape)
 
     def backward(g):
-        accumulate_grad(x, g.reshape(x.shape))
+        accumulate_grad(x, g.reshape(x.shape).copy())
 
     return from_op(out_data, (x,), backward)
 
@@ -464,7 +457,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     out_data = x.data + b.data[None, :]
 
     def backward(g):
-        accumulate_grad(x, g)
+        accumulate_grad(x, g.copy())
         accumulate_grad(b, g.sum(axis=0))
 
     return from_op(out_data, (x, b), backward)

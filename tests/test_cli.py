@@ -225,6 +225,19 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and err.startswith(f"fuzzykan: error: {named}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "matrix"])
+    def test_out_dir_checked_before_data_is_read(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.delenv("FUZZY_KAN_DATA", raising=False)
+        empty = tmp_path / "nodata"
+        empty.mkdir()
+        taken = tmp_path / "file"
+        taken.write_text("not a directory")
+        argv = [command, "--epochs", "0", "--data-dir", str(empty), "--out-dir", str(taken)]
+        assert run_cli(argv) == EXIT_USAGE  # the empty data directory would exit 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith("fuzzykan: error: --out-dir: ")
+        assert taken.read_text() == "not a directory"
+
     def test_header_size_beyond_64_bits_exit_2(self, tmp_path, capsys):
         d = tmp_path / "mnist"
         d.mkdir()

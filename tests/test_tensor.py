@@ -6,6 +6,9 @@ import pytest
 
 import fuzzykan.tensor as T
 from fuzzykan.checks import gradient_check
+from fuzzykan.kan import kan_init, kan_layer_forward
+from fuzzykan.model import HEADS, ModelConfig, build
+from fuzzykan.pooling import MembershipParams, PoolConfig, pool
 
 
 def tensor(values, grad=True):
@@ -502,20 +505,73 @@ class TestBackward:
         np.testing.assert_array_equal(u.grad, 6 * u.data + 15)
 
     def test_fresh_gradient_is_taken_without_a_copy(self):
-        x = tensor([1.0, 2.0])
-        g = np.array([0.5, np.nan])
-        T.accumulate_fresh_grad(x, g)
+        x = tensor([1.0, 2.0, 3.0])
+        g = np.array([0.5, np.nan, -0.0])
+        T.accumulate_grad(x, g)
         assert x.grad is g
-        T.accumulate_fresh_grad(x, np.array([1.0, 1.0]))  # a second gradient is added
-        assert x.grad is g and x.grad[0] == 1.5 and np.isnan(x.grad[1])
+        assert x.grad[2] == 0.0 and not np.signbit(x.grad[2])  # -0 comes out +0, as on zeros
+        T.accumulate_grad(x, np.array([1.0, 1.0, 2.0]))  # a second gradient is added
+        assert x.grad is g and x.grad[0] == 1.5 and np.isnan(x.grad[1]) and x.grad[2] == 2.0
 
     def test_fresh_gradient_of_another_dtype_is_cast(self):
         x = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-        T.accumulate_fresh_grad(x, np.array([0.1, 0.2]))
-        assert x.grad.dtype == np.float32 and np.array_equal(x.grad, np.float32([0.1, 0.2]))
+        T.accumulate_grad(x, np.array([0.1, -0.0]))
+        assert x.grad.dtype == np.float32 and np.array_equal(x.grad, np.float32([0.1, 0.0]))
+        assert not np.signbit(x.grad[1])
         y = T.Tensor(np.ones(2))
-        T.accumulate_fresh_grad(y, np.ones(2))  # no gradient wanted
+        T.accumulate_grad(y, np.ones(2))  # no gradient wanted
         assert y.grad is None
+
+    @staticmethod
+    def assert_no_two_grads_share_memory(root):
+        seen, stack = {}, [root]
+        while stack:
+            node = stack.pop()
+            if node.node_id not in seen:
+                seen[node.node_id] = node
+                stack.extend(node._parents)
+        grads = [(node_id, t.grad) for node_id, t in seen.items() if t.grad is not None]
+        assert len(grads) > 1
+        for i, (a_id, a) in enumerate(grads):
+            for b_id, b in grads[i + 1 :]:
+                assert not np.shares_memory(a, b), (a_id, b_id)
+
+    def test_no_two_gradients_share_memory(self):
+        rng = np.random.default_rng(8)
+        x = tensor(rng.uniform(0, 1, (2, 1, 8, 8)))
+        kernels, bias = tensor(rng.normal(0, 0.5, (3, 1, 3, 3))), tensor(rng.normal(0, 0.1, 3))
+        h = T.activate("relu", T.conv2d(x, kernels, bias))
+        h = T.add(h, h)  # a tensor added to itself
+        fuzzy = PoolConfig(kind="fuzzy", membership=MembershipParams(r_max=0.5))  # fuzzifies windows above 1/12
+        pooled = [pool(h, config) for config in (PoolConfig(kind="max"), PoolConfig(kind="average"), fuzzy)]
+        flat = T.flatten(T.add(T.add(pooled[0], pooled[1]), pooled[2]))
+        w, b = tensor(rng.normal(0, 0.3, (27, 5))), tensor(rng.normal(0, 0.1, 5))
+        hidden = T.activate("tanh", T.bias_add(T.matmul(flat, w), b))
+        loss = T.softmax_cross_entropy(kan_layer_forward(hidden, kan_init(5, 4, seed=2)), [1, 3])
+        loss.backward()
+        self.assert_no_two_grads_share_memory(loss)
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_no_two_gradients_of_a_model_share_memory(self, head):
+        model = build(ModelConfig(head=head, pooling=PoolConfig(kind="fuzzy", membership=MembershipParams(r_max=0.5))))
+        x = T.Tensor(np.random.default_rng(9).uniform(0, 1, (2, 1, 32, 32)), requires_grad=True)
+        loss = T.softmax_cross_entropy(model.forward(x), [4, 7])
+        loss.backward()
+        self.assert_no_two_grads_share_memory(loss)
+
+    @pytest.mark.parametrize("kind", ["relu", "tanh"])
+    def test_activation_backward_peak(self, kind):
+        # each rule's array is the next tensor's gradient: the reduce_sum broadcast, the
+        # derivative, g * dact and its product with 1.0; adding onto zeros peaked one array higher
+        x = T.Tensor(np.random.default_rng(4).normal(size=(64, 6, 28, 28)), requires_grad=True)
+        loss = T.reduce_sum(T.activate(kind, T.mul(x, 1.0)))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * x.data.nbytes
 
     def test_forward_determinism(self):
         rng = np.random.default_rng(5)
