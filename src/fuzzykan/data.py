@@ -182,6 +182,8 @@ def load_dataset(name: str, data_dir, split: str = "train") -> Dataset:
         img_stem, lbl_stem = IDX_FILES[split]
         images_path = _find_idx_file(directory, img_stem)
         ds = load_idx(images_path, _find_idx_file(directory, lbl_stem))
+        if len(ds) == 0:  # nothing to train on or evaluate
+            raise DataError(f"{images_path}: holds no images")
         h, w = ds.images.shape[2:]
         if (h, w) == (28, 28):  # zero-pad by 2 pixels per border to the 32x32 model input
             return Dataset(np.pad(ds.images, ((0, 0), (0, 0), (2, 2), (2, 2))), ds.labels)

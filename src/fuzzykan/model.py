@@ -110,25 +110,26 @@ def _glorot_uniform(rng, shape, fan_in, fan_out):
 
 
 class Model:
-    """An ordered parameter set plus the named stages its forward runs."""
+    """One parameter store plus the named stages its forward runs."""
 
-    def __init__(self, config: ModelConfig, params: dict, kan_layers: list, arch: dict, stages: list):
+    def __init__(self, config: ModelConfig, store: T.ParameterStore, kan_layers: list, arch: dict, stages: list):
         self.config = config
-        self.params = params  # name -> Tensor, insertion ordered
+        self.store = store  # [(name, Tensor)] in build order, views of store.values
+        self.params = dict(store)  # name -> Tensor
         self.kan_layers = kan_layers
         self.arch = arch  # in_channels, input_hw, n_classes
         self.stages = stages  # (name, Tensor -> Tensor), in forward order
 
-    def parameters(self):
-        return list(self.params.items())
+    def parameters(self) -> T.ParameterStore:
+        return self.store
 
     @property
     def parameter_count(self) -> int:
-        return sum(t.size for _, t in self.parameters())
+        return self.store.values.size
 
     def forward(self, batch) -> T.Tensor:
         """Run the stages; a raw batch is first cast to the parameters' dtype, and a ``Tensor`` must have it."""
-        dtype = next(iter(self.params.values())).data.dtype
+        dtype = self.store.values.dtype
         h = batch if isinstance(batch, T.Tensor) else T.Tensor(np.asarray(batch, dtype=dtype))
         if h.data.dtype != dtype:
             raise ValueError(f"batch dtype {h.data.dtype} is not the parameters' dtype {dtype}")
@@ -146,19 +147,19 @@ class Model:
 
         The ``FKAN`` magic, a u32 version, the SHA-256 of the rest, a u32 length
         and a JSON header ``{"config", "dtype", "tensors": [[name, shape], ...]}``;
-        then each parameter's little-endian values in that dtype, in ``parameters()`` order.
+        then ``store.values``, little-endian in that dtype.  A rebound parameter raises ``ValueError``.
         """
-        items = self.parameters()
-        stored = items[0][1].data.dtype.newbyteorder("<")
-        tensors = [[name, list(t.shape)] for name, t in items]
+        self.store.check()
+        stored = self.store.values.dtype.newbyteorder("<")
+        tensors = [[name, list(t.shape)] for name, t in self.store]
         header = json.dumps({"config": config_to_dict(self.config), "dtype": stored.name, "tensors": tensors}).encode()
-        body = struct.pack("<I", len(header)) + header + b"".join(t.data.astype(stored).tobytes() for _, t in items)
+        body = struct.pack("<I", len(header)) + header + self.store.values.astype(stored).tobytes()
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + hashlib.sha256(body).digest() + body)
 
     @classmethod
     def load(cls, path) -> "Model":
-        """Build the model a ``save`` file describes, in its dtype, with its parameters.
+        """Build the model a ``save`` file describes, in its dtype, and copy the payload into its ``store.values``.
 
         Any other file, a version 1 or 2 checkpoint too, raises ``ValueError`` naming ``path``.
         """
@@ -181,17 +182,13 @@ class Model:
             model = build(config_update(ModelConfig(), header["config"]), dtype=header["dtype"])
         except ValueError as e:
             raise ValueError(f"{path}: checkpoint header: {e}") from None
-        tensors = [[name, list(t.shape)] for name, t in model.parameters()]
+        tensors = [[name, list(t.shape)] for name, t in model.store]
         if header["tensors"] != tensors:
             raise ValueError(f"{path}: checkpoint tensors {header['tensors']} are not the model's {tensors}")
         stored, payload = np.dtype(header["dtype"]).newbyteorder("<"), memoryview(raw)[_PREFIX + size :]
         if len(payload) != model.parameter_count * stored.itemsize:
             raise ValueError(f"{path}: {len(payload)} tensor bytes, not {model.parameter_count * stored.itemsize}")
-        offset = 0
-        for _, t in model.parameters():
-            # a copy in native byte order: the frombuffer view is read-only and holds the whole file
-            t.data = np.frombuffer(payload, stored, t.size, offset).reshape(t.shape).astype(t.data.dtype)
-            offset += t.data.nbytes
+        model.store.values[...] = np.frombuffer(payload, stored)
         return model
 
 
@@ -269,7 +266,5 @@ def build(
         grid = f"kan_grid gives {config.kan_grid.num_basis} basis functions per edge: " if config.head == "kan" else ""
         raise ValueError(f"head_widths: {list(widths[1:-1])} cannot be allocated: {grid}{e}") from None
 
-    for t in params.values():
-        t.data = t.data.astype(dtype, copy=False)
     arch = {"in_channels": c_in, "input_hw": input_hw, "n_classes": n_classes}
-    return Model(config, params, kan_layers, arch, stages)
+    return Model(config, T.ParameterStore(params.items(), dtype), kan_layers, arch, stages)

@@ -63,6 +63,12 @@ first gradient is that array, as PyTorch's ``AccumulateGrad`` steals one
 nothing else references, so ``add``, ``reshape`` and ``bias_add``'s input
 pass a copy of their output gradient.  Adding 0 to a first gradient in place
 turns -0 into +0, so every gradient has the bits it had on zeros.
+
+A model's parameters are views of one ``ParameterStore``: a ``values`` and
+a zero-filled ``grads`` array, each parameter a slice in order (PyTorch's
+``parameters_to_vector``, kept bound).  The backward adds onto a view, and
+``zero_grad`` fills one in place, so the optimizer and the checkpoint read
+one array each; ``check`` names a parameter rebound away from its view.
 """
 
 from __future__ import annotations
@@ -114,7 +120,9 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self):
-        self.grad = None
+        """Zero an existing gradient in place (PyTorch's ``set_to_none=False``), so a store's view stays bound."""
+        if self.grad is not None:
+            self.grad.fill(0)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -152,6 +160,25 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+
+class ParameterStore(list):
+    """``[(name, Tensor)]`` cast to ``dtype`` and copied, in order, into ``values``; each ``data``/``grad`` is a view."""
+
+    def __init__(self, named, dtype):
+        super().__init__(named)
+        self.values = np.concatenate([t.data.reshape(-1) for _, t in self], dtype=dtype)
+        self.grads = np.zeros(self.values.size, self.values.dtype)  # calloc: untouched until a backward writes
+        cuts = np.cumsum([t.size for _, t in self])[:-1]
+        for (_, t), data, grad in zip(self, np.split(self.values, cuts), np.split(self.grads, cuts)):
+            t.data, t.grad = data.reshape(t.shape), grad.reshape(t.shape)
+        self._views = [(t.data, t.grad) for _, t in self]
+
+    def check(self):
+        """Raise ``ValueError`` naming a tensor whose ``data`` or ``grad`` is no longer its view."""
+        for (name, t), (data, grad) in zip(self, self._views):
+            if t.data is not data or t.grad is not grad:
+                raise ValueError(f"parameter {name!r} is no longer a view of its parameter store; write into the view")
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray):

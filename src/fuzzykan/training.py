@@ -26,20 +26,14 @@ class NumericalError(RuntimeError):
 
 
 class AdamW:
-    """Adam with decoupled weight decay, over one flat parameter store.
+    """Adam with decoupled weight decay, over one ``tensor.ParameterStore``.
 
     The decay step p <- p - lr*wd*p is applied separately from the
     bias-corrected moment update, so with zero gradients the parameters
     undergo pure multiplicative decay.
 
-    The constructor copies every parameter, in order, into one C-contiguous
-    array ``values`` and rebinds each ``p.data`` and ``p.grad`` as views of
-    ``values`` and of one zero-filled array ``grads``; ``m`` and ``v`` are
-    flat arrays of the same size.  So an array the caller held before is no
-    longer the parameter, the parameters must share one dtype (else
-    ``ValueError``), a parameter the backward never reaches keeps a zero
-    gradient, and ``zero_grad`` is one fill.  The backward adds into the
-    views, and 0 + g has the bits of g.
+    ``values`` and ``grads`` are the store's arrays, ``m`` and ``v`` flat ones of
+    the same size; ``zero_grad`` is one fill, so an unreached parameter steps on a zero gradient.
 
     ``step`` checks finiteness, then updates the whole store, ``_BLOCK``
     elements at a time through preallocated scratch, so it allocates
@@ -52,31 +46,21 @@ class AdamW:
 
     so the result is bit-identical to it.  Before any state changes, a
     parameter whose ``p.data`` or ``p.grad`` is no longer its view (after
-    ``p.grad = g`` or ``p.zero_grad()``, say) raises ``ValueError``, and a
-    non-finite gradient raises `NumericalError`; either names the parameter
-    and leaves the values, the moments and ``t`` as they were.
+    ``p.grad = g``, say) raises ``ValueError`` (``ParameterStore.check``),
+    and a non-finite gradient raises `NumericalError`; either names the
+    parameter and leaves the values, the moments and ``t`` as they were.
     """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
-        self.params = list(params)  # [(name, Tensor)]
+        self.params = params  # a tensor.ParameterStore
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        dtypes = sorted({p.data.dtype.name for _, p in self.params})
-        if len(dtypes) != 1:
-            raise ValueError(f"AdamW needs parameters of one dtype, got {dtypes}")
-        self.values = np.concatenate([p.data.reshape(-1) for _, p in self.params])
-        self.grads = np.zeros_like(self.values)
+        self.values, self.grads = params.values, params.grads
         self.m = np.zeros_like(self.values)
         self.v = np.zeros_like(self.values)
-        self._views, start = [], 0
-        for _, p in self.params:
-            part = slice(start, start + p.size)
-            p.data, p.grad = self.values[part].reshape(p.shape), self.grads[part].reshape(p.shape)
-            self._views.append((p.data, p.grad))
-            start += p.size
         self._a, self._b = np.empty(_BLOCK, self.values.dtype), np.empty(_BLOCK, self.values.dtype)
         self._finite = np.empty(_BLOCK, bool)
 
@@ -84,12 +68,7 @@ class AdamW:
         self.grads.fill(0)
 
     def step(self):
-        for (name, p), (data, grad) in zip(self.params, self._views):
-            if p.data is not data or p.grad is not grad:
-                raise ValueError(
-                    f"parameter {name!r} is no longer a view of the optimizer's store; "
-                    "write into p.data[...] and p.grad[...] instead of rebinding them"
-                )
+        self.params.check()
         for lo in range(0, self.grads.size, _BLOCK):
             g = self.grads[lo : lo + _BLOCK]
             if not np.isfinite(g, out=self._finite[: g.size]).all():

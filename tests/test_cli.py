@@ -96,6 +96,22 @@ class TestTrainCommand:
         assert run_cli(argv) == EXIT_DATA
         assert "t10k-labels-idx1-ubyte: label byte 12 out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "matrix"])
+    def test_empty_test_split_exit_2_before_training(self, tmp_path, capsys, command):
+        d = tmp_path / "mnist"
+        d.mkdir()
+        for split, n in (("train", 8), ("test", 0)):
+            images, labels = make_synthetic_images(n, seed=2)
+            img_name, lbl_name = IDX_FILES[split]
+            write_idx_images(d / img_name, images)
+            write_idx_labels(d / lbl_name, labels)
+        out = tmp_path / "run"
+        argv = [command, "--dataset", "mnist", "--epochs", "1", "--data-dir", str(tmp_path), "--out-dir", str(out)]
+        assert run_cli(argv) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert err == f"data error: {d / IDX_FILES['test'][0]}: holds no images"
+        assert not list(out.rglob("metrics.csv"))
+
     @pytest.mark.parametrize("defect", ["truncated-gz", "garbage-gz", "20x20"])
     def test_bad_images_file_exit_2(self, tmp_path, capsys, defect):
         d = tmp_path / "mnist"

@@ -263,6 +263,16 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=re.escape(f"{path}: images are {hw}x{hw}, expected 28x28 or 32x32")):
             load_dataset("mnist", tmp_path, "train")
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_is_a_data_error(self, tmp_path, split):
+        d = tmp_path / "mnist"
+        d.mkdir()
+        img_name, lbl_name = IDX_FILES[split]
+        write_idx_images(d / img_name, np.zeros((0, 28, 28), dtype=np.uint8))
+        write_idx_labels(d / lbl_name, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(DataError, match=re.escape(f"{d / img_name}: holds no images")):
+            load_dataset("mnist", tmp_path, split)
+
     def test_missing_dataset_dir(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset("mnist", tmp_path, "train")

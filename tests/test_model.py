@@ -132,6 +132,48 @@ class TestBuildDeterminism:
                 assert (t.data == 0.0).all(), name
 
 
+class TestParameterStore:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("head", ["mlp", "kan"])
+    def test_parameters_are_views_of_one_store(self, head, dtype):
+        model = build(config_for("fuzzy", head, seed=5), dtype=dtype)
+        store = model.parameters()
+        assert store is model.store and list(model.params.items()) == store
+        assert store.values.dtype == store.grads.dtype == dtype and not store.grads.any()
+        assert store.values.flags.c_contiguous and store.grads.flags.c_contiguous
+        assert model.parameter_count == store.values.size == store.grads.size
+        start = 0
+        for name, p in store:  # each view starts where the one before it ends, in parameters() order
+            for view, flat in ((p.data, store.values), (p.grad, store.grads)):
+                assert view.dtype == dtype and view.flags.c_contiguous and view.flags.writeable, name
+                assert view.ctypes.data == flat.ctypes.data + start * flat.itemsize, name
+            start += p.size
+        assert start == store.values.size
+
+    def test_optimizer_rebinds_nothing(self):
+        model = build(config_for("fuzzy", "kan", seed=5))
+        views = [(p.data, p.grad) for _, p in model.parameters()]
+        optimizer = AdamW(model.parameters())
+        assert optimizer.values is model.store.values and optimizer.grads is model.store.grads
+        T.softmax_cross_entropy(model.forward(np.random.default_rng(4).uniform(0, 1, (2, 1, 32, 32))), [1, 7]).backward()
+        optimizer.step()
+        for (name, p), (data, grad) in zip(model.parameters(), views):
+            assert p.data is data and p.grad is grad, name
+
+    def test_gradient_check_then_optimizer_steps(self):
+        # gradient_check zeroes every gradient; dropping a view instead would make the step refuse it
+        model, images, labels = tiny_fuzzy_kan_setup()
+        optimizer = AdamW(model.parameters())
+        x = T.Tensor(images, requires_grad=True)
+        tensors = [t for _, t in model.parameters()] + [x]
+        assert gradient_check(lambda: T.softmax_cross_entropy(model.forward(x), labels), tensors) < 1e-4
+        for _ in range(2):
+            optimizer.zero_grad()
+            T.softmax_cross_entropy(model.forward(images), labels).backward()
+            optimizer.step()
+        assert optimizer.t == 2
+
+
 class TestForward:
     @pytest.mark.parametrize("pooling", ["max", "average", "fuzzy"])
     @pytest.mark.parametrize("head", ["mlp", "kan"])
@@ -287,6 +329,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = config_for("fuzzy", "kan", seed=9)
         model = build(config)
+        model.store.values[...] = np.random.default_rng(1).normal(size=model.parameter_count)  # not the init
         path = tmp_path / "model.fkan"
         model.save(path)
         loaded = Model.load(path)
@@ -301,6 +344,7 @@ class TestCheckpoint:
     def test_f32_round_trip(self, tmp_path):
         config = config_for("fuzzy", "kan", seed=9)
         model = build(config, dtype=np.float32)
+        model.store.values[...] = np.random.default_rng(1).normal(size=model.parameter_count)  # not the init
         path = tmp_path / "model.fkan"
         model.save(path)
         loaded = Model.load(path)
@@ -341,14 +385,21 @@ class TestCheckpoint:
             path.write_bytes(raw[:cut])
             rejected(path, "not a FKAN checkpoint")
 
-    def saved_with(self, tmp_path, edit):
-        """A real checkpoint whose parameter list `edit` rewrote before saving."""
-        config = config_for("max", "mlp", seed=3)
-        model = build(config)
-        items = model.parameters()
-        model.parameters = lambda: edit(items)
+    def test_rebound_parameter_is_refused(self, tmp_path):
+        # the payload is store.values, which no longer holds a rebound parameter's values
+        model = build(config_for("max", "mlp", seed=3))
+        model.params["fc1.bias"].data = np.ones(84)
         path = tmp_path / "model.fkan"
-        model.save(path)
+        with pytest.raises(ValueError, match="parameter 'fc1.bias' is no longer a view of its parameter store"):
+            model.save(path)
+        assert not path.exists()
+
+    def saved_with(self, tmp_path, edit):
+        """A real checkpoint whose header's [name, shape] list `edit` rewrote, resealed."""
+        config = config_for("max", "mlp", seed=3)
+        path = tmp_path / "model.fkan"
+        build(config).save(path)
+        edit_header(path, lambda header: header.__setitem__("tensors", edit(header["tensors"])))
         return path, config
 
     def test_missing_tensor_rejected(self, tmp_path):
@@ -381,17 +432,17 @@ class TestCheckpoint:
         rejected(path, "493649 tensor bytes, not 493648")
 
     def test_unexpected_tensor_rejected(self, tmp_path):
-        renamed = lambda items: [("conv9.bias" if n == "conv1.bias" else n, t) for n, t in items]  # noqa: E731
+        renamed = lambda items: [["conv9.bias" if n == "conv1.bias" else n, s] for n, s in items]  # noqa: E731
         path, _ = self.saved_with(tmp_path, renamed)
         rejected(path, r"checkpoint tensors \[\['conv1.weight', \[6, 1, 5, 5\]\], \['conv9.bias', \[6\]\]")
-        path, _ = self.saved_with(tmp_path, lambda items: items + [("fc9.bias", T.Tensor(np.zeros(3)))])
+        path, _ = self.saved_with(tmp_path, lambda items: items + [["fc9.bias", [3]]])
         rejected(path, r"checkpoint tensors \[.*\['fc9.bias', \[3\]\]\] are not the model's")
 
     def test_wrong_shape_rejected(self, tmp_path):
         # the same number of values as conv1.weight's [6, 1, 5, 5], in another shape
         path, _ = self.saved_with(
             tmp_path,
-            lambda items: [(n, T.Tensor(t.data.reshape(1, 6, 5, 5)) if n == "conv1.weight" else t) for n, t in items],
+            lambda items: [[n, [1, 6, 5, 5] if n == "conv1.weight" else s] for n, s in items],
         )
         rejected(path, re.escape("checkpoint tensors [['conv1.weight', [1, 6, 5, 5]], ['conv1.bias', [6]]"))
 

@@ -1,9 +1,12 @@
-"""The report of tools/parity.py on canned battery outputs; no battery runs."""
+"""The report of tools/parity.py on canned battery outputs, and its battery on one small model."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+
+from fuzzykan.model import ModelConfig, build
+from fuzzykan.pooling import PoolConfig
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
 _spec = importlib.util.spec_from_file_location("parity", TOOL)
@@ -48,3 +51,20 @@ def test_digest_covers_dtype_and_shape():
     assert parity.digest(a) != parity.digest(a.view(np.int64))  # same bytes, another dtype
     assert parity.digest(a) != parity.digest(a.reshape(2, 2))
     assert parity.digest(np.float64([0.0])) != parity.digest(np.float64([-0.0]))
+
+
+def test_battery_runs_on_this_library(monkeypatch):
+    # one small model through the real battery, so a library change that breaks it fails here
+    monkeypatch.setattr(parity, "VARIANTS", [("mlp", "max", 6.0)])
+    monkeypatch.setattr(parity, "GEOMETRIES", ("mnist",))
+    monkeypatch.setattr(parity, "DTYPES", ("float32",))
+    monkeypatch.setattr(parity, "ACTIVATIONS", ("relu",))
+    names = [name for name, _ in build(ModelConfig(pooling=PoolConfig(kind="max"))).parameters()]
+    case = "mlp-max-6/mnist/float32/relu"
+    expected = {f"{case}/fresh/logits", f"{case}/fresh/input.grad", f"{case}/values", f"{case}/checkpoint"}
+    for stage in ("fresh", "step0", "step1", "step2"):
+        expected |= {f"{case}/{stage}/{name}.grad" for name in names}
+    expected |= {f"{case}/loaded/{name}" for name in names}
+    digests = parity.battery()
+    assert set(digests) == expected
+    assert all(len(value) == 64 for value in digests.values())

@@ -582,6 +582,21 @@ class TestBackward:
         assert np.array_equal(a, b)
 
 
+class TestParameterStore:
+    def test_zero_grad_zeroes_a_view_and_keeps_it(self):
+        a, b = tensor([1.0, -2.0]), tensor([[3.0]])
+        store = T.ParameterStore([("a", a), ("b", b)], np.float64)
+        T.reduce_sum(T.mul(a, a)).backward()
+        view = a.grad
+        assert store.grads.tolist() == [2.0, -4.0, 0.0]
+        a.zero_grad()
+        assert a.grad is view and np.shares_memory(view, store.grads) and not store.grads.any()
+        store.check()
+        x = tensor([1.0])
+        x.zero_grad()
+        assert x.grad is None  # no gradient yet: the next backward's rule hands over its own
+
+
 class TestGradientCheck:
     def test_rejects_tensor_without_grad(self):
         x = T.Tensor(np.ones(3))

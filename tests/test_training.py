@@ -54,14 +54,14 @@ def store_slices(opt):
 class TestAdamW:
     def test_zero_grad_no_decay_is_identity(self):
         p = scalar_param(1.5)
-        opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
+        opt = AdamW(T.ParameterStore([("p", p)], np.float64), lr=0.1, weight_decay=0.0)
         p.grad[...] = 0.0
         opt.step()
         assert p.data[0] == 1.5
 
     def test_zero_grad_pure_decay(self):
         p = scalar_param(2.0)
-        opt = AdamW([("p", p)], lr=0.1, weight_decay=0.5)
+        opt = AdamW(T.ParameterStore([("p", p)], np.float64), lr=0.1, weight_decay=0.5)
         for _ in range(3):
             opt.zero_grad()
             opt.step()
@@ -70,7 +70,7 @@ class TestAdamW:
     def test_three_step_hand_oracle(self):
         lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
         p = scalar_param(0.7)
-        opt = AdamW([("p", p)], lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        opt = AdamW(T.ParameterStore([("p", p)], np.float64), lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
         grads = [0.3, -0.2, 0.5]
         # independent unrolled reference
         theta, m, v = 0.7, 0.0, 0.0
@@ -89,7 +89,7 @@ class TestAdamW:
         rng = np.random.default_rng(8)
         grads = rng.normal(0, 1, 10)
         p = scalar_param(1.0)
-        opt = AdamW([("p", p)], lr=lr, weight_decay=0.0)
+        opt = AdamW(T.ParameterStore([("p", p)], np.float64), lr=lr, weight_decay=0.0)
         theta, m, v = 1.0, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
             m = b1 * m + (1 - b1) * g
@@ -103,7 +103,7 @@ class TestAdamW:
 
     def test_nan_gradient_names_parameter(self):
         p = scalar_param(1.0)
-        opt = AdamW([("conv1.weight", p)])
+        opt = AdamW(T.ParameterStore([("conv1.weight", p)], np.float64))
         p.grad[...] = np.nan
         with pytest.raises(NumericalError, match="conv1.weight"):
             opt.step()
@@ -111,7 +111,7 @@ class TestAdamW:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_gradient_names_parameter(self, bad):
         p = scalar_param(1.0)
-        opt = AdamW([("fc0.bias", p)])
+        opt = AdamW(T.ParameterStore([("fc0.bias", p)], np.float64))
         p.grad[...] = bad
         with pytest.raises(NumericalError, match="fc0.bias"):
             opt.step()
@@ -120,7 +120,7 @@ class TestAdamW:
     def test_missing_grad_treated_as_zero(self):
         # a parameter the backward never reaches keeps its zero-filled gradient
         p = scalar_param(1.0)
-        opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
+        opt = AdamW(T.ParameterStore([("p", p)], np.float64), lr=0.1, weight_decay=0.0)
         opt.step()
         assert p.data[0] == 1.0
 
@@ -133,7 +133,7 @@ class TestAdamW:
         init = {name: rng.normal(0.0, 0.5, shape).astype(dtype) for name, shape in shapes.items()}
         params = [(name, T.Tensor(init[name].copy(), requires_grad=True)) for name in shapes]
         oracle = [(name, T.Tensor(init[name].copy(), requires_grad=True)) for name in shapes]
-        opt = AdamW(params, lr=0.01, weight_decay=weight_decay)
+        opt = AdamW(T.ParameterStore(params, dtype), lr=0.01, weight_decay=weight_decay)
         m = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
         v = {name: np.zeros(shape, dtype) for name, shape in shapes.items()}
         for t in range(1, 31):
@@ -158,7 +158,7 @@ class TestAdamW:
 
     def test_non_finite_gradient_leaves_every_state_unchanged(self):
         first, second = T.Tensor(np.array([0.5, -1.0]), requires_grad=True), scalar_param(2.0)
-        opt = AdamW([("first", first), ("second", second)], lr=0.1)
+        opt = AdamW(T.ParameterStore([("first", first), ("second", second)], np.float64), lr=0.1)
         first.grad[...], second.grad[...] = [0.3, -0.2], 0.1
         opt.step()
         before = (opt.values.copy(), opt.m.copy(), opt.v.copy())
@@ -173,7 +173,7 @@ class TestAdamW:
         values = np.arange(6.0).reshape(2, 3).T
         p = T.Tensor(values, requires_grad=True)
         q = T.Tensor(np.ascontiguousarray(values), requires_grad=True)
-        opts = AdamW([("fc0.weight", p)], lr=0.1), AdamW([("fc0.weight", q)], lr=0.1)
+        opts = [AdamW(T.ParameterStore([("fc0.weight", t)], np.float64), lr=0.1) for t in (p, q)]
         rng = np.random.default_rng(6)
         for _ in range(3):
             g = rng.normal(0.0, 1.0, (3, 2))
@@ -184,14 +184,20 @@ class TestAdamW:
         assert p.data.tobytes() == q.data.tobytes()
         assert values.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]  # the caller's array is not the parameter
 
-    def test_mixed_dtypes_are_refused(self):
-        params = [("a", T.Tensor(np.ones(2, np.float32), requires_grad=True)), ("b", scalar_param(1.0))]
-        with pytest.raises(ValueError, match=r"one dtype, got \['float32', 'float64'\]"):
-            AdamW(params)
+    def test_mixed_dtypes_are_cast_to_the_store_dtype(self):
+        f32, f64 = np.array([0.1, -2.5], np.float32), np.array([0.1])
+        for dtype in (np.float32, np.float64):
+            params = [("a", T.Tensor(f32, requires_grad=True)), ("b", T.Tensor(f64, requires_grad=True))]
+            opt = AdamW(T.ParameterStore(params, dtype), lr=0.1)
+            assert opt.values.tobytes() == np.concatenate([f32.astype(dtype), f64.astype(dtype)]).tobytes()
+            assert all(p.data.dtype == p.grad.dtype == opt.m.dtype == dtype for _, p in params)
+            params[0][1].grad[...], params[1][1].grad[...] = [0.3, -0.2], 0.1
+            opt.step()
+            assert opt.values.dtype == dtype and f32.tolist() == [np.float32(0.1), -2.5]  # the callers' arrays stay
 
     def test_parameters_are_views_of_one_store(self):
         first, second = T.Tensor(np.array([0.5, -1.0]), requires_grad=True), scalar_param(2.0)
-        opt = AdamW([("first", first), ("second", second)], lr=0.1)
+        opt = AdamW(T.ParameterStore([("first", first), ("second", second)], np.float64), lr=0.1)
         grads = first.grad, second.grad
         for _ in range(2):
             opt.zero_grad()
@@ -204,22 +210,28 @@ class TestAdamW:
         assert opt.values.tolist() == [*first.data, *second.data]
 
     @pytest.mark.parametrize(
-        "rebind",
+        "rebind, refused",
         [
-            lambda p: setattr(p, "grad", np.ones(p.shape)),
-            lambda p: p.zero_grad(),
-            lambda p: setattr(p, "data", p.data.copy()),
+            (lambda p: setattr(p, "grad", np.ones(p.shape)), True),
+            (lambda p: p.zero_grad(), False),  # zeroes the view in place, so nothing is rebound
+            (lambda p: setattr(p, "data", p.data.copy()), True),
         ],
         ids=["grad-assigned", "tensor-zero-grad", "data-assigned"],
     )
-    def test_rebound_parameter_is_refused_before_any_state_changes(self, rebind):
+    def test_rebound_parameter_is_refused_before_any_state_changes(self, rebind, refused):
         # without the check, a rebound gradient would be ignored and the last one reused
         first, second = T.Tensor(np.array([0.5, -1.0]), requires_grad=True), scalar_param(2.0)
-        opt = AdamW([("first", first), ("second", second)], lr=0.1)
+        opt = AdamW(T.ParameterStore([("first", first), ("second", second)], np.float64), lr=0.1)
         first.grad[...], second.grad[...] = [0.3, -0.2], 0.1
         opt.step()
         before = (opt.values.copy(), opt.m.copy(), opt.v.copy())
+        view = second.grad
         rebind(second)
+        if not refused:
+            assert second.grad is view and opt.grads.tolist() == [0.3, -0.2, 0.0]
+            opt.step()
+            assert opt.t == 2
+            return
         with pytest.raises(ValueError, match="parameter 'second' is no longer a view"):
             opt.step()
         assert opt.t == 1
@@ -230,7 +242,7 @@ class TestAdamW:
         # the finiteness check runs block by block into preallocated scratch,
         # so no per-step array grows with the parameter
         p = T.Tensor(np.zeros(2 * _BLOCK + 5), requires_grad=True)
-        opt = AdamW([("big", p)])
+        opt = AdamW(T.ParameterStore([("big", p)], np.float64))
         p.grad[...] = np.random.default_rng(2).normal(0.0, 1.0, p.shape)
         opt.step()  # warm up
         tracemalloc.start()

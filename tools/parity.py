@@ -1,4 +1,4 @@
-"""Compare two checkouts bit for bit on one battery of logits, gradients and AdamW steps.
+"""Compare two checkouts bit for bit on one battery of logits, gradients, AdamW steps and checkpoints.
 
     python3 tools/parity.py ../parent .
 
@@ -9,8 +9,10 @@ six head/pooling pairs, plus fuzzy pooling at r_max 0.5 under each head) at
 MNIST and CIFAR geometry, in float64 and float32, with relu and tanh conv
 activations.  For each model it records the logits, the input gradient and
 every parameter gradient of one seeded batch on the fresh model, then every
-parameter gradient of 3 AdamW steps and ``AdamW.values`` after them.  Each
-array is kept as the SHA-256 of its dtype, shape and C-ordered bytes.
+parameter gradient of 3 AdamW steps and ``AdamW.values`` after them, then
+the bytes of the ``Model.save`` file of the stepped model and every
+parameter of ``Model.load`` of that file.  Each array is kept as the
+SHA-256 of its dtype, shape and C-ordered bytes.
 
 The report lists each key whose digest differs and each key that one side
 lacks, then a count.  The exit status is 0 when every array is identical
@@ -25,6 +27,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +51,7 @@ def digest(array) -> str:
 def battery() -> dict:
     """Key -> digest of every array of the battery, computed with the ``fuzzykan`` on ``sys.path``."""
     import fuzzykan.tensor as T
-    from fuzzykan.model import DATASET_CHANNELS, ModelConfig, build
+    from fuzzykan.model import DATASET_CHANNELS, Model, ModelConfig, build
     from fuzzykan.pooling import MembershipParams, PoolConfig
     from fuzzykan.training import AdamW
 
@@ -81,6 +84,13 @@ def battery() -> dict:
                             digests[f"{case}/step{step}/{name}.grad"] = digest(p.grad)
                         optimizer.step()
                     digests[f"{case}/values"] = digest(optimizer.values)
+
+                    with tempfile.TemporaryDirectory() as tmp:
+                        path = Path(tmp) / "model.fkan"
+                        model.save(path)
+                        digests[f"{case}/checkpoint"] = digest(np.frombuffer(path.read_bytes(), np.uint8))
+                        for name, p in Model.load(path).parameters():
+                            digests[f"{case}/loaded/{name}"] = digest(p.data)
     return digests
 
 
