@@ -1,4 +1,4 @@
-.PHONY: test accept repro demos check bench-smoke verify
+.PHONY: test accept repro demos check bench-smoke verify parity
 
 test:
 	pytest
@@ -28,3 +28,7 @@ verify:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 	$(MAKE) check
 	$(MAKE) bench-smoke
+
+# bit-for-bit comparison of every battery array with another checkout: make parity PARENT=../parent
+parity:
+	python3 tools/parity.py $(PARENT) .

@@ -89,7 +89,8 @@ def sample_fuzzy_safe_input(shape, rng, params: MembershipParams, lo=-1.0, hi=8.
 
 def _fuzzy_score_margins(x: np.ndarray, config: PoolConfig) -> float:
     """Smallest gap between the winning score and the runner-up, any window."""
-    scores, _, _ = fuzzy_scores(T.windows(np.asarray(x, dtype=float), config.k, config.stride), config.membership)
+    planes = T.window_planes(T.windows(np.asarray(x, dtype=float), config.k, config.stride))
+    scores, _, _ = fuzzy_scores(planes, config.membership)
     runner_up, top = np.sort(scores, axis=0)[-2:]
     return float((top - runner_up).min())
 
@@ -215,9 +216,8 @@ def _pool_input_is_smooth(values, config: PoolConfig) -> bool:
             return False
         return True
     if config.kind == "max":
-        win = T.windows(np.asarray(values, dtype=float), config.k, config.stride)
-        ranked = np.sort(win.reshape(*win.shape[:4], -1), axis=-1)
-        return not (ranked[..., -1] - ranked[..., -2] <= margin).any()
+        ranked = np.sort(T.window_planes(T.windows(np.asarray(values, dtype=float), config.k, config.stride)), axis=0)
+        return not (ranked[-1] - ranked[-2] <= margin).any()
     return True
 
 

@@ -13,16 +13,18 @@ Fuzzy pooling splits the windows in two.  A window whose entries are all
 finite and below c has mu1 == 1 and mu2 == mu3 == 0 everywhere, because
 a = r_max/4 and r = r_max/2 both exceed c = r_max/6; so v* = 1, the output
 is the window mean, and the COG gradient reduces to 1/(k*k), all bit for
-bit.  The other windows of an image block are gathered into one (M, k, k)
-array, which ``fuzzy_scores`` fuzzifies once into the block's [3, M, k, k]
-memberships; it folds each set's algebraic-sum score, COG numerator and COG
-denominator in place into [3, M] arrays.  Selection comes after the folds:
-v* is picked per window from the scores, and the output divides the
-winner's numerator by its denominator, so selecting touches [M] arrays and
-no membership is gathered again.  Each fold makes the sums of the scalar
-oracle, so the output keeps its bits.  The forward keeps only v* for the
-backward (-1 for an averaged window), which rebuilds the winner's
-memberships, COG folds and derivatives from the input.
+bit.  The other windows of an image block are gathered as the [k*k, M]
+columns of the block's window planes, which ``fuzzy_scores`` fuzzifies once
+into the block's [3, k*k, M] memberships; it folds each set's algebraic-sum
+score, COG numerator and COG denominator in place into [3, M] arrays.
+Selection comes after the folds: v* is picked per window from the scores,
+and the output divides the winner's numerator by its denominator, so
+selecting touches [M] arrays and no membership is gathered again.  Each fold
+makes the sums of the scalar oracle, so the output keeps its bits.  The
+forward keeps only v* for the backward (-1 for an averaged window), which
+gathers the fuzzified windows' columns from the view and rebuilds the
+winner's memberships, COG folds and derivatives from them.  A block with no
+fuzzified window is averaged and skips all of that, forward and backward.
 
 The COG of a fuzzified window divides by the mass ``den`` of its winning
 set, and ``den`` is never small.  For any finite x, max(mu1, mu2, mu3) >=
@@ -46,15 +48,27 @@ with ``NumericalError``.
 ``pool`` takes the window view from ``tensor.windows`` and walks it in
 ``tensor.image_blocks``: blocks of whole images, at most
 ``tensor.IMAGE_BLOCK`` window entries each, the rule ``conv2d`` uses.  Each
-kind pools one block into that block's rows of the output and of one
-per-window state array (the max-pool argmax, the fuzzy v*), and maps the
-block's output gradient to a gradient per window entry, which ``pool`` adds
-onto the block's rows of the input gradient with ``tensor.scatter_windows``.
-No window spans two images, so every output and gradient has the bits of
-one pass over the batch, while a block's temporaries stay a few hundred KB.
-Every sum, score and mask over a window's entries is a
-``tensor.fold_windows``, which walks them in the row-major order of the
-scalar oracles.
+kind pools one block's ``tensor.window_planes``, [k*k, n, C, Ho, Wo] and
+C-contiguous, into that block's rows of the output and of one per-window
+state array (the max-pool argmax, the fuzzy v*), and maps the block's output
+gradient to gradient planes, which ``pool`` adds onto the block's rows of
+the input gradient with ``tensor.scatter_windows``.  No window spans two
+images, so every output and gradient has the bits of one pass over the
+batch, while a block's planes hold at most ``IMAGE_BLOCK`` entries.  Every
+sum, score and mask over a window's entries is a ``tensor.fold_windows``,
+which walks the planes in the row-major order of the scalar oracles, one
+geometry-independent code path for every k and stride.
+
+Max pooling folds the planes keeping the first maximum and the first NaN,
+``(x > best) | (isnan(x) & ~isnan(best))``, and moves the winner's bits, so
+its output is ``argmax`` plus ``take_along_axis`` bit for bit, +-0 ties and
+NaN payloads included; its backward gives plane i ``(state == i) * g``, the
+one-hot product's 0 * NaN and -0 included.  Where two NaNs meet in a sum
+(a NaN entry and inf - inf in one window, say), numpy's contiguous add keeps
+one operand's NaN in its vector loop and the other's in its scalar tail
+(numpy 2.4.6), so the sign and payload of such a NaN output can depend on
+its position in the block; the strided sums before window planes, like the
+scalar oracle, kept the first.  Every other value keeps its bits.
 """
 
 from __future__ import annotations
@@ -278,7 +292,7 @@ def pool(x: T.Tensor, config: PoolConfig) -> T.Tensor:
     # max pooling's argmax, or the fuzzy winner v* (-1 for an averaged window)
     state = np.empty(win.shape[:4], dtype=np.int32)
     for b in blocks:
-        pool_block(win[b], out_data[b], state[b], config.membership)
+        pool_block(T.window_planes(win[b]), out_data[b], state[b], config.membership)
 
     def backward(g):
         dx = np.zeros(x.shape, dtype=g.dtype)
@@ -289,23 +303,32 @@ def pool(x: T.Tensor, config: PoolConfig) -> T.Tensor:
     return T.from_op(out_data, (x,), backward)
 
 
-# Each kind pools one block of windows [n,C,Ho,Wo,k,k] into ``out`` and ``state``
-# [n,C,Ho,Wo], and maps the block's output gradient to a gradient per window entry.
+# Each kind pools one block's window planes [k*k, n,C,Ho,Wo] into ``out`` and ``state``
+# [n,C,Ho,Wo], and maps the block's output gradient to gradient planes [k*k, n,C,Ho,Wo];
+# only the fuzzy gradient reads the block's windows ``win``, and only if it fuzzified one.
 
 
-def _max_pool(win, out, state, params):
-    """First-argmax value; the gradient goes to that one window entry."""
-    n, c, ho, wo, k, _ = win.shape
-    flat = win.reshape(n, c, ho, wo, k * k)
-    idx = flat.argmax(axis=-1)  # first occurrence on ties
-    out[...] = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    state[...] = idx
+def _max_pool(planes, out, state, params):
+    """Each window's first maximum, or first NaN, as ``argmax`` picks it, bit for bit; its plane goes to ``state``."""
+    bits = np.dtype(f"u{out.itemsize}")
+    out[...] = planes[0]
+    state[...] = 0
+    for i in range(1, len(planes)):
+        x = planes[i]
+        better = (x > out) | (np.isnan(x) & ~np.isnan(out))
+        # out = where(better, x, out) without where's allocation: xor in the bits where x wins
+        diff = np.bitwise_xor(out.view(bits), x.view(bits))
+        diff &= np.negative(better, dtype=bits)
+        out.view(bits)[...] ^= diff
+        np.maximum(state, better * np.int32(i), out=state)  # i exceeds every earlier plane's index
 
 
 def _max_window_grad(win, g, state, params):
-    k = win.shape[-1]
-    onehot = np.arange(k * k) == state[..., None]
-    return (onehot * g[..., None]).reshape(win.shape)
+    # the one-hot product: plane i is (state == i) * g, so a NaN or inf g puts 0 * g on the other planes
+    dplanes = np.empty((win.shape[-1] ** 2,) + g.shape, dtype=g.dtype)
+    for i, plane in enumerate(dplanes):
+        np.multiply(state == i, g, out=plane)
+    return dplanes
 
 
 def _add_into(acc, x):
@@ -320,65 +343,74 @@ def _algebraic_sum_into(s, p):
     return s
 
 
-def _window_sum(win):
-    """Each window's entries added one at a time, row-major, as the scalar oracles fold them."""
-    return T.fold_windows(win, _add_into, np.zeros(win.shape[:-2], dtype=win.dtype))
+def _window_sum(planes):
+    """Each window's entries added one at a time from 0, row-major, as the scalar oracles fold them."""
+    return T.fold_windows(planes, _add_into, np.zeros(planes.shape[1:], dtype=planes.dtype))
 
 
-def _average_pool(win, out, state, params):
-    k = win.shape[-1]
-    np.divide(_window_sum(win), k * k, out=out)
+def _average_pool(planes, out, state, params):
+    np.divide(_window_sum(planes), len(planes), out=out)
 
 
 def _average_window_grad(win, g, state, params):
-    k = win.shape[-1]
-    return np.broadcast_to((g / (k * k))[..., None, None], win.shape)
+    kk = win.shape[-1] ** 2
+    return np.broadcast_to(g / kk, (kk,) + g.shape)
 
 
-def fuzzy_scores(win, params: MembershipParams):
-    """Each membership set's algebraic-sum score, COG numerator and COG denominator, [3, ...] each, over windows [..., k, k].
+def fuzzy_scores(planes, params: MembershipParams):
+    """Each membership set's algebraic-sum score, COG numerator and COG denominator, [3, ...] each, over planes [k*k, ...].
 
-    In ``win``'s dtype; every fold walks a window row-major, as ``algebraic_sum_score`` and ``defuzzify_cog`` do.
+    In ``planes``' dtype; every fold walks the planes in order, a window row-major, as ``algebraic_sum_score`` and
+    ``defuzzify_cog`` do.
     """
-    pis = np.stack(fuzzify(win, params)).astype(win.dtype, copy=False)
-    scores, nums, dens = np.zeros((3,) + pis.shape[:-2], dtype=win.dtype)
-    T.fold_windows(pis, _algebraic_sum_into, scores)
-    T.fold_windows(pis, _add_into, dens)
-    T.fold_windows(np.multiply(pis, win, out=pis), _add_into, nums)
+    pis = np.stack(fuzzify(planes, params)).astype(planes.dtype, copy=False)  # [3, k*k, ...]
+    by_entry = pis.swapaxes(0, 1)  # plane i: the three sets' memberships of entry i
+    scores, nums, dens = np.zeros((3, 3) + planes.shape[1:], dtype=planes.dtype)
+    T.fold_windows(by_entry, _algebraic_sum_into, scores)
+    T.fold_windows(by_entry, _add_into, dens)
+    np.multiply(pis, planes, out=pis)
+    T.fold_windows(by_entry, _add_into, nums)
     return scores, nums, dens
 
 
-def _fuzzy_pool(win, out, state, params: MembershipParams):
-    """Windows wholly below c are averaged; the rest are folded once per set, and each keeps its winner's COG."""
-    k = win.shape[-1]
-    np.divide(_window_sum(win), k * k, out=out)
+def _fuzzy_pool(planes, out, state, params: MembershipParams):
+    """Windows wholly below c are averaged; the rest are gathered as columns, folded once per set, and keep the winner's COG."""
+    kk = len(planes)
+    np.divide(_window_sum(planes), kk, out=out)
+    state[...] = -1
     # every entry finite and below c: mu1 == 1, mu2 == mu3 == 0, so v* = 1 and the
     # COG is the window mean (a finite mean rules out -inf and an overflowing sum)
-    fast = T.fold_windows(win, lambda f, x: np.logical_and(f, x < params.c, out=f), np.isfinite(out))
-    rest = ~fast
-    scores, nums, dens = fuzzy_scores(win[rest], params)
+    fast = T.fold_windows(planes, lambda f, x: np.logical_and(f, x < params.c, out=f), np.isfinite(out))
+    rest = np.flatnonzero(~fast)
+    if rest.size == 0:
+        return
+    scores, nums, dens = fuzzy_scores(np.take(planes.reshape(kk, -1), rest, axis=1), params)
     v_star = scores.argmax(axis=0)  # first max -> lowest v on ties
-    out[rest] = np.choose(v_star, nums) / np.choose(v_star, dens)  # den >= 3/7 (module docstring)
-    state[...] = -1
-    state[rest] = v_star
+    out.reshape(-1)[rest] = np.choose(v_star, nums) / np.choose(v_star, dens)  # den >= 3/7 (module docstring)
+    state.reshape(-1)[rest] = v_star
 
 
 def _fuzzy_window_grad(win, g, state, params: MembershipParams):
-    k = win.shape[-1]
+    kk = win.shape[-1] ** 2
     # an averaged window's entry gradient is the COG rule below at dsel = 0 and den = k*k
-    dwin = np.empty(win.shape, dtype=np.result_type(g, win))
-    dwin[...] = (g * (win.dtype.type(1.0) / (k * k)))[..., None, None]
+    dplanes = np.empty((kk,) + g.shape, dtype=np.result_type(g, win))
+    dplanes[...] = g * (win.dtype.type(1.0) / kk)
+    rest = np.flatnonzero(state >= 0)
+    if rest.size == 0:
+        return dplanes
     # v* is held constant; the winner's memberships, its COG folds (as the forward
     # made them) and its derivatives come from the input, which the tape keeps unchanged
-    rest = state >= 0
-    w, winner = win[rest], state[rest][:, None, None]
+    # the fuzzified windows' entries as [k*k, m] columns, gathered from the view alone
+    at = (slice(None), slice(None)) + np.unravel_index(rest, state.shape)
+    w = win.transpose(4, 5, 0, 1, 2, 3)[at].reshape(kk, -1)
+    winner = state.reshape(-1)[rest]
     sel = np.choose(winner, fuzzify(w, params)).astype(win.dtype, copy=False)
     dsel = np.choose(winner, [membership_derivative(v, w, params) for v in (1, 2, 3)]).astype(win.dtype, copy=False)
-    den = _window_sum(sel)[:, None, None]
-    num = _window_sum(sel * w)[:, None, None]
+    den = _window_sum(sel)
+    num = _window_sum(sel * w)
     dw = (sel + dsel * w) / den - num * dsel / (den * den)
-    dwin[rest] = g[rest][:, None, None] * dw
-    return dwin
+    dplanes.reshape(kk, -1)[:, rest] = g.reshape(-1)[rest] * dw
+    return dplanes
 
 
 _KINDS = {

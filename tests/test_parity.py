@@ -1,4 +1,4 @@
-"""The report of tools/parity.py on canned battery outputs, and its battery on one small model."""
+"""The report of tools/parity.py on canned battery outputs, and its battery on one small model and one pool case."""
 
 import importlib.util
 from pathlib import Path
@@ -54,17 +54,21 @@ def test_digest_covers_dtype_and_shape():
 
 
 def test_battery_runs_on_this_library(monkeypatch):
-    # one small model through the real battery, so a library change that breaks it fails here
+    # one small model and one pool case through the real battery, so a library change that breaks it fails here
     monkeypatch.setattr(parity, "VARIANTS", [("mlp", "max", 6.0)])
     monkeypatch.setattr(parity, "GEOMETRIES", ("mnist",))
     monkeypatch.setattr(parity, "DTYPES", ("float32",))
     monkeypatch.setattr(parity, "ACTIVATIONS", ("relu",))
+    monkeypatch.setattr(parity, "POOLS", [("fuzzy", 0.5)])
+    monkeypatch.setattr(parity, "POOL_GEOMETRIES", ((3, 1),))
+    monkeypatch.setattr(parity, "POOL_SHAPES", ((5, 2, 6, 6),))
     names = [name for name, _ in build(ModelConfig(pooling=PoolConfig(kind="max"))).parameters()]
     case = "mlp-max-6/mnist/float32/relu"
     expected = {f"{case}/fresh/logits", f"{case}/fresh/input.grad", f"{case}/values", f"{case}/checkpoint"}
     for stage in ("fresh", "step0", "step1", "step2"):
         expected |= {f"{case}/{stage}/{name}.grad" for name in names}
     expected |= {f"{case}/loaded/{name}" for name in names}
+    expected |= {"pool/fuzzy-0.5/5x2x6x6/k3s1/float32/out", "pool/fuzzy-0.5/5x2x6x6/k3s1/float32/input.grad"}
     digests = parity.battery()
     assert set(digests) == expected
     assert all(len(value) == 64 for value in digests.values())

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fuzzykan.pooling as pooling
 import fuzzykan.tensor as T
 from fuzzykan.checks import gradient_check, sample_fuzzy_safe_input
 from fuzzykan.pooling import (
@@ -181,7 +182,8 @@ class TestAlgebraicSum:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fuzzy_scores_match_scalar_folds(self, k):
         win = np.random.default_rng(k).uniform(-1.0, 8.0, (4, 5, k, k))
-        scores, nums, dens = fuzzy_scores(win, PARAMS)
+        planes = np.moveaxis(win.reshape(4, 5, k * k), -1, 0)  # plane u*k+v is entry (u, v)
+        scores, nums, dens = fuzzy_scores(planes, PARAMS)
         assert scores.shape == nums.shape == dens.shape == (3, 4, 5)
         for idx in np.ndindex(win.shape[:-2]):
             patch_pis = fuzzify(win[idx], PARAMS)
@@ -549,3 +551,108 @@ class TestImageBlocks:
         finally:
             tracemalloc.stop()
         assert held < out.data.nbytes + T.IMAGE_BLOCK * out.data.itemsize
+
+    # fuzzy pooling also holds a block's three membership sets and their derivatives
+    @pytest.mark.parametrize("kind, blocks", [("max", 3), ("average", 3), ("fuzzy", 12)])
+    def test_planes_stay_per_block(self, kind, blocks):
+        # with batch-sized planes the transients are 7.2 (max), 5.7 (average) and 43 (fuzzy) blocks
+        rng = np.random.default_rng(33)
+        x = T.Tensor(np.maximum(rng.normal(0.0, 0.3, (64, 6, 28, 28)), 0.0), requires_grad=True)
+        upstream = T.Tensor(rng.uniform(-1.0, 1.0, (64, 6, 14, 14)))
+        config = PoolConfig(kind=kind, membership=MembershipParams(0.5))
+        bound = blocks * T.IMAGE_BLOCK * x.data.itemsize
+        tracemalloc.start()
+        try:
+            out = pool(x, config)
+            held, peak = tracemalloc.get_traced_memory()
+            forward_transient = peak - held  # beyond the output and the state the backward keeps
+            loss = T.reduce_sum(T.mul(out, upstream))
+            tracemalloc.reset_peak()
+            loss.backward()
+            held, peak = tracemalloc.get_traced_memory()
+            backward_transient = peak - held  # beyond the gradients it leaves, the input's included
+        finally:
+            tracemalloc.stop()
+        assert forward_transient < bound and backward_transient < bound
+
+
+def argmax_max_pool(x, k, stride, upstream):
+    """Max pooling by ``argmax`` and ``take_along_axis`` over each window's k*k entries, and its gradient by the
+    one-hot x g product added onto the input in (u, v) order: the formulation before window planes."""
+    win = T.windows(x, k, stride)
+    flat = win.reshape(*win.shape[:4], k * k)
+    idx = flat.argmax(axis=-1)  # the first maximum, or the first NaN
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    dwin = ((np.arange(k * k) == idx[..., None]) * upstream[..., None]).reshape(win.shape)
+    dx = np.zeros(x.shape, dtype=upstream.dtype)
+    ho, wo = out.shape[2:]
+    for u in range(k):
+        for v in range(k):
+            dx[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += dwin[..., u, v]
+    return out, dx
+
+
+class TestMaxBits:
+    """Max pooling keeps ``argmax``'s bits: the first of +-0 ties, the first NaN and its payload, the one-hot routing."""
+
+    @pytest.mark.parametrize("k, stride", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_match_argmax(self, dtype, k, stride):
+        rng = np.random.default_rng(41)
+        x = edge_images(rng, PARAMS, dtype, (5, 2, 6, 6))
+        bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+        top = np.iinfo(bits).max ^ (np.iinfo(bits).max >> 1)  # the sign bit
+        quiet = np.array(np.nan, dtype).view(bits)
+        nan_a, nan_b = np.array([quiet | 1, top | quiet | 2], bits).view(dtype)  # two NaN payloads, one negative
+        x[0, 0, 0:2, 0:2] = [[0.0, -0.0], [-0.0, 0.0]]  # +-0 ties, +0 first
+        x[0, 0, 0:2, 2:4] = [[-0.0, 0.0], [0.0, -0.0]]  # -0 first
+        x[0, 0, 2:4, 0:2] = [[nan_a, 1.0], [2.0, nan_b]]  # a NaN first
+        x[0, 0, 2:4, 2:4] = [[1.0, 2.0], [nan_b, nan_a]]  # a NaN later
+        x[0, 1, 0:2, 0:2] = -np.inf
+        x[0, 1, 0:2, 2:4] = [[np.inf, 1.0], [np.inf, -np.inf]]
+        x[0, 1, 2:4, 0:2] = [[-0.0, -1.0], [-2.0, 0.0]]
+        upstream = rng.uniform(-1.0, 1.0, T.windows(x, k, stride).shape[:4]).astype(dtype)
+        upstream[0, 0, 0, :] = [np.nan, -0.0, np.inf, 0.0][: upstream.shape[3]]  # 0 * NaN and 0 * inf on the other entries
+        out, grad = pool_and_grad(x, PoolConfig(kind="max", k=k, stride=stride), upstream)
+        with np.errstate(invalid="ignore"):
+            want_out, want_grad = argmax_max_pool(x, k, stride, upstream)
+        assert out.dtype == grad.dtype == dtype
+        assert out.tobytes() == want_out.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+class TestFuzzySkip:
+    """An image block with no fuzzified window runs no fuzzify, scores, choose or COG rebuild, forward or backward."""
+
+    def test_all_below_c_batch_never_fuzzifies(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fuzzified a block whose windows are all below c")
+
+        monkeypatch.setattr(pooling, "fuzzify", refuse)
+        monkeypatch.setattr(pooling, "membership_derivative", refuse)
+        rng = np.random.default_rng(42)
+        x = rng.uniform(-1.0, np.nextafter(PARAMS.c, -np.inf), (20, 3, 8, 8))
+        x[0, 0, 0, 0] = -0.0
+        upstream = rng.uniform(-1.0, 1.0, (20, 3, 4, 4))
+        out, grad = pool_and_grad(x, PoolConfig(kind="fuzzy", membership=PARAMS), upstream)
+        want_out, want_grad = pool_and_grad(x, PoolConfig(kind="average"), upstream)  # g / 4 == g * (1 / 4)
+        assert out.tobytes() == want_out.tobytes() and grad.tobytes() == want_grad.tobytes()
+
+    def test_only_blocks_with_a_fuzzified_window_fuzzify(self, monkeypatch):
+        calls = []
+
+        def counted(patch, params):
+            calls.append(np.shape(patch))
+            return fuzzify(patch, params)
+
+        monkeypatch.setattr(pooling, "fuzzify", counted)
+        monkeypatch.setattr(T, "IMAGE_BLOCK", 1)  # one image per block
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-1.0, np.nextafter(PARAMS.c, -np.inf), (4, 2, 4, 4))
+        x[2, 1, 3, 3] = PARAMS.c  # one window of image 2 is fuzzified
+        upstream = rng.uniform(-1.0, 1.0, (4, 2, 2, 2))
+        out, grad = pool_and_grad(x, PoolConfig(kind="fuzzy", membership=PARAMS), upstream)
+        assert calls == [(4, 1), (4, 1)]  # its block's one window, forward then backward
+        patch = x[2, 1, 2:, 2:]
+        assert out[2, 1, 1, 1] == fuzzy_window_reference(patch, PARAMS)
+        assert np.array_equal(grad[2, 1, 2:, 2:], upstream[2, 1, 1, 1] * fuzzy_window_grad_reference(patch, PARAMS))

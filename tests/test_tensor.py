@@ -34,7 +34,7 @@ def row_major_conv2d(x, kernels, bias, stride, g):
     dbias = None if bias is None else g2.sum(axis=0)
     dkernels = (g2.T @ col).reshape(f, c, k, k)
     dwin = (g2 @ w_t.T).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-    return out, (T.scatter_windows(dwin, np.zeros(x.shape, dtype=dwin.dtype), stride), dkernels, dbias)
+    return out, (T.scatter_windows(T.window_planes(dwin), np.zeros(x.shape, dtype=dwin.dtype), stride), dkernels, dbias)
 
 
 def conv2d_grads(x, kernels, bias, stride, g):
@@ -317,8 +317,8 @@ class TestConv2d:
 
 class TestWindows:
     @pytest.mark.parametrize("shape, k, stride", [((2, 3, 8, 8), 2, 2), ((2, 3, 7, 7), 3, 1), ((1, 2, 9, 9), 5, 1)])
-    def test_view_matches_slices(self, shape, k, stride):
-        x = np.random.default_rng(1).uniform(-1, 1, shape)
+    def test_view_matches_slices(self, shape, k, stride):  # and so do its planes
+        x = np.random.default_rng(1).uniform(-1, 1, shape).astype(np.float32)
         win = T.windows(x, k, stride)
         n, c, ho, wo = win.shape[:4]
         assert win.shape[4:] == (k, k)
@@ -326,14 +326,19 @@ class TestWindows:
             for j in range(wo):
                 window = x[:, :, i * stride : i * stride + k, j * stride : j * stride + k]
                 assert np.array_equal(win[:, :, i, j], window)
+        planes = T.window_planes(win)
+        assert planes.shape == (k * k, n, c, ho, wo) and planes.dtype == x.dtype and planes.flags.c_contiguous
+        for u in range(k):
+            for v in range(k):
+                assert np.array_equal(planes[u * k + v], x[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride])
 
     @pytest.mark.parametrize("shape, k, stride", [((2, 3, 8, 8), 2, 2), ((2, 3, 7, 7), 3, 1), ((1, 2, 9, 9), 5, 1)])
     def test_scatter_is_adjoint(self, shape, k, stride):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, shape)
-        win = T.windows(x, k, stride)
-        y = rng.uniform(-1, 1, win.shape)
-        lhs = np.sum(win * y)
+        planes = T.window_planes(T.windows(x, k, stride))
+        y = rng.uniform(-1, 1, planes.shape)
+        lhs = np.sum(planes * y)
         rhs = np.sum(x * T.scatter_windows(y, np.zeros(x.shape), stride))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -344,8 +349,8 @@ class TestWindows:
 
     def test_fold_walks_each_window_row_major(self):
         # 1e16 + 1.0 rounds back to 1e16: the (u, v) walk sums to 0.0, a (v, u) walk to 1.0
-        win = np.array([[1e16, 1.0], [-1e16, 0.0]]).reshape(1, 1, 1, 1, 2, 2)
-        total = T.fold_windows(win, np.add, np.zeros((1, 1, 1, 1)))
+        planes = T.window_planes(T.windows(np.array([[1e16, 1.0], [-1e16, 0.0]]).reshape(1, 1, 2, 2), 2, 2))
+        total = T.fold_windows(planes, np.add, np.zeros((1, 1, 1, 1)))
         assert total.shape == (1, 1, 1, 1) and total[0, 0, 0, 0] == 0.0
 
     @pytest.mark.parametrize("n, budget, starts", [(5, 2, [0, 2, 4]), (4, 2, [0, 2]), (3, 1, [0, 1, 2]), (3, 0.5, [0, 1, 2]), (3, 9, [0]), (0, 2, [])])

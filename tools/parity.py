@@ -1,4 +1,4 @@
-"""Compare two checkouts bit for bit on one battery of logits, gradients, AdamW steps and checkpoints.
+"""Compare two checkouts bit for bit on one battery of logits, gradients, AdamW steps, checkpoints and pool edge values.
 
     python3 tools/parity.py ../parent .
 
@@ -11,8 +11,16 @@ activations.  For each model it records the logits, the input gradient and
 every parameter gradient of one seeded batch on the fresh model, then every
 parameter gradient of 3 AdamW steps and ``AdamW.values`` after them, then
 the bytes of the ``Model.save`` file of the stepped model and every
-parameter of ``Model.load`` of that file.  Each array is kept as the
-SHA-256 of its dtype, shape and C-ordered bytes.
+parameter of ``Model.load`` of that file.  Its pool slice runs the public
+``pool`` alone, forward and backward, for max, average and fuzzy pooling
+(r_max 6 and 0.5) at k=stride=2, (3, 1) and (2, 1), in float64 and float32,
+on the train pool1 and pool2 shapes and the eval pool1 shape at batch 256
+and 37.  Its inputs are edge values: entries at and one ulp around every
+membership breakpoint and 5*r_max/14 (c exactly among them), +-0, +-inf and
+NaN, whole images below c, and a last quarter of the batch wholly below c,
+so some image blocks average every window.  It records each output and
+input gradient.  Each array is kept as the SHA-256 of its dtype, shape and
+C-ordered bytes.
 
 The report lists each key whose digest differs and each key that one side
 lacks, then a count.  The exit status is 0 when every array is identical
@@ -39,6 +47,11 @@ GEOMETRIES = ("mnist", "cifar10")
 DTYPES = ("float64", "float32")
 ACTIVATIONS = ("relu", "tanh")
 BATCH, STEPS = 8, 3
+POOLS = [("max", 6.0), ("average", 6.0), ("fuzzy", 6.0), ("fuzzy", 0.5)]
+POOL_GEOMETRIES = ((2, 2), (3, 1), (2, 1))
+# train pool1, train pool2, eval pool1 at batch 256 and at batch 37
+POOL_SHAPES = ((32, 6, 28, 28), (32, 16, 10, 10), (256, 6, 28, 28), (37, 6, 28, 28))
+SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -50,6 +63,54 @@ def digest(array) -> str:
 
 def battery() -> dict:
     """Key -> digest of every array of the battery, computed with the ``fuzzykan`` on ``sys.path``."""
+    return {**model_battery(), **pool_battery()}
+
+
+def edge_images(rng, params, dtype, shape) -> np.ndarray:
+    """Pool inputs in ``dtype``: 30% of entries at or one ulp around a breakpoint or 5*r_max/14, odd images below c,
+    then 5% of all entries +-0, +-inf or NaN, then the last quarter of the batch below c."""
+    points = np.array(params.breakpoints() + [5 * params.r_max / 14]).astype(dtype)
+    near = np.concatenate([points, np.nextafter(points, dtype(np.inf)), np.nextafter(points, dtype(-np.inf))])
+    x = rng.uniform(-1.0, 1.4 * params.r_max, shape).astype(dtype)
+    flat = x.reshape(-1)
+    pick = rng.random(flat.size) < 0.3
+    flat[pick] = rng.choice(near, int(pick.sum()))
+    x[1::2] = rng.uniform(-1.0, params.c, x[1::2].shape)
+    special = rng.random(flat.size) < 0.05
+    flat[special] = rng.choice(np.array(SPECIALS, dtype), int(special.sum()))
+    quarter = shape[0] - shape[0] // 4
+    x[quarter:] = rng.uniform(-1.0, params.c, x[quarter:].shape)
+    return x
+
+
+def pool_battery() -> dict:
+    """Key -> digest of each pool output and input gradient of the pool slice."""
+    import fuzzykan.tensor as T
+    from fuzzykan.pooling import MembershipParams, PoolConfig, pool
+
+    digests = {}
+    for kind, r_max in POOLS:
+        params = MembershipParams(r_max=r_max)
+        for shape in POOL_SHAPES:
+            for k, stride in POOL_GEOMETRIES:
+                for dtype in DTYPES:
+                    case = f"pool/{kind}-{r_max:g}/{'x'.join(map(str, shape))}/k{k}s{stride}/{dtype}"
+                    rng = np.random.default_rng(0)
+                    x = T.Tensor(edge_images(rng, params, np.dtype(dtype).type, shape), requires_grad=True)
+                    with np.errstate(all="ignore"):  # 0 * inf and inf - inf at the infinite entries
+                        out = pool(x, PoolConfig(kind=kind, k=k, stride=stride, membership=params))
+                        upstream = rng.uniform(-1.0, 1.0, out.shape).astype(dtype)
+                        # a NaN or inf upstream reaches every entry of its window
+                        special = rng.random(out.shape) < 0.01
+                        upstream[special] = rng.choice(np.array(SPECIALS, dtype), int(special.sum()))
+                        T.reduce_sum(T.mul(out, T.Tensor(upstream))).backward()
+                    digests[f"{case}/out"] = digest(out.data)
+                    digests[f"{case}/input.grad"] = digest(x.grad)
+    return digests
+
+
+def model_battery() -> dict:
+    """Key -> digest of each model array of the battery."""
     import fuzzykan.tensor as T
     from fuzzykan.model import DATASET_CHANNELS, Model, ModelConfig, build
     from fuzzykan.pooling import MembershipParams, PoolConfig
