@@ -20,11 +20,12 @@ score, COG numerator and COG denominator in place into [3, M] arrays.
 Selection comes after the folds: v* is picked per window from the scores,
 and the output divides the winner's numerator by its denominator, so
 selecting touches [M] arrays and no membership is gathered again.  Each fold
-makes the sums of the scalar oracle, so the output keeps its bits.  The
-forward keeps only v* for the backward (-1 for an averaged window), which
-gathers the fuzzified windows' columns from the view and rebuilds the
-winner's memberships, COG folds and derivatives from them.  A block with no
-fuzzified window is averaged and skips all of that, forward and backward.
+makes the sums of the scalar oracle, so the output keeps its bits.  A
+block's gradient rule keeps the one-byte below-c mask and v* (int8) of each
+fuzzified window; it gathers those windows' columns from the view with
+``tensor.window_columns`` and rebuilds the winner's memberships, COG folds
+and derivatives from them.  A block with no fuzzified window is averaged and
+skips all of that, forward and backward.
 
 The COG of a fuzzified window divides by the mass ``den`` of its winning
 set, and ``den`` is never small.  For any finite x, max(mu1, mu2, mu3) >=
@@ -49,26 +50,27 @@ with ``NumericalError``.
 ``tensor.image_blocks``: blocks of whole images, at most
 ``tensor.IMAGE_BLOCK`` window entries each, the rule ``conv2d`` uses.  Each
 kind pools one block's ``tensor.window_planes``, [k*k, n, C, Ho, Wo] and
-C-contiguous, into that block's rows of the output and of one per-window
-state array (the max-pool argmax, the fuzzy v*), and maps the block's output
-gradient to gradient planes, which ``pool`` adds onto the block's rows of
-the input gradient with ``tensor.scatter_windows``.  No window spans two
-images, so every output and gradient has the bits of one pass over the
-batch, while a block's planes hold at most ``IMAGE_BLOCK`` entries.  Every
-sum, score and mask over a window's entries is a ``tensor.fold_windows``,
-which walks the planes in the row-major order of the scalar oracles, one
-geometry-independent code path for every k and stride.
+C-contiguous, into that block's rows of the output, and returns the block's
+gradient rule, a closure over what its backward needs, which maps the
+block's output gradient to gradient planes; ``pool`` adds those onto the
+block's rows of the input gradient with ``tensor.scatter_windows``.  No
+window spans two images, so every output and gradient has the bits of one
+pass over the batch, while a block's planes hold at most ``IMAGE_BLOCK``
+entries and are freed once the block is pooled.  Every sum, score and mask
+over a window's entries is a ``tensor.fold_windows``, which walks the planes
+in the row-major order of the scalar oracles, one geometry-independent code
+path for every k and stride.
 
 Max pooling folds the planes keeping the first maximum and the first NaN,
 ``(x > best) | (isnan(x) & ~isnan(best))``, and moves the winner's bits, so
 its output is ``argmax`` plus ``take_along_axis`` bit for bit, +-0 ties and
-NaN payloads included; its backward gives plane i ``(state == i) * g``, the
-one-hot product's 0 * NaN and -0 included.  Where two NaNs meet in a sum
-(a NaN entry and inf - inf in one window, say), numpy's contiguous add keeps
-one operand's NaN in its vector loop and the other's in its scalar tail
-(numpy 2.4.6), so the sign and payload of such a NaN output can depend on
-its position in the block; the strided sums before window planes, like the
-scalar oracle, kept the first.  Every other value keeps its bits.
+NaN payloads included.  Its rule keeps each window's winning plane, one
+byte up to k = 16, and gives plane i ``(winner == i) * g``, the one-hot
+product's 0 * NaN and -0 included.  Where two NaNs meet in a sum (a NaN
+entry and inf - inf in one window, say), numpy's contiguous add keeps one
+operand's NaN in its vector loop and the other's in its scalar tail (numpy
+2.4.6), so the sign and payload of such a NaN output can depend on its
+position in the block.  Every other value keeps its bits.
 """
 
 from __future__ import annotations
@@ -285,50 +287,48 @@ def pool(x: T.Tensor, config: PoolConfig) -> T.Tensor:
     if x.ndim != 4:
         raise ValueError("pool expects [N,C,H,W]")
     win = T.windows(x.data, config.k, config.stride)
-    pool_block, window_grad = _KINDS[config.kind]
+    pool_block = _KINDS[config.kind]
     blocks = T.image_blocks(win)
     out_data = np.empty(win.shape[:4], dtype=win.dtype)
-    # what the backward needs of each window, in one array made before the blocks:
-    # max pooling's argmax, or the fuzzy winner v* (-1 for an averaged window)
-    state = np.empty(win.shape[:4], dtype=np.int32)
-    for b in blocks:
-        pool_block(T.window_planes(win[b]), out_data[b], state[b], config.membership)
+    rules = [pool_block(T.window_planes(win[b]), win[b], out_data[b], config.membership) for b in blocks]
 
     def backward(g):
         dx = np.zeros(x.shape, dtype=g.dtype)
-        for b in blocks:
-            T.scatter_windows(window_grad(win[b], g[b], state[b], config.membership), dx[b], config.stride)
+        for b, rule in zip(blocks, rules):
+            T.scatter_windows(rule(g[b]), dx[b], config.stride)
         T.accumulate_grad(x, dx)
 
     return T.from_op(out_data, (x,), backward)
 
 
-# Each kind pools one block's window planes [k*k, n,C,Ho,Wo] into ``out`` and ``state``
-# [n,C,Ho,Wo], and maps the block's output gradient to gradient planes [k*k, n,C,Ho,Wo];
-# only the fuzzy gradient reads the block's windows ``win``, and only if it fuzzified one.
+# Each kind pools one block's window planes [k*k, n,C,Ho,Wo] into ``out`` [n,C,Ho,Wo] and returns the block's
+# gradient rule, g [n,C,Ho,Wo] -> gradient planes [k*k, n,C,Ho,Wo].  A rule that closed over the planes would keep
+# every block's copy until the backward; only the fuzzy rule reads the block's window view ``win``, which is free.
 
 
-def _max_pool(planes, out, state, params):
-    """Each window's first maximum, or first NaN, as ``argmax`` picks it, bit for bit; its plane goes to ``state``."""
+def _max_pool(planes, win, out, params):
+    """Each window's first maximum, or first NaN, as ``argmax`` picks it, bit for bit; the rule sends g to that plane."""
     bits = np.dtype(f"u{out.itemsize}")
+    kk = len(planes)
+    winner = np.zeros(out.shape, dtype=np.min_scalar_type(kk - 1))  # uint8 up to k = 16
     out[...] = planes[0]
-    state[...] = 0
-    for i in range(1, len(planes)):
+    for i in range(1, kk):
         x = planes[i]
         better = (x > out) | (np.isnan(x) & ~np.isnan(out))
         # out = where(better, x, out) without where's allocation: xor in the bits where x wins
         diff = np.bitwise_xor(out.view(bits), x.view(bits))
         diff &= np.negative(better, dtype=bits)
         out.view(bits)[...] ^= diff
-        np.maximum(state, better * np.int32(i), out=state)  # i exceeds every earlier plane's index
+        np.maximum(winner, better * winner.dtype.type(i), out=winner)  # i exceeds every earlier plane's index
 
+    def rule(g):
+        # the one-hot product: plane i is (winner == i) * g, so a NaN or inf g puts 0 * g on the other planes
+        dplanes = np.empty((kk,) + g.shape, dtype=g.dtype)
+        for i, plane in enumerate(dplanes):
+            np.multiply(winner == i, g, out=plane)
+        return dplanes
 
-def _max_window_grad(win, g, state, params):
-    # the one-hot product: plane i is (state == i) * g, so a NaN or inf g puts 0 * g on the other planes
-    dplanes = np.empty((win.shape[-1] ** 2,) + g.shape, dtype=g.dtype)
-    for i, plane in enumerate(dplanes):
-        np.multiply(state == i, g, out=plane)
-    return dplanes
+    return rule
 
 
 def _add_into(acc, x):
@@ -348,13 +348,10 @@ def _window_sum(planes):
     return T.fold_windows(planes, _add_into, np.zeros(planes.shape[1:], dtype=planes.dtype))
 
 
-def _average_pool(planes, out, state, params):
-    np.divide(_window_sum(planes), len(planes), out=out)
-
-
-def _average_window_grad(win, g, state, params):
-    kk = win.shape[-1] ** 2
-    return np.broadcast_to(g / kk, (kk,) + g.shape)
+def _average_pool(planes, win, out, params):
+    kk = len(planes)
+    np.divide(_window_sum(planes), kk, out=out)
+    return lambda g: np.broadcast_to(g / kk, (kk,) + g.shape)
 
 
 def fuzzy_scores(planes, params: MembershipParams):
@@ -373,48 +370,38 @@ def fuzzy_scores(planes, params: MembershipParams):
     return scores, nums, dens
 
 
-def _fuzzy_pool(planes, out, state, params: MembershipParams):
+def _fuzzy_pool(planes, win, out, params: MembershipParams):
     """Windows wholly below c are averaged; the rest are gathered as columns, folded once per set, and keep the winner's COG."""
     kk = len(planes)
     np.divide(_window_sum(planes), kk, out=out)
-    state[...] = -1
     # every entry finite and below c: mu1 == 1, mu2 == mu3 == 0, so v* = 1 and the
     # COG is the window mean (a finite mean rules out -inf and an overflowing sum)
     fast = T.fold_windows(planes, lambda f, x: np.logical_and(f, x < params.c, out=f), np.isfinite(out))
     rest = np.flatnonzero(~fast)
-    if rest.size == 0:
-        return
-    scores, nums, dens = fuzzy_scores(np.take(planes.reshape(kk, -1), rest, axis=1), params)
-    v_star = scores.argmax(axis=0)  # first max -> lowest v on ties
-    out.reshape(-1)[rest] = np.choose(v_star, nums) / np.choose(v_star, dens)  # den >= 3/7 (module docstring)
-    state.reshape(-1)[rest] = v_star
+    if rest.size:
+        scores, nums, dens = fuzzy_scores(np.take(planes.reshape(kk, -1), rest, axis=1), params)
+        v_star = scores.argmax(axis=0).astype(np.int8)  # first max -> lowest v on ties
+        out.reshape(-1)[rest] = np.choose(v_star, nums) / np.choose(v_star, dens)  # den >= 3/7 (module docstring)
 
-
-def _fuzzy_window_grad(win, g, state, params: MembershipParams):
-    kk = win.shape[-1] ** 2
-    # an averaged window's entry gradient is the COG rule below at dsel = 0 and den = k*k
-    dplanes = np.empty((kk,) + g.shape, dtype=np.result_type(g, win))
-    dplanes[...] = g * (win.dtype.type(1.0) / kk)
-    rest = np.flatnonzero(state >= 0)
-    if rest.size == 0:
+    def rule(g):
+        # an averaged window's entry gradient is the COG rule below at dsel = 0 and den = k*k
+        dplanes = np.empty((kk,) + g.shape, dtype=np.result_type(g, win))
+        dplanes[...] = g * (win.dtype.type(1.0) / kk)
+        rest = np.flatnonzero(~fast)  # recomputed, not kept: an int64 per fuzzified window outweighs ``fast``
+        if rest.size == 0:
+            return dplanes
+        # v* is held constant; the winner's memberships, its COG folds (as the forward
+        # made them) and its derivatives come from the input, which the tape keeps unchanged
+        w = T.window_columns(win, rest)
+        sel = np.choose(v_star, fuzzify(w, params)).astype(win.dtype, copy=False)
+        dsel = np.choose(v_star, [membership_derivative(v, w, params) for v in (1, 2, 3)]).astype(win.dtype, copy=False)
+        den = _window_sum(sel)
+        num = _window_sum(sel * w)
+        dw = (sel + dsel * w) / den - num * dsel / (den * den)
+        dplanes.reshape(kk, -1)[:, rest] = g.reshape(-1)[rest] * dw
         return dplanes
-    # v* is held constant; the winner's memberships, its COG folds (as the forward
-    # made them) and its derivatives come from the input, which the tape keeps unchanged
-    # the fuzzified windows' entries as [k*k, m] columns, gathered from the view alone
-    at = (slice(None), slice(None)) + np.unravel_index(rest, state.shape)
-    w = win.transpose(4, 5, 0, 1, 2, 3)[at].reshape(kk, -1)
-    winner = state.reshape(-1)[rest]
-    sel = np.choose(winner, fuzzify(w, params)).astype(win.dtype, copy=False)
-    dsel = np.choose(winner, [membership_derivative(v, w, params) for v in (1, 2, 3)]).astype(win.dtype, copy=False)
-    den = _window_sum(sel)
-    num = _window_sum(sel * w)
-    dw = (sel + dsel * w) / den - num * dsel / (den * den)
-    dplanes.reshape(kk, -1)[:, rest] = g.reshape(-1)[rest] * dw
-    return dplanes
+
+    return rule
 
 
-_KINDS = {
-    "max": (_max_pool, _max_window_grad),
-    "average": (_average_pool, _average_window_grad),
-    "fuzzy": (_fuzzy_pool, _fuzzy_window_grad),
-}
+_KINDS = {"max": _max_pool, "average": _average_pool, "fuzzy": _fuzzy_pool}

@@ -44,19 +44,17 @@ strided [N,C,Ho,Wo,k,k] view.  ``window_planes`` copies a view (pooling
 passes one image block of it) into C-contiguous [k*k, N, C, Ho, Wo] planes,
 plane u*k+v holding entry (u, v) of every window: the unrolling of
 Chellapilla et al. (2006) that conv2d's im2col already does.
+``window_columns`` gathers the [k*k, m] entries of some windows from the
+view, the columns of their planes, without copying the rest.
 ``fold_windows`` folds planes 0 ... k*k-1, so each window's entries in the
 scalar oracles' row-major (u, v) order, and ``scatter_windows``, the adjoint
 of ``window_planes(windows(x))``, adds gradient planes back onto the input in
 that order; conv2d's backward hands it a no-copy [k*k, N, C, Ho, Wo] view of
-its matmul output.  A plane step is one contiguous ufunc over every window,
-where a step over the view ran 14-entry inner loops at stride 2 (2-core host,
-numpy 2.4.6, one thread): a train pool1 block of 13 images is copied in
-0.05 ms, and max-pools in 0.13-0.20 ms against 0.60-0.68 ms for ``argmax``
-and ``take_along_axis`` over its windows.  The planes hold the view's
-numbers and each fold makes the same operations in the same order, so every
-value but a NaN keeps its bits (the ``pooling`` docstring says which NaN).
-Fuzzy pooling's below-c mask is a fold too, though its order does not
-matter.
+its matmul output.  A plane step is one contiguous ufunc over every window.
+The planes hold the view's numbers and each fold makes the same operations
+in the same order, so every value but a NaN keeps its bits (the ``pooling``
+docstring says which NaN).  Fuzzy pooling's below-c mask is a fold too,
+though its order does not matter.
 
 ``image_blocks`` is the one rule by which ``conv2d`` and every pooling kind
 walk a batch: blocks of whole images, each at most ``IMAGE_BLOCK`` window
@@ -309,6 +307,13 @@ def window_planes(win: np.ndarray) -> np.ndarray:
     """One C-contiguous [k*k, N, C, Ho, Wo] copy of a window view: plane u*k+v holds entry (u, v) of every window."""
     k = win.shape[-1]
     return np.ascontiguousarray(win.transpose(4, 5, 0, 1, 2, 3)).reshape(k * k, *win.shape[:4])
+
+
+def window_columns(win: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The [k*k, m] entries of the windows at flat indices ``flat`` of a view's [N, C, Ho, Wo], in plane order:
+    ``window_planes(win).reshape(k*k, -1)[:, flat]``, gathered from the view as a transposed [m, k*k] copy."""
+    k = win.shape[-1]
+    return win[np.unravel_index(flat, win.shape[:4])].reshape(-1, k * k).T
 
 
 def fold_windows(planes: np.ndarray, step, acc):

@@ -13,7 +13,7 @@ _spec = importlib.util.spec_from_file_location("parity", TOOL)
 parity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(parity)
 
-PARENT = {"kan/fresh/logits": "aa", "kan/fresh/input.grad": "bb", "kan/values": "cc"}
+PARENT = {"kan/fresh/logits": ["aa", "aa"], "kan/fresh/input.grad": ["bb", "bc"], "kan/values": ["cc", "cc"]}
 
 
 def run_main(monkeypatch, capsys, parent, change):
@@ -30,9 +30,21 @@ def test_all_equal_is_identical(monkeypatch, capsys):
 
 
 def test_one_differing_array_is_listed(monkeypatch, capsys):
-    code, lines = run_main(monkeypatch, capsys, PARENT, {**PARENT, "kan/fresh/input.grad": "bd"})
+    code, lines = run_main(monkeypatch, capsys, PARENT, {**PARENT, "kan/fresh/input.grad": ["bd", "bd"]})
     assert code == 1
     assert lines == ["differs: kan/fresh/input.grad", "3 arrays, 1 differing or missing", "DIFFERENT"]
+
+
+def test_a_nan_bits_difference_is_its_own_class_and_still_differs(monkeypatch, capsys):
+    change = {**PARENT, "kan/fresh/logits": ["ab", "aa"], "kan/values": ["cd", "ce"]}
+    code, lines = run_main(monkeypatch, capsys, PARENT, change)
+    assert code == 1
+    assert lines == [
+        "differs: kan/values",
+        "equal up to NaN sign and payload: kan/fresh/logits",
+        "3 arrays, 2 differing or missing",
+        "DIFFERENT",
+    ]
 
 
 def test_a_missing_key_is_listed_on_either_side(monkeypatch, capsys):
@@ -53,6 +65,21 @@ def test_digest_covers_dtype_and_shape():
     assert parity.digest(np.float64([0.0])) != parity.digest(np.float64([-0.0]))
 
 
+def test_canonical_digest_ignores_only_nan_bits():
+    for dtype in (np.float64, np.float32):
+        a = np.array([np.nan, 1.0, -np.nan], dtype)
+        payload = a.copy()
+        payload.view(f"u{a.itemsize}")[0] |= 1  # another quiet NaN payload
+        exact, canonical = parity.digest(a)
+        assert canonical != exact  # -nan is not the canonical NaN
+        for other in (np.abs(a), payload):
+            assert parity.digest(other)[0] != exact and parity.digest(other)[1] == canonical
+        assert parity.digest(a[[1, 0, 2]])[1] != canonical  # another NaN position
+        assert parity.digest(np.where(np.isnan(a), dtype(2.0), a))[1] != canonical
+    ints = np.arange(3, dtype=np.uint8)
+    assert parity.digest(ints)[0] == parity.digest(ints)[1]
+
+
 def test_battery_runs_on_this_library(monkeypatch):
     # one small model and one pool case through the real battery, so a library change that breaks it fails here
     monkeypatch.setattr(parity, "VARIANTS", [("mlp", "max", 6.0)])
@@ -71,4 +98,4 @@ def test_battery_runs_on_this_library(monkeypatch):
     expected |= {"pool/fuzzy-0.5/5x2x6x6/k3s1/float32/out", "pool/fuzzy-0.5/5x2x6x6/k3s1/float32/input.grad"}
     digests = parity.battery()
     assert set(digests) == expected
-    assert all(len(value) == 64 for value in digests.values())
+    assert all(len(value) == 2 and all(len(d) == 64 for d in value) for value in digests.values())

@@ -538,11 +538,13 @@ class TestImageBlocks:
                 expected = window_oracle(win[idx], kind, params)
                 assert out[idx] == expected or np.isnan(out[idx]) and np.isnan(expected), idx
 
-    def test_fuzzy_forward_holds_the_output_and_one_block(self):
-        # at the parent the graph held every fuzzified window and its winning memberships
+    @pytest.mark.parametrize("kind", ["max", "average", "fuzzy"])
+    def test_forward_holds_the_output_and_one_block(self, kind):
+        # what the gradient rules keep: the winning plane (max), k*k (average), the below-c mask and v* (fuzzy);
+        # a rule that kept the planes or an int64 index per fuzzified window would exceed the bound
         rng = np.random.default_rng(32)
         x = T.Tensor(np.maximum(rng.normal(0.0, 0.3, (64, 6, 28, 28)), 0.0), requires_grad=True)
-        config = PoolConfig(kind="fuzzy", membership=MembershipParams(0.5))
+        config = PoolConfig(kind=kind, membership=MembershipParams(0.5))
         assert (T.windows(x.data, 2, 2) >= config.membership.c).any(axis=(-2, -1)).mean() > 0.5
         tracemalloc.start()
         try:
@@ -565,7 +567,7 @@ class TestImageBlocks:
         try:
             out = pool(x, config)
             held, peak = tracemalloc.get_traced_memory()
-            forward_transient = peak - held  # beyond the output and the state the backward keeps
+            forward_transient = peak - held  # beyond the output and what the gradient rules keep
             loss = T.reduce_sum(T.mul(out, upstream))
             tracemalloc.reset_peak()
             loss.backward()

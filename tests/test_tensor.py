@@ -347,6 +347,16 @@ class TestWindows:
         with pytest.raises(ValueError):
             win[0, 0, 0, 0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k, stride", [(2, 2), (3, 1), (2, 1)])
+    def test_window_columns_are_plane_columns(self, k, stride, dtype):
+        x = np.random.default_rng(3).uniform(-1, 1, (3, 2, 8, 8)).astype(dtype)
+        win = T.windows(x, k, stride)
+        idx = np.array([0, 5, 6, 17, win[..., 0, 0].size - 1])
+        columns = T.window_columns(win, idx)
+        assert columns.shape == (k * k, idx.size) and columns.dtype == dtype
+        assert np.array_equal(columns, T.window_planes(win).reshape(k * k, -1)[:, idx])
+
     def test_fold_walks_each_window_row_major(self):
         # 1e16 + 1.0 rounds back to 1e16: the (u, v) walk sums to 0.0, a (v, u) walk to 1.0
         planes = T.window_planes(T.windows(np.array([[1e16, 1.0], [-1e16, 0.0]]).reshape(1, 1, 2, 2), 2, 2))
