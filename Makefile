@@ -23,11 +23,11 @@ check:
 bench-smoke:
 	python3 -m pytest perfbench/test_smoke.py
 
-# the tier-1 tests, the check suites and the benchmark smoke test, stopping at the first failure
+# the tier-1 tests (tests/test_bench_contract.py runs the benchmark smoke test) and the check suites,
+# stopping at the first failure
 verify:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 	$(MAKE) check
-	$(MAKE) bench-smoke
 
 # bit-for-bit comparison of every battery array with another checkout: make parity PARENT=../parent
 parity:

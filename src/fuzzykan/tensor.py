@@ -12,6 +12,9 @@ bit-for-bit with naive nested-loop reference implementations.  The one
 exception is a 1x1 ``matmul`` output, a single dot product, which einsum
 reduces with unrolled partial sums.
 
+The second operand of ``add`` and ``mul`` is a number or a tensor of the
+first's shape, with no broadcasting, so each gradient has its operand's shape.
+
 ``conv2d`` lays its im2col out as [(c,u,v), N, (i,j)] and contracts it with
 one non-optimized einsum into a C-ordered [N, F, (i,j)] output.  The
 einsum's inner loop is then an axpy along the Ho*Wo output pixels, and the
@@ -84,7 +87,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -210,53 +212,36 @@ def from_op(data, parents, backward):
     return out
 
 
-def _as_operand(b):
-    """Split an operand into (tensor-or-None, raw value)."""
-    if isinstance(b, Tensor):
-        return b, b.data
-    return None, float(b)
-
-
 # -- elementwise arithmetic ----------------------------------------------
 
 
-# kind -> (forward, gradient for a, gradient for b), each gradient a
-# function of the output gradient g and the operand values a and b
-_ELEMENTWISE = {
-    "add": (operator.add, lambda g, a, b: g.copy(), lambda g, a, b: g.copy()),
-    "mul": (operator.mul, lambda g, a, b: g * b, lambda g, a, b: g * a),
-}
-
-
-def elementwise(kind: str, a: Tensor, b):
-    """Elementwise add/mul of equal-shape tensors or tensor-scalar.
-
-    Broadcasting beyond a scalar right operand is deliberately unsupported.
-    """
-    if kind not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise kind {kind!r}")
-    forward, grad_a, grad_b = _ELEMENTWISE[kind]
-    b_t, b_val = _as_operand(b)
-    if b_t is not None and b_t.data.size != 1 and b_t.shape != a.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b_t.shape}")
-    out_data = forward(a.data, b_val)
+def add(a: Tensor, b) -> Tensor:
+    """``a + b`` for ``b`` a number or a tensor of ``a``'s shape."""
+    if not isinstance(b, Tensor):
+        return from_op(a.data + float(b), (a,), lambda g: accumulate_grad(a, g.copy()))
+    if b.shape != a.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
     def backward(g):
-        accumulate_grad(a, grad_a(g, a.data, b_val))
-        if b_t is not None:
-            gb = grad_b(g, a.data, b_val)
-            accumulate_grad(b_t, gb if b_t.shape == a.shape else gb.sum().reshape(b_t.shape))
+        accumulate_grad(a, g.copy())
+        accumulate_grad(b, g.copy())
 
-    parents = (a,) if b_t is None else (a, b_t)
-    return from_op(out_data, parents, backward)
+    return from_op(a.data + b.data, (a, b), backward)
 
 
-def add(a, b):
-    return elementwise("add", a, b)
+def mul(a: Tensor, b) -> Tensor:
+    """``a * b`` for ``b`` a number or a tensor of ``a``'s shape."""
+    if not isinstance(b, Tensor):
+        b = float(b)
+        return from_op(a.data * b, (a,), lambda g: accumulate_grad(a, g * b))
+    if b.shape != a.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
+    def backward(g):
+        accumulate_grad(a, g * b.data)
+        accumulate_grad(b, g * a.data)
 
-def mul(a, b):
-    return elementwise("mul", a, b)
+    return from_op(a.data * b.data, (a, b), backward)
 
 
 # -- linear algebra -------------------------------------------------------
@@ -418,18 +403,18 @@ def activate(kind: str, x: Tensor) -> Tensor:
     """Elementwise relu / tanh; the derivative is built only in backward, so a forward alone does no derivative work."""
     if kind == "relu":
         out_data = np.maximum(x.data, 0.0)
+
+        def backward(g):
+            accumulate_grad(x, g * (x.data > 0))  # the mask is 1.0 or 0.0; at 0 the x <= 0 branch's derivative
+
     elif kind == "tanh":
         out_data = np.tanh(x.data)
+
+        def backward(g):
+            accumulate_grad(x, g * (1.0 - out_data * out_data))
+
     else:
         raise ValueError(f"unknown activation {kind!r}")
-
-    def backward(g):
-        if kind == "relu":
-            dact = (x.data > 0).astype(x.data.dtype)  # derivative at 0 taken from the x <= 0 branch
-        else:
-            dact = 1.0 - out_data * out_data
-        accumulate_grad(x, g * dact)
-
     return from_op(out_data, (x,), backward)
 
 
@@ -476,29 +461,22 @@ def flatten(x: Tensor) -> Tensor:
     return reshape(x, (x.shape[0], -1))
 
 
-def reduce_sum(x: Tensor, axis=None) -> Tensor:
-    out_data = x.data.sum(axis=axis)
+def _reduction(x: Tensor, kept: np.ndarray, axis, count) -> Tensor:
+    """Wrap ``kept``, a keepdims reduction of ``x`` over ``axis``: the backward spreads ``g / count`` over each
+    reduced entry (a sum is a mean over a count of 1)."""
 
     def backward(g):
-        if axis is None:
-            accumulate_grad(x, np.broadcast_to(g, x.shape).copy())
-        else:
-            accumulate_grad(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+        accumulate_grad(x, np.broadcast_to(g.reshape(kept.shape) / count, x.shape).copy())
 
-    return from_op(out_data, (x,), backward)
+    return from_op(kept.squeeze(axis), (x,), backward)
+
+
+def reduce_sum(x: Tensor, axis=None) -> Tensor:
+    return _reduction(x, x.data.sum(axis=axis, keepdims=True), axis, 1)
 
 
 def reduce_mean(x: Tensor, axis=None) -> Tensor:
-    count = x.size if axis is None else x.shape[axis]
-    out_data = x.data.mean(axis=axis)
-
-    def backward(g):
-        if axis is None:
-            accumulate_grad(x, np.broadcast_to(g / count, x.shape).copy())
-        else:
-            accumulate_grad(x, np.broadcast_to(np.expand_dims(g / count, axis), x.shape).copy())
-
-    return from_op(out_data, (x,), backward)
+    return _reduction(x, x.data.mean(axis=axis, keepdims=True), axis, x.size if axis is None else x.shape[axis])
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:

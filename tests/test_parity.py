@@ -1,4 +1,4 @@
-"""The report of tools/parity.py on canned battery outputs, and its battery on one small model and one pool case."""
+"""The report of tools/parity.py on canned battery outputs, and its battery on one small case of each slice."""
 
 import importlib.util
 from pathlib import Path
@@ -81,7 +81,7 @@ def test_canonical_digest_ignores_only_nan_bits():
 
 
 def test_battery_runs_on_this_library(monkeypatch):
-    # one small model and one pool case through the real battery, so a library change that breaks it fails here
+    # one small model, pool and conv case through the real battery, so a library change that breaks it fails here
     monkeypatch.setattr(parity, "VARIANTS", [("mlp", "max", 6.0)])
     monkeypatch.setattr(parity, "GEOMETRIES", ("mnist",))
     monkeypatch.setattr(parity, "DTYPES", ("float32",))
@@ -89,6 +89,8 @@ def test_battery_runs_on_this_library(monkeypatch):
     monkeypatch.setattr(parity, "POOLS", [("fuzzy", 0.5)])
     monkeypatch.setattr(parity, "POOL_GEOMETRIES", ((3, 1),))
     monkeypatch.setattr(parity, "POOL_SHAPES", ((5, 2, 6, 6),))
+    monkeypatch.setattr(parity, "CONV_SHAPES", (((3, 2, 6, 6), 4, 3),))
+    monkeypatch.setattr(parity, "CONV_STRIDES", (2,))
     names = [name for name, _ in build(ModelConfig(pooling=PoolConfig(kind="max"))).parameters()]
     case = "mlp-max-6/mnist/float32/relu"
     expected = {f"{case}/fresh/logits", f"{case}/fresh/input.grad", f"{case}/values", f"{case}/checkpoint"}
@@ -96,6 +98,7 @@ def test_battery_runs_on_this_library(monkeypatch):
         expected |= {f"{case}/{stage}/{name}.grad" for name in names}
     expected |= {f"{case}/loaded/{name}" for name in names}
     expected |= {"pool/fuzzy-0.5/5x2x6x6/k3s1/float32/out", "pool/fuzzy-0.5/5x2x6x6/k3s1/float32/input.grad"}
+    expected |= {f"conv/3x2x7x7/4@3x3/s2/float32/{name}" for name in ("out", "input.grad", "kernels.grad", "bias.grad")}
     digests = parity.battery()
     assert set(digests) == expected
     assert all(len(value) == 2 and all(len(d) == 64 for d in value) for value in digests.values())

@@ -77,9 +77,12 @@ class TestElementwise:
         with pytest.raises(ValueError, match="shape mismatch"):
             T.add(tensor([1.0, 2.0]), tensor([1.0, 2.0, 3.0]))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            T.elementwise("pow", tensor([1.0]), 2.0)
+    @pytest.mark.parametrize("op", [T.add, T.mul])
+    @pytest.mark.parametrize("shape", [(1, 1), ()], ids=["1x1", "0d"])
+    def test_size_one_tensor_is_not_broadcast(self, op, shape):
+        # the second operand is a number or a tensor of the first's shape, nothing in between
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(tensor([1.0, 2.0, 3.0]), tensor(np.full(shape, 2.0)))
 
 
 class TestMatmul:

@@ -1,4 +1,4 @@
-"""Compare two checkouts bit for bit on one battery of logits, gradients, AdamW steps, checkpoints and pool edge values.
+"""Compare two checkouts bit for bit on one battery of model, pool and conv2d arrays.
 
     python3 tools/parity.py ../parent .
 
@@ -19,9 +19,17 @@ and 37.  Its inputs are edge values: entries at and one ulp around every
 membership breakpoint and 5*r_max/14 (c exactly among them), +-0, +-inf and
 NaN, whole images below c, and a last quarter of the batch wholly below c,
 so some image blocks average every window.  It records each output and
-input gradient.  Each array is kept as two SHA-256 digests of its dtype,
-shape and C-ordered bytes: one of the array as it is, and one after every
-NaN is made the dtype's canonical quiet NaN.
+input gradient.  Its conv slice runs the public ``conv2d`` with a bias,
+forward and backward under a seeded upstream gradient, on the train conv1
+[37,1,32,32] 6@5x5, train conv2 [37,6,14,14] 16@5x5 and eval conv1
+[37,3,32,32] 6@5x5 shapes, at stride 1 and at stride 2 on inputs one row and
+one column larger, in float64 and float32.  Batch 37 ends in a partial
+image block, except at eval conv1 stride 1, whose blocks are one image each.
+It records the output and the input, kernel and bias gradients.  The battery
+has 3,456 model, 192 pool and 48 conv arrays, 3,696 in all.  Each array is
+kept as two SHA-256 digests of its dtype, shape and C-ordered bytes: one of
+the array as it is, and one after every NaN is made the dtype's canonical
+quiet NaN.
 
 The report lists each key whose exact digest differs and each key that one
 side lacks, then a count.  A key whose exact digests differ while its
@@ -59,6 +67,9 @@ POOL_GEOMETRIES = ((2, 2), (3, 1), (2, 1))
 # train pool1, train pool2, eval pool1 at batch 256 and at batch 37
 POOL_SHAPES = ((32, 6, 28, 28), (32, 16, 10, 10), (256, 6, 28, 28), (37, 6, 28, 28))
 SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
+# train conv1, train conv2 and eval conv1 at batch 37: input [N, C, H, W] and F kernels of k x k
+CONV_SHAPES = (((37, 1, 32, 32), 6, 5), ((37, 6, 14, 14), 16, 5), ((37, 3, 32, 32), 6, 5))
+CONV_STRIDES = (1, 2)  # stride s runs on an input s - 1 rows and columns larger, so the windows tile
 THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -71,7 +82,7 @@ def digest(array) -> list[str]:
 
 def battery() -> dict:
     """Key -> digest of every array of the battery, computed with the ``fuzzykan`` on ``sys.path``."""
-    return {**model_battery(), **pool_battery()}
+    return {**model_battery(), **pool_battery(), **conv_battery()}
 
 
 def edge_images(rng, params, dtype, shape) -> np.ndarray:
@@ -114,6 +125,27 @@ def pool_battery() -> dict:
                         T.reduce_sum(T.mul(out, T.Tensor(upstream))).backward()
                     digests[f"{case}/out"] = digest(out.data)
                     digests[f"{case}/input.grad"] = digest(x.grad)
+    return digests
+
+
+def conv_battery() -> dict:
+    """Key -> digest of each ``conv2d`` output and input, kernel and bias gradient of the conv slice."""
+    import fuzzykan.tensor as T
+
+    digests = {}
+    for (n, c, h, w), f, k in CONV_SHAPES:
+        for stride in CONV_STRIDES:
+            shape = (n, c, h + stride - 1, w + stride - 1)
+            for dtype in DTYPES:
+                case = f"conv/{'x'.join(map(str, shape))}/{f}@{k}x{k}/s{stride}/{dtype}"
+                rng = np.random.default_rng(0)
+                x, kernels, bias = (T.Tensor(rng.uniform(-1.0, 1.0, s).astype(dtype), requires_grad=True)
+                                    for s in (shape, (f, c, k, k), (f,)))
+                out = T.conv2d(x, kernels, bias, stride=stride)
+                T.reduce_sum(T.mul(out, T.Tensor(rng.uniform(-1.0, 1.0, out.shape).astype(dtype)))).backward()
+                for name, array in (("out", out.data), ("input.grad", x.grad), ("kernels.grad", kernels.grad),
+                                    ("bias.grad", bias.grad)):
+                    digests[f"{case}/{name}"] = digest(array)
     return digests
 
 
