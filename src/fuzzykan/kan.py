@@ -14,8 +14,11 @@ output gradient g[N, out]:
     dc    = gb * w_s,  dw_s = sum_i gb * c,  dw_b = g.T @ sil
     dx    = silu'(x) * (g @ w_b) + sum_i (g @ w) * dbasis
 
-The basis derivative dbasis is built in the backward rule, and only when x
-needs a gradient, so a forward-only evaluation never pays for it.
+One routine, ``_basis_rows``, finds each point's knot interval and local
+B-spline values once for ``bspline_basis`` and the layer, and returns the
+basis rows with a function that builds dbasis from the same intermediates.
+The layer's backward calls it only when x needs a gradient, so a
+forward-only evaluation never pays for it.
 """
 
 from __future__ import annotations
@@ -88,33 +91,29 @@ def bspline_basis(x, grid: SplineGrid, with_derivative: bool = False):
     is taken as float64.
     """
     x = np.asarray(x)
-    x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
-    interval, lower, values = _local_basis(x, grid)
-    basis = _dense(x, interval, values, grid, nan_rows=grid.order > 0)
-    if not with_derivative:
-        return basis
-    return basis, _derivative(x, interval, lower, grid)
+    basis, derivative = _basis_rows(x if x.dtype == np.float32 else x.astype(np.float64, copy=False), grid)
+    return (basis, derivative()) if with_derivative else basis
 
 
-def _local_basis(x: np.ndarray, grid: SplineGrid):
-    """Each point's knot interval m and its nonzero B-splines of degrees order-1 and order.
+def _basis_rows(x: np.ndarray, grid: SplineGrid):
+    """Dense basis rows [..., num_basis] of a float32 or float64 x, and a function building its derivative rows.
 
-    Over the flattened points, values[r] is B_{m-order+r}(x) and lower[r] is
-    the degree-(order-1) B_{m-order+1+r}(x).  A point outside the extended
-    knots gets m = 0 and zero values.  The values have x's dtype; the
-    interval is decided against the float64 knots, exactly, in either dtype.
+    Over the flattened points, values[r] is B_{m-order+r}(x) on each point's
+    knot interval m, and lower[r] is the degree-(order-1) B_{m-order+1+r}(x).
+    A point outside the extended knots gets m = 0 and zero values.  The values
+    have x's dtype; the interval is decided against the float64 knots, exactly.
     """
     k = grid.order
     t = grid.knots()
-    x = x.reshape(-1)
+    flat = x.reshape(-1)
     # by comparison, not floor((x - t[0]) / step): a point one ulp below a
     # knot must not land in the interval above it
-    interval = np.searchsorted(t, x, side="right") - 1
-    interval[x == np.float64(grid.hi)] = grid.intervals + k - 1
+    interval = np.searchsorted(t, flat, side="right") - 1
+    interval[flat == np.float64(grid.hi)] = grid.intervals + k - 1
     inside = (interval >= 0) & (interval < len(t) - 1)
     interval[~inside] = 0
     # clipped, so no value rounds below 0
-    u = np.clip((x - t.astype(x.dtype, copy=False)[interval]) / grid.step, 0.0, 1.0)
+    u = np.clip((flat - t.astype(x.dtype, copy=False)[interval]) / grid.step, 0.0, 1.0)
     # de Boor's BSPLVB in units of the step: x - t[m+1-j] = u + j - 1 and t[m+j] - x = j - u
     left = [u + (j - 1) for j in range(1, k + 1)]
     right = [j - u for j in range(1, k + 1)]
@@ -126,7 +125,16 @@ def _local_basis(x: np.ndarray, grid: SplineGrid):
             values.append(saved + right[r] * temp)
             saved = left[d - 1 - r] * temp
         values.append(saved)
-    return interval, lower, values
+    del u, left, right, inside  # so the recursion's temporaries and the padded rows are never alive together
+
+    def derivative():
+        # dB_{i,k}/dx = (B_{i,k-1} - B_{i+1,k-1}) / step on uniform knots, from the local values;
+        # it combines degree-(order-1) functions, NaN at a non-finite point from degree 1 on
+        zero = np.zeros(interval.size, x.dtype)
+        slopes = [(a - b) / grid.step for a, b in zip([zero, *lower], [*lower, zero])]
+        return _dense(x, interval, slopes, grid, nan_rows=grid.order > 1)
+
+    return _dense(x, interval, values, grid, nan_rows=k > 0), derivative
 
 
 def _dense(x: np.ndarray, interval, values, grid: SplineGrid, nan_rows: bool) -> np.ndarray:
@@ -147,15 +155,6 @@ def _dense(x: np.ndarray, interval, values, grid: SplineGrid, nan_rows: bool) ->
     if nan_rows:
         dense[~np.isfinite(x.reshape(-1))] = np.nan
     return dense.reshape(x.shape + (grid.num_basis,))
-
-
-def _derivative(x: np.ndarray, interval, lower, grid: SplineGrid) -> np.ndarray:
-    """dB_{i,k}/dx = (B_{i,k-1} - B_{i+1,k-1}) / step on uniform knots, from the local values."""
-    zero = np.zeros(interval.size, x.dtype)
-    lower = [zero, *lower, zero]
-    slopes = [(a - b) / grid.step for a, b in zip(lower[:-1], lower[1:])]
-    # the derivative combines degree-(order-1) functions, NaN at a non-finite point from degree 1 on
-    return _dense(x, interval, slopes, grid, nan_rows=grid.order > 1)
 
 
 def bspline_reference(i: int, degree: int, knots, x: float) -> float:
@@ -225,10 +224,8 @@ def kan_layer_forward(x: T.Tensor, params: KanLayerParams) -> T.Tensor:
     if x.ndim != 2 or x.shape[1] != params.in_features:
         raise ValueError(f"expected input [N,{params.in_features}], got {x.shape}")
 
-    grid = params.grid
-    xb = x.data  # float32 or float64, kept through the basis and both GEMMs
-    interval, lower, values = _local_basis(xb, grid)
-    basis = _dense(xb, interval, values, grid, nan_rows=grid.order > 0).reshape(len(xb), -1)  # [N, in*nb]
+    basis, derivative = _basis_rows(x.data, params.grid)  # x.data is float32 or float64, kept through both GEMMs
+    basis = basis.reshape(len(x.data), -1)  # [N, in*nb]
     sil = T.silu_values(x.data)
     c, wb, ws = params.coeffs, params.w_b, params.w_s
     spline_w = (c.data * ws.data[..., None]).reshape(params.out_features, -1)  # [out, in*nb]
@@ -242,7 +239,7 @@ def kan_layer_forward(x: T.Tensor, params: KanLayerParams) -> T.Tensor:
         T.accumulate_grad(ws, np.einsum("jpi,jpi->jp", g_basis, c.data))
         T.accumulate_grad(wb, g.T @ sil)
         if x.requires_grad:
-            dbasis = _derivative(xb, interval, lower, grid)  # [N, in, nb]
+            dbasis = derivative()  # [N, in, nb]
             dx = T.silu_derivative(x.data) * (g @ wb.data)
             dx += np.einsum("spi,spi->sp", (g @ spline_w).reshape(dbasis.shape), dbasis)
             T.accumulate_grad(x, dx)

@@ -476,7 +476,8 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
 
 
 def reduce_mean(x: Tensor, axis=None) -> Tensor:
-    return _reduction(x, x.data.mean(axis=axis, keepdims=True), axis, x.size if axis is None else x.shape[axis])
+    kept = x.data.mean(axis=axis, keepdims=True)
+    return _reduction(x, kept, axis, x.size // kept.size if kept.size else 1)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:

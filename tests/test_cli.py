@@ -1,13 +1,16 @@
 import csv
 import gzip
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fuzzykan.checks as checks
-import fuzzykan.kan as kan
 import fuzzykan.tensor as T
 from fuzzykan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from fuzzykan.data import IDX_FILES, IDX_IMAGES_MAGIC, load_dataset, write_idx_images, write_idx_labels
@@ -17,6 +20,8 @@ from fuzzykan.pooling import MembershipParams, PoolConfig
 from fuzzykan.training import evaluate
 
 from conftest import make_synthetic_images
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv):
@@ -373,6 +378,16 @@ class TestCheckCommand:
         assert run_cli(["check", kind]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
+    def test_module_entry_point(self):
+        # `make check` runs the suites as `python -m fuzzykan.cli`
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuzzykan.cli", "check", "spline"],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "PASS"
+
     def test_bad_kind(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["check", "entropy"])
@@ -393,14 +408,16 @@ class TestCheckCommand:
         assert "= nan" in out and out.splitlines()[-1] == "FAIL"
 
     def test_nan_spline_derivative_fails(self, capsys, monkeypatch):
-        real_derivative = kan._derivative
+        real_basis = checks.bspline_basis
 
-        def derivative_with_one_nan(*args):
-            deriv = real_derivative(*args)
+        def basis_with_one_nan_derivative(x, grid, with_derivative=False):
+            if not with_derivative:
+                return real_basis(x, grid)
+            basis, deriv = real_basis(x, grid, with_derivative=True)
             deriv[5, 2] = np.nan
-            return deriv
+            return basis, deriv
 
-        monkeypatch.setattr(kan, "_derivative", derivative_with_one_nan)
+        monkeypatch.setattr(checks, "bspline_basis", basis_with_one_nan_derivative)
         assert run_cli(["check", "spline"]) == EXIT_NUMERICAL
         out = capsys.readouterr().out
         assert "scalar oracle| nan" in out and out.splitlines()[-1] == "FAIL"

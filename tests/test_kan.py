@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fuzzykan.kan as kan
 import fuzzykan.tensor as T
 from fuzzykan.checks import check_kan_gradients, gradient_check, spline_oracle
 from fuzzykan.kan import SplineGrid, bspline_basis, kan_init, kan_layer_forward, kan_stack_forward
@@ -40,6 +41,8 @@ class TestSplineGrid:
             SplineGrid(lo=-np.inf)
         with pytest.raises(ValueError, match="step"):
             SplineGrid(lo=-1e308, hi=1e308)  # finite bounds, infinite step
+        with pytest.raises(ValueError, match="spline order must be >= 0"):
+            SplineGrid(order=-1)
 
 
 class TestBasis:
@@ -185,6 +188,36 @@ class TestKanLayer:
         g_basis = (np.ones((3, 6), np.float32) @ basis.astype(np.float32)).reshape(layer.coeffs.shape)
         assert layer.coeffs.grad.tobytes() == (g_basis * layer.w_s.data[..., None]).tobytes()
         assert x.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"order{g.order}_lo{g.lo}")
+    def test_output_is_silu_gemm_plus_public_basis_gemm(self, grid, dtype):
+        # the layer's rows are bspline_basis's rows, bit for bit, edge points and non-finite ones included
+        points = np.concatenate([edge_points(grid), [np.nan, np.inf, -np.inf]])
+        # rolled apart, so no row holds two non-finite points and an infinite one shows its NaN basis row
+        x = np.stack([points, np.roll(points, 5), np.roll(points, 11)], axis=1).astype(dtype)  # [N, 3]
+        layer = kan_init(3, 4, grid, seed=17)
+        for t in layer.parameters():
+            t.data = t.data.astype(dtype)
+        spline_w = (layer.coeffs.data * layer.w_s.data[..., None]).reshape(4, -1)
+        with np.errstate(invalid="ignore"):  # silu(-inf) is -inf * 0
+            out = kan_layer_forward(T.Tensor(x), layer).data
+            expected = T.silu_values(x) @ layer.w_b.data.T + bspline_basis(x, grid).reshape(len(x), -1) @ spline_w.T
+        assert out.dtype == expected.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("x_needs_grad, derivative_builds", [(False, 0), (True, 1)])
+    def test_derivative_rows_are_built_only_for_an_input_gradient(self, monkeypatch, x_needs_grad, derivative_builds):
+        placed = []
+        real_dense = kan._dense
+        monkeypatch.setattr(kan, "_dense", lambda *args, **kw: placed.append(1) or real_dense(*args, **kw))
+        layer = kan_init(3, 2, seed=18)
+        x = T.Tensor(np.random.default_rng(18).uniform(-1.5, 1.5, (4, 3)), requires_grad=x_needs_grad)
+        out = kan_layer_forward(x, layer)
+        assert len(placed) == 1  # the basis rows: a forward alone builds no derivative rows
+        T.reduce_sum(out).backward()
+        assert len(placed) == 1 + derivative_builds
+        assert layer.coeffs.grad is not None and (x.grad is not None) == x_needs_grad
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="head"):
             ModelConfig(head="transformer")
 
+    def test_invalid_conv_activation(self):
+        with pytest.raises(ValueError, match="conv activation must be relu or tanh, got 'sigmoid'"):
+            ModelConfig(conv_activation="sigmoid")
+
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             ModelConfig(seed=-1)

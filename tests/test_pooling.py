@@ -5,7 +5,7 @@ import pytest
 
 import fuzzykan.pooling as pooling
 import fuzzykan.tensor as T
-from fuzzykan.checks import gradient_check, sample_fuzzy_safe_input
+from fuzzykan.checks import BREAKPOINT_MARGIN, _pool_input_is_smooth, gradient_check, sample_fuzzy_safe_input
 from fuzzykan.pooling import (
     COG_EPS,
     MembershipParams,
@@ -59,6 +59,61 @@ class TestMembershipParams:
         assert np.all(np.isfinite(out))
         for idx in np.ndindex(out.shape):
             assert out[idx] == fuzzy_window_reference(win[idx], params)
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: PoolConfig(k=0), "window size and stride must be >= 1"),
+            (lambda: PoolConfig(stride=0), "window size and stride must be >= 1"),
+            (lambda: membership_derivative(4, 1.0, PARAMS), "membership index must be 1, 2 or 3, got 4"),
+            (lambda: pool(T.Tensor(np.zeros((1, 4, 4))), PoolConfig()), r"pool expects \[N,C,H,W\]"),
+        ],
+        ids=["k", "stride", "membership_derivative-index", "pool-rank"],
+    )
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+class _Draws:
+    """A stand-in generator whose ``uniform`` returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def uniform(self, lo, hi, size):
+        return np.array(self.draws.pop(0), dtype=float).reshape(size)
+
+
+class TestFiniteDifferenceSafety:
+    """The scan that keeps gradient checks away from kinks and ties rejects fuzzy pool inputs."""
+
+    FUZZY = PoolConfig(kind="fuzzy")
+
+    def window(self, values):
+        return np.array(values, dtype=float).reshape(1, 1, 2, 2)
+
+    def test_entry_near_a_breakpoint_is_rejected(self):
+        # mu_1 bends at c; the window's scores are far apart, so only the entry rejects it
+        near_c = PARAMS.c + BREAKPOINT_MARGIN / 2
+        assert _pool_input_is_smooth(self.window([0.2, 0.3, 0.4, PARAMS.c - 2 * BREAKPOINT_MARGIN]), self.FUZZY)
+        assert not _pool_input_is_smooth(self.window([0.2, 0.3, 0.4, near_c]), self.FUZZY)
+
+    def test_score_tie_is_rejected(self):
+        # an entry below c and one above q saturate mu_1 and mu_3: both scores are exactly 1
+        assert PARAMS.breakpoints()[0] > 0.0 and PARAMS.breakpoints()[-1] < 6.0
+        assert not _pool_input_is_smooth(self.window([0.0, 6.0, 0.0, 6.0]), self.FUZZY)
+
+    def test_sampling_redraws_only_the_entries_near_a_breakpoint(self):
+        rng = _Draws([0.5, PARAMS.a, 7.0, PARAMS.q + BREAKPOINT_MARGIN / 2], [2.0, 5.0])
+        x = sample_fuzzy_safe_input((4,), rng, PARAMS)
+        assert x.tolist() == [0.5, 2.0, 7.0, 5.0] and rng.draws == []
+
+    def test_sampling_a_range_of_one_breakpoint_gives_up(self):
+        with pytest.raises(RuntimeError, match="could not sample inputs away from membership breakpoints"):
+            sample_fuzzy_safe_input((3,), np.random.default_rng(0), PARAMS, lo=PARAMS.c, hi=PARAMS.c)
 
 
 class TestMembership:

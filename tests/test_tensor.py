@@ -85,6 +85,27 @@ class TestElementwise:
             op(tensor([1.0, 2.0, 3.0]), tensor(np.full(shape, 2.0)))
 
 
+class TestGuards:
+    """Each op rejects operands of the wrong rank, shape or kind before doing any work."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: T.matmul(tensor(np.ones(3)), tensor(np.ones((3, 2)))), "matmul expects 2-D operands"),
+            (lambda: T.conv2d(tensor(np.ones((1, 5, 5))), tensor(np.ones((2, 1, 3, 3))), None), r"input \[N,C,H,W\]"),
+            (lambda: T.conv2d(tensor(np.ones((1, 2, 5, 5))), tensor(np.ones((2, 1, 3, 3))), None), "incompatible with input"),
+            (lambda: T.activate("sigmoid", tensor([1.0])), "unknown activation 'sigmoid'"),
+            (lambda: T.softmax_cross_entropy(tensor([0.0, 1.0]), [0]), r"logits must be \[N,K\]"),
+            (lambda: T.softmax_cross_entropy(tensor([[0.0, 1.0]]), [0, 1]), "does not match batch 1"),
+            (lambda: T.bias_add(tensor(np.ones((2, 3))), tensor(np.ones(2))), "bias_add expects"),
+        ],
+        ids=["matmul-rank", "conv2d-rank", "conv2d-channels", "activate-kind", "loss-logits", "loss-labels", "bias_add"],
+    )
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestMatmul:
     def test_identity(self):
         out = T.matmul(tensor(np.eye(2)), tensor([[1.0, 2.0], [3.0, 4.0]]))
@@ -632,6 +653,20 @@ class TestGradientCheck:
     def test_unreached_tensor_has_zero_gradient(self):
         x, unused = tensor([1.0, 2.0]), tensor([3.0])
         assert gradient_check(lambda: T.reduce_sum(T.mul(x, x)), [x, unused]) < 1e-4
+
+
+class TestReduceMean:
+    @pytest.mark.parametrize("axis, count", [((0, 2), 8), ((2, 0), 8), (1, 3), (None, 24)], ids=["0,2", "2,0", "1", "all"])
+    def test_any_axis_divides_by_the_reduced_count(self, axis, count):
+        rng = np.random.default_rng(29)
+        x = tensor(rng.uniform(-2, 2, (2, 3, 4)))
+        m = T.reduce_mean(x, axis=axis)
+        expected = x.data.mean(axis=axis)
+        assert m.shape == expected.shape and m.data.tobytes() == expected.tobytes()
+        g = rng.uniform(-2, 2, expected.shape)
+        T.reduce_sum(T.mul(m, T.Tensor(g))).backward()
+        spread = np.broadcast_to(np.expand_dims(g / count, axis if axis is not None else (0, 1, 2)), x.shape)
+        assert x.grad.tobytes() == spread.tobytes()
 
 
 class TestPrimitiveGradients:
