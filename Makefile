@@ -23,11 +23,10 @@ check:
 bench-smoke:
 	python3 -m pytest perfbench/test_smoke.py
 
-# the tier-1 tests (tests/test_bench_contract.py runs the benchmark smoke test) and the check suites,
-# stopping at the first failure
+# the tier-1 tests; they also run the three check suites (tests/test_cli.py) and the benchmark smoke
+# test (tests/test_bench_contract.py)
 verify:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
-	$(MAKE) check
 
 # bit-for-bit comparison of every battery array with another checkout: make parity PARENT=../parent
 parity:

@@ -68,31 +68,20 @@ def gradient_check(loss_builder, tensors, h: float = FD_STEP) -> float:
     return float(np.max(errors))  # a NaN error propagates and fails the check
 
 
-def _away_from(values: np.ndarray, points, margin: float) -> bool:
-    values = np.asarray(values)
-    return all(np.abs(values - p).min() > margin for p in points)
+def _near_breakpoint(x, params: MembershipParams, margin: float = BREAKPOINT_MARGIN) -> np.ndarray:
+    """Entries within `margin` of a membership breakpoint; a NaN entry is near every one."""
+    return ~np.logical_and.reduce([np.abs(x - p) > margin for p in params.breakpoints()])
 
 
 def sample_fuzzy_safe_input(shape, rng, params: MembershipParams, lo=-1.0, hi=8.0, margin=BREAKPOINT_MARGIN):
-    """Random values in [lo, hi] at least `margin` from every breakpoint."""
-    points = params.breakpoints()
+    """Random values in [lo, hi] more than `margin` from every breakpoint."""
     x = rng.uniform(lo, hi, shape)
     for _ in range(100):
-        bad = np.zeros(x.shape, dtype=bool)
-        for p in points:
-            bad |= np.abs(x - p) <= margin
-        if not bad.any():
+        near = _near_breakpoint(x, params, margin)
+        if not near.any():
             return x
-        x[bad] = rng.uniform(lo, hi, int(bad.sum()))
+        x[near] = rng.uniform(lo, hi, int(near.sum()))
     raise RuntimeError("could not sample inputs away from membership breakpoints")
-
-
-def _fuzzy_score_margins(x: np.ndarray, config: PoolConfig) -> float:
-    """Smallest gap between the winning score and the runner-up, any window."""
-    planes = T.window_planes(T.windows(np.asarray(x, dtype=float), config.k, config.stride))
-    scores, _, _ = fuzzy_scores(planes, config.membership)
-    runner_up, top = np.sort(scores, axis=0)[-2:]
-    return float((top - runner_up).min())
 
 
 def check_pool_oracle(k: int = 2, seed: int = 0):
@@ -208,17 +197,16 @@ def _setup_is_smooth(model, images) -> bool:
 
 
 def _pool_input_is_smooth(values, config: PoolConfig) -> bool:
-    margin = BREAKPOINT_MARGIN
-    if config.kind == "fuzzy":
-        if not _away_from(values, config.membership.breakpoints(), margin):
-            return False
-        if _fuzzy_score_margins(values, config) <= margin:
-            return False
+    """No fuzzy entry near a breakpoint, and no window whose top two entries (max) or scores (fuzzy) are that close."""
+    if config.kind == "fuzzy" and _near_breakpoint(values, config.membership).any():
+        return False
+    if config.kind == "average":
         return True
-    if config.kind == "max":
-        ranked = np.sort(T.window_planes(T.windows(np.asarray(values, dtype=float), config.k, config.stride)), axis=0)
-        return not (ranked[-1] - ranked[-2] <= margin).any()
-    return True
+    ranked = T.window_planes(T.windows(np.asarray(values, dtype=float), config.k, config.stride))
+    if config.kind == "fuzzy":
+        ranked = fuzzy_scores(ranked, config.membership)[0]
+    runner_up, top = np.sort(ranked, axis=0)[-2:]
+    return not (top - runner_up <= BREAKPOINT_MARGIN).any()
 
 
 def check_gradients(seed: int = 0):

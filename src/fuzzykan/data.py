@@ -1,9 +1,10 @@
 """Dataset loading: IDX (MNIST/FashionMNIST) and CIFAR-10 binary formats.
 
 Both readers are bit-exact parsers of the official binary layouts; pixels
-are scaled to [0,1].  ``load_dataset`` alone decides the input geometry: it
-zero-pads 28x28 grayscale images to 32x32, passes 32x32 ones through, and
-refuses IDX images of any other size.
+are scaled to [0,1] as float64 pixels / 255.  ``load_dataset`` alone decides
+the input geometry: it zero-pads 28x28 grayscale images to 32x32, passes
+32x32 ones through, and refuses IDX images of any other size.  It pads the
+uint8 bytes and then scales them once, so no unpadded float copy is made.
 Gzipped files are read transparently, and a corrupt one is a DataError.
 """
 
@@ -92,8 +93,13 @@ def _check_labels(labels: np.ndarray, path):
         raise BadLabelError(f"{path}: label byte {labels.max()} out of range")
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Read an IDX image/label file pair into a normalized Dataset."""
+def _scaled(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float64 pixels / 255, in one pass."""
+    return np.divide(pixels, 255.0, dtype=np.float64)
+
+
+def _read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """The checked uint8 images [M, 1, H, W] and int64 labels of an IDX file pair."""
     images = _parse_idx(_read_bytes(images_path), IDX_IMAGES_MAGIC, images_path)
     labels = _parse_idx(_read_bytes(labels_path), IDX_LABELS_MAGIC, labels_path)
     if images.shape[0] != labels.shape[0]:
@@ -102,10 +108,13 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     _check_labels(labels, labels_path)
     m, h, w = images.shape
-    return Dataset(
-        images=images.reshape(m, 1, h, w).astype(np.float64) / 255.0,
-        labels=labels.astype(np.int64),
-    )
+    return images.reshape(m, 1, h, w), labels.astype(np.int64)
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """Read an IDX image/label file pair into a normalized Dataset."""
+    images, labels = _read_idx(images_path, labels_path)
+    return Dataset(_scaled(images), labels)
 
 
 def write_idx_images(path, images: np.ndarray):
@@ -153,10 +162,7 @@ def load_cifar10(dir_path, split: str = "train") -> Dataset:
     """
     files = _find_cifar_files(Path(dir_path), split)
     images, labels = zip(*(_parse_cifar_file(f) for f in files))
-    return Dataset(
-        images=np.concatenate(images).astype(np.float64) / 255.0,
-        labels=np.concatenate(labels).astype(np.int64),
-    )
+    return Dataset(_scaled(np.concatenate(images)), np.concatenate(labels).astype(np.int64))
 
 
 IDX_FILES = {
@@ -181,15 +187,15 @@ def load_dataset(name: str, data_dir, split: str = "train") -> Dataset:
         directory = root / name if (root / name).is_dir() else root
         img_stem, lbl_stem = IDX_FILES[split]
         images_path = _find_idx_file(directory, img_stem)
-        ds = load_idx(images_path, _find_idx_file(directory, lbl_stem))
-        if len(ds) == 0:  # nothing to train on or evaluate
+        images, labels = _read_idx(images_path, _find_idx_file(directory, lbl_stem))
+        if len(labels) == 0:  # nothing to train on or evaluate
             raise DataError(f"{images_path}: holds no images")
-        h, w = ds.images.shape[2:]
-        if (h, w) == (28, 28):  # zero-pad by 2 pixels per border to the 32x32 model input
-            return Dataset(np.pad(ds.images, ((0, 0), (0, 0), (2, 2), (2, 2))), ds.labels)
-        if (h, w) != (32, 32):
+        h, w = images.shape[2:]
+        if (h, w) == (28, 28):  # zero-pad the bytes by 2 pixels per border to the 32x32 model input
+            images = np.pad(images, ((0, 0), (0, 0), (2, 2), (2, 2)))  # the file's bytes are freed before scaling
+        elif (h, w) != (32, 32):
             raise DataError(f"{images_path}: images are {h}x{w}, expected 28x28 or 32x32")
-        return ds
+        return Dataset(_scaled(images), labels)
     raise ValueError(f"unknown dataset {name!r}")
 
 

@@ -248,12 +248,7 @@ def kan_layer_forward(x: T.Tensor, params: KanLayerParams) -> T.Tensor:
 
 
 def kan_stack_forward(x: T.Tensor, layers) -> T.Tensor:
-    """Compose kan_layer_forward over a list of layers."""
-    out = x
-    for i, layer in enumerate(layers):
-        if out.shape[1] != layer.in_features:
-            raise ValueError(
-                f"layer {i} expects {layer.in_features} features, got {out.shape[1]}"
-            )
-        out = kan_layer_forward(out, layer)
-    return out
+    """Compose kan_layer_forward over a list of layers; each layer checks its input width."""
+    for layer in layers:
+        x = kan_layer_forward(x, layer)
+    return x

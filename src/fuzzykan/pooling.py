@@ -35,8 +35,9 @@ mu3 = 1.  A set's algebraic-sum score lies between its largest membership
 and its mass, max(pi_i) <= 1 - prod(1 - pi_i) <= sum(pi_i), so the winning
 score is at least 3/7, and so is the winning set's mass, for any window
 size and any r_max.  An entry of +-inf has a membership of exactly 1, and
-a NaN entry gives a NaN mass.  So ``pool`` needs no fall-back;
-``defuzzify_cog``, which takes arbitrary memberships, keeps one.
+a NaN entry gives a NaN mass.  So neither ``pool`` nor
+``fuzzy_window_reference`` has a fall-back; ``defuzzify_cog``, which takes
+arbitrary memberships, keeps one, and ``COG_EPS`` serves it alone.
 
 A window of +inf among entries below c pools to NaN, as it does in
 ``fuzzy_window_reference``.  mu1 and mu3 tie at score 1 (the entries below
@@ -271,12 +272,7 @@ def fuzzy_window_reference(patch, params: MembershipParams) -> float:
     for w, x in zip(best_pi, flat):
         num = num + w * x
         den = den + w
-    if den < COG_EPS:
-        s = 0.0
-        for x in flat:
-            s = s + x
-        return s / len(flat)
-    return num / den
+    return num / den  # den >= 3/7, or NaN (module docstring)
 
 
 # -- vectorized pooling over tensors --------------------------------------

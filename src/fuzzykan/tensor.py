@@ -390,13 +390,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def silu_values(z: np.ndarray) -> np.ndarray:
-    """SiLU on raw arrays: z * sigmoid(z)."""
-    return z * _sigmoid(z)
+    """SiLU on raw arrays: z * sigmoid(z).  -inf is clipped to the lowest finite value first, so it gives -0.0, as
+    a large negative z does, and not -inf * 0; a finite or NaN z keeps its bits."""
+    return np.maximum(z, np.finfo(z.dtype).min) * _sigmoid(z)
 
 
 def silu_derivative(z: np.ndarray) -> np.ndarray:
+    """s * (1 + z * (1 - s)) with s = sigmoid(z), z clipped to the finite range as in ``silu_values``:
+    -inf gives -0.0 and +inf gives 1.0, as large finite inputs of their sign do."""
     s = _sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
+    big = np.finfo(z.dtype).max
+    return s * (1.0 + np.clip(z, -big, big) * (1.0 - s))
 
 
 def activate(kind: str, x: Tensor) -> Tensor:

@@ -1,10 +1,12 @@
 import gzip
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fuzzykan.data as data
 from fuzzykan.data import (
     IDX_FILES,
     IDX_IMAGES_MAGIC,
@@ -233,6 +235,54 @@ class TestResize:
         out = self.load_idx_images(tmp_path, images).images
         assert out.shape == (2, 1, 32, 32)
         np.testing.assert_array_equal(out[:, 0], images / 255.0)
+
+
+def scaled_then_padded(images, pad):
+    """Pixels by the float formula: images.astype(float64) / 255, then zero-padded by ``pad`` per border."""
+    return np.pad(images.astype(np.float64) / 255.0, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+
+class TestScaledOnce:
+    """The loaders pad the uint8 bytes and scale them once, with the bytes of the float formula."""
+
+    def write_mnist(self, root, n, hw):
+        d = root / "mnist"
+        d.mkdir()
+        images = np.random.default_rng(hw).integers(0, 256, (n, hw, hw)).astype(np.uint8)
+        images.reshape(-1)[:256] = np.arange(256)  # every byte value
+        img_name, lbl_name = IDX_FILES["train"]
+        write_idx_images(d / img_name, images)
+        write_idx_labels(d / lbl_name, np.arange(n, dtype=np.uint8) % 10)
+        return d, images[:, None]
+
+    @pytest.mark.parametrize("hw, pad", [(28, 2), (32, 0)])
+    def test_idx_bytes(self, tmp_path, hw, pad):
+        d, images = self.write_mnist(tmp_path, 5, hw)
+        ds = load_dataset("mnist", tmp_path, "train")
+        assert ds.images.dtype == np.float64 and ds.images.flags.c_contiguous
+        assert ds.images.tobytes() == scaled_then_padded(images, pad).tobytes()
+        img_name, lbl_name = IDX_FILES["train"]
+        assert load_idx(d / img_name, d / lbl_name).images.tobytes() == scaled_then_padded(images, 0).tobytes()
+
+    def test_cifar_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CIFAR_RECORDS_PER_FILE", 300)  # the record layout at a tenth of the memory
+        images = np.random.default_rng(5).integers(0, 256, (300, 3, 32, 32)).astype(np.uint8)
+        images.reshape(-1)[:256] = np.arange(256)
+        write_cifar_batch(tmp_path / "test_batch.bin", images, np.arange(300, dtype=np.uint8) % 10)
+        ds = load_dataset("cifar10", tmp_path, "test")
+        assert ds.images.dtype == np.float64 and ds.images.flags.c_contiguous
+        assert ds.images.tobytes() == scaled_then_padded(images, 0).tobytes()
+
+    def test_padded_load_peaks_near_its_output(self, tmp_path):
+        # padding float pixels would hold the unpadded float copy and the padded one at once, 1.77x the output
+        self.write_mnist(tmp_path, 2000, 28)
+        tracemalloc.start()
+        try:
+            ds = load_dataset("mnist", tmp_path, "train")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * ds.images.nbytes
 
 
 class TestLoadDataset:

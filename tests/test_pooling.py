@@ -7,7 +7,6 @@ import fuzzykan.pooling as pooling
 import fuzzykan.tensor as T
 from fuzzykan.checks import BREAKPOINT_MARGIN, _pool_input_is_smooth, gradient_check, sample_fuzzy_safe_input
 from fuzzykan.pooling import (
-    COG_EPS,
     MembershipParams,
     PoolConfig,
     algebraic_sum_score,
@@ -105,6 +104,26 @@ class TestFiniteDifferenceSafety:
         # an entry below c and one above q saturate mu_1 and mu_3: both scores are exactly 1
         assert PARAMS.breakpoints()[0] > 0.0 and PARAMS.breakpoints()[-1] < 6.0
         assert not _pool_input_is_smooth(self.window([0.0, 6.0, 0.0, 6.0]), self.FUZZY)
+
+    @pytest.mark.parametrize("offset", [0.0, BREAKPOINT_MARGIN / 2, -BREAKPOINT_MARGIN / 2])
+    @pytest.mark.parametrize("point", PARAMS.breakpoints())
+    def test_entry_at_or_within_the_margin_of_each_breakpoint_is_rejected(self, point, offset):
+        assert not _pool_input_is_smooth(self.window([0.2, 0.3, 0.4, point + offset]), self.FUZZY)
+
+    def test_nan_entry_is_near_every_breakpoint(self):
+        # a NaN window's scores are NaN and pass the tie rule, so the breakpoint rule alone rejects it
+        assert not _pool_input_is_smooth(self.window([0.2, 0.3, 0.4, np.nan]), self.FUZZY)
+
+    @pytest.mark.parametrize(
+        "values, smooth",
+        [
+            ([1.0, 3.0, 2.0, 3.0], False),  # an exact tie for the maximum
+            ([1.0, 3.0, 2.0, 3.0 + 2 * BREAKPOINT_MARGIN], True),
+            ([1.0, np.nan, 2.0, 3.0], True),  # NaN sorts last and its gap is NaN, which no margin rejects
+        ],
+    )
+    def test_max_pool_rejects_only_a_near_tie(self, values, smooth):
+        assert _pool_input_is_smooth(self.window(values), PoolConfig(kind="max")) == smooth
 
     def test_sampling_redraws_only_the_entries_near_a_breakpoint(self):
         rng = _Draws([0.5, PARAMS.a, 7.0, PARAMS.q + BREAKPOINT_MARGIN / 2], [2.0, 5.0])
@@ -313,6 +332,30 @@ class TestWinningMassBound:
         assert abs(lowest - 3 / 7) <= 1e-12
 
 
+class TestOracleWithoutFallBack:
+    """``fuzzy_window_reference`` divides by the winning mass with no fall-back, and matches ``pool`` bit for bit
+    on windows where the 3/7 bound is tight: entries at 5*r_max/14, alone or among entries below c."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("r_max", [1e-3, 0.5, 6.0, 1e3])
+    def test_tight_windows_pool_like_the_oracle(self, r_max, k):
+        params = MembershipParams(r_max)
+        rng = np.random.default_rng(k)
+        masks = np.array(list(np.ndindex((2,) * k * k)), dtype=bool) if k < 3 else rng.random((40, 9)) < 0.5
+        patches = np.full((len(masks), k * k), 5 * r_max / 14)
+        patches[masks] = rng.choice([params.c / 2, 0.0, -r_max], int(masks.sum()))
+        out = pool(T.Tensor(patches.reshape(1, 1, -1, k)), PoolConfig(kind="fuzzy", k=k, stride=k, membership=params))
+        expected = np.array([fuzzy_window_reference(p.reshape(k, k), params) for p in patches])
+        assert out.data.reshape(-1).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nan_window_is_nan_in_both(self, k):
+        patch = np.full((k, k), 5 * PARAMS.r_max / 14)
+        patch[-1, -1] = np.nan
+        out = pool(T.Tensor(patch[None, None]), PoolConfig(kind="fuzzy", k=k, stride=k)).data
+        assert np.isnan(out[0, 0, 0, 0]) and np.isnan(fuzzy_window_reference(patch, PARAMS))
+
+
 def pool_values(values, kind, k=2, stride=2):
     x = T.Tensor(np.asarray(values, dtype=float).reshape(1, 1, *np.shape(values)))
     return pool(x, PoolConfig(kind=kind, k=k, stride=stride)).data[0, 0]
@@ -444,8 +487,6 @@ def fuzzy_window_grad_reference(patch, params):
     for w, x in zip(sel, flat):
         num = num + w * x
         den = den + w
-    if den < COG_EPS:
-        return np.full(patch.shape, 1.0 / len(flat))
     dsel = [membership_derivative(v_star, x, params) for x in flat]
     grads = [(w + dw * x) / den - num * dw / (den * den) for w, dw, x in zip(sel, dsel, flat)]
     return np.reshape(grads, patch.shape)

@@ -473,6 +473,27 @@ class TestActivations:
         out = T.silu_values(np.array([-1000.0, 1000.0]))
         assert np.isfinite(out).all()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_silu_keeps_the_product_bits_on_finite_and_nan_inputs(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        edges = [0.0, 800.0, 1e3, tiny, 3 * tiny, np.finfo(dtype).smallest_normal, 1.0, np.nan]
+        z = np.array(edges + [-v for v in edges], dtype=dtype)  # -nan has its sign bit set
+        z = np.concatenate([z, np.random.default_rng(13).normal(0, 20, 200).astype(dtype)])
+        s = T._sigmoid(z)
+        bits = f"u{z.itemsize}"
+        assert np.array_equal(T.silu_values(z).view(bits), (z * s).view(bits))
+        assert np.array_equal(T.silu_derivative(z).view(bits), (s * (1.0 + z * (1.0 - s))).view(bits))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_silu_at_infinity_is_its_value_at_a_large_input(self, dtype):
+        # unclipped, -inf * 0 and inf * 0 give NaN and a RuntimeWarning, which the test configuration makes an error
+        z = np.array([-np.inf, np.inf], dtype=dtype)
+        large = np.array([-1e3, 1e3], dtype=dtype)
+        assert T.silu_values(z).tobytes() == np.array([-0.0, np.inf], dtype=dtype).tobytes()
+        assert T.silu_values(z[:1]).tobytes() == T.silu_values(large[:1]).tobytes()
+        assert T.silu_derivative(z).tobytes() == T.silu_derivative(large).tobytes()
+        assert T.silu_derivative(z).tobytes() == np.array([-0.0, 1.0], dtype=dtype).tobytes()
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform(self):
