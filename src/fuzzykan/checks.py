@@ -106,17 +106,22 @@ def check_pool_oracle(k: int = 2, seed: int = 0):
         config = PoolConfig(kind=kind, k=k, stride=k)
         out = pool(T.Tensor(x), config).data.reshape(-1)
         for w, patch in enumerate(patches):
-            if kind == "max":
-                expected = patch.max()
-            elif kind == "average":
-                s = 0.0
-                for v in patch.ravel():
-                    s = s + v
-                expected = s / patch.size
-            else:
-                expected = fuzzy_window_reference(patch, params)
+            expected = pool_window_oracle(patch, kind, params)
             worst = np.maximum(worst, abs(out[w] - expected))  # unlike max(), keeps a NaN
     return bool(worst == 0.0), float(worst)
+
+
+def pool_window_oracle(patch, kind: str, params: MembershipParams):
+    """One k-by-k window pooled by the scalar rule of ``kind``: its max, its entries added
+    one at a time row-major from 0 and divided by k*k, or ``fuzzy_window_reference``."""
+    if kind == "max":
+        return patch.max()
+    if kind == "average":
+        s = 0.0
+        for v in patch.ravel():
+            s = s + v
+        return s / patch.size
+    return fuzzy_window_reference(patch, params)
 
 
 def spline_oracle(x, grid: SplineGrid):

@@ -193,12 +193,10 @@ def bspline_derivative_reference(i: int, degree: int, knots, x: float) -> float:
 class KanLayerParams:
     """Trainable state of one KAN layer.
 
-    coeffs: [out, in, num_basis] spline coefficients c_i per edge.
+    coeffs: [out, in, num_basis] spline coefficients c_i per edge; its shape is the layer's widths.
     w_b, w_s: [out, in] scales of the silu base term and the spline term.
     """
 
-    in_features: int
-    out_features: int
     grid: SplineGrid
     coeffs: T.Tensor
     w_b: T.Tensor
@@ -216,19 +214,20 @@ def kan_init(in_features: int, out_features: int, grid: SplineGrid | None = None
     coeffs = T.Tensor(rng.normal(0.0, scale, (out_features, in_features, grid.num_basis)), requires_grad=True)
     w_b = T.Tensor(np.ones((out_features, in_features)), requires_grad=True)
     w_s = T.Tensor(np.ones((out_features, in_features)), requires_grad=True)
-    return KanLayerParams(in_features, out_features, grid, coeffs, w_b, w_s)
+    return KanLayerParams(grid, coeffs, w_b, w_s)
 
 
 def kan_layer_forward(x: T.Tensor, params: KanLayerParams) -> T.Tensor:
     """out[s,j] = sum_p w_b[j,p]*silu(x[s,p]) + w_s[j,p]*sum_i c[j,p,i]*B_i(x[s,p])."""
-    if x.ndim != 2 or x.shape[1] != params.in_features:
-        raise ValueError(f"expected input [N,{params.in_features}], got {x.shape}")
+    n_out, n_in, _ = params.coeffs.shape
+    if x.ndim != 2 or x.shape[1] != n_in:
+        raise ValueError(f"expected input [N,{n_in}], got {x.shape}")
 
     basis, derivative = _basis_rows(x.data, params.grid)  # x.data is float32 or float64, kept through both GEMMs
     basis = basis.reshape(len(x.data), -1)  # [N, in*nb]
     sil = T.silu_values(x.data)
     c, wb, ws = params.coeffs, params.w_b, params.w_s
-    spline_w = (c.data * ws.data[..., None]).reshape(params.out_features, -1)  # [out, in*nb]
+    spline_w = (c.data * ws.data[..., None]).reshape(n_out, -1)  # [out, in*nb]
 
     out_data = sil @ wb.data.T
     out_data += basis @ spline_w.T

@@ -58,9 +58,9 @@ block's rows of the input gradient with ``tensor.scatter_windows``.  No
 window spans two images, so every output and gradient has the bits of one
 pass over the batch, while a block's planes hold at most ``IMAGE_BLOCK``
 entries and are freed once the block is pooled.  Every sum, score and mask
-over a window's entries is a ``tensor.fold_windows``, which walks the planes
-in the row-major order of the scalar oracles, one geometry-independent code
-path for every k and stride.
+over a window's entries is a ``functools.reduce`` over the planes in order,
+which walks each window row-major as the scalar oracles do, one
+geometry-independent code path for every k and stride.
 
 Max pooling folds the planes keeping the first maximum and the first NaN,
 ``(x > best) | (isnan(x) & ~isnan(best))``, and moves the winner's bits, so
@@ -78,13 +78,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import tensor as T
 
 COG_EPS = 1e-12
-POOL_KINDS = ("max", "average", "fuzzy")
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ class PoolConfig:
     membership: MembershipParams = field(default_factory=MembershipParams)
 
     def __post_init__(self):
-        if self.kind not in POOL_KINDS:
-            raise ValueError(f"pooling kind must be one of {POOL_KINDS}, got {self.kind!r}")
+        if self.kind not in _KINDS:
+            raise ValueError(f"pooling kind must be one of {tuple(_KINDS)}, got {self.kind!r}")
         if self.k < 1 or self.stride < 1:
             raise ValueError("window size and stride must be >= 1")
 
@@ -341,7 +341,7 @@ def _algebraic_sum_into(s, p):
 
 def _window_sum(planes):
     """Each window's entries added one at a time from 0, row-major, as the scalar oracles fold them."""
-    return T.fold_windows(planes, _add_into, np.zeros(planes.shape[1:], dtype=planes.dtype))
+    return reduce(_add_into, planes, np.zeros(planes.shape[1:], dtype=planes.dtype))
 
 
 def _average_pool(planes, win, out, params):
@@ -359,10 +359,10 @@ def fuzzy_scores(planes, params: MembershipParams):
     pis = np.stack(fuzzify(planes, params)).astype(planes.dtype, copy=False)  # [3, k*k, ...]
     by_entry = pis.swapaxes(0, 1)  # plane i: the three sets' memberships of entry i
     scores, nums, dens = np.zeros((3, 3) + planes.shape[1:], dtype=planes.dtype)
-    T.fold_windows(by_entry, _algebraic_sum_into, scores)
-    T.fold_windows(by_entry, _add_into, dens)
+    reduce(_algebraic_sum_into, by_entry, scores)
+    reduce(_add_into, by_entry, dens)
     np.multiply(pis, planes, out=pis)
-    T.fold_windows(by_entry, _add_into, nums)
+    reduce(_add_into, by_entry, nums)
     return scores, nums, dens
 
 
@@ -372,7 +372,7 @@ def _fuzzy_pool(planes, win, out, params: MembershipParams):
     np.divide(_window_sum(planes), kk, out=out)
     # every entry finite and below c: mu1 == 1, mu2 == mu3 == 0, so v* = 1 and the
     # COG is the window mean (a finite mean rules out -inf and an overflowing sum)
-    fast = T.fold_windows(planes, lambda f, x: np.logical_and(f, x < params.c, out=f), np.isfinite(out))
+    fast = reduce(lambda f, x: np.logical_and(f, x < params.c, out=f), planes, np.isfinite(out))
     rest = np.flatnonzero(~fast)
     if rest.size:
         scores, nums, dens = fuzzy_scores(np.take(planes.reshape(kk, -1), rest, axis=1), params)

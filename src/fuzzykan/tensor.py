@@ -42,22 +42,23 @@ view of the im2col.  The backward rebuilds that full im2col from ``x.data``,
 and only when the kernels need a gradient: like every rule on the tape, it
 assumes its operands are unchanged until the backward runs.
 
-This module alone knows the k-by-k window layout.  ``windows`` is the checked
-strided [N,C,Ho,Wo,k,k] view.  ``window_planes`` copies a view (pooling
-passes one image block of it) into C-contiguous [k*k, N, C, Ho, Wo] planes,
-plane u*k+v holding entry (u, v) of every window: the unrolling of
-Chellapilla et al. (2006) that conv2d's im2col already does.
-``window_columns`` gathers the [k*k, m] entries of some windows from the
-view, the columns of their planes, without copying the rest.
-``fold_windows`` folds planes 0 ... k*k-1, so each window's entries in the
-scalar oracles' row-major (u, v) order, and ``scatter_windows``, the adjoint
-of ``window_planes(windows(x))``, adds gradient planes back onto the input in
-that order; conv2d's backward hands it a no-copy [k*k, N, C, Ho, Wo] view of
-its matmul output.  A plane step is one contiguous ufunc over every window.
-The planes hold the view's numbers and each fold makes the same operations
-in the same order, so every value but a NaN keeps its bits (the ``pooling``
-docstring says which NaN).  Fuzzy pooling's below-c mask is a fold too,
-though its order does not matter.
+This module alone knows the k-by-k window layout.  ``windows`` checks that
+the windows tile the input and returns numpy's read-only
+``sliding_window_view`` [N,C,Ho,Wo,k,k], taken at every stride-th window.
+``window_planes`` copies a view (pooling passes one image block of it) into
+C-contiguous [k*k, N, C, Ho, Wo] planes, plane u*k+v holding entry (u, v) of
+every window: the unrolling of Chellapilla et al. (2006) that conv2d's
+im2col already does.  ``window_columns`` gathers the [k*k, m] entries of
+some windows from the view, the columns of their planes, without copying the
+rest.  Folding planes 0 ... k*k-1 in order (``functools.reduce``) therefore
+walks each window's entries in the scalar oracles' row-major (u, v) order,
+and ``scatter_windows``, the adjoint of ``window_planes(windows(x))``, adds
+gradient planes back onto the input in that order; conv2d's backward hands
+it a no-copy [k*k, N, C, Ho, Wo] view of its matmul output.  A plane step is
+one contiguous ufunc over every window.  The planes hold the view's numbers
+and each fold makes the same operations in the same order, so every value
+but a NaN keeps its bits (the ``pooling`` docstring says which NaN).  Fuzzy
+pooling's below-c mask is a fold too, though its order does not matter.
 
 ``image_blocks`` is the one rule by which ``conv2d`` and every pooling kind
 walk a batch: blocks of whole images, each at most ``IMAGE_BLOCK`` window
@@ -269,27 +270,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Strided [N,C,Ho,Wo,k,k] view over the k-by-k windows of [N,C,H,W] (no copy).
+    """Read-only [N,C,Ho,Wo,k,k] view over the k-by-k windows of [N,C,H,W] (no copy).
 
     The windows must tile the input exactly; ``scatter_windows`` is the adjoint of its ``window_planes``.
     """
     if k < 1 or stride < 1:
         raise ValueError(f"window size k={k} and stride={stride} must both be >= 1")
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h < k or w < k or (h - k) % stride or (w - k) % stride:
         raise ValueError(
             f"window {k}x{k} with stride {stride} does not tile input {h}x{w} exactly"
         )
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (n, c, ho, wo, k, k), (s0, s1, s2 * stride, s3 * stride, s2, s3), writeable=False
-    )
+    return np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
 def window_planes(win: np.ndarray) -> np.ndarray:
-    """One C-contiguous [k*k, N, C, Ho, Wo] copy of a window view: plane u*k+v holds entry (u, v) of every window."""
+    """One C-contiguous [k*k, N, C, Ho, Wo] copy of a window view: plane u*k+v holds entry (u, v) of every window,
+    so a ``functools.reduce`` over the planes walks each window row-major, as the scalar oracles do."""
     k = win.shape[-1]
     return np.ascontiguousarray(win.transpose(4, 5, 0, 1, 2, 3)).reshape(k * k, *win.shape[:4])
 
@@ -299,13 +296,6 @@ def window_columns(win: np.ndarray, flat: np.ndarray) -> np.ndarray:
     ``window_planes(win).reshape(k*k, -1)[:, flat]``, gathered from the view as a transposed [m, k*k] copy."""
     k = win.shape[-1]
     return win[np.unravel_index(flat, win.shape[:4])].reshape(-1, k * k).T
-
-
-def fold_windows(planes: np.ndarray, step, acc):
-    """Fold ``acc = step(acc, planes[i])`` over planes 0 ... k*k-1, each window's entries in row-major (u, v) order."""
-    for plane in planes:
-        acc = step(acc, plane)
-    return acc
 
 
 def scatter_windows(planes: np.ndarray, dx: np.ndarray, stride: int) -> np.ndarray:

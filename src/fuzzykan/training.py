@@ -223,4 +223,4 @@ def write_metrics_csv(path, history):
         writer = csv.writer(f)
         writer.writerow(METRICS_HEADER)
         for m in history:
-            writer.writerow([m.epoch, *(repr(getattr(m, name)) for name in METRICS_HEADER[1:])])
+            writer.writerow([repr(getattr(m, name)) for name in METRICS_HEADER])

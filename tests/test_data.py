@@ -121,42 +121,48 @@ def write_cifar_batch(path, images, labels):
     path.write_bytes(records.astype(np.uint8).tobytes())
 
 
+TRAIN_BATCHES = [f"data_batch_{i}.bin" for i in range(1, 6)]
+
+
 class TestCifar:
-    def make_dir(self, tmp_path, seed=0, bad_label=False):
+    """The five-file train split runs at 300 records a file (``monkeypatch`` of ``CIFAR_RECORDS_PER_FILE``);
+    the test-split cases write ``test_batch.bin`` alone, at the real 10,000 records."""
+
+    def make_dir(self, tmp_path, names, seed=0, bad_label=False):
         rng = np.random.default_rng(seed)
-        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
-            images = rng.integers(0, 256, (10000, 3, 32, 32)).astype(np.uint8)
-            labels = rng.integers(0, 10, 10000).astype(np.uint8)
+        n = data.CIFAR_RECORDS_PER_FILE
+        reference = {}
+        for name in names:
+            images = rng.integers(0, 256, (n, 3, 32, 32), dtype=np.uint8)
+            labels = rng.integers(0, 10, n, dtype=np.uint8)
             if bad_label:
                 labels[0] = 11
             write_cifar_batch(tmp_path / name, images, labels)
-        return tmp_path
-
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        reference = {}
-        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
-            images = rng.integers(0, 256, (10000, 3, 32, 32)).astype(np.uint8)
-            labels = rng.integers(0, 10, 10000).astype(np.uint8)
-            write_cifar_batch(tmp_path / name, images, labels)
             reference[name] = (images, labels)
+        return reference
+
+    def test_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CIFAR_RECORDS_PER_FILE", 300)
+        reference = self.make_dir(tmp_path, TRAIN_BATCHES + ["test_batch.bin"], seed=1)
         train = load_cifar10(tmp_path, "train")
         test = load_cifar10(tmp_path, "test")
-        assert train.images.shape == (50000, 3, 32, 32) and len(test) == 10000
+        assert train.images.shape == (5 * 300, 3, 32, 32) and len(test) == 300
         np.testing.assert_array_equal(test.labels, reference["test_batch.bin"][1].astype(np.int64))
-        np.testing.assert_array_equal(
-            (train.images[:10000] * 255.0).round().astype(np.uint8), reference["data_batch_1.bin"][0]
-        )
+        # the five files, concatenated in order
+        images, labels = (np.concatenate([reference[name][i] for name in TRAIN_BATCHES]) for i in (0, 1))
+        np.testing.assert_array_equal((train.images * 255.0).round().astype(np.uint8), images)
+        np.testing.assert_array_equal(train.labels, labels)
 
-    def test_truncated_batch(self, tmp_path):
-        self.make_dir(tmp_path)
+    def test_truncated_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CIFAR_RECORDS_PER_FILE", 300)
+        self.make_dir(tmp_path, TRAIN_BATCHES)
         raw = (tmp_path / "data_batch_3.bin").read_bytes()
         (tmp_path / "data_batch_3.bin").write_bytes(raw[:-1])
         with pytest.raises(TruncatedFileError):
             load_cifar10(tmp_path, "train")
 
     def test_bad_label(self, tmp_path):
-        self.make_dir(tmp_path, bad_label=True)
+        self.make_dir(tmp_path, ["test_batch.bin"], bad_label=True)
         with pytest.raises(BadLabelError):
             load_cifar10(tmp_path, "test")
 
@@ -167,7 +173,7 @@ class TestCifar:
     def test_batches_bin_subdir(self, tmp_path):
         sub = tmp_path / "cifar-10-batches-bin"
         sub.mkdir()
-        self.make_dir(sub)
+        self.make_dir(sub, ["test_batch.bin"])
         assert len(load_cifar10(tmp_path, "test")) == 10000
 
 

@@ -5,7 +5,13 @@ import pytest
 
 import fuzzykan.pooling as pooling
 import fuzzykan.tensor as T
-from fuzzykan.checks import BREAKPOINT_MARGIN, _pool_input_is_smooth, gradient_check, sample_fuzzy_safe_input
+from fuzzykan.checks import (
+    BREAKPOINT_MARGIN,
+    _pool_input_is_smooth,
+    gradient_check,
+    pool_window_oracle,
+    sample_fuzzy_safe_input,
+)
 from fuzzykan.pooling import (
     MembershipParams,
     PoolConfig,
@@ -376,7 +382,7 @@ class TestPool:
             pool(T.Tensor(np.zeros((1, 1, 5, 5))), PoolConfig(kind="max", k=2, stride=2))
 
     def test_bad_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"pooling kind must be one of \('max', 'average', 'fuzzy'\), got 'median'"):
             PoolConfig(kind="median")
 
     @pytest.mark.parametrize("kind", ["max", "average", "fuzzy"])
@@ -570,17 +576,6 @@ class TestFuzzyPaths:
         assert np.all(np.isnan(grad[0, 0, :, :2])) and np.all(grad[0, 0, :, 2:] == 0.25)
 
 
-def window_oracle(patch, kind, params):
-    if kind == "max":
-        return patch.max()
-    if kind == "average":
-        acc = 0.0
-        for v in patch.ravel():
-            acc += v
-        return acc / patch.size
-    return fuzzy_window_reference(patch, params)
-
-
 def edge_images(rng, params, dtype, shape):
     """Entries at and one ulp around every breakpoint and 5*r_max/14, whole images and half images
     below c (the averaged windows), and +-0, +-inf and NaN, in ``dtype``."""
@@ -631,7 +626,7 @@ class TestImageBlocks:
         assert out.tobytes() == one_out.tobytes() and grad.tobytes() == one_grad.tobytes()
         if dtype == np.float64:  # every window of every block, against the scalar oracle
             for idx in np.ndindex(out.shape):
-                expected = window_oracle(win[idx], kind, params)
+                expected = pool_window_oracle(win[idx], kind, params)
                 assert out[idx] == expected or np.isnan(out[idx]) and np.isnan(expected), idx
 
     # what a pool forward may hold, in units of out.nbytes (one f64 per window)

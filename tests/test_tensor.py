@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -340,9 +341,19 @@ class TestConv2d:
 
 
 class TestWindows:
-    @pytest.mark.parametrize("shape, k, stride", [((2, 3, 8, 8), 2, 2), ((2, 3, 7, 7), 3, 1), ((1, 2, 9, 9), 5, 1)])
+    @pytest.mark.parametrize(
+        "shape, k, stride",
+        [
+            ((2, 3, 8, 8), 2, 2),
+            ((2, 3, 7, 7), 3, 1),
+            ((1, 2, 9, 9), 5, 1),
+            # a (shape, index) pair: the non-contiguous [3, 3, 7, 7] slice of a larger array
+            pytest.param(((3, 6, 15, 21), np.s_[:, ::2, 1::2, ::3]), 3, 2, id="strided_slice-3-2"),
+        ],
+    )
     def test_view_matches_slices(self, shape, k, stride):  # and so do its planes
-        x = np.random.default_rng(1).uniform(-1, 1, shape).astype(np.float32)
+        base, index = shape if isinstance(shape[1], tuple) else (shape, ...)
+        x = np.random.default_rng(1).uniform(-1, 1, base).astype(np.float32)[index]
         win = T.windows(x, k, stride)
         n, c, ho, wo = win.shape[:4]
         assert win.shape[4:] == (k, k)
@@ -384,7 +395,7 @@ class TestWindows:
     def test_fold_walks_each_window_row_major(self):
         # 1e16 + 1.0 rounds back to 1e16: the (u, v) walk sums to 0.0, a (v, u) walk to 1.0
         planes = T.window_planes(T.windows(np.array([[1e16, 1.0], [-1e16, 0.0]]).reshape(1, 1, 2, 2), 2, 2))
-        total = T.fold_windows(planes, np.add, np.zeros((1, 1, 1, 1)))
+        total = functools.reduce(np.add, planes, np.zeros((1, 1, 1, 1)))
         assert total.shape == (1, 1, 1, 1) and total[0, 0, 0, 0] == 0.0
 
     @pytest.mark.parametrize("n, budget, starts", [(5, 2, [0, 2, 4]), (4, 2, [0, 2]), (3, 1, [0, 1, 2]), (3, 0.5, [0, 1, 2]), (3, 9, [0]), (0, 2, [])])
