@@ -1,4 +1,4 @@
-.PHONY: test accept repro demos check bench-smoke verify parity
+.PHONY: test accept repro demos check bench-smoke verify parity pairs
 
 test:
 	pytest
@@ -31,3 +31,10 @@ verify:
 # bit-for-bit comparison of every battery array with another checkout: make parity PARENT=../parent
 parity:
 	python3 tools/parity.py $(PARENT) .
+
+# the no-regression check against another checkout: make pairs PARENT=../parent
+# four alternating pairs of 30 s runs per BENCHMARK.json workload (about 5 minutes each); stops at the first REGRESSION
+WORKLOADS = $(shell python3 -c "import json; print(*(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+pairs:
+	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<checkout of the parent commit>"; exit 2; }
+	for workload in $(WORKLOADS); do python3 tools/bench_pairs.py --parent $(PARENT) --change . --workload $$workload --seeds 1-4 --raw pairs.jsonl || exit 1; done

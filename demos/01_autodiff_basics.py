@@ -1,9 +1,12 @@
 """A tour of the reverse-mode autodiff core.
 
 Every operation records its inputs and a backward closure on a tape; calling
-.backward() on a scalar loss walks the graph in reverse topological order and
-accumulates gradients.  This script builds a few small graphs and compares
-the analytic gradients against central finite differences.
+.backward() on a scalar loss walks the graph in reverse topological order,
+accumulates gradients into the leaves (the tensors made with
+requires_grad=True) and frees the graph as it goes, so each graph serves one
+backward and a new loss needs a fresh forward.  This script builds a few
+small graphs and compares the analytic gradients against central finite
+differences.
 """
 
 import numpy as np

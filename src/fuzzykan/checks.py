@@ -50,11 +50,15 @@ def gradient_check(loss_builder, tensors, h: float = FD_STEP) -> float:
     """Max relative error between backward() gradients and finite differences.
 
     loss_builder() must rebuild the forward graph from the tensors' current
-    data and return the scalar loss Tensor.
+    data and return the scalar loss Tensor.  Each tensor must be a leaf:
+    loss_builder recomputes an op's output, so perturbing it moves nothing,
+    and the backward frees its gradient.
     """
-    for t in tensors:
+    for i, t in enumerate(tensors):
         if not t.requires_grad:
             raise ValueError(f"gradient_check needs tensors that require grad, got {t}")
+        if not t.is_leaf:
+            raise ValueError(f"gradient_check needs leaf tensors, but tensors[{i}] {t} was produced by an op")
         t.zero_grad()
     loss = loss_builder()
     loss.backward()

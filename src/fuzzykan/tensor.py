@@ -70,6 +70,18 @@ over the whole batch, while each block's temporaries are a few hundred KB
 that the allocator hands on to the next block, not batch-sized arrays that
 can fault in fresh pages on every call.
 
+A graph lives until one backward walks it.  ``backward`` visits the nodes
+in descending creation order and, once a node's rule has run, drops the
+node's rule, its parents and, for a non-leaf node, its gradient, as
+PyTorch does without ``retain_graph``.  The saved arrays and intermediate
+gradients are thus freed as the walk passes them, and only leaf gradients
+stay: the parameter-store views and any input with ``requires_grad``.  A
+walked node is marked released, and a later ``backward`` that reaches one
+(the same root again, or a new loss that shares part of the freed graph)
+raises ``RuntimeError`` before any gradient changes.  Inside ``no_grad()``
+``from_op`` wires nothing, so a forward whose graph no backward will walk
+holds only its outputs.
+
 Every rule hands a gradient over through ``accumulate_grad``, and the array
 belongs to the rule: nothing else holds or reads it afterwards.  A tensor's
 first gradient is that array, as PyTorch's ``AccumulateGrad`` steals one
@@ -86,6 +98,7 @@ one array each; ``check`` names a parameter rebound away from its view.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -93,6 +106,7 @@ import numpy as np
 
 _node_counter = itertools.count()
 IMAGE_BLOCK = 65536  # window entries per image block (at least one image): 512 KB in f64
+_grad_enabled = True  # False inside ``no_grad``
 
 
 def default_dtype():
@@ -106,8 +120,9 @@ class Tensor:
     Tensors created by primitive ops remember their parents and a backward
     rule; ``backward()`` on a scalar walks the recorded graph once in
     reverse creation order, accumulating gradients into every reachable
-    tensor that has ``requires_grad`` set.  A tensor with several consumers
-    sums their gradients from the last-created consumer to the first.
+    tensor that has ``requires_grad`` set, and frees the graph as it goes.
+    A tensor with several consumers sums their gradients from the
+    last-created consumer to the first.
     """
 
     def __init__(self, data, requires_grad: bool = False):
@@ -118,7 +133,7 @@ class Tensor:
         self.node_id = next(_node_counter)
         self._parents = ()
         self._backward = None
-        self._backward_done = False
+        self._released = False  # a backward walked this node and dropped its rule, parents and gradient
 
     @property
     def shape(self):
@@ -132,6 +147,11 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def is_leaf(self):
+        """True unless an op produced this tensor on the tape (it has a rule, or a backward released it)."""
+        return self._backward is None and not self._released
+
     def zero_grad(self):
         """Zero an existing gradient in place (PyTorch's ``set_to_none=False``), so a store's view stays bound."""
         if self.grad is not None:
@@ -143,31 +163,36 @@ class Tensor:
     # -- graph traversal -------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(node) into .grad for every reachable node.
+        """Accumulate d(self)/d(node) into .grad for every reachable leaf, freeing the graph on the way.
 
-        ``self`` must be a scalar.  Calling backward a second time on the
-        same node is an error: the graph's saved intermediates are only
-        valid for one pass and gradients would double-accumulate.
+        ``self`` must be a scalar.  Each node's rule runs once, after every
+        consumer's; the node then drops its rule, its parents and, unless it
+        is a leaf, its gradient, so after the walk only leaf gradients stay.
+        A graph serves one backward: one that reaches a released node (a
+        second call on the same root, or a loss that shares part of a walked
+        graph) raises ``RuntimeError`` before any gradient changes.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
-        if self._backward_done:
-            raise RuntimeError("backward already called on this graph; build a fresh graph")
 
         # a node is created after its parents, so descending node ids are a topological order
         reachable, stack = {}, [self]
         while stack:
             node = stack.pop()
+            if node._released:
+                raise RuntimeError("backward already called on this graph, which it freed; build a fresh graph")
             if node.node_id not in reachable:
                 reachable[node.node_id] = node
                 stack.extend(node._parents)
 
-        self.grad = np.ones_like(self.data)
+        accumulate_grad(self, np.ones_like(self.data))
         for node_id in sorted(reachable, reverse=True):
-            node = reachable[node_id]
-            if node._backward is not None and node.grad is not None:
+            node = reachable.pop(node_id)  # so a walked node's data goes once no consumer's rule holds it
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
-        self._backward_done = True
+            node._backward, node._parents, node.grad, node._released = None, (), None, True
 
     # -- operator sugar --------------------------------------------------
 
@@ -203,10 +228,23 @@ def accumulate_grad(t: Tensor, g: np.ndarray):
     t.grad += g
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Inside it no op wires a graph (``torch.no_grad``): outputs have no parents, no rule and no ``requires_grad``.
+
+    It nests, and the previous state comes back however the block is left."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def from_op(data, parents, backward):
-    """Wrap an op result, wiring the graph only if a parent needs grad."""
+    """Wrap an op result, wiring the graph only if a parent needs grad and ``no_grad`` is not in force."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -156,10 +156,10 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 256):
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     cm = ConfusionMatrix(model.arch["n_classes"])
-    for images, labels in batches(dataset, batch_size, shuffle=False):
-        # no name holds the logits, so their graph is freed before the next batch's forward
-        predicted = model.forward(images).data.argmax(axis=1)  # lowest index wins ties
-        cm.update(labels, predicted)
+    with T.no_grad():  # no backward follows: no op keeps its inputs, so each activation goes once the next stage has run
+        for images, labels in batches(dataset, batch_size, shuffle=False):
+            predicted = model.forward(images).data.argmax(axis=1)  # lowest index wins ties
+            cm.update(labels, predicted)
     precision, recall, f1 = cm.macro()
     return cm, {"accuracy": cm.accuracy, "precision": precision, "recall": recall, "f1": f1}
 

@@ -552,6 +552,27 @@ class TestBackward:
         loss.backward()
         with pytest.raises(RuntimeError, match="already called"):
             loss.backward()
+        assert x.grad.tolist() == [1.0]  # refused before any gradient changed
+
+    def test_backward_through_a_freed_subgraph_errors(self):
+        # the second walk would stop at the freed h as at a leaf and miss the second loss's share of x.grad
+        x = tensor([1.0, -2.0])
+        h = T.mul(x, 2.0)
+        T.reduce_sum(h).backward()
+        second = T.reduce_sum(T.mul(h, h))
+        with pytest.raises(RuntimeError, match="freed"):
+            second.backward()
+        assert x.grad.tolist() == [2.0, 2.0]
+
+    def test_walk_frees_the_graph_and_keeps_leaf_gradients(self):
+        x, w = tensor([1.0, -2.0]), tensor([0.5, 3.0])
+        h = T.mul(x, w)
+        loss = T.reduce_sum(T.activate("tanh", h))
+        loss.backward()
+        for node in (h, loss):
+            assert node.grad is None and node._parents == () and node._backward is None and not node.is_leaf
+        np.testing.assert_array_equal(x.grad, (1.0 - np.tanh(h.data) ** 2) * w.data)
+        np.testing.assert_array_equal(w.grad, (1.0 - np.tanh(h.data) ** 2) * x.data)
 
     def test_non_scalar_errors(self):
         with pytest.raises(ValueError, match="scalar"):
@@ -563,7 +584,7 @@ class TestBackward:
         loss.backward()
         np.testing.assert_array_equal(x.grad, [5.0, 5.0])
 
-    def test_three_consumers_and_a_diamond(self):
+    def test_three_consumers_and_a_diamond(self, handed):
         # x feeds u, v and w; u feeds both y and z, which meet again in y * z
         x = tensor([1.0, 2.0, -0.5])
         u = T.mul(x, 2.0)
@@ -573,7 +594,10 @@ class TestBackward:
         T.reduce_sum(T.add(T.add(T.mul(y, z), v), w)).backward()
         # d/dx of 6x(2x + 5) + x^2 + x + 1 is 26x + 31
         np.testing.assert_array_equal(x.grad, [57.0, 83.0, 18.0])
-        np.testing.assert_array_equal(u.grad, 6 * u.data + 15)
+        # u's two consumers' shares sum to d/du of 3u(u + 5), as its rule read it; the walk then freed it
+        u_grad = [copy for t, _, copy in handed if t is u][-1]
+        np.testing.assert_array_equal(u_grad, 6 * u.data + 15)
+        assert u.grad is None
 
     def test_fresh_gradient_is_taken_without_a_copy(self):
         x = tensor([1.0, 2.0, 3.0])
@@ -593,21 +617,31 @@ class TestBackward:
         T.accumulate_grad(y, np.ones(2))  # no gradient wanted
         assert y.grad is None
 
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """(tensor, its gradient array, a copy of it) after each ``accumulate_grad`` call, in walk order.
+
+        The walk frees non-leaf gradients, so the tests read them here; the list keeps every one alive.
+        """
+        calls, accumulate = [], T.accumulate_grad
+
+        def recording(t, g):
+            accumulate(t, g)
+            if t.grad is not None:
+                calls.append((t, t.grad, t.grad.copy()))
+
+        monkeypatch.setattr(T, "accumulate_grad", recording)
+        return calls
+
     @staticmethod
-    def assert_no_two_grads_share_memory(root):
-        seen, stack = {}, [root]
-        while stack:
-            node = stack.pop()
-            if node.node_id not in seen:
-                seen[node.node_id] = node
-                stack.extend(node._parents)
-        grads = [(node_id, t.grad) for node_id, t in seen.items() if t.grad is not None]
+    def assert_no_two_grads_share_memory(handed):
+        grads = list({id(t): (t.node_id, g) for t, g, _ in handed}.values())
         assert len(grads) > 1
         for i, (a_id, a) in enumerate(grads):
             for b_id, b in grads[i + 1 :]:
                 assert not np.shares_memory(a, b), (a_id, b_id)
 
-    def test_no_two_gradients_share_memory(self):
+    def test_no_two_gradients_share_memory(self, handed):
         rng = np.random.default_rng(8)
         x = tensor(rng.uniform(0, 1, (2, 1, 8, 8)))
         kernels, bias = tensor(rng.normal(0, 0.5, (3, 1, 3, 3))), tensor(rng.normal(0, 0.1, 3))
@@ -620,15 +654,15 @@ class TestBackward:
         hidden = T.activate("tanh", T.bias_add(T.matmul(flat, w), b))
         loss = T.softmax_cross_entropy(kan_layer_forward(hidden, kan_init(5, 4, seed=2)), [1, 3])
         loss.backward()
-        self.assert_no_two_grads_share_memory(loss)
+        self.assert_no_two_grads_share_memory(handed)
 
     @pytest.mark.parametrize("head", HEADS)
-    def test_no_two_gradients_of_a_model_share_memory(self, head):
+    def test_no_two_gradients_of_a_model_share_memory(self, head, handed):
         model = build(ModelConfig(head=head, pooling=PoolConfig(kind="fuzzy", membership=MembershipParams(r_max=0.5))))
         x = T.Tensor(np.random.default_rng(9).uniform(0, 1, (2, 1, 32, 32)), requires_grad=True)
         loss = T.softmax_cross_entropy(model.forward(x), [4, 7])
         loss.backward()
-        self.assert_no_two_grads_share_memory(loss)
+        self.assert_no_two_grads_share_memory(handed)
 
     @pytest.mark.parametrize("kind", ["relu", "tanh"])
     def test_activation_backward_peak(self, kind):
@@ -651,6 +685,69 @@ class TestBackward:
         a = T.conv2d(tensor(x), tensor(k), None).data
         b = T.conv2d(tensor(x), tensor(k), None).data
         assert np.array_equal(a, b)
+
+
+def batch32_step(head, kind):
+    """A batch-32 train step's model, images and labels for the paper's fuzzy+KAN or its max+MLP baseline."""
+    model = build(ModelConfig(head=head, pooling=PoolConfig(kind=kind, membership=MembershipParams(r_max=6.0))))
+    rng = np.random.default_rng(0)
+    return model, rng.uniform(0, 1, (32, 1, 32, 32)), rng.integers(0, 10, 32)
+
+
+class TestGraphLifetime:
+    @pytest.mark.parametrize("head, kind", [("kan", "fuzzy"), ("mlp", "max")])
+    def test_a_walked_graph_holds_nothing(self, head, kind):
+        # a graph that outlived its backward held 11,036 KiB (fuzzy+KAN) and 7,576 KiB (max+MLP) here
+        model, images, labels = batch32_step(head, kind)
+        tracemalloc.start()
+        try:
+            logits = model.forward(images)
+            loss = T.softmax_cross_entropy(logits, labels)
+            loss.backward()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
+        assert logits.grad is None and loss.grad is None and logits.data.shape == (32, 10)
+
+    def test_backward_peak_stays_under_twice_the_forward(self):
+        # the walk frees each node's share as it passes, so the peak is the shrinking graph plus one rule's
+        # arrays (1.57x measured); one that kept every gradient peaked at 2.32x
+        model, images, labels = batch32_step("kan", "fuzzy")
+        tracemalloc.start()
+        try:
+            loss = T.softmax_cross_entropy(model.forward(images), labels)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * held
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("head", HEADS)
+    def test_model_forward_wires_no_graph_and_keeps_the_bits(self, head):
+        model, images, _ = batch32_step(head, "fuzzy")
+        wired = model.forward(images)
+        with T.no_grad():
+            bare = model.forward(images)
+        assert wired.requires_grad and wired._parents
+        assert not bare.requires_grad and bare._parents == () and bare._backward is None
+        assert bare.data.dtype == wired.data.dtype and bare.data.tobytes() == wired.data.tobytes()
+
+    def test_nests_and_restores_on_an_exception(self):
+        x = tensor([1.0, 2.0])
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.mul(x, 2.0).requires_grad
+            assert not T.mul(x, 2.0).requires_grad  # the inner exit restores the outer no_grad
+        assert T.mul(x, 2.0).requires_grad
+        with pytest.raises(KeyError):
+            with T.no_grad():
+                raise KeyError("leaves the block")
+        assert T.mul(x, 2.0)._parents == (x,)
 
 
 class TestParameterStore:
@@ -681,6 +778,16 @@ class TestGradientCheck:
             return T.from_op(x.data.sum(), (x,), lambda g: T.accumulate_grad(x, np.full(x.shape, np.nan)))
 
         assert not gradient_check(build, [x]) < 1e-4
+
+    def test_rejects_tensor_an_op_produced(self):
+        # loss_builder recomputes an op's output, and the walk frees its gradient: the check would pass at 0 against 0
+        x = tensor([1.0, 2.0])
+        h = T.mul(x, 2.0)
+        with pytest.raises(ValueError, match=r"tensors\[1\] Tensor\(shape=\(2,\).*produced by an op"):
+            gradient_check(lambda: T.reduce_sum(T.mul(T.mul(x, 2.0), x)), [x, h])
+        T.reduce_sum(h).backward()  # released: no rule is left, and it is still no leaf
+        with pytest.raises(ValueError, match=r"tensors\[0\].*produced by an op"):
+            gradient_check(lambda: T.reduce_sum(T.mul(T.mul(x, 2.0), x)), [h])
 
     def test_unreached_tensor_has_zero_gradient(self):
         x, unused = tensor([1.0, 2.0]), tensor([3.0])

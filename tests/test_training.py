@@ -324,8 +324,21 @@ class TestEvaluate:
         assert cm.total == 15
         assert 0.0 <= metrics["accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("pooling, head", [("fuzzy", "kan"), ("max", "mlp")])
+    def test_confusion_matrix_is_the_wired_forwards(self, pooling, head):
+        # evaluate runs under no_grad; the forwards that wire a graph pick the same classes
+        model = build(tiny_config(pooling, head))
+        ds = make_synthetic_dataset(12, seed=3)
+        cm, _ = evaluate(model, ds, batch_size=5)
+        wired = ConfusionMatrix(model.arch["n_classes"])
+        for start in range(0, 12, 5):
+            logits = model.forward(ds.images[start : start + 5])
+            assert logits.requires_grad
+            wired.update(ds.labels[start : start + 5], logits.data.argmax(axis=1))
+        assert cm.counts.tolist() == wired.counts.tolist()
+
     def test_batch_logits_are_freed_before_the_next_forward(self):
-        # a batch's logits keep its whole graph alive, im2col included
+        # a batch's logits keep its activations alive
         model = build(tiny_config())
         forward, previous, alive = model.forward, [], []
 
