@@ -2,9 +2,10 @@
 
 The pipeline: fuzzify the window with three triangular memberships, score
 each fuzzified window with the fuzzy algebraic sum, keep the set with the
-highest score, and defuzzify it by center of gravity.  The same patch is
-then pushed through the vectorized pool() to show they agree exactly, and
-max/average pooling are shown for contrast.
+highest score, and defuzzify it by center of gravity.  These four calls are
+the ones ``fuzzy_window_reference`` composes, so the walk is the scalar
+oracle itself.  The same patch is then pushed through the vectorized pool()
+to show they agree exactly, and max/average pooling are shown for contrast.
 """
 
 import numpy as np

@@ -144,9 +144,12 @@ def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
+CIFAR_FILES = {"train": [f"data_batch_{i}.bin" for i in range(1, 6)], "test": ["test_batch.bin"]}
+
+
 def _find_cifar_files(root: Path, split: str) -> list[Path]:
     """The split's batch files, from the first layout under ``root`` that holds them all."""
-    names = [f"data_batch_{i}.bin" for i in range(1, 6)] if split == "train" else ["test_batch.bin"]
+    names = CIFAR_FILES[split]
     for directory in (root / "cifar10" / "cifar-10-batches-bin", root / "cifar10", root / "cifar-10-batches-bin", root):
         files = [directory / name for name in names]
         if all(f.exists() for f in files):
@@ -179,7 +182,9 @@ def _find_idx_file(directory: Path, stem: str) -> Path:
 
 
 def load_dataset(name: str, data_dir, split: str = "train") -> Dataset:
-    """Load mnist / fashion-mnist / cifar10 from `data_dir`/<name>/."""
+    """Load the "train" or "test" split of mnist / fashion-mnist / cifar10 from `data_dir`/<name>/."""
+    if split not in IDX_FILES:
+        raise ValueError(f"split must be one of {tuple(IDX_FILES)}, got {split!r}")
     root = Path(data_dir)
     if name == "cifar10":
         return load_cifar10(root, split)

@@ -5,9 +5,13 @@ fuzzify with three fixed triangular memberships, aggregate each fuzzified
 window with the fuzzy algebraic sum, keep the membership set with the
 largest score, and collapse the window by center-of-gravity defuzzification.
 
-The vectorized ``pool`` path reproduces the scalar per-window semantics of
-``fuzzy_window_reference`` bit-for-bit (same operations, same fold order),
-which the test suite asserts.
+Each stage has one scalar definition on one window, in Python floats (a
+0 * inf is NaN without numpy's scalar ``RuntimeWarning``), and
+``fuzzy_window_reference``, the oracle, composes them; none calls the kernel.
+``fuzzify``'s piecewise branches are the oracle's memberships; ``membership``'s
+ramps clipped to [0, 1] are the kernel's, and ``TestClippedRamps`` pins them
+equal.  ``pool`` reproduces the oracle bit for bit (same operations, same
+fold order), which the test suite asserts.
 
 Fuzzy pooling splits the windows in two.  A window whose entries are all
 finite and below c has mu1 == 1 and mu2 == mu3 == 0 everywhere, because
@@ -35,9 +39,9 @@ mu3 = 1.  A set's algebraic-sum score lies between its largest membership
 and its mass, max(pi_i) <= 1 - prod(1 - pi_i) <= sum(pi_i), so the winning
 score is at least 3/7, and so is the winning set's mass, for any window
 size and any r_max.  An entry of +-inf has a membership of exactly 1, and
-a NaN entry gives a NaN mass.  So neither ``pool`` nor
-``fuzzy_window_reference`` has a fall-back; ``defuzzify_cog``, which takes
-arbitrary memberships, keeps one, and ``COG_EPS`` serves it alone.
+a NaN entry gives a NaN mass.  So ``pool`` has no fall-back, and
+``fuzzy_window_reference`` never reaches the one ``defuzzify_cog`` keeps for
+arbitrary memberships, which ``COG_EPS`` serves alone.
 
 A window of +inf among entries below c pools to NaN, as it does in
 ``fuzzy_window_reference``.  mu1 and mu3 tie at score 1 (the entries below
@@ -152,8 +156,8 @@ class PoolConfig:
 
 
 def membership(v: int, x, params: MembershipParams):
-    """Triangular membership mu_v at x (scalar or array): its ramps clipped to [0, 1], which
-    c < a < d < b makes bit-identical to the piecewise triangle, signed zeros included."""
+    """The kernel's triangular membership mu_v at x (scalar or array): its ramps clipped to [0, 1], which
+    c < a < d < b makes bit-identical to ``fuzzify``'s piecewise triangle, signed zeros included."""
     x = np.asarray(x, dtype=float)
     if v == 1:
         out = np.clip((params.d - x) / (params.d - params.c), 0.0, 1.0)
@@ -185,94 +189,63 @@ def membership_derivative(v: int, x, params: MembershipParams):
 
 
 def fuzzify(patch, params: MembershipParams):
-    """Map one crisp patch to its three membership arrays."""
+    """The oracle's memberships of one crisp patch: the three piecewise triangles, entry by entry in Python floats."""
     patch = np.asarray(patch, dtype=float)
-    return tuple(membership(v, patch, params) for v in (1, 2, 3))
+    c, d, a, m, b, r, q = params.c, params.d, params.a, params.m, params.b, params.r, params.q
+
+    def mu1(x):
+        return 0.0 if x > d else 1.0 if x < c else (d - x) / (d - c)
+
+    def mu2(x):
+        return 0.0 if x <= a or x >= b else (x - a) / (m - a) if x <= m else (b - x) / (b - m)
+
+    def mu3(x):
+        return 0.0 if x < r else 1.0 if x > q else (x - r) / (q - r)
+
+    flat = patch.ravel().tolist()
+    return tuple(np.array([mu(x) for x in flat]).reshape(patch.shape) for mu in (mu1, mu2, mu3))
 
 
 def algebraic_sum_score(memberships) -> float:
-    """Fold the fuzzy algebraic sum x+y-x*y over all entries (row-major)."""
-    values = np.ravel(np.asarray(memberships, dtype=float))
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise ValueError("membership values must lie in [0, 1]")
+    """Fold the fuzzy algebraic sum x+y-x*y over all entries (row-major), in Python floats."""
     s = 0.0
-    for p in values:
+    for p in np.asarray(memberships, dtype=float).ravel().tolist():
+        if p < 0.0 or p > 1.0:
+            raise ValueError("membership values must lie in [0, 1]")
         s = s + p - s * p
-    return float(s)
+    return s
 
 
 def select_fuzzy_patch(scores) -> int:
-    """The 1-based index of the membership set with the largest score; ties pick lowest v."""
-    return int(np.argmax(scores)) + 1
+    """The 1-based index of the membership set with the largest score: a later set must score strictly higher,
+    so the lowest v wins a tie."""
+    best = 0
+    for v in range(1, len(scores)):
+        best = v if scores[v] > scores[best] else best
+    return best + 1
 
 
 def defuzzify_cog(patch, memberships) -> float:
-    """Center of gravity; a vanishing membership mass falls back to the mean."""
+    """Center of gravity, folded row-major in Python floats; a vanishing membership mass falls back to the mean."""
     patch = np.asarray(patch, dtype=float)
     pi = np.asarray(memberships, dtype=float)
     if patch.shape != pi.shape:
         raise ValueError(f"shape mismatch: patch {patch.shape} vs memberships {pi.shape}")
-    num = 0.0
-    den = 0.0
-    for p, w in zip(patch.ravel(), pi.ravel()):
-        num = num + w * p
-        den = den + w
-    if den < COG_EPS:
-        s = 0.0
-        for p in patch.ravel():
-            s = s + p
-        return float(s / patch.size)
-    return float(num / den)
+    num = den = total = 0.0
+    for w, x in zip(pi.ravel().tolist(), patch.ravel().tolist()):
+        num, den, total = num + w * x, den + w, total + x
+    return total / patch.size if den < COG_EPS else num / den
 
 
 def fuzzy_window_reference(patch, params: MembershipParams) -> float:
-    """Independent scalar implementation of the whole fuzzy-pooling window.
+    """The scalar oracle of one fuzzy-pooling window: the four stage functions, none calling the kernel, composed.
 
-    Deliberately self-contained (own piecewise code, own folds) so it can
-    serve as an oracle for the vectorized path.
+    ``demos/02_fuzzy_pooling.py`` walks the same four calls.  The winning mass is at least 3/7 or NaN (module
+    docstring), so ``defuzzify_cog`` never takes its fall-back here.
     """
-    patch = np.asarray(patch, dtype=float)
-    c, d = params.c, params.d
-    a, m, b = params.a, params.m, params.b
-    r, q = params.r, params.q
-
-    def mu1(x):
-        if x > d:
-            return 0.0
-        if x < c:
-            return 1.0
-        return (d - x) / (d - c)
-
-    def mu2(x):
-        if x <= a or x >= b:
-            return 0.0
-        if x <= m:
-            return (x - a) / (m - a)
-        return (b - x) / (b - m)
-
-    def mu3(x):
-        if x < r:
-            return 0.0
-        if x > q:
-            return 1.0
-        return (x - r) / (q - r)
-
-    flat = [float(x) for x in patch.ravel()]
-    best_score, best_pi = None, None
-    for mu in (mu1, mu2, mu3):
-        pi = [mu(x) for x in flat]
-        s = 0.0
-        for p in pi:
-            s = s + p - s * p
-        if best_pi is None or s > best_score:  # a later set must score strictly higher: lowest v wins ties
-            best_score, best_pi = s, pi
-
-    num = 0.0
-    den = 0.0
-    for w, x in zip(best_pi, flat):
-        num = num + w * x
-        den = den + w
-    return num / den  # den >= 3/7, or NaN (module docstring)
+    pis = fuzzify(patch, params)
+    v = select_fuzzy_patch([algebraic_sum_score(pi) for pi in pis])
+    return defuzzify_cog(patch, pis[v - 1])
 
 
 # -- vectorized pooling over tensors --------------------------------------
@@ -350,13 +323,19 @@ def _average_pool(planes, win, out, params):
     return lambda g: np.broadcast_to(g / kk, (kk,) + g.shape)
 
 
+def _memberships(x, params: MembershipParams):
+    """The kernel's membership pass: ``membership``'s three sets of ``x``, cast to float64 once."""
+    x = np.asarray(x, dtype=float)
+    return [membership(v, x, params) for v in (1, 2, 3)]
+
+
 def fuzzy_scores(planes, params: MembershipParams):
     """Each membership set's algebraic-sum score, COG numerator and COG denominator, [3, ...] each, over planes [k*k, ...].
 
     In ``planes``' dtype; every fold walks the planes in order, a window row-major, as ``algebraic_sum_score`` and
     ``defuzzify_cog`` do.
     """
-    pis = np.stack(fuzzify(planes, params)).astype(planes.dtype, copy=False)  # [3, k*k, ...]
+    pis = np.stack(_memberships(planes, params)).astype(planes.dtype, copy=False)  # [3, k*k, ...]
     by_entry = pis.swapaxes(0, 1)  # plane i: the three sets' memberships of entry i
     scores, nums, dens = np.zeros((3, 3) + planes.shape[1:], dtype=planes.dtype)
     reduce(_algebraic_sum_into, by_entry, scores)
@@ -389,7 +368,7 @@ def _fuzzy_pool(planes, win, out, params: MembershipParams):
         # v* is held constant; the winner's memberships, its COG folds (as the forward
         # made them) and its derivatives come from the input, which the tape keeps unchanged
         w = T.window_columns(win, rest)
-        sel = np.choose(v_star, fuzzify(w, params)).astype(win.dtype, copy=False)
+        sel = np.choose(v_star, _memberships(w, params)).astype(win.dtype, copy=False)
         dsel = np.choose(v_star, [membership_derivative(v, w, params) for v in (1, 2, 3)]).astype(win.dtype, copy=False)
         den = _window_sum(sel)
         num = _window_sum(sel * w)

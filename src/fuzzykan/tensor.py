@@ -170,10 +170,13 @@ class Tensor:
         is a leaf, its gradient, so after the walk only leaf gradients stay.
         A graph serves one backward: one that reaches a released node (a
         second call on the same root, or a loss that shares part of a walked
-        graph) raises ``RuntimeError`` before any gradient changes.
+        graph) raises ``RuntimeError`` before any gradient changes, as does
+        one on a tensor that does not require grad, as in PyTorch.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise RuntimeError("backward on a tensor that does not require grad: no input requires grad, or no_grad() built it")
 
         # a node is created after its parents, so descending node ids are a topological order
         reachable, stack = {}, [self]

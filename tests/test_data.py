@@ -170,6 +170,12 @@ class TestCifar:
         with pytest.raises(DataError, match="missing"):
             load_cifar10(tmp_path, "train")
 
+    def test_other_split_reads_no_test_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CIFAR_RECORDS_PER_FILE", 300)
+        self.make_dir(tmp_path, ["test_batch.bin"])
+        with pytest.raises(KeyError, match="validation"):
+            load_cifar10(tmp_path, "validation")
+
     def test_batches_bin_subdir(self, tmp_path):
         sub = tmp_path / "cifar-10-batches-bin"
         sub.mkdir()
@@ -336,6 +342,16 @@ class TestLoadDataset:
     def test_unknown_name(self, tmp_path):
         with pytest.raises(ValueError, match="unknown dataset"):
             load_dataset("svhn", tmp_path)
+
+    @pytest.mark.parametrize("name", ["mnist", "cifar10"])
+    def test_other_split_is_refused_before_any_read(self, tmp_path, monkeypatch, synthetic_idx_dir, name):
+        monkeypatch.setattr(data, "CIFAR_RECORDS_PER_FILE", 300)
+        TestCifar().make_dir(tmp_path, ["test_batch.bin"])  # a reader that took any split for "test" would read it
+        reads = []
+        monkeypatch.setattr(data, "_read_bytes", reads.append)
+        with pytest.raises(ValueError, match=re.escape("split must be one of ('train', 'test'), got 'validation'")):
+            load_dataset(name, synthetic_idx_dir if name == "mnist" else tmp_path, "validation")
+        assert reads == []
 
 
 class TestBatches:

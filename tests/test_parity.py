@@ -89,6 +89,7 @@ def test_battery_runs_on_this_library(monkeypatch):
     monkeypatch.setattr(parity, "POOLS", [("fuzzy", 0.5)])
     monkeypatch.setattr(parity, "POOL_GEOMETRIES", ((3, 1),))
     monkeypatch.setattr(parity, "POOL_SHAPES", ((5, 2, 6, 6),))
+    monkeypatch.setattr(parity, "ORACLE_SHAPE", (4, 1, 6, 6))
     monkeypatch.setattr(parity, "CONV_SHAPES", (((3, 2, 6, 6), 4, 3),))
     monkeypatch.setattr(parity, "CONV_STRIDES", (2,))
     names = [name for name, _ in build(ModelConfig(pooling=PoolConfig(kind="max"))).parameters()]
@@ -99,6 +100,20 @@ def test_battery_runs_on_this_library(monkeypatch):
     expected |= {f"{case}/loaded/{name}" for name in names}
     expected |= {"pool/fuzzy-0.5/5x2x6x6/k3s1/float32/out", "pool/fuzzy-0.5/5x2x6x6/k3s1/float32/input.grad"}
     expected |= {f"conv/3x2x7x7/4@3x3/s2/float32/{name}" for name in ("out", "input.grad", "kernels.grad", "bias.grad")}
+    expected |= {"oracle/fuzzy-0.5/4x1x6x6/k3s1/float64"}
     digests = parity.battery()
     assert set(digests) == expected
     assert all(len(value) == 2 and all(len(d) == 64 for d in value) for value in digests.values())
+
+
+def test_oracle_slice_walks_the_pool_slices_windows(monkeypatch):
+    # pool matches its oracle bit for bit, so on the pool slice's input the oracle's array is the pool's output
+    monkeypatch.setattr(parity, "POOLS", [("max", 6.0), ("average", 6.0), ("fuzzy", 0.5)])
+    monkeypatch.setattr(parity, "POOL_GEOMETRIES", ((2, 2), (3, 1)))
+    monkeypatch.setattr(parity, "POOL_SHAPES", ((4, 2, 6, 6),))
+    monkeypatch.setattr(parity, "ORACLE_SHAPE", (4, 2, 6, 6))
+    monkeypatch.setattr(parity, "DTYPES", ("float64",))
+    pools, oracles = parity.pool_battery(), parity.oracle_battery()
+    assert len(oracles) == 6
+    for key, (_, canonical) in oracles.items():  # NaN bits aside: a max or a sum may keep another NaN
+        assert pools[f"pool{key.removeprefix('oracle')}/out"][1] == canonical, key

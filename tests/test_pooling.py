@@ -173,16 +173,6 @@ class TestMembership:
             membership(4, 1.0, PARAMS)
 
 
-def branch_membership(v, x, p):
-    """The three-branch piecewise definition that ``membership``'s clipped ramps replace."""
-    if v == 1:
-        return np.where(x > p.d, 0.0, np.where(x < p.c, 1.0, (p.d - x) / (p.d - p.c)))
-    if v == 2:
-        ramp = np.where(x <= p.m, (x - p.a) / (p.m - p.a), (p.b - x) / (p.b - p.m))
-        return np.where((x <= p.a) | (x >= p.b), 0.0, ramp)
-    return np.where(x < p.r, 0.0, np.where(x > p.q, 1.0, (x - p.r) / (p.q - p.r)))
-
-
 def ulps_around(points, n):
     out, up, down = [points], points, points
     for _ in range(n):
@@ -192,7 +182,8 @@ def ulps_around(points, n):
 
 
 class TestClippedRamps:
-    """``membership`` gives the three-branch definition's bits, signed zeros included."""
+    """``membership``'s clipped ramps, the kernel's memberships, give the bits of ``fuzzify``'s piecewise branches,
+    the oracle's, signed zeros included."""
 
     # subnormal multiples from the smallest accepted r_max up, less 5e-323, whose breakpoints collapse
     R_MAXES = [k * np.nextafter(0.0, 1.0) for k in range(6, 40) if k != 10]
@@ -206,11 +197,11 @@ class TestClippedRamps:
             points = np.array(p.breakpoints() + [0.0, 5 * p.r_max / 14])
             with np.errstate(all="ignore"):  # overflow to +-inf at the largest r_max
                 x = np.concatenate([ulps_around(points, 3), self.SPECIALS, rng.uniform(-0.5, 1.5, 200) * p.r_max])
-                for v in (1, 2, 3):
-                    got, want = membership(v, x, p), branch_membership(v, x, p)
-                    nan = np.isnan(want)
-                    assert np.array_equal(np.isnan(got), nan), (r_max, v)
-                    assert got[~nan].tobytes() == want[~nan].tobytes(), (r_max, v)
+                ramps = [membership(v, x, p) for v in (1, 2, 3)]
+            for v, (got, want) in enumerate(zip(ramps, fuzzify(x, p)), start=1):
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan), (r_max, v)
+                assert got[~nan].tobytes() == want[~nan].tobytes(), (r_max, v)
 
 
 class TestFuzzify:
@@ -478,16 +469,10 @@ class TestPool:
 
 def fuzzy_window_grad_reference(patch, params):
     """d(pooled value)/d(entry) of one window: v* held fixed, scalar folds in row-major order."""
-    flat = [float(x) for x in patch.ravel()]
-    pis = [[membership(v, x, params) for x in flat] for v in (1, 2, 3)]
-    scores = []
-    for pi in pis:
-        s = 0.0
-        for p in pi:
-            s = s + p - s * p
-        scores.append(s)
-    v_star = select_fuzzy_patch(scores)
-    sel = pis[v_star - 1]
+    flat = patch.ravel().tolist()
+    pis = fuzzify(patch, params)
+    v_star = select_fuzzy_patch([algebraic_sum_score(pi) for pi in pis])
+    sel = pis[v_star - 1].ravel().tolist()
     num = 0.0
     den = 0.0
     for w, x in zip(sel, flat):
@@ -722,13 +707,14 @@ class TestMaxBits:
 
 
 class TestFuzzySkip:
-    """An image block with no fuzzified window runs no fuzzify, scores, choose or COG rebuild, forward or backward."""
+    """An image block with no fuzzified window runs no membership pass, scores, choose or COG rebuild, forward or
+    backward."""
 
     def test_all_below_c_batch_never_fuzzifies(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("fuzzified a block whose windows are all below c")
 
-        monkeypatch.setattr(pooling, "fuzzify", refuse)
+        monkeypatch.setattr(pooling, "_memberships", refuse)
         monkeypatch.setattr(pooling, "membership_derivative", refuse)
         rng = np.random.default_rng(42)
         x = rng.uniform(-1.0, np.nextafter(PARAMS.c, -np.inf), (20, 3, 8, 8))
@@ -741,11 +727,13 @@ class TestFuzzySkip:
     def test_only_blocks_with_a_fuzzified_window_fuzzify(self, monkeypatch):
         calls = []
 
-        def counted(patch, params):
-            calls.append(np.shape(patch))
-            return fuzzify(patch, params)
+        memberships = pooling._memberships
 
-        monkeypatch.setattr(pooling, "fuzzify", counted)
+        def counted(x, params):
+            calls.append(np.shape(x))
+            return memberships(x, params)
+
+        monkeypatch.setattr(pooling, "_memberships", counted)
         monkeypatch.setattr(T, "IMAGE_BLOCK", 1)  # one image per block
         rng = np.random.default_rng(43)
         x = rng.uniform(-1.0, np.nextafter(PARAMS.c, -np.inf), (4, 2, 4, 4))

@@ -554,6 +554,16 @@ class TestBackward:
             loss.backward()
         assert x.grad.tolist() == [1.0]  # refused before any gradient changed
 
+    def test_backward_on_a_tensor_without_grad_errors(self):
+        x = tensor([1.0, -2.0])
+        with T.no_grad():
+            loss = T.reduce_sum(T.mul(x, x))
+        with pytest.raises(RuntimeError, match="does not require grad"):
+            loss.backward()
+        assert x.grad is None
+        with pytest.raises(RuntimeError, match="does not require grad"):
+            T.reduce_sum(tensor([3.0], grad=False)).backward()
+
     def test_backward_through_a_freed_subgraph_errors(self):
         # the second walk would stop at the freed h as at a leaf and miss the second loss's share of x.grad
         x = tensor([1.0, -2.0])

@@ -1,4 +1,4 @@
-"""Compare two checkouts bit for bit on one battery of model, pool and conv2d arrays.
+"""Compare two checkouts bit for bit on one battery of model, pool, conv2d and oracle arrays.
 
     python3 tools/parity.py ../parent .
 
@@ -25,8 +25,13 @@ forward and backward under a seeded upstream gradient, on the train conv1
 [37,3,32,32] 6@5x5 shapes, at stride 1 and at stride 2 on inputs one row and
 one column larger, in float64 and float32.  Batch 37 ends in a partial
 image block, except at eval conv1 stride 1, whose blocks are one image each.
-It records the output and the input, kernel and bias gradients.  The battery
-has 3,456 model, 192 pool and 48 conv arrays, 3,696 in all.  Each array is
+It records the output and the input, kernel and bias gradients.  Its oracle
+slice runs the scalar ``checks.pool_window_oracle`` on every window of one
+[4,2,24,24] float64 edge-value input per pooling of the pool slice and
+(k, stride) of its geometries, at least 1,152 windows a case, and records
+each case's values as one array, so moving or rewriting an oracle shows
+whether it keeps its bits.  The battery has 3,456 model, 192 pool, 48 conv
+and 12 oracle arrays, 3,708 in all.  Each array is
 kept as two SHA-256 digests of its dtype, shape and C-ordered bytes: one of
 the array as it is, and one after every NaN is made the dtype's canonical
 quiet NaN.
@@ -66,6 +71,7 @@ POOLS = [("max", 6.0), ("average", 6.0), ("fuzzy", 6.0), ("fuzzy", 0.5)]
 POOL_GEOMETRIES = ((2, 2), (3, 1), (2, 1))
 # train pool1, train pool2, eval pool1 at batch 256 and at batch 37
 POOL_SHAPES = ((32, 6, 28, 28), (32, 16, 10, 10), (256, 6, 28, 28), (37, 6, 28, 28))
+ORACLE_SHAPE = (4, 2, 24, 24)  # 1,152 windows at k=stride=2, more at stride 1
 SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 # train conv1, train conv2 and eval conv1 at batch 37: input [N, C, H, W] and F kernels of k x k
 CONV_SHAPES = (((37, 1, 32, 32), 6, 5), ((37, 6, 14, 14), 16, 5), ((37, 3, 32, 32), 6, 5))
@@ -82,7 +88,7 @@ def digest(array) -> list[str]:
 
 def battery() -> dict:
     """Key -> digest of every array of the battery, computed with the ``fuzzykan`` on ``sys.path``."""
-    return {**model_battery(), **pool_battery(), **conv_battery()}
+    return {**model_battery(), **pool_battery(), **conv_battery(), **oracle_battery()}
 
 
 def edge_images(rng, params, dtype, shape) -> np.ndarray:
@@ -125,6 +131,24 @@ def pool_battery() -> dict:
                         T.reduce_sum(T.mul(out, T.Tensor(upstream))).backward()
                     digests[f"{case}/out"] = digest(out.data)
                     digests[f"{case}/input.grad"] = digest(x.grad)
+    return digests
+
+
+def oracle_battery() -> dict:
+    """Key -> digest of the scalar pool oracle's value at every window of the oracle slice, one array per case."""
+    from fuzzykan.checks import pool_window_oracle
+    from fuzzykan.pooling import MembershipParams
+
+    digests = {}
+    for kind, r_max in POOLS:
+        params = MembershipParams(r_max=r_max)
+        x = edge_images(np.random.default_rng(0), params, np.float64, ORACLE_SHAPE)
+        for k, stride in POOL_GEOMETRIES:
+            win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+            with np.errstate(all="ignore"):  # inf - inf in a window sum
+                values = [pool_window_oracle(win[idx], kind, params) for idx in np.ndindex(win.shape[:4])]
+            case = f"oracle/{kind}-{r_max:g}/{'x'.join(map(str, ORACLE_SHAPE))}/k{k}s{stride}/float64"
+            digests[case] = digest(np.array(values, dtype=np.float64).reshape(win.shape[:4]))
     return digests
 
 
