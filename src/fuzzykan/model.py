@@ -114,22 +114,22 @@ class Model:
 
     def __init__(self, config: ModelConfig, store: T.ParameterStore, kan_layers: list, arch: dict, stages: list):
         self.config = config
-        self.store = store  # [(name, Tensor)] in build order, views of store.values
+        self._store = store  # [(name, Tensor)] in build order, views of store.values
         self.params = dict(store)  # name -> Tensor
         self.kan_layers = kan_layers
         self.arch = arch  # in_channels, input_hw, n_classes
         self.stages = stages  # (name, Tensor -> Tensor), in forward order
 
     def parameters(self) -> T.ParameterStore:
-        return self.store
+        return self._store
 
     @property
     def parameter_count(self) -> int:
-        return self.store.values.size
+        return self.parameters().values.size
 
     def forward(self, batch) -> T.Tensor:
         """Run the stages; a raw batch is first cast to the parameters' dtype, and a ``Tensor`` must have it."""
-        dtype = self.store.values.dtype
+        dtype = self.parameters().values.dtype
         h = batch if isinstance(batch, T.Tensor) else T.Tensor(np.asarray(batch, dtype=dtype))
         if h.data.dtype != dtype:
             raise ValueError(f"batch dtype {h.data.dtype} is not the parameters' dtype {dtype}")
@@ -147,19 +147,20 @@ class Model:
 
         The ``FKAN`` magic, a u32 version, the SHA-256 of the rest, a u32 length
         and a JSON header ``{"config", "dtype", "tensors": [[name, shape], ...]}``;
-        then ``store.values``, little-endian in that dtype.  A rebound parameter raises ``ValueError``.
+        then ``parameters().values``, little-endian in that dtype.  A rebound parameter raises ``ValueError``.
         """
-        self.store.check()
-        stored = self.store.values.dtype.newbyteorder("<")
-        tensors = [[name, list(t.shape)] for name, t in self.store]
+        store = self.parameters()
+        store.check()
+        stored = store.values.dtype.newbyteorder("<")
+        tensors = [[name, list(t.shape)] for name, t in store]
         header = json.dumps({"config": config_to_dict(self.config), "dtype": stored.name, "tensors": tensors}).encode()
-        body = struct.pack("<I", len(header)) + header + self.store.values.astype(stored).tobytes()
+        body = struct.pack("<I", len(header)) + header + store.values.astype(stored).tobytes()
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + hashlib.sha256(body).digest() + body)
 
     @classmethod
     def load(cls, path) -> "Model":
-        """Build the model a ``save`` file describes, in its dtype, and copy the payload into its ``store.values``.
+        """Build the model a ``save`` file describes, in its dtype, and copy the payload into its ``parameters().values``.
 
         Any other file, a version 1 or 2 checkpoint too, raises ``ValueError`` naming ``path``.
         """
@@ -182,13 +183,13 @@ class Model:
             model = build(config_update(ModelConfig(), header["config"]), dtype=header["dtype"])
         except ValueError as e:
             raise ValueError(f"{path}: checkpoint header: {e}") from None
-        tensors = [[name, list(t.shape)] for name, t in model.store]
+        tensors = [[name, list(t.shape)] for name, t in model.parameters()]
         if header["tensors"] != tensors:
             raise ValueError(f"{path}: checkpoint tensors {header['tensors']} are not the model's {tensors}")
         stored, payload = np.dtype(header["dtype"]).newbyteorder("<"), memoryview(raw)[_PREFIX + size :]
         if len(payload) != model.parameter_count * stored.itemsize:
             raise ValueError(f"{path}: {len(payload)} tensor bytes, not {model.parameter_count * stored.itemsize}")
-        model.store.values[...] = np.frombuffer(payload, stored)
+        model.parameters().values[...] = np.frombuffer(payload, stored)
         return model
 
 

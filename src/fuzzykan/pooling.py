@@ -8,9 +8,11 @@ largest score, and collapse the window by center-of-gravity defuzzification.
 Each stage has one scalar definition on one window, in Python floats (a
 0 * inf is NaN without numpy's scalar ``RuntimeWarning``), and
 ``fuzzy_window_reference``, the oracle, composes them; none calls the kernel.
-``fuzzify``'s piecewise branches are the oracle's memberships; ``membership``'s
-ramps clipped to [0, 1] are the kernel's, and ``TestClippedRamps`` pins them
-equal.  ``pool`` reproduces the oracle bit for bit (same operations, same
+``fuzzify``'s piecewise branches are the oracle's memberships.  The kernel's
+are ``memberships``, the three ramps clipped to [0, 1] as one [3, ...] array,
+and ``membership_slopes``, their slopes in the same layout;
+``TestClippedRamps`` and ``TestSlopes`` pin them to the scalar branches bit
+for bit.  ``pool`` reproduces the oracle bit for bit (same operations, same
 fold order), which the test suite asserts.
 
 Fuzzy pooling splits the windows in two.  A window whose entries are all
@@ -155,37 +157,33 @@ class PoolConfig:
             raise ValueError("window size and stride must be >= 1")
 
 
-def membership(v: int, x, params: MembershipParams):
-    """The kernel's triangular membership mu_v at x (scalar or array): its ramps clipped to [0, 1], which
-    c < a < d < b makes bit-identical to ``fuzzify``'s piecewise triangle, signed zeros included."""
-    x = np.asarray(x, dtype=float)
-    if v == 1:
-        out = np.clip((params.d - x) / (params.d - params.c), 0.0, 1.0)
-    elif v == 2:
-        out = np.maximum(0.0, np.minimum((x - params.a) / (params.m - params.a), (params.b - x) / (params.b - params.m)))
-    elif v == 3:
-        out = np.clip((x - params.r) / (params.q - params.r), 0.0, 1.0)
-    else:
-        raise ValueError(f"membership index must be 1, 2 or 3, got {v}")
-    return out if out.ndim else float(out)
+def memberships(x, params: MembershipParams):
+    """The kernel's three triangular memberships of x, [3, *x.shape]: ramps clipped to [0, 1], which c < a < d < b
+    makes bit-identical to ``fuzzify``'s piecewise triangles, signed zeros included.
+
+    Evaluated in float64 and stored in x's dtype if it is float32, else in float64.
+    """
+    x = np.asarray(x)
+    mu = np.empty((3,) + x.shape, dtype=np.float32 if x.dtype == np.float32 else float)
+    x = x.astype(float, copy=False)
+    np.clip((params.d - x) / (params.d - params.c), 0.0, 1.0, out=mu[0, ...])
+    np.clip(np.minimum((x - params.a) / (params.m - params.a), (params.b - x) / (params.b - params.m)), 0.0, 1.0,
+            out=mu[1, ...])
+    np.clip((x - params.r) / (params.q - params.r), 0.0, 1.0, out=mu[2, ...])
+    return mu
 
 
-def membership_derivative(v: int, x, params: MembershipParams):
-    """d(mu_v)/dx; at breakpoints the branch whose bound is inclusive wins."""
-    x = np.asarray(x, dtype=float)
-    if v == 1:
-        out = np.where((x >= params.c) & (x <= params.d), -1.0 / (params.d - params.c), 0.0)
-    elif v == 2:
-        out = np.where(
-            (x > params.a) & (x <= params.m),
-            1.0 / (params.m - params.a),
-            np.where((x > params.m) & (x < params.b), -1.0 / (params.b - params.m), 0.0),
-        )
-    elif v == 3:
-        out = np.where((x >= params.r) & (x <= params.q), 1.0 / (params.q - params.r), 0.0)
-    else:
-        raise ValueError(f"membership index must be 1, 2 or 3, got {v}")
-    return out if out.ndim else float(out)
+def membership_slopes(x, params: MembershipParams):
+    """d(mu_v)/dx of the three memberships, laid out and typed as ``memberships``; at a breakpoint the branch whose
+    bound is inclusive wins."""
+    x = np.asarray(x)
+    dmu = np.zeros((3,) + x.shape, dtype=np.float32 if x.dtype == np.float32 else float)
+    x = x.astype(float, copy=False)
+    np.copyto(dmu[0, ...], -1.0 / (params.d - params.c), where=(x >= params.c) & (x <= params.d))
+    np.copyto(dmu[1, ...], 1.0 / (params.m - params.a), where=(x > params.a) & (x <= params.m))
+    np.copyto(dmu[1, ...], -1.0 / (params.b - params.m), where=(x > params.m) & (x < params.b))
+    np.copyto(dmu[2, ...], 1.0 / (params.q - params.r), where=(x >= params.r) & (x <= params.q))
+    return dmu
 
 
 def fuzzify(patch, params: MembershipParams):
@@ -323,19 +321,13 @@ def _average_pool(planes, win, out, params):
     return lambda g: np.broadcast_to(g / kk, (kk,) + g.shape)
 
 
-def _memberships(x, params: MembershipParams):
-    """The kernel's membership pass: ``membership``'s three sets of ``x``, cast to float64 once."""
-    x = np.asarray(x, dtype=float)
-    return [membership(v, x, params) for v in (1, 2, 3)]
-
-
 def fuzzy_scores(planes, params: MembershipParams):
     """Each membership set's algebraic-sum score, COG numerator and COG denominator, [3, ...] each, over planes [k*k, ...].
 
     In ``planes``' dtype; every fold walks the planes in order, a window row-major, as ``algebraic_sum_score`` and
     ``defuzzify_cog`` do.
     """
-    pis = np.stack(_memberships(planes, params)).astype(planes.dtype, copy=False)  # [3, k*k, ...]
+    pis = memberships(planes, params)  # [3, k*k, ...]
     by_entry = pis.swapaxes(0, 1)  # plane i: the three sets' memberships of entry i
     scores, nums, dens = np.zeros((3, 3) + planes.shape[1:], dtype=planes.dtype)
     reduce(_algebraic_sum_into, by_entry, scores)
@@ -368,8 +360,8 @@ def _fuzzy_pool(planes, win, out, params: MembershipParams):
         # v* is held constant; the winner's memberships, its COG folds (as the forward
         # made them) and its derivatives come from the input, which the tape keeps unchanged
         w = T.window_columns(win, rest)
-        sel = np.choose(v_star, _memberships(w, params)).astype(win.dtype, copy=False)
-        dsel = np.choose(v_star, [membership_derivative(v, w, params) for v in (1, 2, 3)]).astype(win.dtype, copy=False)
+        sel = np.choose(v_star, memberships(w, params))
+        dsel = np.choose(v_star, membership_slopes(w, params))
         den = _window_sum(sel)
         num = _window_sum(sel * w)
         dw = (sel + dsel * w) / den - num * dsel / (den * den)

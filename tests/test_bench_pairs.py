@@ -163,13 +163,12 @@ def test_odd_number_of_seeds_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "pairs.jsonl").exists()
 
 
-def test_raw_figures_are_shown_and_leave_the_verdict_alone(tmp_path, monkeypatch, capsys):
-    # the change runs at the parent's raw speed while the speed probe reads it 10% faster
-    # (a higher scale), so only its scaled figures move: the raw lines show where it came from
+def run_canned(tmp_path, monkeypatch, runs, capsys):
+    """``main`` on two pairs whose runs give ``runs[side]``'s (raw samples/s, speed scale) in turn; its stdout lines."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": list(METRICS.values())}))
-    runs = {"parent": iter([(500.0, 1.0), (510.0, 1.02)]), "change": iter([(505.0, 1.1), (495.0, 1.12)])}
+    runs = {side: iter(figures) for side, figures in runs.items()}
 
     def canned(checkout, workload, seed, seconds):
         side = "parent" if checkout.name == "parent" else "change"
@@ -182,7 +181,20 @@ def test_raw_figures_are_shown_and_leave_the_verdict_alone(tmp_path, monkeypatch
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "train-max-mlp",
             "--seeds", "1-2", "--raw", str(tmp_path / "pairs.jsonl")]
     assert bench_pairs.main(argv) == 0
-    out = capsys.readouterr().out.splitlines()
+    return capsys.readouterr().out.splitlines()
+
+
+def test_raw_figures_are_shown_and_leave_the_verdict_alone(tmp_path, monkeypatch, capsys):
+    # the change runs at the parent's raw speed while the speed probe reads it 10% faster
+    # (a higher scale), so only its scaled figures move: the raw lines show where it came from
+    runs = {"parent": [(500.0, 1.0), (510.0, 1.02)], "change": [(505.0, 1.1), (495.0, 1.12)]}
+    out = run_canned(tmp_path, monkeypatch, runs, capsys)
     assert "parent: raw samples_per_s median 505, speed_scale median 1.01 (information only)" in out
     assert "change: raw samples_per_s median 500, speed_scale median 1.11 (information only)" in out
-    assert out[-1] == "NO REGRESSION"
+    assert out[-1] == "NO REGRESSION; raw and scaled samples_per_s disagree"  # raw 505 > 500, scaled 510 < 555
+
+
+def test_raw_and_scaled_that_agree_add_nothing_to_the_verdict(tmp_path, monkeypatch, capsys):
+    # the change is slower raw and scaled alike (scaled 510 against 492.5), within the bound
+    runs = {"parent": [(500.0, 1.0), (510.0, 1.02)], "change": [(495.0, 1.0), (490.0, 1.0)]}
+    assert run_canned(tmp_path, monkeypatch, runs, capsys)[-1] == "NO REGRESSION"

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import fuzzykan.checks as checks
 import fuzzykan.tensor as T
 from fuzzykan.checks import gradient_check, tiny_fuzzy_kan_setup
 from fuzzykan.model import (
@@ -142,7 +143,7 @@ class TestParameterStore:
     def test_parameters_are_views_of_one_store(self, head, dtype):
         model = build(config_for("fuzzy", head, seed=5), dtype=dtype)
         store = model.parameters()
-        assert store is model.store and list(model.params.items()) == store
+        assert model.parameters() is store and list(model.params.items()) == store
         assert store.values.dtype == store.grads.dtype == dtype and not store.grads.any()
         assert store.values.flags.c_contiguous and store.grads.flags.c_contiguous
         assert model.parameter_count == store.values.size == store.grads.size
@@ -158,7 +159,7 @@ class TestParameterStore:
         model = build(config_for("fuzzy", "kan", seed=5))
         views = [(p.data, p.grad) for _, p in model.parameters()]
         optimizer = AdamW(model.parameters())
-        assert optimizer.values is model.store.values and optimizer.grads is model.store.grads
+        assert optimizer.values is model.parameters().values and optimizer.grads is model.parameters().grads
         T.softmax_cross_entropy(model.forward(np.random.default_rng(4).uniform(0, 1, (2, 1, 32, 32))), [1, 7]).backward()
         optimizer.step()
         for (name, p), (data, grad) in zip(model.parameters(), views):
@@ -256,6 +257,18 @@ class TestEndToEndGradients:
         worst = gradient_check(lambda: T.softmax_cross_entropy(model.forward(x), labels), tensors)
         assert worst < 1e-4, f"{pooling}/{head}: worst relative error {worst}"
 
+    def test_setup_gives_up_when_no_seed_is_smooth(self, monkeypatch):
+        scanned = []
+
+        def refuse(model, images):
+            scanned.append(model.config.seed)
+            return False
+
+        monkeypatch.setattr(checks, "_setup_is_smooth", refuse)
+        with pytest.raises(RuntimeError, match="no finite-difference-safe seed found"):
+            tiny_fuzzy_kan_setup(seed=3)
+        assert scanned == list(range(3, 203))  # 200 seeds from the one given, each tried once
+
 
 class TestPrecision:
     @pytest.mark.parametrize("head", ["mlp", "kan"])
@@ -333,7 +346,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = config_for("fuzzy", "kan", seed=9)
         model = build(config)
-        model.store.values[...] = np.random.default_rng(1).normal(size=model.parameter_count)  # not the init
+        model.parameters().values[...] = np.random.default_rng(1).normal(size=model.parameter_count)  # not the init
         path = tmp_path / "model.fkan"
         model.save(path)
         loaded = Model.load(path)
@@ -348,7 +361,7 @@ class TestCheckpoint:
     def test_f32_round_trip(self, tmp_path):
         config = config_for("fuzzy", "kan", seed=9)
         model = build(config, dtype=np.float32)
-        model.store.values[...] = np.random.default_rng(1).normal(size=model.parameter_count)  # not the init
+        model.parameters().values[...] = np.random.default_rng(1).normal(size=model.parameter_count)  # not the init
         path = tmp_path / "model.fkan"
         model.save(path)
         loaded = Model.load(path)

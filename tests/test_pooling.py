@@ -20,8 +20,8 @@ from fuzzykan.pooling import (
     fuzzify,
     fuzzy_scores,
     fuzzy_window_reference,
-    membership,
-    membership_derivative,
+    membership_slopes,
+    memberships,
     pool,
     select_fuzzy_patch,
 )
@@ -72,10 +72,9 @@ class TestGuards:
         [
             (lambda: PoolConfig(k=0), "window size and stride must be >= 1"),
             (lambda: PoolConfig(stride=0), "window size and stride must be >= 1"),
-            (lambda: membership_derivative(4, 1.0, PARAMS), "membership index must be 1, 2 or 3, got 4"),
             (lambda: pool(T.Tensor(np.zeros((1, 4, 4))), PoolConfig()), r"pool expects \[N,C,H,W\]"),
         ],
-        ids=["k", "stride", "membership_derivative-index", "pool-rank"],
+        ids=["k", "stride", "pool-rank"],
     )
     def test_raises(self, call, message):
         with pytest.raises(ValueError, match=message):
@@ -143,34 +142,36 @@ class TestFiniteDifferenceSafety:
 
 class TestMembership:
     def test_mu1_midslope(self):
-        assert membership(1, 2.0, PARAMS) == 0.5
+        assert memberships(2.0, PARAMS)[0] == 0.5
 
     def test_mu2_apex(self):
-        assert membership(2, 3.0, PARAMS) == 1.0
+        assert memberships(3.0, PARAMS)[1] == 1.0
 
     def test_mu3_below_onset(self):
-        assert membership(3, 2.9, PARAMS) == 0.0
+        assert memberships(2.9, PARAMS)[2] == 0.0
 
     def test_negative_inputs_saturate_mu1(self):
-        assert membership(1, -5.0, PARAMS) == 1.0
+        assert memberships(-5.0, PARAMS)[0] == 1.0
 
     def test_mu3_saturates(self):
-        assert membership(3, 7.0, PARAMS) == 1.0
+        assert memberships(7.0, PARAMS)[2] == 1.0
 
     def test_range(self):
-        x = np.linspace(-2, 10, 500)
-        for v in (1, 2, 3):
-            values = membership(v, x, PARAMS)
-            assert values.min() >= 0.0 and values.max() <= 1.0
+        values = memberships(np.linspace(-2, 10, 500), PARAMS)
+        assert values.shape == (3, 500)
+        assert values.min() >= 0.0 and values.max() <= 1.0
 
     def test_coverage_on_nonnegative_inputs(self):
-        x = np.linspace(0, 8, 1000)
-        stacked = np.stack([membership(v, x, PARAMS) for v in (1, 2, 3)])
-        assert stacked.max(axis=0).min() > 0.0
+        assert memberships(np.linspace(0, 8, 1000), PARAMS).max(axis=0).min() > 0.0
 
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            membership(4, 1.0, PARAMS)
+    @pytest.mark.parametrize("dtype, stored", [(np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
+    def test_float32_is_kept_and_every_other_dtype_stored_in_float64(self, dtype, stored):
+        # both evaluate in float64: a float32 input stores the float64 results rounded once
+        x = np.array([-1.0, 1.25, 2.0, 3.0, 4.0, 7.0]).astype(dtype)
+        for sets in (memberships, membership_slopes):
+            got, want = sets(x, PARAMS), sets(x.astype(np.float64), PARAMS)
+            assert got.shape == (3, 6) and got.dtype == stored, sets.__name__
+            assert got.tobytes() == want.astype(stored).tobytes(), sets.__name__
 
 
 def ulps_around(points, n):
@@ -182,7 +183,7 @@ def ulps_around(points, n):
 
 
 class TestClippedRamps:
-    """``membership``'s clipped ramps, the kernel's memberships, give the bits of ``fuzzify``'s piecewise branches,
+    """``memberships``' clipped ramps, the kernel's memberships, give the bits of ``fuzzify``'s piecewise branches,
     the oracle's, signed zeros included."""
 
     # subnormal multiples from the smallest accepted r_max up, less 5e-323, whose breakpoints collapse
@@ -197,11 +198,23 @@ class TestClippedRamps:
             points = np.array(p.breakpoints() + [0.0, 5 * p.r_max / 14])
             with np.errstate(all="ignore"):  # overflow to +-inf at the largest r_max
                 x = np.concatenate([ulps_around(points, 3), self.SPECIALS, rng.uniform(-0.5, 1.5, 200) * p.r_max])
-                ramps = [membership(v, x, p) for v in (1, 2, 3)]
+                ramps = memberships(x, p)
             for v, (got, want) in enumerate(zip(ramps, fuzzify(x, p)), start=1):
                 nan = np.isnan(want)
                 assert np.array_equal(np.isnan(got), nan), (r_max, v)
                 assert got[~nan].tobytes() == want[~nan].tobytes(), (r_max, v)
+
+
+class TestSlopes:
+    """``membership_slopes``, the kernel's slopes, give the bits of ``slope_branches``, the slopes of ``fuzzify``'s
+    triangles, at and around every breakpoint: the inclusive bound wins there."""
+
+    def test_bit_identical_to_branches(self):
+        for r_max in TestClippedRamps.R_MAXES:
+            p = MembershipParams(float(r_max))
+            x = np.concatenate([ulps_around(np.array(p.breakpoints()), 2), TestClippedRamps.SPECIALS])
+            want = np.array([slope_branches(xi, p) for xi in x.tolist()]).T
+            assert membership_slopes(x, p).tobytes() == want.tobytes(), r_max
 
 
 class TestFuzzify:
@@ -467,6 +480,15 @@ class TestPool:
         assert np.array_equal(x.grad, expected)
 
 
+def slope_branches(x, p):
+    """The slopes of ``fuzzify``'s three triangles at one Python float; at a breakpoint the inclusive bound wins."""
+    c, d, a, m, b, r, q = p.c, p.d, p.a, p.m, p.b, p.r, p.q
+    mu1 = -1.0 / (d - c) if c <= x <= d else 0.0
+    mu2 = 1.0 / (m - a) if a < x <= m else -1.0 / (b - m) if m < x < b else 0.0
+    mu3 = 1.0 / (q - r) if r <= x <= q else 0.0
+    return mu1, mu2, mu3
+
+
 def fuzzy_window_grad_reference(patch, params):
     """d(pooled value)/d(entry) of one window: v* held fixed, scalar folds in row-major order."""
     flat = patch.ravel().tolist()
@@ -478,7 +500,7 @@ def fuzzy_window_grad_reference(patch, params):
     for w, x in zip(sel, flat):
         num = num + w * x
         den = den + w
-    dsel = [membership_derivative(v_star, x, params) for x in flat]
+    dsel = [slope_branches(x, params)[v_star - 1] for x in flat]
     grads = [(w + dw * x) / den - num * dw / (den * den) for w, dw, x in zip(sel, dsel, flat)]
     return np.reshape(grads, patch.shape)
 
@@ -637,10 +659,11 @@ class TestImageBlocks:
             tracemalloc.stop()
         assert held < (self.HELD[kind] + 0.02) * out.data.nbytes
 
-    # fuzzy pooling also holds a block's three membership sets and their derivatives
-    @pytest.mark.parametrize("kind, blocks", [("max", 3), ("average", 3), ("fuzzy", 12)])
+    # fuzzy pooling also holds a block's three membership sets and their slopes, one [3, k*k, M] array each: its
+    # f64 transients are 6.7 (forward) and 8.2 (backward) blocks
+    @pytest.mark.parametrize("kind, blocks", [("max", 3), ("average", 3), ("fuzzy", 9)])
     def test_planes_stay_per_block(self, kind, blocks):
-        # with batch-sized planes the transients are 7.2 (max), 5.7 (average) and 43 (fuzzy) blocks
+        # with batch-sized planes the transients are 7.2 (max), 5.7 (average) and 35 (fuzzy) blocks
         rng = np.random.default_rng(33)
         x = T.Tensor(np.maximum(rng.normal(0.0, 0.3, (64, 6, 28, 28)), 0.0), requires_grad=True)
         upstream = T.Tensor(rng.uniform(-1.0, 1.0, (64, 6, 14, 14)))
@@ -714,8 +737,8 @@ class TestFuzzySkip:
         def refuse(*args):
             raise AssertionError("fuzzified a block whose windows are all below c")
 
-        monkeypatch.setattr(pooling, "_memberships", refuse)
-        monkeypatch.setattr(pooling, "membership_derivative", refuse)
+        monkeypatch.setattr(pooling, "memberships", refuse)
+        monkeypatch.setattr(pooling, "membership_slopes", refuse)
         rng = np.random.default_rng(42)
         x = rng.uniform(-1.0, np.nextafter(PARAMS.c, -np.inf), (20, 3, 8, 8))
         x[0, 0, 0, 0] = -0.0
@@ -727,13 +750,11 @@ class TestFuzzySkip:
     def test_only_blocks_with_a_fuzzified_window_fuzzify(self, monkeypatch):
         calls = []
 
-        memberships = pooling._memberships
-
         def counted(x, params):
             calls.append(np.shape(x))
             return memberships(x, params)
 
-        monkeypatch.setattr(pooling, "_memberships", counted)
+        monkeypatch.setattr(pooling, "memberships", counted)
         monkeypatch.setattr(T, "IMAGE_BLOCK", 1)  # one image per block
         rng = np.random.default_rng(43)
         x = rng.uniform(-1.0, np.nextafter(PARAMS.c, -np.inf), (4, 2, 4, 4))

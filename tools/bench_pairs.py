@@ -25,7 +25,10 @@ bound, and the verdict line names it too.
 Before the table, one line per side gives the median raw (unscaled)
 ``samples_per_s`` and the median ``speed_scale`` from the runs' details
 lines, for information only: a scale that moves between the sides moves the
-scaled figures with it, and the verdict does not use these two.
+scaled figures with it, and the verdict does not use these two.  When the raw
+and the scaled medians rank the two sides in opposite directions, the verdict
+line ends with "; raw and scaled samples_per_s disagree"; the exit status
+does not depend on it.
 The verdict applies the benchmark rule to ``--metric``: the change wins at
 least 9 of 10 pairs (ties count for neither side), the medians differ by
 more than the parent's interquartile range, no larger share of operations
@@ -95,6 +98,13 @@ def raw_figures(details: dict) -> list[str]:
         scale = statistics.median(d["speed_scale"]["median"] for d in rows)
         lines.append(f"{side}: raw samples_per_s median {raw:.4g}, speed_scale median {scale:.4g} (information only)")
     return lines
+
+
+def raw_and_scaled_disagree(details: dict, results: dict) -> bool:
+    """Do the median raw and the median scaled samples/s rank the change against the parent in opposite directions?"""
+    raw = {side: statistics.median(d["raw"]["samples_per_s"] for d in rows) for side, rows in details.items()}
+    scaled = {side: statistics.median(value(r, "samples_per_s") for r in rows) for side, rows in results.items()}
+    return (raw["change"] - raw["parent"]) * (scaled["change"] - scaled["parent"]) < 0
 
 
 def better(a: float, b: float, direction: str) -> bool:
@@ -213,6 +223,8 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, {len(args.seeds)} pairs of {seconds:g} s runs")
     print("\n".join(raw_figures(details)))
     lines, met = report(results, metrics, args.metric)
+    if raw_and_scaled_disagree(details, results):
+        lines[-1] += "; raw and scaled samples_per_s disagree"
     print("\n".join(lines))
     return 0 if met else 1
 
