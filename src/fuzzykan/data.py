@@ -209,16 +209,19 @@ def batches(dataset: Dataset, batch_size: int, seed: int = 0, shuffle: bool = Tr
 
     The batch size is checked and the permutation drawn on the call, not on
     the first batch.  The final partial batch is emitted as-is so every
-    sample is visited exactly once.
+    sample is visited exactly once.  Unshuffled batches are read-only views
+    of the dataset, shuffled ones copies.
     """
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
     m = len(dataset)
-    permutation = np.random.default_rng(seed).permutation(m) if shuffle else np.arange(m)
+    permutation = np.random.default_rng(seed).permutation(m) if shuffle else None
+    images, labels = dataset.images.view(), dataset.labels.view()
+    images.flags.writeable = labels.flags.writeable = False
 
     def epoch():
         for start in range(0, m, batch_size):
-            idx = permutation[start : start + batch_size]
-            yield dataset.images[idx], dataset.labels[idx]
+            idx = slice(start, start + batch_size) if permutation is None else permutation[start : start + batch_size]
+            yield images[idx], labels[idx]
 
     return epoch()

@@ -138,23 +138,23 @@ def _basis_rows(x: np.ndarray, grid: SplineGrid):
 
 
 def _dense(x: np.ndarray, interval, values, grid: SplineGrid, nan_rows: bool) -> np.ndarray:
-    """Rows [..., num_basis] from the order+1 local values at each point's interval.
+    """C-contiguous rows [..., num_basis], each point's order+1 local values written once at its interval.
 
     nan_rows gives a non-finite point a NaN row, as the Cox-de Boor recursion
     does from degree 1 on, where its zero indicator meets x = NaN or +-inf.
     """
-    k = grid.order
-    n_intervals = grid.intervals + 2 * k
-    # column m + r holds B_{m-k+r}; the first and last k columns hold
-    # functions beyond the knot vector and are sliced away
-    padded = np.zeros((interval.size, n_intervals + k), x.dtype)
-    at = np.arange(0, padded.size, padded.shape[1]) + interval
+    k, nb = grid.order, grid.num_basis
+    spare = interval.size * nb
+    # column m - k + r holds B_{m-k+r}; a column outside [0, nb) is a function
+    # beyond the knot vector, and its value goes to one spare element past the rows
+    flat = np.zeros(spare + 1, x.dtype)
+    at = np.arange(-k, spare - k, nb) + interval
     for r, v in enumerate(values):
-        padded.reshape(-1)[at + r] = v
-    dense = padded[:, k:n_intervals]
+        flat[np.where((interval >= k - r) & (interval < nb + k - r), at + r, spare)] = v
+    dense = flat[:spare].reshape(interval.size, nb)
     if nan_rows:
         dense[~np.isfinite(x.reshape(-1))] = np.nan
-    return dense.reshape(x.shape + (grid.num_basis,))
+    return dense.reshape(x.shape + (nb,))
 
 
 def bspline_reference(i: int, degree: int, knots, x: float) -> float:
@@ -224,7 +224,7 @@ def kan_layer_forward(x: T.Tensor, params: KanLayerParams) -> T.Tensor:
         raise ValueError(f"expected input [N,{n_in}], got {x.shape}")
 
     basis, derivative = _basis_rows(x.data, params.grid)  # x.data is float32 or float64, kept through both GEMMs
-    basis = basis.reshape(len(x.data), -1)  # [N, in*nb]
+    basis = basis.reshape(len(x.data), -1)  # [N, in*nb], a view of the C-contiguous rows
     sil = T.silu_values(x.data)
     c, wb, ws = params.coeffs, params.w_b, params.w_s
     spline_w = (c.data * ws.data[..., None]).reshape(n_out, -1)  # [out, in*nb]
@@ -234,8 +234,8 @@ def kan_layer_forward(x: T.Tensor, params: KanLayerParams) -> T.Tensor:
 
     def backward(g):
         g_basis = (g.T @ basis).reshape(c.data.shape)  # [out, in, nb]
-        T.accumulate_grad(c, g_basis * ws.data[..., None])
         T.accumulate_grad(ws, np.einsum("jpi,jpi->jp", g_basis, c.data))
+        T.accumulate_grad(c, np.multiply(g_basis, ws.data[..., None], out=g_basis))  # in place, after dw_s
         T.accumulate_grad(wb, g.T @ sil)
         if x.requires_grad:
             dbasis = derivative()  # [N, in, nb]

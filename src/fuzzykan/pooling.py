@@ -23,8 +23,9 @@ bit.  The other windows of an image block are gathered as the [k*k, M]
 columns of the block's window planes, which ``fuzzy_scores`` fuzzifies once
 into the block's [3, k*k, M] memberships; it folds each set's algebraic-sum
 score, COG numerator and COG denominator in place into [3, M] arrays.
-Selection comes after the folds: v* is picked per window from the scores,
-and the output divides the winner's numerator by its denominator, so
+Selection comes after the folds, by ``select_fuzzy_patch``'s two comparisons
+(a later set must score strictly higher; a NaN entry makes every score NaN,
+so v* = 1), and ``np.where`` takes the winner's numerator and denominator:
 selecting touches [M] arrays and no membership is gathered again.  Each fold
 makes the sums of the scalar oracle, so the output keeps its bits.  A
 block's gradient rule keeps the one-byte below-c mask and v* (int8) of each
@@ -347,8 +348,11 @@ def _fuzzy_pool(planes, win, out, params: MembershipParams):
     rest = np.flatnonzero(~fast)
     if rest.size:
         scores, nums, dens = fuzzy_scores(np.take(planes.reshape(kk, -1), rest, axis=1), params)
-        v_star = scores.argmax(axis=0).astype(np.int8)  # first max -> lowest v on ties
-        out.reshape(-1)[rest] = np.choose(v_star, nums) / np.choose(v_star, dens)  # den >= 3/7 (module docstring)
+        b1 = scores[1] > scores[0]  # a later set must score strictly higher: the lowest v wins a tie
+        b2 = scores[2] > np.where(b1, scores[1], scores[0])
+        v_star = np.where(b2, np.int8(2), b1.view(np.int8))
+        num, den = (np.where(b2, a[2], np.where(b1, a[1], a[0])) for a in (nums, dens))
+        out.reshape(-1)[rest] = num / den  # den >= 3/7 (module docstring)
 
     def rule(g):
         # an averaged window's entry gradient is the COG rule below at dsel = 0 and den = k*k

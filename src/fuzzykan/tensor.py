@@ -15,24 +15,20 @@ reduces with unrolled partial sums.
 The second operand of ``add`` and ``mul`` is a number or a tensor of the
 first's shape, with no broadcasting, so each gradient has its operand's shape.
 
-``conv2d`` lays its im2col out as [(c,u,v), N, (i,j)] and contracts it with
-one non-optimized einsum into a C-ordered [N, F, (i,j)] output.  The
-einsum's inner loop is then an axpy along the Ho*Wo output pixels, and the
-reduction index (c,u,v) only selects which axpy runs next, so each output
-still adds its terms one at a time in ascending (c,u,v) order, from 0, as
-the nested loops do.  The output array is passed in (``out=``): einsum would
-otherwise allocate it in its operands' (f, n, (i,j)) memory order, and that
-layout would flow on through the activation into the gradient.
+``conv2d`` lays its im2col out as [(c,u,v), n, (i,j)] and contracts it with
+one non-optimized einsum into a fresh filter-major [F, n, (i,j)] array: the
+inner loop is one axpy along all n*Ho*Wo pixels, and the reduction index
+(c,u,v) only selects which axpy runs next, so each output adds its terms one
+at a time in ascending (c,u,v) order, from +0, as the nested loops do.  One
+``np.add`` writes those rows transposed, bias added, into the C-ordered
+[N, F, (i,j)] output of dtype ``result_type(input, kernels, bias)``; without
+a bias it adds +0, which leaves a sum that started at +0 as it is.
 
-The forward never holds the whole im2col.  It walks the batch in the image
-blocks of ``image_blocks`` and contracts each block's columns, in the same
-[(c,u,v), n, (i,j)] layout, into that block's rows of the output.  No output
-sums across images, so each output still adds the same terms in the same
-ascending (c,u,v) order, and every bit matches the unblocked contraction.
-At the eval conv1 shape the full im2col is 75 x 256 x 784 doubles (120 MB);
-a block is 512 KB, so it stays in cache and is never freshly mapped memory.
-The bias is added into the output in place, unless the bias's dtype is the
-wider one: then the sum is a new array of that dtype, as ``out + bias`` is.
+The forward never holds the whole im2col: it contracts the n images of one
+``image_blocks`` block at a time.  No output sums across images, so every bit
+matches the unblocked contraction.  At the eval conv1 shape the full im2col
+is 75 x 256 x 784 doubles (120 MB); a block is 512 KB, so it stays in cache
+and is never freshly mapped memory.
 
 The backward keeps the row-major formulas' operands.  It copies the gradient
 into a C-ordered [(n,i,j), F] matrix, whose rows the bias gradient sums in
@@ -377,20 +373,16 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
     win = windows(x.data, k, stride)
     n, c, ho, wo = win.shape[:4]
     p, ckk = ho * wo, c * k * k
-    # im2col laid out [(c,u,v), N, (i,j)]: the einsum runs axpys along the
-    # output pixels (i,j) and adds each output's terms in ascending (c,u,v)
-    # order from 0, the nested-loop order.  Left to itself einsum would
-    # allocate its output in (f, n, (i,j)) order; out= keeps it C-ordered NCHW.
-    # No output sums across images, so each block of images gets its own
-    # columns, and no im2col outlives the forward (module docstring).
+    # im2col laid out [(c,u,v), n, (i,j)]: the einsum runs axpys along a block's
+    # n*(i,j) pixels into a filter-major [f, n, (i,j)] block, adding each output's
+    # terms in ascending (c,u,v) order from +0.  No output sums across images, so
+    # no im2col outlives its block of images (module docstring).
     w2 = kernels.data.reshape(f, ckk)
-    out3 = np.empty((n, f, p), dtype=np.result_type(w2, x.data))
+    bias_col = 0.0 if bias is None else bias.data[:, None]  # +0 leaves a sum that started at +0 as it is
+    out3 = np.empty((n, f, p), dtype=np.result_type(w2, x.data, bias_col))
     for b in image_blocks(win):
-        np.einsum("fk,knp->nfp", w2, _im2col(win[b]), optimize=False, out=out3[b])
-    if bias is not None:
-        # in place, unless a wider bias promotes the sum (module docstring)
-        bias_col = bias.data[:, None]
-        out3 = np.add(out3, bias_col, out=out3 if np.result_type(out3, bias_col) == out3.dtype else None)
+        block = np.einsum("fk,knp->fnp", w2, _im2col(win[b]), optimize=False)
+        np.add(block.transpose(1, 0, 2), bias_col, out=out3[b])
     out_data = out3.reshape(n, f, ho, wo)
 
     def backward(g):

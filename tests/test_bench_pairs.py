@@ -163,32 +163,42 @@ def test_odd_number_of_seeds_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "pairs.jsonl").exists()
 
 
-def run_canned(tmp_path, monkeypatch, runs, capsys):
-    """``main`` on two pairs whose runs give ``runs[side]``'s (raw samples/s, speed scale) in turn; its stdout lines."""
+P50 = {"name": "batch_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}
+
+
+def run_canned(tmp_path, monkeypatch, runs, capsys, metric=None, status=0):
+    """``main`` on two pairs whose runs give ``runs[side]``'s (raw samples/s, speed scale) in turn; its stdout lines.
+
+    A raw samples/s of r gives a raw batch_ms_p50 of 1000 / r; the scaled figures are r * scale and 1000 / (r * scale).
+    """
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
-    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": list(METRICS.values())}))
+    end_to_end = [*METRICS.values(), P50]
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": end_to_end}))
     runs = {side: iter(figures) for side, figures in runs.items()}
 
     def canned(checkout, workload, seed, seconds):
         side = "parent" if checkout.name == "parent" else "change"
         raw, scale = next(runs[side])
-        details = {"raw": {"samples_per_s": raw}, "speed_scale": {"median": scale}}
+        details = {"raw": {"samples_per_s": raw, "batch_ms_p50": 1000.0 / raw}, "speed_scale": {"median": scale}}
         line = result(raw * scale)
+        line["metrics"]["batch_ms_p50"] = {"value": 1000.0 / (raw * scale)}
         return [json.dumps(details), json.dumps(line)], line
 
     monkeypatch.setattr(bench_pairs, "run_once", canned)
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "train-max-mlp",
-            "--seeds", "1-2", "--raw", str(tmp_path / "pairs.jsonl")]
-    assert bench_pairs.main(argv) == 0
+            "--seeds", "1-2", "--raw", str(tmp_path / "pairs.jsonl")] + ([] if metric is None else ["--metric", metric])
+    assert bench_pairs.main(argv) == status
     return capsys.readouterr().out.splitlines()
 
 
+# the change runs at the parent's raw speed while the speed probe reads it 10% faster
+# (a higher scale), so only its scaled figures move: the raw lines show where it came from
+PROBE_SWING = {"parent": [(500.0, 1.0), (510.0, 1.02)], "change": [(505.0, 1.1), (495.0, 1.12)]}
+
+
 def test_raw_figures_are_shown_and_leave_the_verdict_alone(tmp_path, monkeypatch, capsys):
-    # the change runs at the parent's raw speed while the speed probe reads it 10% faster
-    # (a higher scale), so only its scaled figures move: the raw lines show where it came from
-    runs = {"parent": [(500.0, 1.0), (510.0, 1.02)], "change": [(505.0, 1.1), (495.0, 1.12)]}
-    out = run_canned(tmp_path, monkeypatch, runs, capsys)
+    out = run_canned(tmp_path, monkeypatch, PROBE_SWING, capsys)
     assert "parent: raw samples_per_s median 505, speed_scale median 1.01 (information only)" in out
     assert "change: raw samples_per_s median 500, speed_scale median 1.11 (information only)" in out
     assert out[-1] == "NO REGRESSION; raw and scaled samples_per_s disagree"  # raw 505 > 500, scaled 510 < 555
@@ -198,3 +208,18 @@ def test_raw_and_scaled_that_agree_add_nothing_to_the_verdict(tmp_path, monkeypa
     # the change is slower raw and scaled alike (scaled 510 against 492.5), within the bound
     runs = {"parent": [(500.0, 1.0), (510.0, 1.02)], "change": [(495.0, 1.0), (490.0, 1.0)]}
     assert run_canned(tmp_path, monkeypatch, runs, capsys)[-1] == "NO REGRESSION"
+
+
+def test_raw_figures_follow_the_claimed_metric(tmp_path, monkeypatch, capsys):
+    # two pairs are too few for a claim, so the verdict fails; the raw lines and the note name batch_ms_p50
+    out = run_canned(tmp_path, monkeypatch, PROBE_SWING, capsys, metric="batch_ms_p50", status=1)
+    parent_p50, change_p50 = 1000.0 / 505.0, 1000.0 / 500.0  # the medians of 1000 / raw
+    assert f"parent: raw batch_ms_p50 median {parent_p50:.4g}, speed_scale median 1.01 (information only)" in out
+    assert f"change: raw batch_ms_p50 median {change_p50:.4g}, speed_scale median 1.11 (information only)" in out
+    assert out[-1] == "CLAIM NOT MET; raw and scaled batch_ms_p50 disagree"
+
+
+def test_metric_without_a_raw_figure_shows_samples_per_s(tmp_path, monkeypatch, capsys):
+    out = run_canned(tmp_path, monkeypatch, PROBE_SWING, capsys, metric="peak_rss_mb", status=1)
+    assert "parent: raw samples_per_s median 505, speed_scale median 1.01 (information only)" in out
+    assert out[-1] == "CLAIM NOT MET; raw and scaled samples_per_s disagree"

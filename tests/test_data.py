@@ -381,6 +381,24 @@ class TestBatches:
         expected = sorted(float(img.sum()) for img in ds.images)
         np.testing.assert_allclose(sums, expected)
 
+    def test_unshuffled_batches_are_read_only_views(self):
+        ds = self.make_dataset(10)
+        before = ds.images.copy(), ds.labels.copy()
+        for images, labels in batches(ds, 4, shuffle=False):
+            assert np.shares_memory(images, ds.images) and np.shares_memory(labels, ds.labels)
+            for batch in (images, labels):
+                with pytest.raises(ValueError, match="read-only"):
+                    batch[0] = 1
+        assert ds.images.flags.writeable and ds.labels.flags.writeable  # the dataset itself stays writable
+        np.testing.assert_array_equal(ds.images, before[0])
+        np.testing.assert_array_equal(ds.labels, before[1])
+
+    def test_shuffled_batches_are_copies(self):
+        ds = self.make_dataset(10)
+        for images, labels in batches(ds, 4, seed=1):
+            assert not np.shares_memory(images, ds.images) and not np.shares_memory(labels, ds.labels)
+            assert images.flags.writeable and labels.flags.writeable
+
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             batches(self.make_dataset(4), 0)

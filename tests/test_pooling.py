@@ -575,6 +575,17 @@ class TestFuzzyPaths:
             reference = fuzzy_window_reference(patch, PARAMS)
         np.testing.assert_equal([out[0, 0, 0, 0], reference], [expected, expected])  # a NaN equals a NaN
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tied_sets_pool_like_the_reference(self, dtype):
+        # windows whose winning sets tie exactly at score 1 but give different COGs; the lowest v wins:
+        # mu1 and mu3 (0 below c, 10 above q), mu1 and mu2 (3 = m), mu2 and mu3 above mu1, all three
+        windows = np.array([[0, 0, 0, 10], [0, 0, 0, 3], [3, 10, 3, 10], [0, 3, 10, 0]], dtype=dtype)
+        x = windows.reshape(1, 1, 4, 2, 2).transpose(0, 1, 3, 2, 4).reshape(1, 1, 2, 8)  # window i at columns 2i, 2i+1
+        out = pool(T.Tensor(x), PoolConfig(kind="fuzzy", membership=PARAMS)).data
+        expected = [fuzzy_window_reference(w.reshape(2, 2), PARAMS) for w in windows]
+        assert expected == [0.0, 0.0, 3.0, 0.0]  # exact in either dtype
+        assert out.dtype == dtype and out.reshape(-1).tolist() == expected
+
     def test_minus_inf_window_has_nan_gradient(self):
         values = np.array([[-np.inf, 0.2, 0.5, 0.5], [0.3, 0.1, 0.5, 0.5]])
         with np.errstate(invalid="ignore"):  # -inf * 0 in the COG rule

@@ -244,6 +244,25 @@ class TestConv2d:
         assert out.data.flags.c_contiguous
 
     @pytest.mark.parametrize(
+        "dtype, b_dtype", [(np.float64, np.float64), (np.float64, None), (np.float32, np.float32),
+                           (np.float32, None), (np.float32, np.float64)]
+    )
+    def test_filter_major_blocks_give_c_ordered_rows(self, monkeypatch, dtype, b_dtype):
+        # three images per block, so each block's filter-major rows are transposed into [n, f, (i,j)] rows
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1, 1, (5, 3, 8, 8)).astype(dtype)
+        x[-1] = -0.0  # a conv without a bias must still give +0 there: each sum starts at +0
+        kernels = rng.uniform(0, 1, (4, 3, 3, 3)).astype(dtype)
+        bias = None if b_dtype is None else rng.uniform(-1, 1, 4).astype(b_dtype)
+        monkeypatch.setattr(T, "IMAGE_BLOCK", 3 * 27 * 36)
+        out = T.conv2d(T.Tensor(x), T.Tensor(kernels), None if bias is None else T.Tensor(bias)).data
+        ref, _ = row_major_conv2d(x, kernels, bias, 1, np.zeros(out.shape, out.dtype))
+        assert out.flags.c_contiguous and out.dtype == np.result_type(x, kernels, *([] if bias is None else [bias]))
+        assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
+        if bias is None:
+            assert np.signbit(out[-1]).sum() == 0
+
+    @pytest.mark.parametrize(
         "x_dtype, k_dtype, b_dtype",
         [
             (np.float32, np.float64, np.float64),

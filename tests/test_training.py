@@ -337,6 +337,15 @@ class TestEvaluate:
             wired.update(ds.labels[start : start + 5], logits.data.argmax(axis=1))
         assert cm.counts.tolist() == wired.counts.tolist()
 
+    @pytest.mark.parametrize("pooling, head", [("fuzzy", "kan"), ("max", "mlp")])
+    def test_dataset_is_left_unchanged(self, pooling, head):
+        # its batches are read-only views of the dataset, which the forward reads in place
+        ds = make_synthetic_dataset(12, seed=3)
+        images, labels = ds.images.copy(), ds.labels.copy()
+        evaluate(build(tiny_config(pooling, head)), ds, batch_size=5)
+        assert ds.images.tobytes() == images.tobytes() and ds.labels.tobytes() == labels.tobytes()
+        assert ds.images.flags.writeable and ds.labels.flags.writeable
+
     def test_batch_logits_are_freed_before_the_next_forward(self):
         # a batch's logits keep its activations alive
         model = build(tiny_config())

@@ -22,13 +22,15 @@ beats every parent run; the verdict line names it, and the exit status does
 not depend on it.  A metric that any run of either side reports as null
 (perfbench writes null for a non-finite value) counts as worse than its
 bound, and the verdict line names it too.
-Before the table, one line per side gives the median raw (unscaled)
-``samples_per_s`` and the median ``speed_scale`` from the runs' details
-lines, for information only: a scale that moves between the sides moves the
-scaled figures with it, and the verdict does not use these two.  When the raw
-and the scaled medians rank the two sides in opposite directions, the verdict
-line ends with "; raw and scaled samples_per_s disagree"; the exit status
-does not depend on it.
+Before the table, one line per side gives the median raw (unscaled) figure
+and the median ``speed_scale`` from the runs' details lines, for information
+only: a scale that moves between the sides moves the scaled figures with it,
+and the verdict does not use these two.  The raw figure is ``--metric``'s when
+every details line has one for it (``samples_per_s``, ``batch_ms_p50``,
+``batch_ms_tail`` and ``setup_s`` have), and ``samples_per_s`` otherwise.
+When the raw and the scaled medians of that figure rank the two sides in
+opposite directions, the verdict line ends with "; raw and scaled <figure>
+disagree"; the exit status does not depend on it.
 The verdict applies the benchmark rule to ``--metric``: the change wins at
 least 9 of 10 pairs (ties count for neither side), the medians differ by
 more than the parent's interquartile range, no larger share of operations
@@ -90,20 +92,26 @@ def value(result: dict, name: str) -> float:
     return math.nan if v is None else v
 
 
-def raw_figures(details: dict) -> list[str]:
-    """Each side's median raw samples/s and median speed scale, from its runs' details lines; for information only."""
+def raw_name(details: dict, metric: str | None) -> str:
+    """``metric`` when every run's details line has a raw figure for it, else ``samples_per_s``."""
+    rows = [d for side in details.values() for d in side]
+    return metric if metric is not None and all(metric in d["raw"] for d in rows) else "samples_per_s"
+
+
+def raw_figures(details: dict, name: str) -> list[str]:
+    """Each side's median raw ``name`` and median speed scale, from its runs' details lines; for information only."""
     lines = []
     for side, rows in details.items():
-        raw = statistics.median(d["raw"]["samples_per_s"] for d in rows)
+        raw = statistics.median(d["raw"][name] for d in rows)
         scale = statistics.median(d["speed_scale"]["median"] for d in rows)
-        lines.append(f"{side}: raw samples_per_s median {raw:.4g}, speed_scale median {scale:.4g} (information only)")
+        lines.append(f"{side}: raw {name} median {raw:.4g}, speed_scale median {scale:.4g} (information only)")
     return lines
 
 
-def raw_and_scaled_disagree(details: dict, results: dict) -> bool:
-    """Do the median raw and the median scaled samples/s rank the change against the parent in opposite directions?"""
-    raw = {side: statistics.median(d["raw"]["samples_per_s"] for d in rows) for side, rows in details.items()}
-    scaled = {side: statistics.median(value(r, "samples_per_s") for r in rows) for side, rows in results.items()}
+def raw_and_scaled_disagree(details: dict, results: dict, name: str) -> bool:
+    """Do the median raw and the median scaled ``name`` rank the change against the parent in opposite directions?"""
+    raw = {side: statistics.median(d["raw"][name] for d in rows) for side, rows in details.items()}
+    scaled = {side: statistics.median(value(r, name) for r in rows) for side, rows in results.items()}
     return (raw["change"] - raw["parent"]) * (scaled["change"] - scaled["parent"]) < 0
 
 
@@ -221,10 +229,11 @@ def main(argv=None) -> int:
                   f"parent {p:10.4g}  change {c:10.4g}  ({ratio:.3f}x)  {winner}", flush=True)
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs of {seconds:g} s runs")
-    print("\n".join(raw_figures(details)))
+    name = raw_name(details, args.metric)
+    print("\n".join(raw_figures(details, name)))
     lines, met = report(results, metrics, args.metric)
-    if raw_and_scaled_disagree(details, results):
-        lines[-1] += "; raw and scaled samples_per_s disagree"
+    if raw_and_scaled_disagree(details, results, name):
+        lines[-1] += f"; raw and scaled {name} disagree"
     print("\n".join(lines))
     return 0 if met else 1
 
