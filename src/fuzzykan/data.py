@@ -1,11 +1,15 @@
 """Dataset loading: IDX (MNIST/FashionMNIST) and CIFAR-10 binary formats.
 
-Both readers are bit-exact parsers of the official binary layouts; pixels
-are scaled to [0,1] as float64 pixels / 255.  ``load_dataset`` alone decides
-the input geometry: it zero-pads 28x28 grayscale images to 32x32, passes
-32x32 ones through, and refuses IDX images of any other size.  It pads the
-uint8 bytes and then scales them once, so no unpadded float copy is made.
-Gzipped files are read transparently, and a corrupt one is a DataError.
+``load_dataset`` is the one reader: it takes a dataset name, a data
+directory and the "train" or "test" split, and parses the official binary
+layouts bit for bit; pixels are scaled to [0,1] as float64 pixels / 255.  It
+alone decides the input geometry: it zero-pads 28x28 grayscale images to
+32x32, passes 32x32 ones through, and refuses IDX images of any other size.
+It pads the uint8 bytes and then scales them once, so no unpadded float copy
+is made.  Gzipped files are read transparently.  Every file fault (missing,
+corrupt gzip, bad magic, truncated, count mismatch, bad label, empty split,
+other geometry) is one ``DataError`` whose message names the file; the CLI
+prints it as one ``data error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -27,23 +31,7 @@ CIFAR_RECORDS_PER_FILE = 10000
 
 
 class DataError(Exception):
-    """Base class for dataset file problems."""
-
-
-class BadMagicError(DataError):
-    pass
-
-
-class TruncatedFileError(DataError):
-    pass
-
-
-class CountMismatchError(DataError):
-    pass
-
-
-class BadLabelError(DataError):
-    pass
+    """A dataset file that is missing or malformed; the message names the file and the fault."""
 
 
 @dataclass
@@ -71,26 +59,24 @@ def _read_bytes(path) -> bytes:
 
 def _parse_idx(raw: bytes, expected_magic: int, path) -> np.ndarray:
     if len(raw) < 4:
-        raise TruncatedFileError(f"{path}: too short for an IDX header")
+        raise DataError(f"{path}: too short for an IDX header")
     (magic,) = struct.unpack(">I", raw[:4])
     if magic != expected_magic:
-        raise BadMagicError(f"{path}: bad magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
+        raise DataError(f"{path}: bad magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
     ndim = magic & 0xFF
     header = 4 + 4 * ndim
     if len(raw) < header:
-        raise TruncatedFileError(f"{path}: truncated dimension header")
+        raise DataError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header])
     count = math.prod(dims)
     if len(raw) < header + count:
-        raise TruncatedFileError(
-            f"{path}: expected {count} data bytes, file holds {len(raw) - header}"
-        )
+        raise DataError(f"{path}: expected {count} data bytes, file holds {len(raw) - header}")
     return np.frombuffer(raw, dtype=np.uint8, count=count, offset=header).reshape(dims)
 
 
 def _check_labels(labels: np.ndarray, path):
     if labels.size and labels.max() > 9:
-        raise BadLabelError(f"{path}: label byte {labels.max()} out of range")
+        raise DataError(f"{path}: label byte {labels.max()} out of range")
 
 
 def _scaled(pixels: np.ndarray) -> np.ndarray:
@@ -103,40 +89,16 @@ def _read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     images = _parse_idx(_read_bytes(images_path), IDX_IMAGES_MAGIC, images_path)
     labels = _parse_idx(_read_bytes(labels_path), IDX_LABELS_MAGIC, labels_path)
     if images.shape[0] != labels.shape[0]:
-        raise CountMismatchError(
-            f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels"
-        )
+        raise DataError(f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
     _check_labels(labels, labels_path)
     m, h, w = images.shape
     return images.reshape(m, 1, h, w), labels.astype(np.int64)
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Read an IDX image/label file pair into a normalized Dataset."""
-    images, labels = _read_idx(images_path, labels_path)
-    return Dataset(_scaled(images), labels)
-
-
-def write_idx_images(path, images: np.ndarray):
-    """Write uint8 images [M,H,W] in IDX layout (test fixtures, round-trips)."""
-    m, h, w = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, m, h, w))
-        f.write(np.ascontiguousarray(images, dtype=np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray):
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        f.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
-
-
 def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
     raw = _read_bytes(path)
     if len(raw) != CIFAR_RECORDS_PER_FILE * CIFAR_RECORD_BYTES:
-        raise TruncatedFileError(
-            f"{path}: size {len(raw)} != {CIFAR_RECORDS_PER_FILE * CIFAR_RECORD_BYTES}"
-        )
+        raise DataError(f"{path}: size {len(raw)} != {CIFAR_RECORDS_PER_FILE * CIFAR_RECORD_BYTES}")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(CIFAR_RECORDS_PER_FILE, CIFAR_RECORD_BYTES)
     labels = records[:, 0]
     _check_labels(labels, path)
@@ -147,25 +109,16 @@ def _parse_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
 CIFAR_FILES = {"train": [f"data_batch_{i}.bin" for i in range(1, 6)], "test": ["test_batch.bin"]}
 
 
-def _find_cifar_files(root: Path, split: str) -> list[Path]:
-    """The split's batch files, from the first layout under ``root`` that holds them all."""
+def _load_cifar10(root: Path, split: str) -> Dataset:
+    """The five training batches or the test batch of binary CIFAR-10, from the first layout under ``root`` that
+    holds them all: ``cifar10/cifar-10-batches-bin/``, ``cifar10/``, ``cifar-10-batches-bin/`` or ``root`` itself."""
     names = CIFAR_FILES[split]
     for directory in (root / "cifar10" / "cifar-10-batches-bin", root / "cifar10", root / "cifar-10-batches-bin", root):
         files = [directory / name for name in names]
         if all(f.exists() for f in files):
-            return files
+            images, labels = zip(*(_parse_cifar_file(f) for f in files))
+            return Dataset(_scaled(np.concatenate(images)), np.concatenate(labels).astype(np.int64))
     raise DataError(f"CIFAR-10 binary batches not found under {root}: missing {', '.join(names)}")
-
-
-def load_cifar10(dir_path, split: str = "train") -> Dataset:
-    """Read the five training batches or the test batch of binary CIFAR-10.
-
-    The files may sit in ``dir_path`` itself, in its ``cifar10/`` or
-    ``cifar-10-batches-bin/``, or in ``cifar10/cifar-10-batches-bin/``.
-    """
-    files = _find_cifar_files(Path(dir_path), split)
-    images, labels = zip(*(_parse_cifar_file(f) for f in files))
-    return Dataset(_scaled(np.concatenate(images)), np.concatenate(labels).astype(np.int64))
 
 
 IDX_FILES = {
@@ -187,7 +140,7 @@ def load_dataset(name: str, data_dir, split: str = "train") -> Dataset:
         raise ValueError(f"split must be one of {tuple(IDX_FILES)}, got {split!r}")
     root = Path(data_dir)
     if name == "cifar10":
-        return load_cifar10(root, split)
+        return _load_cifar10(root, split)
     if name in ("mnist", "fashion-mnist"):
         directory = root / name if (root / name).is_dir() else root
         img_stem, lbl_stem = IDX_FILES[split]

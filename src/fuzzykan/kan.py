@@ -112,8 +112,9 @@ def _basis_rows(x: np.ndarray, grid: SplineGrid):
     interval[flat == np.float64(grid.hi)] = grid.intervals + k - 1
     inside = (interval >= 0) & (interval < len(t) - 1)
     interval[~inside] = 0
-    # clipped, so no value rounds below 0
-    u = np.clip((flat - t.astype(x.dtype, copy=False)[interval]) / grid.step, 0.0, 1.0)
+    # clipped to [0, step] before the divide, so no value rounds below 0 and none overflows
+    # (a point past 0.4x the float maximum would); the quotient is the clipped one's, bit for bit
+    u = np.clip(flat - t.astype(x.dtype, copy=False)[interval], 0.0, grid.step) / grid.step
     # de Boor's BSPLVB in units of the step: x - t[m+1-j] = u + j - 1 and t[m+j] - x = j - u
     left = [u + (j - 1) for j in range(1, k + 1)]
     right = [j - u for j in range(1, k + 1)]

@@ -300,7 +300,8 @@ def _max_pool(planes, win, out, params):
 
 
 def _add_into(acc, x):
-    return np.add(acc, x, out=acc)
+    with np.errstate(over="ignore"):  # a sum past the float maximum is +-inf, as in the oracles' Python floats
+        return np.add(acc, x, out=acc)
 
 
 def _algebraic_sum_into(s, p):
@@ -368,7 +369,8 @@ def _fuzzy_pool(planes, win, out, params: MembershipParams):
         dsel = np.choose(v_star, membership_slopes(w, params))
         den = _window_sum(sel)
         num = _window_sum(sel * w)
-        dw = (sel + dsel * w) / den - num * dsel / (den * den)
+        with np.errstate(invalid="ignore"):  # an infinite or overflowed num times a zero slope is NaN
+            dw = (sel + dsel * w) / den - num * dsel / (den * den)
         dplanes.reshape(kk, -1)[:, rest] = g.reshape(-1)[rest] * dw
         return dplanes
 

@@ -1,10 +1,26 @@
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuzzykan.data import Dataset, write_idx_images, write_idx_labels
+import fuzzykan.tensor as T
+from fuzzykan.checks import GRAD_TOL, gradient_check
+from fuzzykan.data import IDX_FILES, IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
+from fuzzykan.kan import SplineGrid, kan_init, kan_stack_forward
+
+
+def write_idx_split(root, images, labels, split="train"):
+    """Write uint8 images [M,H,W] and labels [M] as one split's IDX pair under ``root/mnist/``, the layout
+    ``load_dataset`` reads; returns the images and labels paths."""
+    d = Path(root) / "mnist"
+    d.mkdir(exist_ok=True)
+    paths = [d / stem for stem in IDX_FILES[split]]
+    for path, magic, array in zip(paths, (IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC), (images, labels)):
+        array = np.ascontiguousarray(array, dtype=np.uint8)
+        path.write_bytes(struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes())
+    return paths
 
 
 def make_synthetic_images(n, seed=0):
@@ -28,14 +44,8 @@ def make_synthetic_dataset(n, seed=0):
 def synthetic_idx_dir(tmp_path_factory):
     """A data directory holding a small IDX-format dataset under mnist/."""
     root = tmp_path_factory.mktemp("idxdata")
-    d = root / "mnist"
-    d.mkdir()
     for split, n, seed in (("train", 120, 0), ("test", 40, 1)):
-        images, labels = make_synthetic_images(n, seed)
-        img_name = "train-images-idx3-ubyte" if split == "train" else "t10k-images-idx3-ubyte"
-        lbl_name = "train-labels-idx1-ubyte" if split == "train" else "t10k-labels-idx1-ubyte"
-        write_idx_images(d / img_name, images)
-        write_idx_labels(d / lbl_name, labels)
+        write_idx_split(root, *make_synthetic_images(n, seed), split=split)
     return root
 
 
@@ -49,3 +59,15 @@ def real_mnist_dir():
         if not ((d / stem).exists() or (d / f"{stem}.gz").exists()):
             return None
     return d.parent if d.name == "mnist" else d
+
+
+def check_kan_gradients(seed: int = 0):
+    """Finite-difference check of a small 2-layer KAN stack: (ok, worst relative error)."""
+    rng = np.random.default_rng(seed)
+    grid = SplineGrid()
+    layers = [kan_init(4, 3, grid, seed=seed), kan_init(3, 2, grid, seed=seed + 1)]
+    x = T.Tensor(rng.uniform(-2.0, 2.0, (3, 4)), requires_grad=True)
+    labels = rng.integers(0, 2, 3)
+    tensors = [x] + [t for layer in layers for t in layer.parameters()]
+    worst = gradient_check(lambda: T.softmax_cross_entropy(kan_stack_forward(x, layers), labels), tensors)
+    return worst < GRAD_TOL, worst

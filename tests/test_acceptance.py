@@ -7,6 +7,7 @@ FUZZY_KAN_FULL=1 (see the Makefile `repro` target).
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,27 +16,19 @@ import fuzzykan.tensor as T
 from fuzzykan.checks import (
     GRAD_TOL,
     check_gradients,
-    check_kan_gradients,
     check_pool_oracle,
     check_spline,
     gradient_check,
     sample_fuzzy_safe_input,
     tiny_fuzzy_kan_setup,
 )
-from fuzzykan.data import (
-    BadMagicError,
-    TruncatedFileError,
-    load_dataset,
-    load_idx,
-    write_idx_images,
-    write_idx_labels,
-)
+from fuzzykan.data import DataError, load_dataset
 from fuzzykan.kan import SplineGrid, bspline_basis, kan_init, kan_layer_forward
 from fuzzykan.model import ModelConfig, build
 from fuzzykan.pooling import MembershipParams, PoolConfig, pool
 from fuzzykan.training import ConfusionMatrix, train, write_metrics_csv
 
-from conftest import real_mnist_dir
+from conftest import check_kan_gradients, real_mnist_dir, write_idx_split
 
 NO_MNIST = "real MNIST IDX files not found under FUZZY_KAN_DATA"
 NO_FULL = "full reproduction disabled; set FUZZY_KAN_FULL=1 (and FUZZY_KAN_DATA) to run"
@@ -139,13 +132,10 @@ def test_criterion_5_format_round_trips(tmp_path):
     rng = np.random.default_rng(6)
     images = rng.integers(0, 256, (5, 28, 28)).astype(np.uint8)
     labels = rng.integers(0, 10, 5).astype(np.uint8)
-    write_idx_images(tmp_path / "img", images)
-    write_idx_labels(tmp_path / "lbl", labels)
-    ds = load_idx(tmp_path / "img", tmp_path / "lbl")
-    np.testing.assert_array_equal((ds.images[:, 0] * 255.0).round().astype(np.uint8), images)
+    img, _ = write_idx_split(tmp_path, images, labels)
+    ds = load_dataset("mnist", tmp_path, "train")
+    np.testing.assert_array_equal((ds.images[:, 0, 2:-2, 2:-2] * 255.0).round().astype(np.uint8), images)
     np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
-
-    from fuzzykan.data import load_cifar10
 
     cifar = tmp_path / "cifar"
     cifar.mkdir()
@@ -153,15 +143,16 @@ def test_criterion_5_format_round_trips(tmp_path):
     lbls = rng.integers(0, 10, 10000, dtype=np.uint8)
     records = np.concatenate([lbls[:, None], imgs.reshape(10000, -1)], axis=1)
     (cifar / "test_batch.bin").write_bytes(records.tobytes())
-    pixels = load_cifar10(cifar, "test").images * 255.0
+    pixels = load_dataset("cifar10", cifar, "test").images * 255.0
     np.testing.assert_array_equal(pixels.round(out=pixels).astype(np.uint8), imgs)
 
-    (tmp_path / "bad").write_bytes(b"\x00\x00\x00\x00" + b"\x00" * 8)
-    with pytest.raises(BadMagicError):
-        load_idx(tmp_path / "bad", tmp_path / "lbl")
-    (tmp_path / "short").write_bytes((tmp_path / "img").read_bytes()[:-10])
-    with pytest.raises(TruncatedFileError):
-        load_idx(tmp_path / "short", tmp_path / "lbl")
+    good = img.read_bytes()
+    img.write_bytes(b"\x00\x00\x00\x00" + b"\x00" * 8)
+    with pytest.raises(DataError, match=re.escape(f"{img}: bad magic 0x00000000")):
+        load_dataset("mnist", tmp_path, "train")
+    img.write_bytes(good[:-10])
+    with pytest.raises(DataError, match=re.escape(f"{img}: expected 3920 data bytes, file holds 3910")):
+        load_dataset("mnist", tmp_path, "train")
     report(5, "IDX and CIFAR-10 fixtures round-trip bit-exactly; corruption raises")
 
 

@@ -13,13 +13,13 @@ import pytest
 import fuzzykan.checks as checks
 import fuzzykan.tensor as T
 from fuzzykan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
-from fuzzykan.data import IDX_FILES, IDX_IMAGES_MAGIC, load_dataset, write_idx_images, write_idx_labels
+from fuzzykan.data import IDX_IMAGES_MAGIC, load_dataset
 from fuzzykan.kan import SplineGrid
 from fuzzykan.model import Model, ModelConfig, build, config_to_dict, config_update
 from fuzzykan.pooling import MembershipParams, PoolConfig
 from fuzzykan.training import evaluate
 
-from conftest import make_synthetic_images
+from conftest import make_synthetic_images, write_idx_split
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -87,15 +87,11 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("command", ["train", "matrix"])
     def test_bad_test_label_exit_2(self, tmp_path, capsys, command):
-        d = tmp_path / "mnist"
-        d.mkdir()
         images, labels = make_synthetic_images(8, seed=2)
         bad = labels.copy()
         bad[-1] = 12
         for split, split_labels in (("train", labels), ("test", bad)):
-            img_name, lbl_name = IDX_FILES[split]
-            write_idx_images(d / img_name, images)
-            write_idx_labels(d / lbl_name, split_labels)
+            write_idx_split(tmp_path, images, split_labels, split)
         argv = [command, "--dataset", "mnist", "--epochs", "0", "--data-dir", str(tmp_path),
                 "--out-dir", str(tmp_path / "run")]
         assert run_cli(argv) == EXIT_DATA
@@ -103,34 +99,23 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("command", ["train", "matrix"])
     def test_empty_test_split_exit_2_before_training(self, tmp_path, capsys, command):
-        d = tmp_path / "mnist"
-        d.mkdir()
         for split, n in (("train", 8), ("test", 0)):
-            images, labels = make_synthetic_images(n, seed=2)
-            img_name, lbl_name = IDX_FILES[split]
-            write_idx_images(d / img_name, images)
-            write_idx_labels(d / lbl_name, labels)
+            test_images, _ = write_idx_split(tmp_path, *make_synthetic_images(n, seed=2), split)
         out = tmp_path / "run"
         argv = [command, "--dataset", "mnist", "--epochs", "1", "--data-dir", str(tmp_path), "--out-dir", str(out)]
         assert run_cli(argv) == EXIT_DATA
         err = capsys.readouterr().err.strip()
-        assert err == f"data error: {d / IDX_FILES['test'][0]}: holds no images"
+        assert err == f"data error: {test_images}: holds no images"
         assert not list(out.rglob("metrics.csv"))
 
     @pytest.mark.parametrize("defect", ["truncated-gz", "garbage-gz", "20x20"])
     def test_bad_images_file_exit_2(self, tmp_path, capsys, defect):
-        d = tmp_path / "mnist"
-        d.mkdir()
-        img_name, lbl_name = IDX_FILES["train"]
         images, labels = make_synthetic_images(8, seed=2)
-        write_idx_labels(d / lbl_name, labels)
-        if defect == "20x20":
-            bad = d / img_name
-            write_idx_images(bad, images[:, :20, :20])
-        else:
-            write_idx_images(tmp_path / "raw", images)
-            packed = gzip.compress((tmp_path / "raw").read_bytes())
-            bad = d / f"{img_name}.gz"
+        bad, _ = write_idx_split(tmp_path, images[:, :20, :20] if defect == "20x20" else images, labels)
+        if defect != "20x20":
+            packed = gzip.compress(bad.read_bytes())
+            bad.unlink()
+            bad = bad.with_name(f"{bad.name}.gz")
             bad.write_bytes(packed[: len(packed) // 2] if defect == "truncated-gz" else packed[:10] + b"garbage" * 40)
         argv = train_args(tmp_path, tmp_path / "run", epochs=0)
         assert run_cli(argv) == EXIT_DATA
@@ -260,14 +245,11 @@ class TestTrainCommand:
         assert taken.read_text() == "not a directory"
 
     def test_header_size_beyond_64_bits_exit_2(self, tmp_path, capsys):
-        d = tmp_path / "mnist"
-        d.mkdir()
-        img_name, lbl_name = IDX_FILES["train"]
-        (d / img_name).write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**22, 2**21, 2**21))
-        write_idx_labels(d / lbl_name, np.zeros(1, dtype=np.uint8))
+        img, _ = write_idx_split(tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        img.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**22, 2**21, 2**21))
         assert run_cli(train_args(tmp_path, tmp_path / "run", epochs=0)) == EXIT_DATA
         err = capsys.readouterr().err.strip()
-        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {d / img_name}: expected {2**64} data bytes")
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {img}: expected {2**64} data bytes")
 
     def test_f32_run_is_deterministic_and_scoped(self, synthetic_idx_dir, tmp_path, monkeypatch):
         rows = {}

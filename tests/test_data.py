@@ -7,113 +7,93 @@ import numpy as np
 import pytest
 
 import fuzzykan.data as data
-from fuzzykan.data import (
-    IDX_FILES,
-    IDX_IMAGES_MAGIC,
-    BadLabelError,
-    BadMagicError,
-    CountMismatchError,
-    DataError,
-    Dataset,
-    TruncatedFileError,
-    batches,
-    load_cifar10,
-    load_dataset,
-    load_idx,
-    write_idx_images,
-    write_idx_labels,
-)
+from fuzzykan.data import IDX_IMAGES_MAGIC, DataError, batches, load_dataset
 
-from conftest import make_synthetic_dataset, make_synthetic_images
+from conftest import make_synthetic_dataset, make_synthetic_images, write_idx_split
 
 
 class TestIdx:
+    """The IDX reader through ``load_dataset``: bytes round-trip, and every file fault is a ``DataError`` naming the file."""
+
     def test_round_trip(self, tmp_path):
         images, labels = make_synthetic_images(7, seed=3)
-        write_idx_images(tmp_path / "img", images)
-        write_idx_labels(tmp_path / "lbl", labels)
-        ds = load_idx(tmp_path / "img", tmp_path / "lbl")
-        assert ds.images.shape == (7, 1, 28, 28)
+        write_idx_split(tmp_path, images, labels)
+        ds = load_dataset("mnist", tmp_path, "train")
+        assert ds.images.shape == (7, 1, 32, 32)
         np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
-        np.testing.assert_array_equal((ds.images[:, 0] * 255.0).round().astype(np.uint8), images)
+        np.testing.assert_array_equal((ds.images[:, 0, 2:-2, 2:-2] * 255.0).round().astype(np.uint8), images)
 
     def test_normalization_bounds(self, tmp_path):
         images = np.zeros((2, 28, 28), dtype=np.uint8)
         images[0, 0, 0] = 255
-        write_idx_images(tmp_path / "img", images)
-        write_idx_labels(tmp_path / "lbl", np.zeros(2, dtype=np.uint8))
-        ds = load_idx(tmp_path / "img", tmp_path / "lbl")
+        write_idx_split(tmp_path, images, np.zeros(2, dtype=np.uint8))
+        ds = load_dataset("mnist", tmp_path, "train")
         assert ds.images.max() == 1.0 and ds.images.min() == 0.0
 
     def test_gzip_transparent(self, tmp_path):
         images, labels = make_synthetic_images(3, seed=4)
-        write_idx_images(tmp_path / "img", images)
-        write_idx_labels(tmp_path / "lbl", labels)
-        for stem in ("img", "lbl"):
-            raw = (tmp_path / stem).read_bytes()
-            (tmp_path / f"{stem}.gz").write_bytes(gzip.compress(raw))
-        ds = load_idx(tmp_path / "img.gz", tmp_path / "lbl.gz")
+        for path in write_idx_split(tmp_path, images, labels):
+            path.with_name(f"{path.name}.gz").write_bytes(gzip.compress(path.read_bytes()))
+            path.unlink()
+        ds = load_dataset("mnist", tmp_path, "train")
         np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
+        np.testing.assert_array_equal((ds.images[:, 0, 2:-2, 2:-2] * 255.0).round().astype(np.uint8), images)
 
     @pytest.mark.parametrize("defect", ["truncated", "garbage"])
     def test_corrupt_gzip(self, tmp_path, defect):
         images, labels = make_synthetic_images(3, seed=4)
-        write_idx_images(tmp_path / "img", images)
-        write_idx_labels(tmp_path / "lbl", labels)
-        packed = gzip.compress((tmp_path / "img").read_bytes())
-        bad = packed[: len(packed) // 2] if defect == "truncated" else packed[:10] + b"garbage" * 40
-        (tmp_path / "img.gz").write_bytes(bad)
-        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'img.gz'}: corrupt gzip file: ")):
-            load_idx(tmp_path / "img.gz", tmp_path / "lbl")
+        img, _ = write_idx_split(tmp_path, images, labels)
+        packed = gzip.compress(img.read_bytes())
+        img.unlink()
+        bad = img.with_name(f"{img.name}.gz")
+        bad.write_bytes(packed[: len(packed) // 2] if defect == "truncated" else packed[:10] + b"garbage" * 40)
+        with pytest.raises(DataError, match=re.escape(f"{bad}: corrupt gzip file: ")):
+            load_dataset("mnist", tmp_path, "train")
 
     def test_bad_magic(self, tmp_path):
-        (tmp_path / "img").write_bytes(b"\x00\x00\x00\x00" + b"\x00" * 16)
-        write_idx_labels(tmp_path / "lbl", np.zeros(1, dtype=np.uint8))
-        with pytest.raises(BadMagicError, match="0x00000000"):
-            load_idx(tmp_path / "img", tmp_path / "lbl")
+        img, _ = write_idx_split(tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        img.write_bytes(b"\x00\x00\x00\x00" + b"\x00" * 16)
+        with pytest.raises(DataError, match=re.escape(f"{img}: bad magic 0x00000000, expected 0x00000803")):
+            load_dataset("mnist", tmp_path, "train")
 
     def test_truncated(self, tmp_path):
         images, labels = make_synthetic_images(4, seed=5)
-        write_idx_images(tmp_path / "img", images)
-        write_idx_labels(tmp_path / "lbl", labels)
-        raw = (tmp_path / "img").read_bytes()
-        (tmp_path / "img").write_bytes(raw[:-100])
-        with pytest.raises(TruncatedFileError):
-            load_idx(tmp_path / "img", tmp_path / "lbl")
+        img, _ = write_idx_split(tmp_path, images, labels)
+        img.write_bytes(img.read_bytes()[:-100])
+        with pytest.raises(DataError, match=re.escape(f"{img}: expected 3136 data bytes, file holds 3036")):
+            load_dataset("mnist", tmp_path, "train")
 
     def test_shorter_than_magic(self, tmp_path):
-        (tmp_path / "img").write_bytes(b"\x00\x00\x08")
-        write_idx_labels(tmp_path / "lbl", np.zeros(1, dtype=np.uint8))
-        with pytest.raises(TruncatedFileError, match="img: too short for an IDX header"):
-            load_idx(tmp_path / "img", tmp_path / "lbl")
+        img, _ = write_idx_split(tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        img.write_bytes(b"\x00\x00\x08")
+        with pytest.raises(DataError, match=re.escape(f"{img}: too short for an IDX header")):
+            load_dataset("mnist", tmp_path, "train")
 
     def test_truncated_dimension_header(self, tmp_path):
-        (tmp_path / "img").write_bytes(struct.pack(">III", IDX_IMAGES_MAGIC, 1, 28))  # 3 dims, 2 written
-        write_idx_labels(tmp_path / "lbl", np.zeros(1, dtype=np.uint8))
-        with pytest.raises(TruncatedFileError, match="img: truncated dimension header"):
-            load_idx(tmp_path / "img", tmp_path / "lbl")
+        img, _ = write_idx_split(tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        img.write_bytes(struct.pack(">III", IDX_IMAGES_MAGIC, 1, 28))  # 3 dims, 2 written
+        with pytest.raises(DataError, match=re.escape(f"{img}: truncated dimension header")):
+            load_dataset("mnist", tmp_path, "train")
 
     def test_bad_label(self, tmp_path):
         images, labels = make_synthetic_images(3, seed=7)
         labels[1] = 12
-        write_idx_images(tmp_path / "img", images)
-        write_idx_labels(tmp_path / "lbl", labels)
-        with pytest.raises(BadLabelError, match=r"lbl: label byte 12 out of range"):
-            load_idx(tmp_path / "img", tmp_path / "lbl")
+        _, lbl = write_idx_split(tmp_path, images, labels)
+        with pytest.raises(DataError, match=re.escape(f"{lbl}: label byte 12 out of range")):
+            load_dataset("mnist", tmp_path, "train")
 
     def test_header_size_beyond_64_bits_is_truncation(self, tmp_path):
         # 2^22 * 2^21 * 2^21 = 2^64 bytes, which a uint64 product wraps to 0
-        (tmp_path / "img").write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**22, 2**21, 2**21))
-        write_idx_labels(tmp_path / "lbl", np.zeros(1, dtype=np.uint8))
-        with pytest.raises(TruncatedFileError, match=f"img: expected {2**64} data bytes, file holds 0"):
-            load_idx(tmp_path / "img", tmp_path / "lbl")
+        img, _ = write_idx_split(tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        img.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 2**22, 2**21, 2**21))
+        with pytest.raises(DataError, match=re.escape(f"{img}: expected {2**64} data bytes, file holds 0")):
+            load_dataset("mnist", tmp_path, "train")
 
     def test_count_mismatch(self, tmp_path):
         images, labels = make_synthetic_images(4, seed=6)
-        write_idx_images(tmp_path / "img", images)
-        write_idx_labels(tmp_path / "lbl", labels[:3])
-        with pytest.raises(CountMismatchError):
-            load_idx(tmp_path / "img", tmp_path / "lbl")
+        img, _ = write_idx_split(tmp_path, images, labels[:3])
+        with pytest.raises(DataError, match=re.escape(f"{img}: 4 images but 3 labels")):
+            load_dataset("mnist", tmp_path, "train")
 
 
 def write_cifar_batch(path, images, labels):
@@ -144,8 +124,8 @@ class TestCifar:
     def test_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "CIFAR_RECORDS_PER_FILE", 300)
         reference = self.make_dir(tmp_path, TRAIN_BATCHES + ["test_batch.bin"], seed=1)
-        train = load_cifar10(tmp_path, "train")
-        test = load_cifar10(tmp_path, "test")
+        train = load_dataset("cifar10", tmp_path, "train")
+        test = load_dataset("cifar10", tmp_path, "test")
         assert train.images.shape == (5 * 300, 3, 32, 32) and len(test) == 300
         np.testing.assert_array_equal(test.labels, reference["test_batch.bin"][1].astype(np.int64))
         # the five files, concatenated in order
@@ -156,31 +136,25 @@ class TestCifar:
     def test_truncated_batch(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "CIFAR_RECORDS_PER_FILE", 300)
         self.make_dir(tmp_path, TRAIN_BATCHES)
-        raw = (tmp_path / "data_batch_3.bin").read_bytes()
-        (tmp_path / "data_batch_3.bin").write_bytes(raw[:-1])
-        with pytest.raises(TruncatedFileError):
-            load_cifar10(tmp_path, "train")
+        path = tmp_path / "data_batch_3.bin"
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataError, match=re.escape(f"{path}: size {300 * 3073 - 1} != {300 * 3073}")):
+            load_dataset("cifar10", tmp_path, "train")
 
     def test_bad_label(self, tmp_path):
         self.make_dir(tmp_path, ["test_batch.bin"], bad_label=True)
-        with pytest.raises(BadLabelError):
-            load_cifar10(tmp_path, "test")
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'test_batch.bin'}: label byte 11 out of range")):
+            load_dataset("cifar10", tmp_path, "test")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="missing"):
-            load_cifar10(tmp_path, "train")
-
-    def test_other_split_reads_no_test_batch(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data, "CIFAR_RECORDS_PER_FILE", 300)
-        self.make_dir(tmp_path, ["test_batch.bin"])
-        with pytest.raises(KeyError, match="validation"):
-            load_cifar10(tmp_path, "validation")
+        with pytest.raises(DataError, match=re.escape(f"not found under {tmp_path}: missing {', '.join(TRAIN_BATCHES)}")):
+            load_dataset("cifar10", tmp_path, "train")
 
     def test_batches_bin_subdir(self, tmp_path):
         sub = tmp_path / "cifar-10-batches-bin"
         sub.mkdir()
         self.make_dir(sub, ["test_batch.bin"])
-        assert len(load_cifar10(tmp_path, "test")) == 10000
+        assert len(load_dataset("cifar10", tmp_path, "test")) == 10000
 
 
 class TestLoadDatasetCifar:
@@ -201,13 +175,13 @@ class TestLoadDatasetCifar:
 
     def test_bad_label_is_reported(self, tmp_path):
         path = self.write_test_batch(tmp_path / "cifar-10-batches-bin", last_label=12)
-        with pytest.raises(BadLabelError, match=re.escape(f"{path}: label byte 12 out of range")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: label byte 12 out of range")):
             load_dataset("cifar10", tmp_path, "test")
 
     def test_truncated_file_is_reported(self, tmp_path):
         path = self.write_test_batch(tmp_path / "cifar10")
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(TruncatedFileError, match=re.escape(f"{path}: size")):
+        with pytest.raises(DataError, match=re.escape(f"{path}: size")):
             load_dataset("cifar10", tmp_path, "test")
 
     def test_missing_file_is_not_found(self, tmp_path):
@@ -221,11 +195,7 @@ class TestResize:
     and passes 32x32 ones through unchanged."""
 
     def load_idx_images(self, root, images):
-        d = root / "mnist"
-        d.mkdir()
-        img_name, lbl_name = IDX_FILES["train"]
-        write_idx_images(d / img_name, images)
-        write_idx_labels(d / lbl_name, np.zeros(len(images), dtype=np.uint8))
+        write_idx_split(root, images, np.zeros(len(images), dtype=np.uint8))
         return load_dataset("mnist", root, "train")
 
     def test_pad_shape_and_zeros(self, tmp_path):
@@ -258,23 +228,17 @@ class TestScaledOnce:
     """The loaders pad the uint8 bytes and scale them once, with the bytes of the float formula."""
 
     def write_mnist(self, root, n, hw):
-        d = root / "mnist"
-        d.mkdir()
         images = np.random.default_rng(hw).integers(0, 256, (n, hw, hw)).astype(np.uint8)
         images.reshape(-1)[:256] = np.arange(256)  # every byte value
-        img_name, lbl_name = IDX_FILES["train"]
-        write_idx_images(d / img_name, images)
-        write_idx_labels(d / lbl_name, np.arange(n, dtype=np.uint8) % 10)
-        return d, images[:, None]
+        write_idx_split(root, images, np.arange(n, dtype=np.uint8) % 10)
+        return images[:, None]
 
     @pytest.mark.parametrize("hw, pad", [(28, 2), (32, 0)])
     def test_idx_bytes(self, tmp_path, hw, pad):
-        d, images = self.write_mnist(tmp_path, 5, hw)
+        images = self.write_mnist(tmp_path, 5, hw)
         ds = load_dataset("mnist", tmp_path, "train")
         assert ds.images.dtype == np.float64 and ds.images.flags.c_contiguous
         assert ds.images.tobytes() == scaled_then_padded(images, pad).tobytes()
-        img_name, lbl_name = IDX_FILES["train"]
-        assert load_idx(d / img_name, d / lbl_name).images.tobytes() == scaled_then_padded(images, 0).tobytes()
 
     def test_cifar_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "CIFAR_RECORDS_PER_FILE", 300)  # the record layout at a tenth of the memory
@@ -306,13 +270,9 @@ class TestLoadDataset:
         assert train.labels.dtype == np.int64
 
     def write_mnist(self, root, hw):
-        d = root / "mnist"
-        d.mkdir()
-        img_name, lbl_name = IDX_FILES["train"]
         images = np.random.default_rng(0).integers(0, 256, (4, hw, hw)).astype(np.uint8)
-        write_idx_images(d / img_name, images)
-        write_idx_labels(d / lbl_name, np.arange(4, dtype=np.uint8))
-        return d / img_name, images
+        img, _ = write_idx_split(root, images, np.arange(4, dtype=np.uint8))
+        return img, images
 
     def test_32x32_passes_through(self, tmp_path):
         _, images = self.write_mnist(tmp_path, 32)
@@ -327,12 +287,8 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_empty_split_is_a_data_error(self, tmp_path, split):
-        d = tmp_path / "mnist"
-        d.mkdir()
-        img_name, lbl_name = IDX_FILES[split]
-        write_idx_images(d / img_name, np.zeros((0, 28, 28), dtype=np.uint8))
-        write_idx_labels(d / lbl_name, np.zeros(0, dtype=np.uint8))
-        with pytest.raises(DataError, match=re.escape(f"{d / img_name}: holds no images")):
+        img, _ = write_idx_split(tmp_path, np.zeros((0, 28, 28), dtype=np.uint8), np.zeros(0, dtype=np.uint8), split)
+        with pytest.raises(DataError, match=re.escape(f"{img}: holds no images")):
             load_dataset("mnist", tmp_path, split)
 
     def test_missing_dataset_dir(self, tmp_path):

@@ -6,8 +6,10 @@ import pytest
 
 import fuzzykan.kan as kan
 import fuzzykan.tensor as T
-from fuzzykan.checks import check_kan_gradients, gradient_check, spline_oracle
+from fuzzykan.checks import gradient_check, spline_oracle
 from fuzzykan.kan import SplineGrid, bspline_basis, kan_init, kan_layer_forward, kan_stack_forward
+
+from conftest import check_kan_gradients
 
 # every order up to quartic on the default range, and an asymmetric range
 GRIDS = [SplineGrid(order=k) for k in range(5)] + [SplineGrid(order=3, intervals=5, lo=-0.3, hi=0.7)]
@@ -126,6 +128,20 @@ class TestBasis:
             # measured at most 1.3e-7 and 1.1e-6 (a few float32 ulps, the derivative over step 0.2)
             np.testing.assert_allclose(basis, ref_basis, rtol=0, atol=1e-6, err_msg=str(g))
             np.testing.assert_allclose(deriv, ref_deriv, rtol=0, atol=1e-5, err_msg=str(g))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("dtype, big", [(np.float64, 1e308), (np.float32, 3e38)])
+    def test_large_finite_points_are_quiet(self, dtype, big, sign):
+        # (x - knot) / step overflowed past 0.4x the float maximum, with a RuntimeWarning, in the basis and in
+        # the layer's forward and backward; such a point lies beyond the knots, so its rows are zero
+        x = np.array([sign * big, 0.3], dtype)
+        basis, deriv = bspline_basis(x, SplineGrid(), with_derivative=True)
+        assert not basis[0].any() and not deriv[0].any()
+        assert basis[1].tobytes() == bspline_basis(x[1:], SplineGrid())[0].tobytes()
+        xt = T.Tensor(x.reshape(1, 2), requires_grad=True)
+        T.reduce_sum(kan_layer_forward(xt, kan_init(2, 1, seed=0))).backward()
+        assert np.isfinite(xt.grad).all()
 
 
 class TestKanLayer:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
+import fuzzykan.data as data
 from fuzzykan.model import ModelConfig, build
 from fuzzykan.pooling import PoolConfig
 
@@ -92,6 +93,9 @@ def test_battery_runs_on_this_library(monkeypatch):
     monkeypatch.setattr(parity, "ORACLE_SHAPE", (4, 1, 6, 6))
     monkeypatch.setattr(parity, "CONV_SHAPES", (((3, 2, 6, 6), 4, 3),))
     monkeypatch.setattr(parity, "CONV_STRIDES", (2,))
+    monkeypatch.setattr(parity, "IDX_CASES", (("mnist-28-gz", 28, True),))
+    monkeypatch.setattr(parity, "IDX_IMAGES", 3)
+    monkeypatch.setattr(parity, "CIFAR_RECORDS", {"test": 4, "train": 2})
     names = [name for name, _ in build(ModelConfig(pooling=PoolConfig(kind="max"))).parameters()]
     case = "mlp-max-6/mnist/float32/relu"
     expected = {f"{case}/fresh/logits", f"{case}/fresh/input.grad", f"{case}/values", f"{case}/checkpoint"}
@@ -101,9 +105,35 @@ def test_battery_runs_on_this_library(monkeypatch):
     expected |= {"pool/fuzzy-0.5/5x2x6x6/k3s1/float32/out", "pool/fuzzy-0.5/5x2x6x6/k3s1/float32/input.grad"}
     expected |= {f"conv/3x2x7x7/4@3x3/s2/float32/{name}" for name in ("out", "input.grad", "kernels.grad", "bias.grad")}
     expected |= {"oracle/fuzzy-0.5/4x1x6x6/k3s1/float64"}
+    for case in ("mnist-28-gz/train", "cifar10/test", "cifar10/train"):
+        expected |= {f"data/{case}/images", f"data/{case}/labels"}
     digests = parity.battery()
     assert set(digests) == expected
     assert all(len(value) == 2 and all(len(d) == 64 for d in value) for value in digests.values())
+    assert data.CIFAR_RECORDS_PER_FILE == 10000  # restored after the data slice
+
+
+def test_data_slice_reads_every_byte(monkeypatch):
+    # the digests are those of the written bytes, padded and scaled as load_dataset documents
+    monkeypatch.setattr(parity, "IDX_CASES", (("mnist-28", 28, False), ("mnist-32-gz", 32, True)))
+    monkeypatch.setattr(parity, "IDX_IMAGES", 3)
+    monkeypatch.setattr(parity, "CIFAR_RECORDS", {"test": 4, "train": 2})
+    rng = np.random.default_rng(0)
+    expected = {}
+    for case, side, _ in parity.IDX_CASES:
+        images = rng.integers(0, 256, (3, side, side), dtype=np.uint8)
+        labels = rng.integers(0, 10, 3, dtype=np.uint8)
+        pad = (32 - side) // 2
+        expected[f"data/{case}/train/images"] = np.pad(images[:, None] / 255.0, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        expected[f"data/{case}/train/labels"] = labels.astype(np.int64)
+    for split, files in (("test", 1), ("train", 5)):
+        n, labels, images = parity.CIFAR_RECORDS[split], [], []
+        for _ in range(files):
+            labels.append(rng.integers(0, 10, (n, 1), dtype=np.uint8))
+            images.append(rng.integers(0, 256, (n, 3072), dtype=np.uint8))
+        expected[f"data/cifar10/{split}/images"] = np.concatenate(images).reshape(-1, 3, 32, 32) / 255.0
+        expected[f"data/cifar10/{split}/labels"] = np.concatenate(labels).reshape(-1).astype(np.int64)
+    assert parity.data_battery() == {key: parity.digest(array) for key, array in expected.items()}
 
 
 def test_oracle_slice_walks_the_pool_slices_windows(monkeypatch):

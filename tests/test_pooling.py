@@ -594,6 +594,34 @@ class TestFuzzyPaths:
         assert np.all(np.isnan(grad[0, 0, :, :2])) and np.all(grad[0, 0, :, 2:] == 0.25)
 
 
+BIG = [(np.float64, 1e308), (np.float32, 3e38)]  # a window of four passes the float maximum
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dtype, big", BIG)
+@pytest.mark.parametrize("kind", ["average", "fuzzy"])
+def test_overflowing_window_sums_are_quiet(kind, dtype, big, sign):
+    # the forward's window sums and COG folds and the fuzzy backward's COG folds warned "overflow encountered in add"
+    x = T.Tensor(np.full((1, 1, 2, 2), sign * big, dtype), requires_grad=True)
+    out = pool(x, PoolConfig(kind=kind, membership=PARAMS))
+    T.reduce_sum(out).backward()
+    assert out.data.dtype == dtype and out.data.item() == sign * np.inf
+    if dtype == np.float64:
+        assert out.data.item() == pool_window_oracle(x.data[0, 0], kind, PARAMS)
+    # the fuzzy COG rule's num * dsel is inf * 0 once num overflows, NaN as at an infinite entry
+    assert np.array_equal(x.grad.reshape(-1), np.full(4, 0.25 if kind == "average" else np.nan), equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dtype, big", BIG)
+def test_average_oracle_folds_python_floats(dtype, big, sign):
+    # numpy scalars warned "overflow encountered in scalar add" (and a float32 patch summed in float32)
+    v = float(dtype(sign * big))
+    assert pool_window_oracle(np.full((2, 2), v, dtype), "average", PARAMS) == (((0.0 + v) + v) + v + v) / 4
+
+
 def edge_images(rng, params, dtype, shape):
     """Entries at and one ulp around every breakpoint and 5*r_max/14, whole images and half images
     below c (the averaged windows), and +-0, +-inf and NaN, in ``dtype``."""

@@ -1,4 +1,4 @@
-"""Compare two checkouts bit for bit on one battery of model, pool, conv2d and oracle arrays.
+"""Compare two checkouts bit for bit on one battery of model, pool, conv2d, oracle and data arrays.
 
     python3 tools/parity.py ../parent .
 
@@ -30,8 +30,14 @@ slice runs the scalar ``checks.pool_window_oracle`` on every window of one
 [4,2,24,24] float64 edge-value input per pooling of the pool slice and
 (k, stride) of its geometries, at least 1,152 windows a case, and records
 each case's values as one array, so moving or rewriting an oracle shows
-whether it keeps its bits.  The battery has 3,456 model, 192 pool, 48 conv
-and 12 oracle arrays, 3,708 in all.  Each array is
+whether it keeps its bits.  Its data slice writes seeded dataset files with
+this file's own writers: IDX train pairs of 28x28 images, plain and gzipped,
+and of 32x32 images; a CIFAR-10 test batch of the real 10,000 records; and
+the five CIFAR-10 train batches at 300 records each, with
+``data.CIFAR_RECORDS_PER_FILE`` patched to match.  It reads each through
+``data.load_dataset`` alone and records the images and labels.  The battery
+has 3,456 model, 192 pool, 48 conv, 12 oracle and 10 data arrays, 3,718 in
+all.  Each array is
 kept as two SHA-256 digests of its dtype, shape and C-ordered bytes: one of
 the array as it is, and one after every NaN is made the dtype's canonical
 quiet NaN.
@@ -50,9 +56,11 @@ array is identical and 1 otherwise.  BLAS runs one thread on both sides.
 from __future__ import annotations
 
 import argparse
+import gzip
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -76,6 +84,10 @@ SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 # train conv1, train conv2 and eval conv1 at batch 37: input [N, C, H, W] and F kernels of k x k
 CONV_SHAPES = (((37, 1, 32, 32), 6, 5), ((37, 6, 14, 14), 16, 5), ((37, 3, 32, 32), 6, 5))
 CONV_STRIDES = (1, 2)  # stride s runs on an input s - 1 rows and columns larger, so the windows tile
+# IDX cases: (name, image side, gzipped), IDX_IMAGES images each; CIFAR-10 records per batch file, per split
+IDX_CASES = (("mnist-28", 28, False), ("mnist-28-gz", 28, True), ("mnist-32", 32, False))
+IDX_IMAGES = 50
+CIFAR_RECORDS = {"test": 10000, "train": 300}
 THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -88,7 +100,7 @@ def digest(array) -> list[str]:
 
 def battery() -> dict:
     """Key -> digest of every array of the battery, computed with the ``fuzzykan`` on ``sys.path``."""
-    return {**model_battery(), **pool_battery(), **conv_battery(), **oracle_battery()}
+    return {**model_battery(), **pool_battery(), **conv_battery(), **oracle_battery(), **data_battery()}
 
 
 def edge_images(rng, params, dtype, shape) -> np.ndarray:
@@ -149,6 +161,43 @@ def oracle_battery() -> dict:
                 values = [pool_window_oracle(win[idx], kind, params) for idx in np.ndindex(win.shape[:4])]
             case = f"oracle/{kind}-{r_max:g}/{'x'.join(map(str, ORACLE_SHAPE))}/k{k}s{stride}/float64"
             digests[case] = digest(np.array(values, dtype=np.float64).reshape(win.shape[:4]))
+    return digests
+
+
+def data_battery() -> dict:
+    """Key -> digest of the images and labels ``load_dataset`` reads from each seeded file set of the data slice."""
+    import fuzzykan.data as data
+
+    def write_idx(directory, images, labels, gz):
+        for stem, magic, array in zip(data.IDX_FILES["train"], (0x00000803, 0x00000801), (images, labels)):
+            raw = struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes()
+            (directory / (f"{stem}.gz" if gz else stem)).write_bytes(gzip.compress(raw, mtime=0) if gz else raw)
+
+    def record(key, dataset):
+        digests.update({f"{key}/{name}": digest(getattr(dataset, name)) for name in ("images", "labels")})
+
+    digests = {}
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case, side, gz in IDX_CASES:
+            root = Path(tmp) / case
+            (root / "mnist").mkdir(parents=True)
+            images = rng.integers(0, 256, (IDX_IMAGES, side, side), dtype=np.uint8)
+            write_idx(root / "mnist", images, rng.integers(0, 10, IDX_IMAGES, dtype=np.uint8), gz)
+            record(f"data/{case}/train", data.load_dataset("mnist", root, "train"))
+        records_per_file = data.CIFAR_RECORDS_PER_FILE
+        for split, records in CIFAR_RECORDS.items():
+            root = Path(tmp) / f"cifar10-{split}"
+            root.mkdir()
+            for name in ["test_batch.bin"] if split == "test" else [f"data_batch_{i}.bin" for i in range(1, 6)]:
+                labels = rng.integers(0, 10, (records, 1), dtype=np.uint8)
+                images = rng.integers(0, 256, (records, 3072), dtype=np.uint8)
+                (root / name).write_bytes(np.hstack([labels, images]).tobytes())
+            data.CIFAR_RECORDS_PER_FILE = records
+            try:
+                record(f"data/cifar10/{split}", data.load_dataset("cifar10", root, split))  # the test images are 245 MB
+            finally:
+                data.CIFAR_RECORDS_PER_FILE = records_per_file
     return digests
 
 
