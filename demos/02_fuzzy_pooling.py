@@ -2,24 +2,18 @@
 
 The pipeline: fuzzify the window with three triangular memberships, score
 each fuzzified window with the fuzzy algebraic sum, keep the set with the
-highest score, and defuzzify it by center of gravity.  These four calls are
-the ones ``fuzzy_window_reference`` composes, so the walk is the scalar
-oracle itself.  The same patch is then pushed through the vectorized pool()
-to show they agree exactly, and max/average pooling are shown for contrast.
+highest score, and defuzzify it by center of gravity.  These four calls,
+from ``fuzzykan.oracles``, are the ones ``fuzzy_window_reference`` composes,
+so the walk is the scalar oracle itself.  The same patch is then pushed
+through the vectorized pool() to show they agree exactly, and max/average
+pooling are shown for contrast.
 """
 
 import numpy as np
 
 import fuzzykan.tensor as T
-from fuzzykan.pooling import (
-    MembershipParams,
-    PoolConfig,
-    algebraic_sum_score,
-    defuzzify_cog,
-    fuzzify,
-    pool,
-    select_fuzzy_patch,
-)
+from fuzzykan.oracles import algebraic_sum_score, defuzzify_cog, fuzzify, select_fuzzy_patch
+from fuzzykan.pooling import MembershipParams, PoolConfig, pool
 
 params = MembershipParams()  # r_max = 6
 print("breakpoints: c,d =", (params.c, params.d), " a,m,b =", (params.a, params.m, params.b), " r,q =", (params.r, params.q))

@@ -1,10 +1,10 @@
 """Diagnostic property suites: gradient, pooling-oracle, and spline checks.
 
 These back the `fuzzykan check` CLI subcommand and are reused by the test
-suite.  Gradient checks compare analytic gradients against central finite
-differences; fuzzy-pooling inputs are kept away from membership breakpoints
-and score ties, where the piecewise definitions are legitimately
-non-differentiable.
+suite; the pool-oracle and spline suites hold kernels to ``oracles``.  Gradient
+checks compare analytic gradients against central finite differences;
+fuzzy-pooling inputs are kept away from membership breakpoints and score
+ties, where the piecewise definitions are legitimately non-differentiable.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .kan import SplineGrid, bspline_basis, bspline_derivative_reference, bspline_reference
+from .kan import SplineGrid, bspline_basis
 from .model import ModelConfig, build
-from .pooling import MembershipParams, PoolConfig, fuzzy_scores, fuzzy_window_reference, pool
+from .oracles import pool_window_oracle, spline_oracle
+from .pooling import MembershipParams, PoolConfig, fuzzy_scores, pool
 
 GRAD_TOL = 1e-4
 SPLINE_ORACLE_TOL = 1e-12
@@ -113,37 +114,6 @@ def check_pool_oracle(k: int = 2, seed: int = 0):
             expected = pool_window_oracle(patch, kind, params)
             worst = np.maximum(worst, abs(out[w] - expected))  # unlike max(), keeps a NaN
     return bool(worst == 0.0), float(worst)
-
-
-def pool_window_oracle(patch, kind: str, params: MembershipParams):
-    """One k-by-k window pooled by the scalar rule of ``kind``: its max, its entries added one at a time
-    row-major from 0 in Python floats and divided by k*k, or ``fuzzy_window_reference``."""
-    if kind == "max":
-        return patch.max()
-    if kind == "average":
-        s = 0.0
-        for v in np.asarray(patch, dtype=float).ravel().tolist():  # a sum past the float maximum is +-inf, unwarned
-            s = v + s  # keeps v's NaN where two NaNs meet, the one numpy's float64 scalar add keeps
-        return s / patch.size
-    return fuzzy_window_reference(patch, params)
-
-
-def spline_oracle(x, grid: SplineGrid):
-    """Basis and derivative rows [x.size, num_basis] from the scalar Cox-de Boor oracles.
-
-    x == hi is evaluated one ulp below hi: ``bspline_basis`` closes the top
-    in-range interval on the right, so it takes the left limit there.
-    """
-    knots = grid.knots()
-    x = np.asarray(x, dtype=float).reshape(-1)
-    basis = np.zeros((x.size, grid.num_basis))
-    deriv = np.zeros_like(basis)
-    for n, xi in enumerate(x):
-        at = float(np.nextafter(grid.hi, -np.inf)) if xi == grid.hi else float(xi)
-        for i in range(grid.num_basis):
-            basis[n, i] = bspline_reference(i, grid.order, knots, at)
-            deriv[n, i] = bspline_derivative_reference(i, grid.order, knots, at)
-    return basis, deriv
 
 
 def check_spline(grid: SplineGrid | None = None, n_points: int = 2001):

@@ -14,12 +14,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import checks
 from .data import DataError, load_dataset
-from .model import DATASET_CHANNELS, HEADS, ModelConfig, build, config_to_dict, config_update
+from .model import DATASET_CHANNELS, HEADS, ModelConfig, build, config_update
 from .pooling import PoolConfig
 from .training import NumericalError, evaluate, train, write_metrics_csv
 
@@ -164,7 +164,7 @@ def _run(cfg: RunConfig, runs: dict[str, RunConfig]) -> list[dict]:
         cm, final = evaluate(model, test_set)
         cm.write_csv(out_dir / "confusion_matrix.csv")
         model.save(out_dir / "model.fkan")
-        (out_dir / "config.json").write_text(json.dumps(config_to_dict(run), indent=2) + "\n")
+        (out_dir / "config.json").write_text(json.dumps(asdict(run), indent=2) + "\n")
         finals.append(final)
     return finals
 

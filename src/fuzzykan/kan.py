@@ -76,7 +76,7 @@ def bspline_basis(x, grid: SplineGrid, with_derivative: bool = False):
     axis.  De Boor's local recursion evaluates only the order+1 functions
     that are nonzero on each point's knot interval; the rest of the row is
     exactly zero.  Edge semantics, those of the Cox-de Boor recursion
-    (``bspline_reference``):
+    (``oracles.bspline_reference``):
 
     - x lies in interval m when knots[m] <= x < knots[m+1], decided by
       comparison with ``grid.knots()``;
@@ -126,7 +126,7 @@ def _basis_rows(x: np.ndarray, grid: SplineGrid):
             values.append(saved + right[r] * temp)
             saved = left[d - 1 - r] * temp
         values.append(saved)
-    del u, left, right, inside  # so the recursion's temporaries and the padded rows are never alive together
+    del u, left, right, inside  # 2*order + 2 point-sized arrays, freed before ``_dense`` allocates the rows
 
     def derivative():
         # dB_{i,k}/dx = (B_{i,k-1} - B_{i+1,k-1}) / step on uniform knots, from the local values;
@@ -158,38 +158,6 @@ def _dense(x: np.ndarray, interval, values, grid: SplineGrid, nan_rows: bool) ->
     return dense.reshape(x.shape + (nb,))
 
 
-def bspline_reference(i: int, degree: int, knots, x: float) -> float:
-    """Textbook recursive Cox-de Boor definition of B_{i,degree}(x) (oracle).
-
-    Intervals are half-open, so at x == hi this gives the first extension
-    interval's value, where ``bspline_basis`` takes the top in-range one.
-    """
-    if degree == 0:
-        return 1.0 if knots[i] <= x < knots[i + 1] else 0.0
-    value = 0.0
-    left = knots[i + degree] - knots[i]
-    if left > 0:
-        value += (x - knots[i]) / left * bspline_reference(i, degree - 1, knots, x)
-    right = knots[i + degree + 1] - knots[i + 1]
-    if right > 0:
-        value += (knots[i + degree + 1] - x) / right * bspline_reference(i + 1, degree - 1, knots, x)
-    return value
-
-
-def bspline_derivative_reference(i: int, degree: int, knots, x: float) -> float:
-    """dB_{i,k}/dx = k B_{i,k-1}/(t_{i+k} - t_i) - k B_{i+1,k-1}/(t_{i+k+1} - t_{i+1}) (oracle)."""
-    if degree == 0:
-        return 0.0
-    value = 0.0
-    left = knots[i + degree] - knots[i]
-    if left > 0:
-        value += degree * bspline_reference(i, degree - 1, knots, x) / left
-    right = knots[i + degree + 1] - knots[i + 1]
-    if right > 0:
-        value -= degree * bspline_reference(i + 1, degree - 1, knots, x) / right
-    return value
-
-
 @dataclass
 class KanLayerParams:
     """Trainable state of one KAN layer.
@@ -202,9 +170,6 @@ class KanLayerParams:
     coeffs: T.Tensor
     w_b: T.Tensor
     w_s: T.Tensor
-
-    def parameters(self):
-        return [self.coeffs, self.w_b, self.w_s]
 
 
 def kan_init(in_features: int, out_features: int, grid: SplineGrid | None = None, seed: int = 0) -> KanLayerParams:

@@ -66,9 +66,6 @@ class ModelConfig:
         return DEFAULT_MLP_WIDTHS if self.head == "mlp" else DEFAULT_KAN_WIDTHS
 
 
-config_to_dict = asdict  # the JSON form of any config tree; config_update reads it back
-
-
 def config_update(config, changes: dict, path: str = ""):
     """Return ``config`` with the JSON-typed ``changes`` applied.
 
@@ -153,7 +150,7 @@ class Model:
         store.check()
         stored = store.values.dtype.newbyteorder("<")
         tensors = [[name, list(t.shape)] for name, t in store]
-        header = json.dumps({"config": config_to_dict(self.config), "dtype": stored.name, "tensors": tensors}).encode()
+        header = json.dumps({"config": asdict(self.config), "dtype": stored.name, "tensors": tensors}).encode()
         body = struct.pack("<I", len(header)) + header + store.values.astype(stored).tobytes()
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + hashlib.sha256(body).digest() + body)

@@ -4,16 +4,8 @@ Fuzzy pooling processes each channel's k-by-k window through four stages:
 fuzzify with three fixed triangular memberships, aggregate each fuzzified
 window with the fuzzy algebraic sum, keep the membership set with the
 largest score, and collapse the window by center-of-gravity defuzzification.
-
-Each stage has one scalar definition on one window, in Python floats (a
-0 * inf is NaN without numpy's scalar ``RuntimeWarning``), and
-``fuzzy_window_reference``, the oracle, composes them; none calls the kernel.
-``fuzzify``'s piecewise branches are the oracle's memberships.  The kernel's
-are ``memberships``, the three ramps clipped to [0, 1] as one [3, ...] array,
-and ``membership_slopes``, their slopes in the same layout;
-``TestClippedRamps`` and ``TestSlopes`` pin them to the scalar branches bit
-for bit.  ``pool`` reproduces the oracle bit for bit (same operations, same
-fold order), which the test suite asserts.
+``pool`` reproduces ``oracles.pool_window_oracle`` bit for bit (same
+operations, same fold order); ``oracles`` states the contract.
 
 Fuzzy pooling splits the windows in two.  A window whose entries are all
 finite and below c has mu1 == 1 and mu2 == mu3 == 0 everywhere, because
@@ -23,16 +15,16 @@ bit.  The other windows of an image block are gathered as the [k*k, M]
 columns of the block's window planes, which ``fuzzy_scores`` fuzzifies once
 into the block's [3, k*k, M] memberships; it folds each set's algebraic-sum
 score, COG numerator and COG denominator in place into [3, M] arrays.
-Selection comes after the folds, by ``select_fuzzy_patch``'s two comparisons
-(a later set must score strictly higher; a NaN entry makes every score NaN,
-so v* = 1), and ``np.where`` takes the winner's numerator and denominator:
-selecting touches [M] arrays and no membership is gathered again.  Each fold
-makes the sums of the scalar oracle, so the output keeps its bits.  A
-block's gradient rule keeps the one-byte below-c mask and v* (int8) of each
-fuzzified window; it gathers those windows' columns from the view with
-``tensor.window_columns`` and rebuilds the winner's memberships, COG folds
-and derivatives from them.  A block with no fuzzified window is averaged and
-skips all of that, forward and backward.
+Selection comes after the folds, by ``oracles.select_fuzzy_patch``'s two
+comparisons (a later set must score strictly higher; a NaN entry makes every
+score NaN, so v* = 1), and ``np.where`` takes the winner's numerator and
+denominator: selecting touches [M] arrays and no membership is gathered
+again.  Each fold makes the sums of the scalar oracle, so the output keeps
+its bits.  A block's gradient rule keeps the one-byte below-c mask and v*
+(int8) of each fuzzified window; it gathers those windows' columns from the
+view with ``tensor.window_columns`` and rebuilds the winner's memberships,
+COG folds and derivatives from them.  A block with no fuzzified window is
+averaged and skips all of that, forward and backward.
 
 The COG of a fuzzified window divides by the mass ``den`` of its winning
 set, and ``den`` is never small.  For any finite x, max(mu1, mu2, mu3) >=
@@ -42,17 +34,15 @@ mu3 = 1.  A set's algebraic-sum score lies between its largest membership
 and its mass, max(pi_i) <= 1 - prod(1 - pi_i) <= sum(pi_i), so the winning
 score is at least 3/7, and so is the winning set's mass, for any window
 size and any r_max.  An entry of +-inf has a membership of exactly 1, and
-a NaN entry gives a NaN mass.  So ``pool`` has no fall-back, and
-``fuzzy_window_reference`` never reaches the one ``defuzzify_cog`` keeps for
-arbitrary memberships, which ``COG_EPS`` serves alone.
+a NaN entry gives a NaN mass.  So ``pool`` has no fall-back.
 
 A window of +inf among entries below c pools to NaN, as it does in
-``fuzzy_window_reference``.  mu1 and mu3 tie at score 1 (the entries below
-c have mu1 = 1, the +inf entry mu3 = 1), the lowest v wins the tie, and the
-+inf entry's mu1 is 0, so 0 * inf puts NaN in the COG numerator.  With
-entries above q instead, mu3 wins alone and the window pools to inf.  No
-finite training reaches such a window: a non-finite logit stops ``train``
-with ``NumericalError``.
+``oracles.fuzzy_window_reference``.  mu1 and mu3 tie at score 1 (the entries
+below c have mu1 = 1, the +inf entry mu3 = 1), the lowest v wins the tie,
+and the +inf entry's mu1 is 0, so 0 * inf puts NaN in the COG numerator.
+With entries above q instead, mu3 wins alone and the window pools to inf.
+No finite training reaches such a window: a non-finite logit stops
+``train`` with ``NumericalError``.
 
 ``pool`` takes the window view from ``tensor.windows`` and walks it in
 ``tensor.image_blocks``: blocks of whole images, at most
@@ -90,8 +80,7 @@ from functools import reduce
 import numpy as np
 
 from . import tensor as T
-
-COG_EPS = 1e-12
+from .oracles import fuzzy_window_reference  # noqa: F401  perfbench/bench.py reads pooling.fuzzy_window_reference
 
 
 @dataclass(frozen=True)
@@ -160,7 +149,7 @@ class PoolConfig:
 
 def memberships(x, params: MembershipParams):
     """The kernel's three triangular memberships of x, [3, *x.shape]: ramps clipped to [0, 1], which c < a < d < b
-    makes bit-identical to ``fuzzify``'s piecewise triangles, signed zeros included.
+    makes bit-identical to ``oracles.fuzzify``'s triangles, signed zeros included.
 
     Evaluated in float64 and stored in x's dtype if it is float32, else in float64.
     """
@@ -185,69 +174,6 @@ def membership_slopes(x, params: MembershipParams):
     np.copyto(dmu[1, ...], -1.0 / (params.b - params.m), where=(x > params.m) & (x < params.b))
     np.copyto(dmu[2, ...], 1.0 / (params.q - params.r), where=(x >= params.r) & (x <= params.q))
     return dmu
-
-
-def fuzzify(patch, params: MembershipParams):
-    """The oracle's memberships of one crisp patch: the three piecewise triangles, entry by entry in Python floats."""
-    patch = np.asarray(patch, dtype=float)
-    c, d, a, m, b, r, q = params.c, params.d, params.a, params.m, params.b, params.r, params.q
-
-    def mu1(x):
-        return 0.0 if x > d else 1.0 if x < c else (d - x) / (d - c)
-
-    def mu2(x):
-        return 0.0 if x <= a or x >= b else (x - a) / (m - a) if x <= m else (b - x) / (b - m)
-
-    def mu3(x):
-        return 0.0 if x < r else 1.0 if x > q else (x - r) / (q - r)
-
-    flat = patch.ravel().tolist()
-    return tuple(np.array([mu(x) for x in flat]).reshape(patch.shape) for mu in (mu1, mu2, mu3))
-
-
-def algebraic_sum_score(memberships) -> float:
-    """Fold the fuzzy algebraic sum x+y-x*y over all entries (row-major), in Python floats."""
-    s = 0.0
-    for p in np.asarray(memberships, dtype=float).ravel().tolist():
-        if p < 0.0 or p > 1.0:
-            raise ValueError("membership values must lie in [0, 1]")
-        s = s + p - s * p
-    return s
-
-
-def select_fuzzy_patch(scores) -> int:
-    """The 1-based index of the membership set with the largest score: a later set must score strictly higher,
-    so the lowest v wins a tie."""
-    best = 0
-    for v in range(1, len(scores)):
-        best = v if scores[v] > scores[best] else best
-    return best + 1
-
-
-def defuzzify_cog(patch, memberships) -> float:
-    """Center of gravity, folded row-major in Python floats; a vanishing membership mass falls back to the mean."""
-    patch = np.asarray(patch, dtype=float)
-    pi = np.asarray(memberships, dtype=float)
-    if patch.shape != pi.shape:
-        raise ValueError(f"shape mismatch: patch {patch.shape} vs memberships {pi.shape}")
-    num = den = total = 0.0
-    for w, x in zip(pi.ravel().tolist(), patch.ravel().tolist()):
-        num, den, total = num + w * x, den + w, total + x
-    return total / patch.size if den < COG_EPS else num / den
-
-
-def fuzzy_window_reference(patch, params: MembershipParams) -> float:
-    """The scalar oracle of one fuzzy-pooling window: the four stage functions, none calling the kernel, composed.
-
-    ``demos/02_fuzzy_pooling.py`` walks the same four calls.  The winning mass is at least 3/7 or NaN (module
-    docstring), so ``defuzzify_cog`` never takes its fall-back here.
-    """
-    pis = fuzzify(patch, params)
-    v = select_fuzzy_patch([algebraic_sum_score(pi) for pi in pis])
-    return defuzzify_cog(patch, pis[v - 1])
-
-
-# -- vectorized pooling over tensors --------------------------------------
 
 
 def pool(x: T.Tensor, config: PoolConfig) -> T.Tensor:
@@ -326,8 +252,8 @@ def _average_pool(planes, win, out, params):
 def fuzzy_scores(planes, params: MembershipParams):
     """Each membership set's algebraic-sum score, COG numerator and COG denominator, [3, ...] each, over planes [k*k, ...].
 
-    In ``planes``' dtype; every fold walks the planes in order, a window row-major, as ``algebraic_sum_score`` and
-    ``defuzzify_cog`` do.
+    In ``planes``' dtype; every fold walks the planes in order, a window row-major, as ``oracles.algebraic_sum_score``
+    and ``oracles.defuzzify_cog`` do.
     """
     pis = memberships(planes, params)  # [3, k*k, ...]
     by_entry = pis.swapaxes(0, 1)  # plane i: the three sets' memberships of entry i

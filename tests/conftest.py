@@ -68,6 +68,6 @@ def check_kan_gradients(seed: int = 0):
     layers = [kan_init(4, 3, grid, seed=seed), kan_init(3, 2, grid, seed=seed + 1)]
     x = T.Tensor(rng.uniform(-2.0, 2.0, (3, 4)), requires_grad=True)
     labels = rng.integers(0, 2, 3)
-    tensors = [x] + [t for layer in layers for t in layer.parameters()]
+    tensors = [x] + [t for layer in layers for t in (layer.coeffs, layer.w_b, layer.w_s)]
     worst = gradient_check(lambda: T.softmax_cross_entropy(kan_stack_forward(x, layers), labels), tensors)
     return worst < GRAD_TOL, worst

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import fuzzykan.tensor as T
 from fuzzykan.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, RunConfig, main
 from fuzzykan.data import IDX_IMAGES_MAGIC, load_dataset
 from fuzzykan.kan import SplineGrid
-from fuzzykan.model import Model, ModelConfig, build, config_to_dict, config_update
+from fuzzykan.model import Model, ModelConfig, build, config_update
 from fuzzykan.pooling import MembershipParams, PoolConfig
 from fuzzykan.training import evaluate
 
@@ -311,8 +312,8 @@ class TestRunConfig:
             out_dir="out",
         )
         assert cfg != RunConfig()
-        assert config_update(RunConfig(), config_to_dict(cfg)) == cfg
-        assert config_update(RunConfig(), json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+        assert config_update(RunConfig(), asdict(cfg)) == cfg
+        assert config_update(RunConfig(), json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestMatrixCommand:

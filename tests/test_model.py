@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fuzzykan.model import (
     Model,
     ModelConfig,
     build,
-    config_to_dict,
     config_update,
 )
 from fuzzykan.pooling import MembershipParams, PoolConfig
@@ -62,8 +62,8 @@ class TestConfig:
 
     def test_round_trip(self):
         config = config_for("fuzzy", "kan", seed=3, head_widths=(32,))
-        assert config_update(ModelConfig(), config_to_dict(config)) == config
-        assert config_update(ModelConfig(), json.loads(json.dumps(config_to_dict(config)))) == config
+        assert config_update(ModelConfig(), asdict(config)) == config
+        assert config_update(ModelConfig(), json.loads(json.dumps(asdict(config)))) == config
 
     def test_update_nested(self):
         config = config_update(ModelConfig(), {"pooling": {"kind": "fuzzy", "membership": {"r_max": 2}}})

@@ -9,22 +9,17 @@ from fuzzykan.checks import (
     BREAKPOINT_MARGIN,
     _pool_input_is_smooth,
     gradient_check,
-    pool_window_oracle,
     sample_fuzzy_safe_input,
 )
-from fuzzykan.pooling import (
-    MembershipParams,
-    PoolConfig,
+from fuzzykan.oracles import (
     algebraic_sum_score,
     defuzzify_cog,
     fuzzify,
-    fuzzy_scores,
     fuzzy_window_reference,
-    membership_slopes,
-    memberships,
-    pool,
+    pool_window_oracle,
     select_fuzzy_patch,
 )
+from fuzzykan.pooling import MembershipParams, PoolConfig, fuzzy_scores, membership_slopes, memberships, pool
 
 PARAMS = MembershipParams()
 SMALLEST_R_MAX = 3e-323  # six times the smallest subnormal; below it breakpoints collapse

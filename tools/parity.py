@@ -26,14 +26,15 @@ forward and backward under a seeded upstream gradient, on the train conv1
 one column larger, in float64 and float32.  Batch 37 ends in a partial
 image block, except at eval conv1 stride 1, whose blocks are one image each.
 It records the output and the input, kernel and bias gradients.  Its oracle
-slice runs the scalar ``checks.pool_window_oracle`` on every window of one
+slice runs the scalar ``oracles.pool_window_oracle`` on every window of one
 [4,2,24,24] float64 edge-value input per pooling of the pool slice and
 (k, stride) of its geometries, at least 1,152 windows a case, and records
 each case's values as one array, so moving or rewriting an oracle shows
-whether it keeps its bits.  Its data slice writes seeded dataset files with
-this file's own writers: IDX train pairs of 28x28 images, plain and gzipped,
-and of 32x32 images; a CIFAR-10 test batch of the real 10,000 records; and
-the five CIFAR-10 train batches at 300 records each, with
+whether it keeps its bits; it imports the oracle through ``checks``, which
+older checkouts define it in.  Its data slice writes seeded dataset files
+with this file's own writers: IDX train pairs of 28x28 images, plain and
+gzipped, and of 32x32 images; a CIFAR-10 test batch of the real 10,000
+records; and the five CIFAR-10 train batches at 300 records each, with
 ``data.CIFAR_RECORDS_PER_FILE`` patched to match.  It reads each through
 ``data.load_dataset`` alone and records the images and labels.  The battery
 has 3,456 model, 192 pool, 48 conv, 12 oracle and 10 data arrays, 3,718 in
