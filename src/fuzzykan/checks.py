@@ -23,31 +23,31 @@ FD_STEP = 1e-5
 BREAKPOINT_MARGIN = 1e-3
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-3) -> float:
-    """Worst-case |a - n| / max(|a|, |n|, floor) over all entries."""
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Worst-case |a - n| / max(|a|, |n|, 1e-3) over all entries."""
     analytic = np.asarray(analytic, dtype=float)
     numeric = np.asarray(numeric, dtype=float)
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
-def finite_difference_grad(loss_fn, t: T.Tensor, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of scalar loss_fn() w.r.t. tensor t."""
+def finite_difference_grad(loss_fn, t: T.Tensor) -> np.ndarray:
+    """Central-difference gradient of scalar loss_fn() w.r.t. tensor t, with step ``FD_STEP``."""
     grad = np.zeros_like(t.data)
     flat = t.data.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         original = flat[i]
-        flat[i] = original + h
+        flat[i] = original + FD_STEP
         up = loss_fn()
-        flat[i] = original - h
+        flat[i] = original - FD_STEP
         down = loss_fn()
         flat[i] = original
-        gflat[i] = (up - down) / (2.0 * h)
+        gflat[i] = (up - down) / (2.0 * FD_STEP)
     return grad
 
 
-def gradient_check(loss_builder, tensors, h: float = FD_STEP) -> float:
+def gradient_check(loss_builder, tensors) -> float:
     """Max relative error between backward() gradients and finite differences.
 
     loss_builder() must rebuild the forward graph from the tensors' current
@@ -67,37 +67,38 @@ def gradient_check(loss_builder, tensors, h: float = FD_STEP) -> float:
     analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
 
     errors = [
-        relative_error(a, finite_difference_grad(lambda: float(loss_builder().data), t, h=h))
+        relative_error(a, finite_difference_grad(lambda: float(loss_builder().data), t))
         for t, a in zip(tensors, analytic)
     ]
     return float(np.max(errors))  # a NaN error propagates and fails the check
 
 
-def _near_breakpoint(x, params: MembershipParams, margin: float = BREAKPOINT_MARGIN) -> np.ndarray:
-    """Entries within `margin` of a membership breakpoint; a NaN entry is near every one."""
-    return ~np.logical_and.reduce([np.abs(x - p) > margin for p in params.breakpoints()])
+def _near_breakpoint(x, params: MembershipParams) -> np.ndarray:
+    """Entries within ``BREAKPOINT_MARGIN`` of a membership breakpoint; a NaN entry is near every one."""
+    return ~np.logical_and.reduce([np.abs(x - p) > BREAKPOINT_MARGIN for p in params.breakpoints()])
 
 
-def sample_fuzzy_safe_input(shape, rng, params: MembershipParams, lo=-1.0, hi=8.0, margin=BREAKPOINT_MARGIN):
-    """Random values in [lo, hi] more than `margin` from every breakpoint."""
+def sample_fuzzy_safe_input(shape, rng, params: MembershipParams, lo=-1.0, hi=8.0):
+    """Random values in [lo, hi] more than ``BREAKPOINT_MARGIN`` from every breakpoint."""
     x = rng.uniform(lo, hi, shape)
     for _ in range(100):
-        near = _near_breakpoint(x, params, margin)
+        near = _near_breakpoint(x, params)
         if not near.any():
             return x
         x[near] = rng.uniform(lo, hi, int(near.sum()))
     raise RuntimeError("could not sample inputs away from membership breakpoints")
 
 
-def check_pool_oracle(k: int = 2, seed: int = 0):
-    """Vectorized pooling vs the scalar per-window reference, exact match.
+def check_pool_oracle():
+    """Vectorized 2x2, stride-2 pooling vs the scalar per-window reference, exact match.
 
     The batch is five images of ``tensor.IMAGE_BLOCK / 2`` window entries
     each, so ``pool`` walks it as two whole image blocks and a partial one,
     and every window on either side of a block seam is checked too.
     Returns (ok, max_abs_diff) over all three pooling kinds; a NaN fails.
     """
-    rng = np.random.default_rng(seed)
+    k = 2
+    rng = np.random.default_rng(0)
     params = MembershipParams()
     worst = 0.0
     rows = T.IMAGE_BLOCK // (2 * k * k)  # windows per image, in one column
@@ -116,15 +117,15 @@ def check_pool_oracle(k: int = 2, seed: int = 0):
     return bool(worst == 0.0), float(worst)
 
 
-def check_spline(grid: SplineGrid | None = None, n_points: int = 2001):
-    """Partition of unity and non-negativity across the grid range, and the
-    basis and its derivative against the scalar oracle across the extension
-    zones, beyond them and at every knot.
+def check_spline():
+    """Partition of unity and non-negativity at 2001 points across the default
+    grid's range, and the basis and its derivative against the scalar oracle
+    across the extension zones, beyond them and at every knot.
 
     Returns (ok, unity_deviation, min_value, oracle_error).
     """
-    grid = grid or SplineGrid()
-    x = np.linspace(grid.lo, grid.hi, n_points)
+    grid = SplineGrid()
+    x = np.linspace(grid.lo, grid.hi, 2001)
     basis = bspline_basis(x, grid)
     deviation = float(np.abs(basis.sum(axis=-1) - 1.0).max())
     min_value = float(basis.min())
@@ -188,12 +189,12 @@ def _pool_input_is_smooth(values, config: PoolConfig) -> bool:
     return not (top - runner_up <= BREAKPOINT_MARGIN).any()
 
 
-def check_gradients(seed: int = 0):
+def check_gradients():
     """Finite-difference check of the tiny fuzzy-KAN composite.
 
     Returns (ok, worst_relative_error).
     """
-    model, images, labels = tiny_fuzzy_kan_setup(seed=seed)
+    model, images, labels = tiny_fuzzy_kan_setup()
     tensors = [t for _, t in model.parameters()]
     x = T.Tensor(images, requires_grad=True)
     tensors.append(x)

@@ -7,9 +7,9 @@ alone decides the input geometry: it zero-pads 28x28 grayscale images to
 32x32, passes 32x32 ones through, and refuses IDX images of any other size.
 It pads the uint8 bytes and then scales them once, so no unpadded float copy
 is made.  Gzipped files are read transparently.  Every file fault (missing,
-corrupt gzip, bad magic, truncated, count mismatch, bad label, empty split,
-other geometry) is one ``DataError`` whose message names the file; the CLI
-prints it as one ``data error:`` line and exits 2.
+unreadable, corrupt gzip, bad magic, truncated, count mismatch, bad label,
+empty split, other geometry) is one ``DataError`` whose message names the
+file; the CLI prints it as one ``data error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -47,8 +47,10 @@ class Dataset:
 
 
 def _read_bytes(path) -> bytes:
-    path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:  # a directory in the file's place, no read permission, an I/O fault
+        raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
     if raw[:2] != b"\x1f\x8b":
         return raw
     try:

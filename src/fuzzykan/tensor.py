@@ -21,8 +21,8 @@ inner loop is one axpy along all n*Ho*Wo pixels, and the reduction index
 (c,u,v) only selects which axpy runs next, so each output adds its terms one
 at a time in ascending (c,u,v) order, from +0, as the nested loops do.  One
 ``np.add`` writes those rows transposed, bias added, into the C-ordered
-[N, F, (i,j)] output of dtype ``result_type(input, kernels, bias)``; without
-a bias it adds +0, which leaves a sum that started at +0 as it is.
+[N, F, (i,j)] output of dtype ``result_type(input, kernels, bias)``.  The
+bias is one [F] entry per filter; any other shape, or none, is refused.
 
 The forward never holds the whole im2col: it contracts the n images of one
 ``image_blocks`` block at a time.  No output sums across images, so every bit
@@ -359,7 +359,7 @@ def _im2col(win: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, n, ho * wo)
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> Tensor:
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Valid (no-padding) 2-D cross-correlation.
 
     out[n,f,i,j] = bias[f] + sum_{c,u,v} x[n,c,i*s+u,j*s+v] * kernels[f,c,u,v]
@@ -369,6 +369,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
     f, ck, kh, kw = kernels.shape
     if ck != x.shape[1] or kh != kw:
         raise ValueError(f"kernel shape {kernels.shape} incompatible with input {x.shape}")
+    if not isinstance(bias, Tensor) or bias.shape != (f,):
+        got = bias.shape if isinstance(bias, Tensor) else bias
+        raise ValueError(f"conv2d expects kernels [F,C,k,k] and bias [F], got {kernels.shape} and {got}")
     k = kh
     win = windows(x.data, k, stride)
     n, c, ho, wo = win.shape[:4]
@@ -378,27 +381,24 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None, stride: int = 1) -> 
     # terms in ascending (c,u,v) order from +0.  No output sums across images, so
     # no im2col outlives its block of images (module docstring).
     w2 = kernels.data.reshape(f, ckk)
-    bias_col = 0.0 if bias is None else bias.data[:, None]  # +0 leaves a sum that started at +0 as it is
-    out3 = np.empty((n, f, p), dtype=np.result_type(w2, x.data, bias_col))
+    out3 = np.empty((n, f, p), dtype=np.result_type(w2, x.data, bias.data))
     for b in image_blocks(win):
         block = np.einsum("fk,knp->fnp", w2, _im2col(win[b]), optimize=False)
-        np.add(block.transpose(1, 0, 2), bias_col, out=out3[b])
+        np.add(block.transpose(1, 0, 2), bias.data[:, None], out=out3[b])
     out_data = out3.reshape(n, f, ho, wo)
 
     def backward(g):
         # a C-ordered [(n,i,j), f] copy whatever g's layout (module docstring)
         g3 = g.reshape(n, f, p)
         g2 = np.ascontiguousarray(g3.transpose(0, 2, 1)).reshape(n * p, f)
-        if bias is not None:
-            accumulate_grad(bias, g2.sum(axis=0))
+        accumulate_grad(bias, g2.sum(axis=0))
         if kernels.requires_grad:
             accumulate_grad(kernels, (g2.T @ _im2col(win).reshape(ckk, n * p).T).reshape(f, c, k, k))
         if x.requires_grad:
             dplanes = np.matmul(w2.T, g3).reshape(n, c, k * k, ho, wo).transpose(2, 0, 1, 3, 4)  # no copy
             accumulate_grad(x, scatter_windows(dplanes, np.zeros(x.shape, dtype=dplanes.dtype), stride))
 
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return from_op(out_data, parents, backward)
+    return from_op(out_data, (x, kernels, bias), backward)
 
 
 # -- activations ----------------------------------------------------------

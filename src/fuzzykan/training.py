@@ -19,6 +19,7 @@ from .model import Model
 
 
 _BLOCK = 32768  # elements per AdamW block; its two f64 scratch blocks take 512 KB
+BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01  # the recipe's AdamW (Loshchilov & Hutter, 2019)
 
 
 class NumericalError(RuntimeError):
@@ -28,9 +29,9 @@ class NumericalError(RuntimeError):
 class AdamW:
     """Adam with decoupled weight decay, over one ``tensor.ParameterStore``.
 
-    The decay step p <- p - lr*wd*p is applied separately from the
-    bias-corrected moment update, so with zero gradients the parameters
-    undergo pure multiplicative decay.
+    Only ``lr`` is set per run: b1, b2, eps and wd are the constants ``BETA1``, ``BETA2``, ``EPS`` and ``WEIGHT_DECAY``.
+    The decay step p <- p - lr*wd*p is applied separately from the bias-corrected moment update,
+    so with zero gradients the parameters undergo pure multiplicative decay.
 
     ``values`` and ``grads`` are the store's arrays, ``m`` and ``v`` flat ones of
     the same size; ``zero_grad`` is one fill, so an unreached parameter steps on a zero gradient.
@@ -51,12 +52,9 @@ class AdamW:
     parameter and leaves the values, the moments and ``t`` as they were.
     """
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    def __init__(self, params, lr=1e-3):
         self.params = params  # a tensor.ParameterStore
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.values, self.grads = params.values, params.grads
         self.m = np.zeros_like(self.values)
@@ -75,28 +73,27 @@ class AdamW:
                 name = next(name for name, p in self.params if not np.isfinite(p.grad).all())
                 raise NumericalError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        decay = self.lr * self.weight_decay
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
+        decay = self.lr * WEIGHT_DECAY
         for lo in range(0, self.values.size, _BLOCK):
             p, g = self.values[lo : lo + _BLOCK], self.grads[lo : lo + _BLOCK]
             m, v = self.m[lo : lo + _BLOCK], self.v[lo : lo + _BLOCK]
             a, b = self._a[: p.size], self._b[: p.size]
-            if self.weight_decay:
-                np.multiply(decay, p, out=a)
-                p -= a
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=a)
+            np.multiply(decay, p, out=a)
+            p -= a
+            m *= BETA1
+            np.multiply(1.0 - BETA1, g, out=a)
             m += a
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
+            v *= BETA2
+            np.multiply(1.0 - BETA2, g, out=a)
             a *= g
             v += a
             np.divide(m, bc1, out=a)
             np.multiply(self.lr, a, out=a)
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += EPS
             a /= b
             p -= a
 

@@ -123,6 +123,20 @@ class TestTrainCommand:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and err.startswith(f"data error: {bad}: ")
 
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+    def test_directory_in_place_of_a_data_file_exit_2(self, tmp_path, capsys, dataset):
+        if dataset == "mnist":
+            unreadable, _ = write_idx_split(tmp_path, *make_synthetic_images(8, seed=2))
+            unreadable.unlink()
+        else:
+            for i in range(2, 6):
+                (tmp_path / f"data_batch_{i}.bin").touch()
+            unreadable = tmp_path / "data_batch_1.bin"
+        unreadable.mkdir()
+        assert run_cli(train_args(tmp_path, tmp_path / "run", dataset=dataset, epochs=0)) == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {unreadable}: cannot read: ")
+
     def test_env_var_fallback(self, synthetic_idx_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("FUZZY_KAN_DATA", str(synthetic_idx_dir))
         argv = ["train", "--dataset", "mnist", "--epochs", "0", "--out-dir", str(tmp_path / "run")]

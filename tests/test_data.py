@@ -95,6 +95,13 @@ class TestIdx:
         with pytest.raises(DataError, match=re.escape(f"{img}: 4 images but 3 labels")):
             load_dataset("mnist", tmp_path, "train")
 
+    def test_directory_in_place_of_a_file_is_a_data_error(self, tmp_path):
+        img, _ = write_idx_split(tmp_path, *make_synthetic_images(4, seed=6))
+        img.unlink()
+        img.mkdir()
+        with pytest.raises(DataError, match=re.escape(f"{img}: cannot read: ")):
+            load_dataset("mnist", tmp_path, "train")
+
 
 def write_cifar_batch(path, images, labels):
     records = np.concatenate([labels[:, None], images.reshape(len(labels), -1)], axis=1)
@@ -148,6 +155,13 @@ class TestCifar:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match=re.escape(f"not found under {tmp_path}: missing {', '.join(TRAIN_BATCHES)}")):
+            load_dataset("cifar10", tmp_path, "train")
+
+    def test_directory_in_place_of_a_batch_is_a_data_error(self, tmp_path):
+        for name in TRAIN_BATCHES[1:]:
+            (tmp_path / name).touch()
+        (tmp_path / TRAIN_BATCHES[0]).mkdir()
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / TRAIN_BATCHES[0]}: cannot read: ")):
             load_dataset("cifar10", tmp_path, "train")
 
     def test_batches_bin_subdir(self, tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,32 +21,35 @@ def row_major_conv2d(x, kernels, bias, stride, g):
     """conv2d by the row-major im2col formulas: [(n,i,j), (c,u,v)] columns.
 
     Returns the output and the (input, kernel, bias) gradients for the
-    upstream gradient ``g``; the bias gradient is None without a bias.
+    upstream gradient ``g``.
     """
     f, c, k, _ = kernels.shape
     win = T.windows(x, k, stride)
     n, _, ho, wo = win.shape[:4]
     col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * k * k)
     w_t = np.ascontiguousarray(kernels.reshape(f, c * k * k).T)
-    out2 = np.einsum("ik,kj->ij", col, w_t, optimize=False)
-    if bias is not None:
-        out2 = out2 + bias[None, :]
+    out2 = np.einsum("ik,kj->ij", col, w_t, optimize=False) + bias[None, :]
     out = out2.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
     g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-    dbias = None if bias is None else g2.sum(axis=0)
+    dbias = g2.sum(axis=0)
     dkernels = (g2.T @ col).reshape(f, c, k, k)
     dwin = (g2 @ w_t.T).reshape(n, ho, wo, c, k, k).transpose(0, 3, 1, 2, 4, 5)
     return out, (T.scatter_windows(T.window_planes(dwin), np.zeros(x.shape, dtype=dwin.dtype), stride), dkernels, dbias)
+
+
+def zero_or_random_bias(rng, f, b_dtype, zero_dtype):
+    """A random [f] bias of ``b_dtype``, or for None a zero one of ``zero_dtype``, as a layer with no bias term passes."""
+    return np.zeros(f, zero_dtype) if b_dtype is None else rng.uniform(-1, 1, f).astype(b_dtype)
 
 
 def conv2d_grads(x, kernels, bias, stride, g):
     """T.conv2d's output and (input, kernel, bias) gradients for upstream ``g``."""
     xt = T.Tensor(x, requires_grad=True)
     kt = T.Tensor(kernels, requires_grad=True)
-    bt = None if bias is None else T.Tensor(bias, requires_grad=True)
+    bt = T.Tensor(bias, requires_grad=True)
     out = T.conv2d(xt, kt, bt, stride=stride)
     T.reduce_sum(T.mul(out, T.Tensor(g))).backward()
-    return out.data, (xt.grad, kt.grad, None if bt is None else bt.grad)
+    return out.data, (xt.grad, kt.grad, bt.grad)
 
 
 class TestDtype:
@@ -93,8 +97,10 @@ class TestGuards:
         "call, message",
         [
             (lambda: T.matmul(tensor(np.ones(3)), tensor(np.ones((3, 2)))), "matmul expects 2-D operands"),
-            (lambda: T.conv2d(tensor(np.ones((1, 5, 5))), tensor(np.ones((2, 1, 3, 3))), None), r"input \[N,C,H,W\]"),
-            (lambda: T.conv2d(tensor(np.ones((1, 2, 5, 5))), tensor(np.ones((2, 1, 3, 3))), None), "incompatible with input"),
+            (lambda: T.conv2d(tensor(np.ones((1, 5, 5))), tensor(np.ones((2, 1, 3, 3))), tensor(np.zeros(2))),
+             r"input \[N,C,H,W\]"),
+            (lambda: T.conv2d(tensor(np.ones((1, 2, 5, 5))), tensor(np.ones((2, 1, 3, 3))), tensor(np.zeros(2))),
+             "incompatible with input"),
             (lambda: T.activate("sigmoid", tensor([1.0])), "unknown activation 'sigmoid'"),
             (lambda: T.softmax_cross_entropy(tensor([0.0, 1.0]), [0]), r"logits must be \[N,K\]"),
             (lambda: T.softmax_cross_entropy(tensor([[0.0, 1.0]]), [0, 1]), "does not match batch 1"),
@@ -163,17 +169,17 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data, [[[[10.0]]]])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("nonzero_bias", [True, False])  # False: the zero bias of a layer with no bias term
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("f", [1, 4])
     @pytest.mark.parametrize("c", [1, 3])
-    def test_exact_against_nested_loops(self, c, f, k, stride, with_bias, dtype):
+    def test_exact_against_nested_loops(self, c, f, k, stride, nonzero_bias, dtype):
         rng = np.random.default_rng(3)
         x = rng.uniform(-2, 2, (2, c, 9, 9)).astype(dtype)
         kernels = rng.uniform(-1, 1, (f, c, k, k)).astype(dtype)
-        bias = rng.uniform(-1, 1, f).astype(dtype) if with_bias else None
-        out = T.conv2d(T.Tensor(x), T.Tensor(kernels), None if bias is None else T.Tensor(bias), stride=stride).data
+        bias = rng.uniform(-1, 1, f).astype(dtype) if nonzero_bias else np.zeros(f, dtype)
+        out = T.conv2d(T.Tensor(x), T.Tensor(kernels), T.Tensor(bias), stride=stride).data
         ho = (9 - k) // stride + 1
         expected = np.zeros((2, f, ho, ho), dtype=dtype)
         for n in range(2):
@@ -185,21 +191,21 @@ class TestConv2d:
                             for u in range(k):
                                 for v in range(k):
                                     acc += x[n, cc, i * stride + u, j * stride + v] * kernels[ff, cc, u, v]
-                        expected[n, ff, i, j] = acc if bias is None else bias[ff] + acc
+                        expected[n, ff, i, j] = bias[ff] + acc
         assert out.dtype == dtype
         assert np.array_equal(out, expected)  # same summation order
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("nonzero_bias", [True, False])  # False: the zero bias of a layer with no bias term
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("f", [1, 4])
     @pytest.mark.parametrize("c", [1, 3])
-    def test_backward_matches_row_major_im2col(self, c, f, k, stride, with_bias, dtype):
+    def test_backward_matches_row_major_im2col(self, c, f, k, stride, nonzero_bias, dtype):
         rng = np.random.default_rng(6)
         x = rng.uniform(-2, 2, (3, c, 11, 11)).astype(dtype)
         kernels = rng.uniform(-1, 1, (f, c, k, k)).astype(dtype)
-        bias = rng.uniform(-1, 1, f).astype(dtype) if with_bias else None
+        bias = rng.uniform(-1, 1, f).astype(dtype) if nonzero_bias else np.zeros(f, dtype)
         ho = (11 - k) // stride + 1
         g = rng.uniform(-1, 1, (3, f, ho, ho)).astype(dtype)
         _, grads = conv2d_grads(x, kernels, bias, stride, g)
@@ -208,12 +214,9 @@ class TestConv2d:
         # which BLAS picks a kernel whose summation order follows the operand
         # layout; the two layouts then agree within the bound for reordered sums.
         exact = f > 1 and c * k * k > 1
-        _, abs_grads = row_major_conv2d(np.abs(x), np.abs(kernels), None if bias is None else np.abs(bias), stride, np.abs(g))
+        _, abs_grads = row_major_conv2d(np.abs(x), np.abs(kernels), np.abs(bias), stride, np.abs(g))
         n_terms = max(3 * ho * ho, f * k * k)
         for name, got, want, scale in zip(("input", "kernel", "bias"), grads, ref_grads, abs_grads):
-            assert (got is None) == (want is None), name
-            if want is None:
-                continue
             assert got.dtype == want.dtype == dtype, name
             if exact:
                 assert np.array_equal(got, want), name
@@ -236,10 +239,10 @@ class TestConv2d:
         _, (_, _, ref_dbias) = row_major_conv2d(x, kernels, np.zeros(6), 1, g_conv)
         assert np.array_equal(bias.grad, ref_dbias)
 
-    @pytest.mark.parametrize("with_bias", [True, False])
-    def test_output_is_c_contiguous(self, with_bias):
+    @pytest.mark.parametrize("nonzero_bias", [True, False])  # False: the zero bias of a layer with no bias term
+    def test_output_is_c_contiguous(self, nonzero_bias):
         rng = np.random.default_rng(9)
-        bias = tensor(rng.uniform(-1, 1, 4)) if with_bias else None
+        bias = tensor(rng.uniform(-1, 1, 4) if nonzero_bias else np.zeros(4))
         out = T.conv2d(tensor(rng.uniform(-1, 1, (2, 3, 8, 8))), tensor(rng.uniform(-1, 1, (4, 3, 3, 3))), bias)
         assert out.data.flags.c_contiguous
 
@@ -251,15 +254,15 @@ class TestConv2d:
         # three images per block, so each block's filter-major rows are transposed into [n, f, (i,j)] rows
         rng = np.random.default_rng(9)
         x = rng.uniform(-1, 1, (5, 3, 8, 8)).astype(dtype)
-        x[-1] = -0.0  # a conv without a bias must still give +0 there: each sum starts at +0
+        x[-1] = -0.0  # a zero bias must still give +0 there: each sum starts at +0
         kernels = rng.uniform(0, 1, (4, 3, 3, 3)).astype(dtype)
-        bias = None if b_dtype is None else rng.uniform(-1, 1, 4).astype(b_dtype)
+        bias = zero_or_random_bias(rng, 4, b_dtype, dtype)
         monkeypatch.setattr(T, "IMAGE_BLOCK", 3 * 27 * 36)
-        out = T.conv2d(T.Tensor(x), T.Tensor(kernels), None if bias is None else T.Tensor(bias)).data
+        out = T.conv2d(T.Tensor(x), T.Tensor(kernels), T.Tensor(bias)).data
         ref, _ = row_major_conv2d(x, kernels, bias, 1, np.zeros(out.shape, out.dtype))
-        assert out.flags.c_contiguous and out.dtype == np.result_type(x, kernels, *([] if bias is None else [bias]))
+        assert out.flags.c_contiguous and out.dtype == np.result_type(x, kernels, bias)
         assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
-        if bias is None:
+        if b_dtype is None:
             assert np.signbit(out[-1]).sum() == 0
 
     @pytest.mark.parametrize(
@@ -275,20 +278,19 @@ class TestConv2d:
         rng = np.random.default_rng(10)
         x = rng.uniform(-2, 2, (2, 3, 8, 8)).astype(x_dtype)
         kernels = rng.uniform(-1, 1, (4, 3, 3, 3)).astype(k_dtype)
-        bias = None if b_dtype is None else rng.uniform(-1, 1, 4).astype(b_dtype)
+        bias = zero_or_random_bias(rng, 4, b_dtype, x_dtype)
         # the output, and so the gradient reaching conv2d, has np.result_type
         # of the operands, in which the row-major formulas compute too; each
         # operand's gradient is stored in that operand's dtype
-        dtype = np.result_type(*(a for a in (x, kernels, bias) if a is not None))
+        dtype = np.result_type(x, kernels, bias)
         g = rng.uniform(-1, 1, (2, 4, 6, 6)).astype(dtype)
         out, grads = conv2d_grads(x, kernels, bias, 1, g)
         ref_out, ref_grads = row_major_conv2d(x, kernels, bias, 1, g)
         assert out.dtype == ref_out.dtype == dtype
         assert np.array_equal(out, ref_out)
         for got, want, param in zip(grads, ref_grads, (x, kernels, bias)):
-            if param is not None:
-                assert got.dtype == param.dtype
-                assert np.array_equal(got, want.astype(param.dtype))
+            assert got.dtype == param.dtype
+            assert np.array_equal(got, want.astype(param.dtype))
 
     @pytest.mark.parametrize(
         "x_dtype, k_dtype, b_dtype",
@@ -307,17 +309,16 @@ class TestConv2d:
         rng = np.random.default_rng(11)
         x = rng.uniform(-2, 2, (5, 3, 9, 9)).astype(x_dtype)
         kernels = rng.uniform(-1, 1, (4, 3, 3, 3)).astype(k_dtype)
-        bias = None if b_dtype is None else rng.uniform(-1, 1, 4).astype(b_dtype)
+        bias = zero_or_random_bias(rng, 4, b_dtype, x_dtype)
         ho = (9 - 3) // stride + 1
         monkeypatch.setattr(T, "IMAGE_BLOCK", 2 * 27 * ho * ho + 1)
-        dtype = np.result_type(*(a for a in (x, kernels, bias) if a is not None))
+        dtype = np.result_type(x, kernels, bias)
         g = rng.uniform(-1, 1, (5, 4, ho, ho)).astype(dtype)
         out, grads = conv2d_grads(x, kernels, bias, stride, g)
         ref_out, ref_grads = row_major_conv2d(x, kernels, bias, stride, g)
         assert out.dtype == ref_out.dtype and out.tobytes() == np.ascontiguousarray(ref_out).tobytes()
         for got, want, param in zip(grads, ref_grads, (x, kernels, bias)):
-            if param is not None:
-                assert got.dtype == param.dtype and got.tobytes() == want.astype(param.dtype).tobytes()
+            assert got.dtype == param.dtype and got.tobytes() == want.astype(param.dtype).tobytes()
 
     def test_forward_keeps_no_im2col(self):
         # the full [(c,u,v), N, (i,j)] im2col is 75 x 64 x 784 doubles (30 MB), 12.5x the output
@@ -351,12 +352,20 @@ class TestConv2d:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, (1, 1, 6, 6))
         kernels = rng.uniform(-1, 1, (2, 1, 2, 2))
-        out = T.conv2d(tensor(x), tensor(kernels), None, stride=2)
+        out = T.conv2d(tensor(x), tensor(kernels), tensor(np.zeros(2)), stride=2)
         assert out.shape == (1, 2, 3, 3)
 
     def test_non_integral_extent(self):
         with pytest.raises(ValueError, match="does not tile"):
-            T.conv2d(tensor(np.ones((1, 1, 5, 5))), tensor(np.ones((1, 1, 2, 2))), None, stride=2)
+            T.conv2d(tensor(np.ones((1, 1, 5, 5))), tensor(np.ones((1, 1, 2, 2))), tensor(np.zeros(1)), stride=2)
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (3, 1), None], ids=["one-for-all", "F+1", "Fx1", "none"])
+    def test_bias_that_is_not_one_per_filter_is_refused(self, shape):
+        # a [1] bias would broadcast over the 3 filters and its gradient come back [3]
+        bias = None if shape is None else tensor(np.zeros(shape))
+        expected = f"expects kernels [F,C,k,k] and bias [F], got (3, 2, 3, 3) and {shape}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            T.conv2d(tensor(np.ones((1, 2, 5, 5))), tensor(np.ones((3, 2, 3, 3))), bias)
 
 
 class TestWindows:
@@ -439,7 +448,7 @@ class TestWindows:
     @pytest.mark.parametrize("stride", [0, -1])
     def test_conv2d_bad_stride_rejected(self, stride):
         with pytest.raises(ValueError, match=f"stride={stride}"):
-            T.conv2d(tensor(np.ones((1, 1, 5, 5))), tensor(np.ones((1, 1, 2, 2))), None, stride=stride)
+            T.conv2d(tensor(np.ones((1, 1, 5, 5))), tensor(np.ones((1, 1, 2, 2))), tensor(np.zeros(1)), stride=stride)
 
 
 class TestActivations:
@@ -711,8 +720,8 @@ class TestBackward:
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, (2, 2, 6, 6))
         k = rng.uniform(-1, 1, (3, 2, 3, 3))
-        a = T.conv2d(tensor(x), tensor(k), None).data
-        b = T.conv2d(tensor(x), tensor(k), None).data
+        a = T.conv2d(tensor(x), tensor(k), tensor(np.zeros(3))).data
+        b = T.conv2d(tensor(x), tensor(k), tensor(np.zeros(3))).data
         assert np.array_equal(a, b)
 
 
