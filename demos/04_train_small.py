@@ -10,7 +10,7 @@ import numpy as np
 from fuzzykan.data import Dataset
 from fuzzykan.model import ModelConfig, build
 from fuzzykan.pooling import PoolConfig
-from fuzzykan.training import evaluate, train
+from fuzzykan.training import train
 
 
 def synthetic(n, seed):
@@ -43,7 +43,7 @@ history = train(
     ),
 )
 
-cm, final = evaluate(model, test_set)
-print("\nfinal accuracy:", f"{final['accuracy']:.4f}", "(chance is 0.10)")
-print("macro F1:", f"{final['f1']:.4f}")
-print("confusion matrix:\n", cm.counts)
+final = history[-1]  # evaluated on test_set after the last epoch
+print("\nfinal accuracy:", f"{final.test_accuracy:.4f}", "(chance is 0.10)")
+print("macro F1:", f"{final.f1:.4f}")
+print("confusion matrix:\n", final.confusion.counts)

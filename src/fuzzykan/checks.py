@@ -78,17 +78,6 @@ def _near_breakpoint(x, params: MembershipParams) -> np.ndarray:
     return ~np.logical_and.reduce([np.abs(x - p) > BREAKPOINT_MARGIN for p in params.breakpoints()])
 
 
-def sample_fuzzy_safe_input(shape, rng, params: MembershipParams, lo=-1.0, hi=8.0):
-    """Random values in [lo, hi] more than ``BREAKPOINT_MARGIN`` from every breakpoint."""
-    x = rng.uniform(lo, hi, shape)
-    for _ in range(100):
-        near = _near_breakpoint(x, params)
-        if not near.any():
-            return x
-        x[near] = rng.uniform(lo, hi, int(near.sum()))
-    raise RuntimeError("could not sample inputs away from membership breakpoints")
-
-
 def check_pool_oracle():
     """Vectorized 2x2, stride-2 pooling vs the scalar per-window reference, exact match.
 

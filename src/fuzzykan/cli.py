@@ -31,7 +31,6 @@ EXIT_NUMERICAL = 3
 POOLING_ALIASES = {"max": "max", "avg": "average", "average": "average", "fuzzy": "fuzzy"}
 MATRIX_ORDER = [("mlp", "avg"), ("mlp", "max"), ("mlp", "fuzzy"), ("kan", "avg"), ("kan", "max"), ("kan", "fuzzy")]
 PRECISIONS = {"f64": "float64", "f32": "float32"}
-FINAL_METRICS = ("accuracy", "precision", "recall", "f1")  # of evaluate(), as printed and in comparison.csv
 # each run flag: where it lands in the RunConfig tree, and its argparse options
 RUN_FLAGS = {
     "dataset": ("model.dataset", {"choices": list(DATASET_CHANNELS)}),
@@ -120,11 +119,13 @@ def _resolve_run_config(args) -> RunConfig:
 
 
 def _run(cfg: RunConfig, runs: dict[str, RunConfig]) -> list[dict]:
-    """Build every run's model and output directory, read ``cfg``'s two splits once, then train, evaluate and write each run.
+    """Build every run's model and output directory, read ``cfg``'s two splits once, then train and write each run.
 
     Run ``label`` writes its artifacts to ``cfg.out_dir``/``label``; a
-    non-empty label is printed as a header before the run trains.  Returns
-    each run's final test metrics, in order.
+    non-empty label is printed as a header before the run trains.  Its
+    ``confusion_matrix.csv`` and final metrics are those of its last epoch's
+    evaluation; a run of 0 epochs has none, so its untrained model is
+    evaluated once.  Returns each run's ``ConfusionMatrix.report()``, in order.
     """
     models = []
     for run in runs.values():
@@ -161,18 +162,18 @@ def _run(cfg: RunConfig, runs: dict[str, RunConfig]) -> list[dict]:
             ),
         )
         write_metrics_csv(out_dir / "metrics.csv", history)
-        cm, final = evaluate(model, test_set)
+        cm = history[-1].confusion if history else evaluate(model, test_set)[0]
         cm.write_csv(out_dir / "confusion_matrix.csv")
         model.save(out_dir / "model.fkan")
         (out_dir / "config.json").write_text(json.dumps(asdict(run), indent=2) + "\n")
-        finals.append(final)
+        finals.append(cm.report())
     return finals
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_run_config(args)
     [final] = _run(cfg, {"": cfg})
-    print("final: " + " ".join(f"{key} {final[key]:.4f}" for key in FINAL_METRICS))
+    print("final: " + " ".join(f"{key} {value:.4f}" for key, value in final.items()))
     return EXIT_OK
 
 
@@ -182,13 +183,14 @@ def cmd_matrix(args) -> int:
         f"{head}_{pooling}": config_update(cfg, {"model": {"head": head, "pooling": {"kind": POOLING_ALIASES[pooling]}}})
         for head, pooling in MATRIX_ORDER
     }
+    finals = _run(cfg, runs)
     rows = [
-        [head.upper(), pooling, *(f"{final[key]:.4f}" for key in FINAL_METRICS)]
-        for (head, pooling), final in zip(MATRIX_ORDER, _run(cfg, runs))
+        [head.upper(), pooling, *(f"{value:.4f}" for value in final.values())]
+        for (head, pooling), final in zip(MATRIX_ORDER, finals)
     ]
     with open(Path(cfg.out_dir) / "comparison.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["head", "pooling", *FINAL_METRICS])
+        writer.writerow(["head", "pooling", *finals[0]])
         writer.writerows(rows)
     for row in rows:
         print(",".join(row))

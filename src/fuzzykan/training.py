@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -130,6 +130,11 @@ class ConfusionMatrix:
         precision, recall, f1 = self.per_class()
         return float(precision.mean()), float(recall.mean()), float(f1.mean())
 
+    def report(self) -> dict:
+        """The four numbers a run reports, in order: accuracy and the macro precision, recall and F1."""
+        precision, recall, f1 = self.macro()
+        return {"accuracy": self.accuracy, "precision": precision, "recall": recall, "f1": f1}
+
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
@@ -146,6 +151,7 @@ class EpochMetrics:
     recall: float
     f1: float
     seconds: float
+    confusion: ConfusionMatrix = field(repr=False)  # the test fields' source; its own file, not a column
 
 
 def evaluate(model: Model, dataset: Dataset, batch_size: int = 256):
@@ -157,8 +163,7 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 256):
         for images, labels in batches(dataset, batch_size, shuffle=False):
             predicted = model.forward(images).data.argmax(axis=1)  # lowest index wins ties
             cm.update(labels, predicted)
-    precision, recall, f1 = cm.macro()
-    return cm, {"accuracy": cm.accuracy, "precision": precision, "recall": recall, "f1": f1}
+    return cm, cm.report()
 
 
 def train(
@@ -174,9 +179,10 @@ def train(
 ):
     """Seeded epoch loop: shuffle, forward, loss, backward, AdamW step.
 
-    Returns the per-epoch metrics (evaluated on `test_set` after each
-    epoch).  Fully deterministic under `seed` apart from the wall-clock
-    column; pass a fixed `clock` for byte-reproducible artifacts.
+    Returns the per-epoch metrics, each read from the ``ConfusionMatrix`` of
+    `test_set` after that epoch, which the record keeps as ``confusion``.
+    Fully deterministic under `seed` apart from the wall-clock column; pass a
+    fixed `clock` for byte-reproducible artifacts.
     """
     optimizer = AdamW(model.parameters(), lr=lr)
     history: list[EpochMetrics] = []
@@ -196,7 +202,7 @@ def train(
             loss.backward()
             optimizer.step()
             losses.append(float(loss.data))
-        _, m = evaluate(model, test_set)
+        cm, m = evaluate(model, test_set)
         entry = EpochMetrics(
             epoch=epoch,
             train_loss=float(np.mean(losses)) if losses else float("nan"),
@@ -205,6 +211,7 @@ def train(
             recall=m["recall"],
             f1=m["f1"],
             seconds=clock() - started,
+            confusion=cm,
         )
         history.append(entry)
         if progress is not None:
@@ -212,7 +219,7 @@ def train(
     return history
 
 
-METRICS_HEADER = [f.name for f in fields(EpochMetrics)]
+METRICS_HEADER = [f.name for f in fields(EpochMetrics) if f.name != "confusion"]
 
 
 def write_metrics_csv(path, history):

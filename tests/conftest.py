@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fuzzykan.tensor as T
-from fuzzykan.checks import GRAD_TOL, gradient_check
+from fuzzykan.checks import GRAD_TOL, _near_breakpoint, gradient_check
 from fuzzykan.data import IDX_FILES, IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
 from fuzzykan.kan import SplineGrid, kan_init, kan_stack_forward
 
@@ -38,6 +38,17 @@ def make_synthetic_dataset(n, seed=0):
     images, labels = make_synthetic_images(n, seed)
     padded = np.pad(images.astype(np.float64) / 255.0, ((0, 0), (2, 2), (2, 2)))
     return Dataset(padded[:, None, :, :], labels.astype(np.int64))
+
+
+def sample_fuzzy_safe_input(shape, rng, params, lo=-1.0, hi=8.0):
+    """Random values in [lo, hi] more than ``checks.BREAKPOINT_MARGIN`` from every membership breakpoint of ``params``."""
+    x = rng.uniform(lo, hi, shape)
+    for _ in range(100):
+        near = _near_breakpoint(x, params)
+        if not near.any():
+            return x
+        x[near] = rng.uniform(lo, hi, int(near.sum()))
+    raise RuntimeError("could not sample inputs away from membership breakpoints")
 
 
 @pytest.fixture(scope="session")

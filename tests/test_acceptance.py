@@ -19,7 +19,6 @@ from fuzzykan.checks import (
     check_pool_oracle,
     check_spline,
     gradient_check,
-    sample_fuzzy_safe_input,
     tiny_fuzzy_kan_setup,
 )
 from fuzzykan.data import DataError, load_dataset
@@ -28,7 +27,7 @@ from fuzzykan.model import ModelConfig, build
 from fuzzykan.pooling import MembershipParams, PoolConfig, pool
 from fuzzykan.training import ConfusionMatrix, train, write_metrics_csv
 
-from conftest import check_kan_gradients, real_mnist_dir, write_idx_split
+from conftest import check_kan_gradients, real_mnist_dir, sample_fuzzy_safe_input, write_idx_split
 
 NO_MNIST = "real MNIST IDX files not found under FUZZY_KAN_DATA"
 NO_FULL = "full reproduction disabled; set FUZZY_KAN_FULL=1 (and FUZZY_KAN_DATA) to run"

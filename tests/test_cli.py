@@ -67,11 +67,30 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("numerical failure: loss became non-finite at epoch 0, batch 1;")
 
-    def test_zero_epochs_valid(self, synthetic_idx_dir, tmp_path):
+    def test_zero_epochs_valid(self, synthetic_idx_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli(train_args(synthetic_idx_dir, out, epochs=0)) == EXIT_OK
         with open(out / "metrics.csv") as f:
             assert len(list(csv.reader(f))) == 1  # header only
+        assert capsys.readouterr().out.startswith("final: accuracy ")
+        # no epoch was evaluated, so the matrix is the untrained model's
+        config = config_update(ModelConfig(), json.loads((out / "config.json").read_text())["model"])
+        evaluate(build(config), load_dataset("mnist", synthetic_idx_dir, "test"))[0].write_csv(tmp_path / "fresh.csv")
+        assert (tmp_path / "fresh.csv").read_bytes() == (out / "confusion_matrix.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, epochs, calls", [("train", 2, 2), ("train", 0, 1), ("matrix", 1, 6)])
+    def test_each_epoch_is_the_only_evaluation(self, synthetic_idx_dir, tmp_path, monkeypatch, command, epochs, calls):
+        seen = []
+
+        def counting_evaluate(model, dataset, *args, **kwargs):
+            seen.append(len(dataset))
+            return evaluate(model, dataset, *args, **kwargs)
+
+        monkeypatch.setattr("fuzzykan.training.evaluate", counting_evaluate)
+        monkeypatch.setattr("fuzzykan.cli.evaluate", counting_evaluate)
+        flags = ["--epochs", str(epochs), "--batch", "16", "--train-limit", "32", "--data-dir", str(synthetic_idx_dir)]
+        assert run_cli([command, *flags, "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+        assert seen == [40] * calls
 
     def test_missing_data_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FUZZY_KAN_DATA", raising=False)

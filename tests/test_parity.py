@@ -82,7 +82,7 @@ def test_canonical_digest_ignores_only_nan_bits():
 
 
 def test_battery_runs_on_this_library(monkeypatch):
-    # one small model, pool and conv case through the real battery, so a library change that breaks it fails here
+    # one small case of each slice through the real battery, so a library change that breaks it fails here
     monkeypatch.setattr(parity, "VARIANTS", [("mlp", "max", 6.0)])
     monkeypatch.setattr(parity, "GEOMETRIES", ("mnist",))
     monkeypatch.setattr(parity, "DTYPES", ("float32",))
@@ -96,6 +96,9 @@ def test_battery_runs_on_this_library(monkeypatch):
     monkeypatch.setattr(parity, "IDX_CASES", (("mnist-28-gz", 28, True),))
     monkeypatch.setattr(parity, "IDX_IMAGES", 3)
     monkeypatch.setattr(parity, "CIFAR_RECORDS", {"test": 4, "train": 2})
+    monkeypatch.setattr(parity, "RUNS", {"max-mlp-1": ["train", "--pooling", "max", "--head", "mlp", "--epochs", "1"]})
+    monkeypatch.setattr(parity, "RUN_PRECISIONS", ("f32",))
+    monkeypatch.setattr(parity, "RUN_IMAGES", {"train": 4, "test": 2})
     names = [name for name, _ in build(ModelConfig(pooling=PoolConfig(kind="max"))).parameters()]
     case = "mlp-max-6/mnist/float32/relu"
     expected = {f"{case}/fresh/logits", f"{case}/fresh/input.grad", f"{case}/values", f"{case}/checkpoint"}
@@ -107,10 +110,20 @@ def test_battery_runs_on_this_library(monkeypatch):
     expected |= {"oracle/fuzzy-0.5/4x1x6x6/k3s1/float64"}
     for case in ("mnist-28-gz/train", "cifar10/test", "cifar10/train"):
         expected |= {f"data/{case}/images", f"data/{case}/labels"}
+    run_outputs = ("metrics.csv", "confusion_matrix.csv", "model.fkan", "config.json", "stdout")
+    expected |= {f"run/max-mlp-1/f32/{name}" for name in run_outputs}
     digests = parity.battery()
     assert set(digests) == expected
     assert all(len(value) == 2 and all(len(d) == 64 for d in value) for value in digests.values())
     assert data.CIFAR_RECORDS_PER_FILE == 10000  # restored after the data slice
+
+
+def test_run_slice_masks_the_seconds_alone():
+    metrics = "epoch,train_loss,seconds\r\n0,0.5,1.25\r\n1,0.25,0.75\r\n"
+    assert parity.masked_seconds(metrics) == "epoch,train_loss,seconds\r\n0,0.5,-\r\n1,0.25,-\r\n"
+    assert parity.masked_seconds(metrics.replace("0.25", "0.3")) != parity.masked_seconds(metrics)
+    line = "epoch 0: loss 2.3026 acc 0.1000 (12.3s)"
+    assert parity.STDOUT_SECONDS.sub("(-s)", line) == "epoch 0: loss 2.3026 acc 0.1000 (-s)"
 
 
 def test_data_slice_reads_every_byte(monkeypatch):

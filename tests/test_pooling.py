@@ -5,12 +5,7 @@ import pytest
 
 import fuzzykan.pooling as pooling
 import fuzzykan.tensor as T
-from fuzzykan.checks import (
-    BREAKPOINT_MARGIN,
-    _pool_input_is_smooth,
-    gradient_check,
-    sample_fuzzy_safe_input,
-)
+from fuzzykan.checks import BREAKPOINT_MARGIN, _pool_input_is_smooth, gradient_check
 from fuzzykan.oracles import (
     algebraic_sum_score,
     defuzzify_cog,
@@ -20,6 +15,8 @@ from fuzzykan.oracles import (
     select_fuzzy_patch,
 )
 from fuzzykan.pooling import MembershipParams, PoolConfig, fuzzy_scores, membership_slopes, memberships, pool
+
+from conftest import sample_fuzzy_safe_input
 
 PARAMS = MembershipParams()
 SMALLEST_R_MAX = 3e-323  # six times the smallest subnormal; below it breakpoints collapse

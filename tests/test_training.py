@@ -12,9 +12,11 @@ from fuzzykan.training import (
     BETA1,
     BETA2,
     EPS,
+    METRICS_HEADER,
     WEIGHT_DECAY,
     AdamW,
     ConfusionMatrix,
+    EpochMetrics,
     NumericalError,
     evaluate,
     train,
@@ -423,6 +425,17 @@ class TestTrain:
         with pytest.raises(NumericalError, match="non-finite"):
             train(model, make_synthetic_dataset(8), make_synthetic_dataset(4, seed=1), epochs=1)
 
+    def test_each_record_keeps_the_confusion_matrix_it_reports(self):
+        model = build(tiny_config())
+        test_set = make_synthetic_dataset(8, seed=1)
+        history = train(model, make_synthetic_dataset(16), test_set, epochs=2, batch_size=8)
+        for m in history:
+            assert m.confusion.total == len(test_set)
+            assert (m.test_accuracy, m.precision, m.recall, m.f1) == tuple(m.confusion.report().values())
+        # nothing changes the model after its last evaluation, so evaluating it again gives the same counts
+        assert np.array_equal(history[-1].confusion.counts, evaluate(model, test_set)[0].counts)
+        assert "confusion" not in METRICS_HEADER and "confusion" not in repr(history[-1])
+
     def test_progress_callback(self):
         seen = []
         model = build(tiny_config())
@@ -454,10 +467,8 @@ class TestTrain:
 
 class TestMetricsCsv:
     def test_header_and_repr_floats(self, tmp_path):
-        from fuzzykan.training import METRICS_HEADER, EpochMetrics
-
         path = tmp_path / "m.csv"
-        write_metrics_csv(path, [EpochMetrics(0, 1 / 3, 0.5, 0.25, 0.125, 0.2, 0.0)])
+        write_metrics_csv(path, [EpochMetrics(0, 1 / 3, 0.5, 0.25, 0.125, 0.2, 0.0, ConfusionMatrix(2))])
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(METRICS_HEADER)
         assert lines[1].split(",")[1] == repr(1 / 3)

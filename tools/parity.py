@@ -1,4 +1,4 @@
-"""Compare two checkouts bit for bit on one battery of model, pool, conv2d, oracle and data arrays.
+"""Compare two checkouts bit for bit on one battery of model, pool, conv2d, oracle, data and CLI run outputs.
 
     python3 tools/parity.py ../parent .
 
@@ -36,12 +36,18 @@ with this file's own writers: IDX train pairs of 28x28 images, plain and
 gzipped, and of 32x32 images; a CIFAR-10 test batch of the real 10,000
 records; and the five CIFAR-10 train batches at 300 records each, with
 ``data.CIFAR_RECORDS_PER_FILE`` patched to match.  It reads each through
-``data.load_dataset`` alone and records the images and labels.  The battery
-has 3,456 model, 192 pool, 48 conv, 12 oracle and 10 data arrays, 3,718 in
-all.  Each array is
-kept as two SHA-256 digests of its dtype, shape and C-ordered bytes: one of
-the array as it is, and one after every NaN is made the dtype's canonical
-quiet NaN.
+``data.load_dataset`` alone and records the images and labels.  Its run
+slice writes a seeded MNIST IDX train/test pair of 64 and 32 images with the
+same writers and, inside the battery process, runs ``fuzzykan.cli.main`` on
+``train`` fuzzy+KAN for 2 epochs, ``train`` max+MLP for 0 epochs and
+``matrix`` for 1 epoch, at batch 16, each in f64 and f32, with relative
+paths so ``config.json`` is the same on both sides.  It records the bytes of
+every file a run writes and of its captured stdout, with ``metrics.csv``'s
+``seconds`` column and each "(N.Ns)" of stdout masked; each is one uint8
+array.  The battery has 3,456 model, 192 pool, 48 conv, 12 oracle and 10
+data arrays and 72 run outputs, 3,790 in all.  Each array is kept as two
+SHA-256 digests of its dtype, shape and C-ordered bytes: one of the array as
+it is, and one after every NaN is made the dtype's canonical quiet NaN.
 
 The report lists each key whose exact digest differs and each key that one
 side lacks, then a count.  A key whose exact digests differ while its
@@ -57,10 +63,14 @@ array is identical and 1 otherwise.  BLAS runs one thread on both sides.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import gzip
 import hashlib
+import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -89,6 +99,16 @@ CONV_STRIDES = (1, 2)  # stride s runs on an input s - 1 rows and columns larger
 IDX_CASES = (("mnist-28", 28, False), ("mnist-28-gz", 28, True), ("mnist-32", 32, False))
 IDX_IMAGES = 50
 CIFAR_RECORDS = {"test": 10000, "train": 300}
+# run slice: each case's CLI arguments, run at each precision and RUN_BATCH on an IDX pair of RUN_IMAGES 28x28 images
+RUNS = {
+    "train-fuzzy-kan-2": ["train", "--pooling", "fuzzy", "--head", "kan", "--epochs", "2"],
+    "train-max-mlp-0": ["train", "--pooling", "max", "--head", "mlp", "--epochs", "0"],
+    "matrix-1": ["matrix", "--epochs", "1"],
+}
+RUN_PRECISIONS = ("f64", "f32")
+RUN_IMAGES = {"train": 64, "test": 32}
+RUN_BATCH = 16
+STDOUT_SECONDS = re.compile(r"\(\d+\.\ds\)")  # an epoch line's wall-clock "(N.Ns)"
 THREADS = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -101,7 +121,7 @@ def digest(array) -> list[str]:
 
 def battery() -> dict:
     """Key -> digest of every array of the battery, computed with the ``fuzzykan`` on ``sys.path``."""
-    return {**model_battery(), **pool_battery(), **conv_battery(), **oracle_battery(), **data_battery()}
+    return {**model_battery(), **pool_battery(), **conv_battery(), **oracle_battery(), **data_battery(), **cli_battery()}
 
 
 def edge_images(rng, params, dtype, shape) -> np.ndarray:
@@ -165,14 +185,18 @@ def oracle_battery() -> dict:
     return digests
 
 
+def write_idx(directory: Path, split: str, images, labels, gz=False):
+    """Write uint8 ``images`` and ``labels`` as ``split``'s IDX files in ``directory``, gzipped if ``gz``."""
+    from fuzzykan.data import IDX_FILES
+
+    for stem, magic, array in zip(IDX_FILES[split], (0x00000803, 0x00000801), (images, labels)):
+        raw = struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes()
+        (directory / (f"{stem}.gz" if gz else stem)).write_bytes(gzip.compress(raw, mtime=0) if gz else raw)
+
+
 def data_battery() -> dict:
     """Key -> digest of the images and labels ``load_dataset`` reads from each seeded file set of the data slice."""
     import fuzzykan.data as data
-
-    def write_idx(directory, images, labels, gz):
-        for stem, magic, array in zip(data.IDX_FILES["train"], (0x00000803, 0x00000801), (images, labels)):
-            raw = struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes()
-            (directory / (f"{stem}.gz" if gz else stem)).write_bytes(gzip.compress(raw, mtime=0) if gz else raw)
 
     def record(key, dataset):
         digests.update({f"{key}/{name}": digest(getattr(dataset, name)) for name in ("images", "labels")})
@@ -184,7 +208,7 @@ def data_battery() -> dict:
             root = Path(tmp) / case
             (root / "mnist").mkdir(parents=True)
             images = rng.integers(0, 256, (IDX_IMAGES, side, side), dtype=np.uint8)
-            write_idx(root / "mnist", images, rng.integers(0, 10, IDX_IMAGES, dtype=np.uint8), gz)
+            write_idx(root / "mnist", "train", images, rng.integers(0, 10, IDX_IMAGES, dtype=np.uint8), gz)
             record(f"data/{case}/train", data.load_dataset("mnist", root, "train"))
         records_per_file = data.CIFAR_RECORDS_PER_FILE
         for split, records in CIFAR_RECORDS.items():
@@ -199,6 +223,48 @@ def data_battery() -> dict:
                 record(f"data/cifar10/{split}", data.load_dataset("cifar10", root, split))  # the test images are 245 MB
             finally:
                 data.CIFAR_RECORDS_PER_FILE = records_per_file
+    return digests
+
+
+def masked_seconds(metrics_csv: str) -> str:
+    """``metrics.csv`` with each value of its ``seconds`` column replaced by "-"."""
+    rows = list(csv.reader(io.StringIO(metrics_csv)))
+    column = rows[0].index("seconds")
+    for row in rows[1:]:
+        row[column] = "-"
+    masked = io.StringIO()
+    csv.writer(masked).writerows(rows)
+    return masked.getvalue()
+
+
+def cli_battery() -> dict:
+    """Key -> digest of every file each case of the run slice writes and of its stdout, wall-clock seconds masked."""
+    from fuzzykan.cli import main
+
+    digests = {}
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):  # relative paths, so config.json is the same
+        data_dir = Path("data")
+        (data_dir / "mnist").mkdir(parents=True)
+        for split, n in RUN_IMAGES.items():
+            images = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
+            write_idx(data_dir / "mnist", split, images, rng.integers(0, 10, n, dtype=np.uint8))
+        for case, argv in RUNS.items():
+            for precision in RUN_PRECISIONS:
+                key, out_dir, stdout = f"run/{case}/{precision}", Path("runs") / case / precision, io.StringIO()
+                flags = ["--batch", str(RUN_BATCH), "--precision", precision, "--data-dir", str(data_dir)]
+                with contextlib.redirect_stdout(stdout):  # the battery's own stdout is its JSON
+                    code = main([*argv, *flags, "--out-dir", str(out_dir)])
+                if code != 0:
+                    raise RuntimeError(f"{key}: fuzzykan exited {code}")
+                outputs = {"stdout": STDOUT_SECONDS.sub("(-s)", stdout.getvalue()).encode()}
+                for path in out_dir.rglob("*"):
+                    if path.is_file():
+                        raw = path.read_bytes()
+                        if path.name == "metrics.csv":
+                            raw = masked_seconds(raw.decode()).encode()
+                        outputs[str(path.relative_to(out_dir))] = raw
+                digests.update({f"{key}/{name}": digest(np.frombuffer(raw, np.uint8)) for name, raw in outputs.items()})
     return digests
 
 
