@@ -126,13 +126,9 @@ class ConfusionMatrix:
             f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
         return precision, recall, f1
 
-    def macro(self):
-        precision, recall, f1 = self.per_class()
-        return float(precision.mean()), float(recall.mean()), float(f1.mean())
-
     def report(self) -> dict:
         """The four numbers a run reports, in order: accuracy and the macro precision, recall and F1."""
-        precision, recall, f1 = self.macro()
+        precision, recall, f1 = (float(m.mean()) for m in self.per_class())
         return {"accuracy": self.accuracy, "precision": precision, "recall": recall, "f1": f1}
 
     def write_csv(self, path):

@@ -9,6 +9,8 @@ import fuzzykan.tensor as T
 from fuzzykan.checks import GRAD_TOL, _near_breakpoint, gradient_check
 from fuzzykan.data import IDX_FILES, IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
 from fuzzykan.kan import SplineGrid, kan_init, kan_stack_forward
+from fuzzykan.model import ModelConfig, build
+from fuzzykan.pooling import MembershipParams, PoolConfig
 
 
 def write_idx_split(root, images, labels, split="train"):
@@ -21,6 +23,14 @@ def write_idx_split(root, images, labels, split="train"):
         array = np.ascontiguousarray(array, dtype=np.uint8)
         path.write_bytes(struct.pack(f">{1 + array.ndim}I", magic, *array.shape) + array.tobytes())
     return paths
+
+
+def write_random_mnist(root, n, hw):
+    """Write n random hw x hw uint8 images holding every byte value as an MNIST train split; returns [n,1,hw,hw]."""
+    images = np.random.default_rng(hw).integers(0, 256, (n, hw, hw)).astype(np.uint8)
+    images.reshape(-1)[:256] = np.arange(256)  # every byte value
+    write_idx_split(root, images, np.arange(n, dtype=np.uint8) % 10)
+    return images[:, None]
 
 
 def make_synthetic_images(n, seed=0):
@@ -66,10 +76,16 @@ def real_mnist_dir():
     if not root:
         return None
     d = Path(root) / "mnist" if (Path(root) / "mnist").is_dir() else Path(root)
-    for stem in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
-        if not ((d / stem).exists() or (d / f"{stem}.gz").exists()):
-            return None
+    if not all((d / stem).exists() or (d / f"{stem}.gz").exists() for pair in IDX_FILES.values() for stem in pair):
+        return None
     return d.parent if d.name == "mnist" else d
+
+
+def batch32_step(head, kind):
+    """A batch-32 train step's model, images and labels for the paper's fuzzy+KAN or its max+MLP baseline."""
+    model = build(ModelConfig(head=head, pooling=PoolConfig(kind=kind, membership=MembershipParams(r_max=6.0))))
+    rng = np.random.default_rng(0)
+    return model, rng.uniform(0, 1, (32, 1, 32, 32)), rng.integers(0, 10, 32)
 
 
 def check_kan_gradients(seed: int = 0):

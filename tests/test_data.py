@@ -1,7 +1,6 @@
 import gzip
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 import fuzzykan.data as data
 from fuzzykan.data import IDX_IMAGES_MAGIC, DataError, batches, load_dataset
 
-from conftest import make_synthetic_dataset, make_synthetic_images, write_idx_split
+from conftest import make_synthetic_dataset, make_synthetic_images, write_idx_split, write_random_mnist
 
 
 class TestIdx:
@@ -241,15 +240,9 @@ def scaled_then_padded(images, pad):
 class TestScaledOnce:
     """The loaders pad the uint8 bytes and scale them once, with the bytes of the float formula."""
 
-    def write_mnist(self, root, n, hw):
-        images = np.random.default_rng(hw).integers(0, 256, (n, hw, hw)).astype(np.uint8)
-        images.reshape(-1)[:256] = np.arange(256)  # every byte value
-        write_idx_split(root, images, np.arange(n, dtype=np.uint8) % 10)
-        return images[:, None]
-
     @pytest.mark.parametrize("hw, pad", [(28, 2), (32, 0)])
     def test_idx_bytes(self, tmp_path, hw, pad):
-        images = self.write_mnist(tmp_path, 5, hw)
+        images = write_random_mnist(tmp_path, 5, hw)
         ds = load_dataset("mnist", tmp_path, "train")
         assert ds.images.dtype == np.float64 and ds.images.flags.c_contiguous
         assert ds.images.tobytes() == scaled_then_padded(images, pad).tobytes()
@@ -262,17 +255,6 @@ class TestScaledOnce:
         ds = load_dataset("cifar10", tmp_path, "test")
         assert ds.images.dtype == np.float64 and ds.images.flags.c_contiguous
         assert ds.images.tobytes() == scaled_then_padded(images, 0).tobytes()
-
-    def test_padded_load_peaks_near_its_output(self, tmp_path):
-        # padding float pixels would hold the unpadded float copy and the padded one at once, 1.77x the output
-        self.write_mnist(tmp_path, 2000, 28)
-        tracemalloc.start()
-        try:
-            ds = load_dataset("mnist", tmp_path, "train")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * ds.images.nbytes
 
 
 class TestLoadDataset:

@@ -1,12 +1,11 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import fuzzykan.kan as kan
 import fuzzykan.tensor as T
-from fuzzykan.checks import gradient_check
+from fuzzykan.checks import GRAD_TOL, SPLINE_ORACLE_TOL, gradient_check
 from fuzzykan.kan import SplineGrid, bspline_basis, kan_init, kan_layer_forward, kan_stack_forward
 from fuzzykan.oracles import spline_oracle
 
@@ -91,8 +90,8 @@ class TestBasis:
             with np.errstate(invalid="ignore"):  # the oracle's inf * 0 at x = +-inf
                 ref_basis, ref_deriv = spline_oracle(xs, g)
             # NaN only where the oracle is NaN
-            np.testing.assert_allclose(basis, ref_basis, rtol=0, atol=1e-12, err_msg=str(g))
-            np.testing.assert_allclose(deriv, ref_deriv, rtol=0, atol=1e-12, err_msg=str(g))
+            np.testing.assert_allclose(basis, ref_basis, rtol=0, atol=SPLINE_ORACLE_TOL, err_msg=str(g))
+            np.testing.assert_allclose(deriv, ref_deriv, rtol=0, atol=SPLINE_ORACLE_TOL, err_msg=str(g))
             # non-finite input: a NaN row, or a zero row for the order-0 indicator
             nonfinite = basis[-3:]
             assert np.isnan(nonfinite).all() if g.order else (nonfinite == 0.0).all(), g
@@ -246,26 +245,6 @@ class TestKanLayer:
         assert len(placed) == 1 + derivative_builds
         assert layer.coeffs.grad is not None and (x.grad is not None) == x_needs_grad
 
-    @pytest.mark.parametrize("dtype, budget", [(np.float64, 3.0), (np.float32, 3.4)])
-    def test_forward_peak_stays_within_its_budget(self, dtype, budget):
-        # at the eval head's [256, 400] input, in units of the basis rows' bytes: writing the rows once,
-        # with no padded rows and no reshape copy, peaks 2.52 (f64) and 3.03 (f32); the padded rows peaked 3.25 and
-        # 3.50, and ``_basis_rows`` without its ``del`` of the recursion's point-sized arrays peaks 3.41 and 3.94
-        layer = kan_init(400, 84, seed=20)
-        for t in (layer.coeffs, layer.w_b, layer.w_s):
-            t.data = t.data.astype(dtype)
-        x = T.Tensor(np.random.default_rng(20).normal(0.0, 1.5, (256, 400)).astype(dtype))
-        basis_bytes = x.data.size * layer.grid.num_basis * x.data.itemsize
-        with T.no_grad():
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                kan_layer_forward(x, layer)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak - start <= budget * basis_bytes
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             kan_layer_forward(T.Tensor(np.zeros((2, 5))), kan_init(4, 3))
@@ -279,13 +258,13 @@ class TestKanLayer:
             out = kan_layer_forward(x, layer)
             return T.reduce_sum(T.mul(out, out))
 
-        assert gradient_check(build, [x, layer.coeffs, layer.w_b, layer.w_s]) < 1e-4
+        assert gradient_check(build, [x, layer.coeffs, layer.w_b, layer.w_s]) < GRAD_TOL
 
     def test_gradients_outside_grid_range(self):
         rng = np.random.default_rng(10)
         layer = kan_init(3, 2, seed=10)
         x = T.Tensor(rng.uniform(1.5, 2.5, (2, 3)), requires_grad=True)  # beyond hi = 1
-        assert gradient_check(lambda: T.reduce_sum(kan_layer_forward(x, layer)), [x, layer.coeffs, layer.w_b, layer.w_s]) < 1e-4
+        assert gradient_check(lambda: T.reduce_sum(kan_layer_forward(x, layer)), [x, layer.coeffs, layer.w_b, layer.w_s]) < GRAD_TOL
 
 
 class TestKanStack:

@@ -171,7 +171,7 @@ class TestParameterStore:
         optimizer = AdamW(model.parameters())
         x = T.Tensor(images, requires_grad=True)
         tensors = [t for _, t in model.parameters()] + [x]
-        assert gradient_check(lambda: T.softmax_cross_entropy(model.forward(x), labels), tensors) < 1e-4
+        assert gradient_check(lambda: T.softmax_cross_entropy(model.forward(x), labels), tensors) < checks.GRAD_TOL
         for _ in range(2):
             optimizer.zero_grad()
             T.softmax_cross_entropy(model.forward(images), labels).backward()
@@ -255,7 +255,7 @@ class TestEndToEndGradients:
         x = T.Tensor(images, requires_grad=True)
         tensors = [t for _, t in model.parameters()] + [x]
         worst = gradient_check(lambda: T.softmax_cross_entropy(model.forward(x), labels), tensors)
-        assert worst < 1e-4, f"{pooling}/{head}: worst relative error {worst}"
+        assert worst < checks.GRAD_TOL, f"{pooling}/{head}: worst relative error {worst}"
 
     def test_setup_gives_up_when_no_seed_is_smooth(self, monkeypatch):
         scanned = []

@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import fuzzykan.pooling as pooling
 import fuzzykan.tensor as T
-from fuzzykan.checks import BREAKPOINT_MARGIN, _pool_input_is_smooth, gradient_check
+from fuzzykan.checks import BREAKPOINT_MARGIN, GRAD_TOL, _pool_input_is_smooth, gradient_check
 from fuzzykan.oracles import (
     algebraic_sum_score,
     defuzzify_cog,
@@ -434,7 +432,7 @@ class TestPool:
             out = pool(x, config)
             return T.reduce_sum(T.mul(out, out))
 
-        assert gradient_check(build, [x]) < 1e-4
+        assert gradient_check(build, [x]) < GRAD_TOL
 
     @pytest.mark.parametrize("kind", ["max", "average", "fuzzy"])
     def test_overlapping_stride_gradient(self, kind):
@@ -451,7 +449,7 @@ class TestPool:
             out = pool(x, config)
             return T.reduce_sum(T.mul(out, out))
 
-        assert gradient_check(build, [x]) < 1e-4
+        assert gradient_check(build, [x]) < GRAD_TOL
 
     @pytest.mark.parametrize("shape, k", [((2, 3, 8, 8), 2), ((1, 2, 6, 6), 3)])
     def test_max_backward_matches_scatter_add(self, shape, k):
@@ -666,53 +664,6 @@ class TestImageBlocks:
             for idx in np.ndindex(out.shape):
                 expected = pool_window_oracle(win[idx], kind, params)
                 assert out[idx] == expected or np.isnan(out[idx]) and np.isnan(expected), idx
-
-    # what a pool forward may hold, in units of out.nbytes (one f64 per window)
-    HELD = {
-        "max": 1.125,  # the output and one uint8 winning plane per window
-        "average": 1.0,  # the output alone: the rule keeps only k*k
-        "fuzzy": 1.25,  # the output, the one-byte below-c mask per window and an int8 v* per fuzzified window
-    }
-
-    @pytest.mark.parametrize("kind", ["max", "average", "fuzzy"])
-    def test_forward_holds_the_output_and_one_block(self, kind):
-        # the 0.02 (12 KB) is the tensor and each block's closure, measured at 2-5 KB; an int32 winner
-        # (+0.375) or an int64 index per fuzzified window (about +0.94) exceeds it
-        rng = np.random.default_rng(32)
-        x = T.Tensor(np.maximum(rng.normal(0.0, 0.3, (64, 6, 28, 28)), 0.0), requires_grad=True)
-        config = PoolConfig(kind=kind, membership=MembershipParams(0.5))
-        assert (T.windows(x.data, 2, 2) >= config.membership.c).any(axis=(-2, -1)).mean() > 0.5
-        tracemalloc.start()
-        try:
-            out = pool(x, config)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held < (self.HELD[kind] + 0.02) * out.data.nbytes
-
-    # fuzzy pooling also holds a block's three membership sets and their slopes, one [3, k*k, M] array each: its
-    # f64 transients are 6.7 (forward) and 8.2 (backward) blocks
-    @pytest.mark.parametrize("kind, blocks", [("max", 3), ("average", 3), ("fuzzy", 9)])
-    def test_planes_stay_per_block(self, kind, blocks):
-        # with batch-sized planes the transients are 7.2 (max), 5.7 (average) and 35 (fuzzy) blocks
-        rng = np.random.default_rng(33)
-        x = T.Tensor(np.maximum(rng.normal(0.0, 0.3, (64, 6, 28, 28)), 0.0), requires_grad=True)
-        upstream = T.Tensor(rng.uniform(-1.0, 1.0, (64, 6, 14, 14)))
-        config = PoolConfig(kind=kind, membership=MembershipParams(0.5))
-        bound = blocks * T.IMAGE_BLOCK * x.data.itemsize
-        tracemalloc.start()
-        try:
-            out = pool(x, config)
-            held, peak = tracemalloc.get_traced_memory()
-            forward_transient = peak - held  # beyond the output and what the gradient rules keep
-            loss = T.reduce_sum(T.mul(out, upstream))
-            tracemalloc.reset_peak()
-            loss.backward()
-            held, peak = tracemalloc.get_traced_memory()
-            backward_transient = peak - held  # beyond the gradients it leaves, the input's included
-        finally:
-            tracemalloc.stop()
-        assert forward_transient < bound and backward_transient < bound
 
 
 def argmax_max_pool(x, k, stride, upstream):
