@@ -7,7 +7,7 @@ this module imports numpy alone and reads a ``MembershipParams`` or a
 - ``pooling.pool``, every kind at every window: ``pool_window_oracle``, bit
   for bit.  Its fuzzy rule, ``fuzzy_window_reference``, composes the paper's
   four stages: ``fuzzify``, ``algebraic_sum_score``, ``select_fuzzy_patch``
-  and ``defuzzify_cog``.
+  and ``defuzzify_cog``, with no fall-back (the winning mass is >= 3/7).
 - ``pooling.memberships``: ``fuzzify``'s triangles; ``pooling.fuzzy_scores``:
   the folds of ``algebraic_sum_score`` and ``defuzzify_cog``; the fuzzy
   winner: ``select_fuzzy_patch``'s two strict comparisons.  All bit for bit.
@@ -24,8 +24,6 @@ and ``argmax_max_pool`` in ``tests/test_pooling.py``; ``window_oracle`` in
 """
 
 import numpy as np
-
-COG_EPS = 1e-12
 
 
 def fuzzify(patch, params):
@@ -65,19 +63,19 @@ def select_fuzzy_patch(scores) -> int:
 
 
 def defuzzify_cog(patch, memberships) -> float:
-    """Center of gravity, folded row-major in Python floats; a vanishing membership mass falls back to the mean."""
+    """Center of gravity, folded row-major in Python floats, with no fall-back: a zero mass raises ZeroDivisionError."""
     patch = np.asarray(patch, dtype=float)
     pi = np.asarray(memberships, dtype=float)
     if patch.shape != pi.shape:
         raise ValueError(f"shape mismatch: patch {patch.shape} vs memberships {pi.shape}")
-    num = den = total = 0.0
+    num = den = 0.0
     for w, x in zip(pi.ravel().tolist(), patch.ravel().tolist()):
-        num, den, total = num + w * x, den + w, total + x
-    return total / patch.size if den < COG_EPS else num / den
+        num, den = num + w * x, den + w
+    return num / den
 
 
 def fuzzy_window_reference(patch, params) -> float:
-    """One fuzzy window by the four stages; its winning mass, >= 3/7 or NaN (``pooling``), never takes the fall-back."""
+    """One fuzzy window by the four stages; its winning mass is >= 3/7 or NaN (``pooling``)."""
     pis = fuzzify(patch, params)
     v = select_fuzzy_patch([algebraic_sum_score(pi) for pi in pis])
     return defuzzify_cog(patch, pis[v - 1])

@@ -34,7 +34,7 @@ mu3 = 1.  A set's algebraic-sum score lies between its largest membership
 and its mass, max(pi_i) <= 1 - prod(1 - pi_i) <= sum(pi_i), so the winning
 score is at least 3/7, and so is the winning set's mass, for any window
 size and any r_max.  An entry of +-inf has a membership of exactly 1, and
-a NaN entry gives a NaN mass.  So ``pool`` has no fall-back.
+a NaN entry gives a NaN mass.  So ``pool`` and its oracle have no fall-back.
 
 A window of +inf among entries below c pools to NaN, as it does in
 ``oracles.fuzzy_window_reference``.  mu1 and mu3 tie at score 1 (the entries

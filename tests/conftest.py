@@ -5,10 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fuzzykan.tensor as T
-from fuzzykan.checks import GRAD_TOL, _near_breakpoint, gradient_check
+from fuzzykan.checks import _near_breakpoint
 from fuzzykan.data import IDX_FILES, IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset
-from fuzzykan.kan import SplineGrid, kan_init, kan_stack_forward
 from fuzzykan.model import ModelConfig, build
 from fuzzykan.pooling import MembershipParams, PoolConfig
 
@@ -87,14 +85,3 @@ def batch32_step(head, kind):
     rng = np.random.default_rng(0)
     return model, rng.uniform(0, 1, (32, 1, 32, 32)), rng.integers(0, 10, 32)
 
-
-def check_kan_gradients(seed: int = 0):
-    """Finite-difference check of a small 2-layer KAN stack: (ok, worst relative error)."""
-    rng = np.random.default_rng(seed)
-    grid = SplineGrid()
-    layers = [kan_init(4, 3, grid, seed=seed), kan_init(3, 2, grid, seed=seed + 1)]
-    x = T.Tensor(rng.uniform(-2.0, 2.0, (3, 4)), requires_grad=True)
-    labels = rng.integers(0, 2, 3)
-    tensors = [x] + [t for layer in layers for t in (layer.coeffs, layer.w_b, layer.w_s)]
-    worst = gradient_check(lambda: T.softmax_cross_entropy(kan_stack_forward(x, layers), labels), tensors)
-    return worst < GRAD_TOL, worst

@@ -12,15 +12,8 @@ from conftest import make_synthetic_dataset, make_synthetic_images, write_idx_sp
 
 
 class TestIdx:
-    """The IDX reader through ``load_dataset``: bytes round-trip, and every file fault is a ``DataError`` naming the file."""
-
-    def test_round_trip(self, tmp_path):
-        images, labels = make_synthetic_images(7, seed=3)
-        write_idx_split(tmp_path, images, labels)
-        ds = load_dataset("mnist", tmp_path, "train")
-        assert ds.images.shape == (7, 1, 32, 32)
-        np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
-        np.testing.assert_array_equal((ds.images[:, 0, 2:-2, 2:-2] * 255.0).round().astype(np.uint8), images)
+    """The IDX reader through ``load_dataset``: every file fault is a ``DataError`` naming the file (acceptance
+    criterion 5 round-trips the bytes, and ``TestScaledOnce`` pins the padding)."""
 
     def test_normalization_bounds(self, tmp_path):
         images = np.zeros((2, 28, 28), dtype=np.uint8)
@@ -47,19 +40,6 @@ class TestIdx:
         bad = img.with_name(f"{img.name}.gz")
         bad.write_bytes(packed[: len(packed) // 2] if defect == "truncated" else packed[:10] + b"garbage" * 40)
         with pytest.raises(DataError, match=re.escape(f"{bad}: corrupt gzip file: ")):
-            load_dataset("mnist", tmp_path, "train")
-
-    def test_bad_magic(self, tmp_path):
-        img, _ = write_idx_split(tmp_path, np.zeros((1, 28, 28), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
-        img.write_bytes(b"\x00\x00\x00\x00" + b"\x00" * 16)
-        with pytest.raises(DataError, match=re.escape(f"{img}: bad magic 0x00000000, expected 0x00000803")):
-            load_dataset("mnist", tmp_path, "train")
-
-    def test_truncated(self, tmp_path):
-        images, labels = make_synthetic_images(4, seed=5)
-        img, _ = write_idx_split(tmp_path, images, labels)
-        img.write_bytes(img.read_bytes()[:-100])
-        with pytest.raises(DataError, match=re.escape(f"{img}: expected 3136 data bytes, file holds 3036")):
             load_dataset("mnist", tmp_path, "train")
 
     def test_shorter_than_magic(self, tmp_path):
@@ -111,18 +91,15 @@ TRAIN_BATCHES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 
 
 class TestCifar:
-    """The five-file train split runs at 300 records a file (``monkeypatch`` of ``CIFAR_RECORDS_PER_FILE``);
-    the test-split cases write ``test_batch.bin`` alone, at the real 10,000 records."""
+    """The five-file train split, at 300 records a file (``monkeypatch`` of ``CIFAR_RECORDS_PER_FILE``)."""
 
-    def make_dir(self, tmp_path, names, seed=0, bad_label=False):
+    def make_dir(self, tmp_path, names, seed=0):
         rng = np.random.default_rng(seed)
         n = data.CIFAR_RECORDS_PER_FILE
         reference = {}
         for name in names:
             images = rng.integers(0, 256, (n, 3, 32, 32), dtype=np.uint8)
             labels = rng.integers(0, 10, n, dtype=np.uint8)
-            if bad_label:
-                labels[0] = 11
             write_cifar_batch(tmp_path / name, images, labels)
             reference[name] = (images, labels)
         return reference
@@ -147,11 +124,6 @@ class TestCifar:
         with pytest.raises(DataError, match=re.escape(f"{path}: size {300 * 3073 - 1} != {300 * 3073}")):
             load_dataset("cifar10", tmp_path, "train")
 
-    def test_bad_label(self, tmp_path):
-        self.make_dir(tmp_path, ["test_batch.bin"], bad_label=True)
-        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'test_batch.bin'}: label byte 11 out of range")):
-            load_dataset("cifar10", tmp_path, "test")
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match=re.escape(f"not found under {tmp_path}: missing {', '.join(TRAIN_BATCHES)}")):
             load_dataset("cifar10", tmp_path, "train")
@@ -162,13 +134,6 @@ class TestCifar:
         (tmp_path / TRAIN_BATCHES[0]).mkdir()
         with pytest.raises(DataError, match=re.escape(f"{tmp_path / TRAIN_BATCHES[0]}: cannot read: ")):
             load_dataset("cifar10", tmp_path, "train")
-
-    def test_batches_bin_subdir(self, tmp_path):
-        sub = tmp_path / "cifar-10-batches-bin"
-        sub.mkdir()
-        self.make_dir(sub, ["test_batch.bin"])
-        assert len(load_dataset("cifar10", tmp_path, "test")) == 10000
-
 
 class TestLoadDatasetCifar:
     """``load_dataset("cifar10")`` on the test split: each layout resolves, and a bad file is named."""
@@ -191,45 +156,10 @@ class TestLoadDatasetCifar:
         with pytest.raises(DataError, match=re.escape(f"{path}: label byte 12 out of range")):
             load_dataset("cifar10", tmp_path, "test")
 
-    def test_truncated_file_is_reported(self, tmp_path):
-        path = self.write_test_batch(tmp_path / "cifar10")
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(DataError, match=re.escape(f"{path}: size")):
-            load_dataset("cifar10", tmp_path, "test")
-
     def test_missing_file_is_not_found(self, tmp_path):
         (tmp_path / "cifar10").mkdir()
         with pytest.raises(DataError, match="CIFAR-10 binary batches not found under .*test_batch.bin"):
             load_dataset("cifar10", tmp_path, "test")
-
-
-class TestResize:
-    """``load_dataset`` zero-pads 28x28 IDX images by 2 pixels per border
-    and passes 32x32 ones through unchanged."""
-
-    def load_idx_images(self, root, images):
-        write_idx_split(root, images, np.zeros(len(images), dtype=np.uint8))
-        return load_dataset("mnist", root, "train")
-
-    def test_pad_shape_and_zeros(self, tmp_path):
-        out = self.load_idx_images(tmp_path, np.full((2, 28, 28), 255, dtype=np.uint8)).images
-        assert out.shape == (2, 1, 32, 32)
-        assert out[:, :, :2, :].max() == 0.0 and out[:, :, -2:, :].max() == 0.0
-        assert out[:, :, :, :2].max() == 0.0 and out[:, :, :, -2:].max() == 0.0
-        assert out[:, :, 2:-2, 2:-2].min() == 1.0
-
-    def test_pad_pixel_placement(self, tmp_path):
-        images = np.zeros((1, 28, 28), dtype=np.uint8)
-        images[0, 0, 0] = 170
-        out = self.load_idx_images(tmp_path, images).images
-        assert out[0, 0, 2, 2] == 170 / 255
-        assert out.sum() == 170 / 255  # mass preserved
-
-    def test_to_model_input_passthrough_at_32(self, tmp_path):
-        images = np.arange(2 * 32 * 32, dtype=np.int64).reshape(2, 32, 32).astype(np.uint8)
-        out = self.load_idx_images(tmp_path, images).images
-        assert out.shape == (2, 1, 32, 32)
-        np.testing.assert_array_equal(out[:, 0], images / 255.0)
 
 
 def scaled_then_padded(images, pad):
@@ -244,6 +174,7 @@ class TestScaledOnce:
     def test_idx_bytes(self, tmp_path, hw, pad):
         images = write_random_mnist(tmp_path, 5, hw)
         ds = load_dataset("mnist", tmp_path, "train")
+        assert ds.images.shape == (5, 1, 32, 32)
         assert ds.images.dtype == np.float64 and ds.images.flags.c_contiguous
         assert ds.images.tobytes() == scaled_then_padded(images, pad).tobytes()
 
@@ -269,11 +200,6 @@ class TestLoadDataset:
         images = np.random.default_rng(0).integers(0, 256, (4, hw, hw)).astype(np.uint8)
         img, _ = write_idx_split(root, images, np.arange(4, dtype=np.uint8))
         return img, images
-
-    def test_32x32_passes_through(self, tmp_path):
-        _, images = self.write_mnist(tmp_path, 32)
-        ds = load_dataset("mnist", tmp_path, "train")
-        np.testing.assert_array_equal(ds.images[:, 0], images / 255.0)
 
     @pytest.mark.parametrize("hw", [20, 30])
     def test_other_geometry_is_a_data_error(self, tmp_path, hw):

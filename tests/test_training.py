@@ -102,8 +102,8 @@ class TestAdamW:
             opt.step()
         assert p.data[0] == 1.0
 
-    def test_missing_grad_treated_as_zero(self):
-        # a parameter the backward never reaches keeps its zero-filled gradient, so it only decays
+    def test_an_unreached_parameter_only_decays(self):
+        # a parameter the backward never reaches keeps its zero-filled gradient
         p = scalar_param(1.0)
         opt = AdamW(T.ParameterStore([("p", p)], np.float64), lr=0.1)
         opt.step()
@@ -230,23 +230,9 @@ class TestConfusionMatrix:
         cm.counts[:] = [[5, 1], [2, 4]]
         return cm
 
-    def test_accuracy(self):
-        assert self.worked().accuracy == 0.75
-
-    def test_class0_precision_recall(self):
-        precision, recall, f1 = self.worked().per_class()
-        assert precision[0] == pytest.approx(5 / 7, abs=1e-15)
-        assert recall[0] == pytest.approx(5 / 6, abs=1e-15)
-        assert f1[0] == pytest.approx(2 * (5 / 7) * (5 / 6) / (5 / 7 + 5 / 6), abs=1e-15)
-
     def test_macro_is_mean(self):
         precision, recall, f1 = self.worked().per_class()
         assert list(self.worked().report().values())[1:] == [precision.mean(), recall.mean(), f1.mean()]
-
-    def test_perfect_predictor(self):
-        cm = ConfusionMatrix(3)
-        cm.update([0, 1, 2, 2], [0, 1, 2, 2])
-        assert cm.report() == {"accuracy": 1.0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
 
     def test_absent_class_scores_zero(self):
         cm = ConfusionMatrix(3)
