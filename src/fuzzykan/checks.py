@@ -173,7 +173,7 @@ def _pool_input_is_smooth(values, config: PoolConfig) -> bool:
         return True
     ranked = T.window_planes(T.windows(np.asarray(values, dtype=float), config.k, config.stride))
     if config.kind == "fuzzy":
-        ranked = fuzzy_scores(ranked, config.membership)[0]
+        _, ranked = fuzzy_scores(ranked, config.membership)
     runner_up, top = np.sort(ranked, axis=0)[-2:]
     return not (top - runner_up <= BREAKPOINT_MARGIN).any()
 

@@ -9,8 +9,9 @@ this module imports numpy alone and reads a ``MembershipParams`` or a
   four stages: ``fuzzify``, ``algebraic_sum_score``, ``select_fuzzy_patch``
   and ``defuzzify_cog``, with no fall-back (the winning mass is >= 3/7).
 - ``pooling.memberships``: ``fuzzify``'s triangles; ``pooling.fuzzy_scores``:
-  the folds of ``algebraic_sum_score`` and ``defuzzify_cog``; the fuzzy
-  winner: ``select_fuzzy_patch``'s two strict comparisons.  All bit for bit.
+  ``algebraic_sum_score``'s fold; the fuzzy winner: ``select_fuzzy_patch``'s
+  two strict comparisons; ``pooling._cog``: ``defuzzify_cog``'s numerator
+  and mass folds.  All bit for bit.
 - ``kan.bspline_basis`` and its derivative: ``spline_oracle``, over
   ``bspline_reference`` and ``bspline_derivative_reference``, within 1e-12.
 

@@ -13,17 +13,19 @@ a = r_max/4 and r = r_max/2 both exceed c = r_max/6; so v* = 1, the output
 is the window mean, and the COG gradient reduces to 1/(k*k), all bit for
 bit.  The other windows of an image block are gathered as the [k*k, M]
 columns of the block's window planes, which ``fuzzy_scores`` fuzzifies once
-into the block's [3, k*k, M] memberships; it folds each set's algebraic-sum
-score, COG numerator and COG denominator in place into [3, M] arrays.
-Selection comes after the folds, by ``oracles.select_fuzzy_patch``'s two
-comparisons (a later set must score strictly higher; a NaN entry makes every
-score NaN, so v* = 1), and ``np.where`` takes the winner's numerator and
-denominator: selecting touches [M] arrays and no membership is gathered
-again.  Each fold makes the sums of the scalar oracle, so the output keeps
-its bits.  A block's gradient rule keeps the one-byte below-c mask and v*
-(int8) of each fuzzified window; it gathers those windows' columns from the
-view with ``tensor.window_columns`` and rebuilds the winner's memberships,
-COG folds and derivatives from them.  A block with no fuzzified window is
+into the block's [3, k*k, M] memberships and scores by folding each set's
+algebraic sum into a [3, M] array.  Selection comes next, by
+``oracles.select_fuzzy_patch``'s two comparisons (a later set must score
+strictly higher; a NaN entry makes every score NaN, so v* = 1), and only
+the winner is defuzzified: ``_pick`` takes each column's winning
+memberships, [k*k, M], and ``_cog`` folds their COG numerator and mass, the
+stages in the order of ``oracles.fuzzy_window_reference``.  Each fold makes
+the sums of the scalar oracle, so the output keeps its bits.  A block's
+gradient rule keeps the one-byte below-c mask and v* (int8) of each
+fuzzified window; it gathers those windows' columns from the view with
+``tensor.window_columns``, evaluates the three sets' memberships and slopes
+there, and ``_pick`` and ``_cog`` rebuild the winner's memberships, slopes
+and COG as the forward made them.  A block with no fuzzified window is
 averaged and skips all of that, forward and backward.
 
 The COG of a fuzzified window divides by the mass ``den`` of its winning
@@ -250,23 +252,29 @@ def _average_pool(planes, win, out, params):
 
 
 def fuzzy_scores(planes, params: MembershipParams):
-    """Each membership set's algebraic-sum score, COG numerator and COG denominator, [3, ...] each, over planes [k*k, ...].
+    """The three sets' memberships [3, k*k, ...] of planes [k*k, ...], and each set's algebraic-sum score [3, ...].
 
-    In ``planes``' dtype; every fold walks the planes in order, a window row-major, as ``oracles.algebraic_sum_score``
-    and ``oracles.defuzzify_cog`` do.
+    The scores are in ``planes``' dtype, folded over the planes in order, a window row-major, as
+    ``oracles.algebraic_sum_score`` folds them.
     """
-    pis = memberships(planes, params)  # [3, k*k, ...]
-    by_entry = pis.swapaxes(0, 1)  # plane i: the three sets' memberships of entry i
-    scores, nums, dens = np.zeros((3, 3) + planes.shape[1:], dtype=planes.dtype)
-    reduce(_algebraic_sum_into, by_entry, scores)
-    reduce(_add_into, by_entry, dens)
-    np.multiply(pis, planes, out=pis)
-    reduce(_add_into, by_entry, nums)
-    return scores, nums, dens
+    pis = memberships(planes, params)
+    scores = np.zeros((3,) + planes.shape[1:], dtype=planes.dtype)
+    reduce(_algebraic_sum_into, pis.swapaxes(0, 1), scores)  # plane i: the three sets' memberships of entry i
+    return pis, scores
+
+
+def _pick(v_star, sets):
+    """The winning set's rows of ``sets`` [3, k*k, M], by each column's v* in 0..2."""
+    return np.where(v_star == 2, sets[2], np.where(v_star == 1, sets[1], sets[0]))
+
+
+def _cog(sel, w):
+    """``oracles.defuzzify_cog``'s numerator and mass folds over each column of ``w`` [k*k, M], weighted by ``sel``."""
+    return _window_sum(sel * w), _window_sum(sel)
 
 
 def _fuzzy_pool(planes, win, out, params: MembershipParams):
-    """Windows wholly below c are averaged; the rest are gathered as columns, folded once per set, and keep the winner's COG."""
+    """Windows wholly below c are averaged; the rest are gathered as columns, scored, and keep the winner's COG."""
     kk = len(planes)
     np.divide(_window_sum(planes), kk, out=out)
     # every entry finite and below c: mu1 == 1, mu2 == mu3 == 0, so v* = 1 and the
@@ -274,11 +282,12 @@ def _fuzzy_pool(planes, win, out, params: MembershipParams):
     fast = reduce(lambda f, x: np.logical_and(f, x < params.c, out=f), planes, np.isfinite(out))
     rest = np.flatnonzero(~fast)
     if rest.size:
-        scores, nums, dens = fuzzy_scores(np.take(planes.reshape(kk, -1), rest, axis=1), params)
+        w = np.take(planes.reshape(kk, -1), rest, axis=1)
+        pis, scores = fuzzy_scores(w, params)
         b1 = scores[1] > scores[0]  # a later set must score strictly higher: the lowest v wins a tie
         b2 = scores[2] > np.where(b1, scores[1], scores[0])
         v_star = np.where(b2, np.int8(2), b1.view(np.int8))
-        num, den = (np.where(b2, a[2], np.where(b1, a[1], a[0])) for a in (nums, dens))
+        num, den = _cog(_pick(v_star, pis), w)
         out.reshape(-1)[rest] = num / den  # den >= 3/7 (module docstring)
 
     def rule(g):
@@ -291,10 +300,9 @@ def _fuzzy_pool(planes, win, out, params: MembershipParams):
         # v* is held constant; the winner's memberships, its COG folds (as the forward
         # made them) and its derivatives come from the input, which the tape keeps unchanged
         w = T.window_columns(win, rest)
-        sel = np.choose(v_star, memberships(w, params))
-        dsel = np.choose(v_star, membership_slopes(w, params))
-        den = _window_sum(sel)
-        num = _window_sum(sel * w)
+        sel = _pick(v_star, memberships(w, params))
+        dsel = _pick(v_star, membership_slopes(w, params))
+        num, den = _cog(sel, w)
         with np.errstate(invalid="ignore"):  # an infinite or overflowed num times a zero slope is NaN
             dw = (sel + dsel * w) / den - num * dsel / (den * den)
         dplanes.reshape(kk, -1)[:, rest] = g.reshape(-1)[rest] * dw

@@ -155,8 +155,8 @@ BUDGETS = [
     Budget("pool", "backward", pool_stage, ("max", 33), 3, "blocks", "batch-sized planes: 7.2"),
     Budget("pool", "forward", pool_stage, ("average", 33), 3, "blocks", "batch-sized planes: 5.7"),
     Budget("pool", "backward", pool_stage, ("average", 33), 3, "blocks", "batch-sized planes: 5.7"),
-    Budget("pool", "forward", pool_stage, ("fuzzy", 33), 9, "blocks", "memberships: 6.7; batch-sized planes: 35"),
-    Budget("pool", "backward", pool_stage, ("fuzzy", 33), 9, "blocks", "memberships, slopes: 8.2; batch planes: 35"),
+    Budget("pool", "forward", pool_stage, ("fuzzy", 33), 9, "blocks", "memberships, winner: 6.76; batch planes: 35"),
+    Budget("pool", "backward", pool_stage, ("fuzzy", 33), 9, "blocks", "memberships, slopes: 8.22; batch planes: 35"),
     Budget("conv", "held", conv1, (12, True), 1, "blocks", "a kept [(c,u,v), N, (i,j)] im2col: 12.5x the output"),
     Budget("conv", "forward", conv1, (13, False), 2, "blocks", "out + bias would hold a second output-sized array"),
     Budget("act", "forward", relu_forward, (), 1.5, "output", "an eager derivative's bool mask and f64 copy: 2.1"),

@@ -43,7 +43,7 @@ def test_a_nan_bits_difference_is_its_own_class_and_still_differs(monkeypatch, c
     assert lines == [
         "differs: kan/values",
         "equal up to NaN sign and payload: kan/fresh/logits",
-        "3 arrays, 2 differing or missing",
+        "3 arrays, 2 differing or missing, 1 of them equal up to NaN sign and payload",
         "DIFFERENT",
     ]
 

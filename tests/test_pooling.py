@@ -257,21 +257,33 @@ class TestAlgebraicSum:
     def test_fuzzy_scores_match_scalar_folds(self, k):
         win = np.random.default_rng(k).uniform(-1.0, 8.0, (4, 5, k, k))
         planes = np.moveaxis(win.reshape(4, 5, k * k), -1, 0)  # plane u*k+v is entry (u, v)
-        scores, nums, dens = fuzzy_scores(planes, PARAMS)
-        assert scores.shape == nums.shape == dens.shape == (3, 4, 5)
+        pis, scores = fuzzy_scores(planes, PARAMS)
+        assert pis.shape == (3, k * k, 4, 5) and scores.shape == (3, 4, 5)
+        cogs = [pooling._cog(pi, planes) for pi in pis]  # every set's folds, though pool folds only the winner's
         for idx in np.ndindex(win.shape[:-2]):
             patch_pis = fuzzify(win[idx], PARAMS)
             for v in range(3):
+                assert pis[v][(slice(None), *idx)].tobytes() == patch_pis[v].ravel().tobytes()
                 assert scores[v][idx] == algebraic_sum_score(patch_pis[v])
                 num = den = 0.0
                 for w, x in zip(patch_pis[v].ravel(), win[idx].ravel()):  # defuzzify_cog's folds
                     num, den = num + w * x, den + w
-                assert (nums[v][idx], dens[v][idx]) == (num, den)
+                assert (cogs[v][0][idx], cogs[v][1][idx]) == (num, den)
+                if den:  # a losing set's mass can be 0
+                    assert num / den == defuzzify_cog(win[idx], patch_pis[v])
 
 
 class TestSelect:
     def test_strict_argmax(self):
         assert select_fuzzy_patch((0.2, 0.9, 0.1)) == 2
+
+    def test_pick_takes_each_columns_winner(self):
+        rng = np.random.default_rng(5)
+        sets = rng.uniform(0.0, 1.0, (3, 4, 12))
+        sets[rng.random(sets.shape) < 0.2] = -0.0
+        sets[rng.random(sets.shape) < 0.1] = -np.nan
+        v_star = rng.permutation(np.arange(12, dtype=np.int8) % 3)  # each set wins four columns
+        assert pooling._pick(v_star, sets).tobytes() == np.choose(v_star, sets).tobytes()
 
     def test_tie_breaks_low(self):
         assert select_fuzzy_patch((1.0, 0.5, 1.0)) == 1
@@ -701,7 +713,7 @@ class TestMaxBits:
 
 
 class TestFuzzySkip:
-    """An image block with no fuzzified window runs no membership pass, scores, choose or COG rebuild, forward or
+    """An image block with no fuzzified window runs no membership pass, scores, winner pick or COG fold, forward or
     backward."""
 
     def test_all_below_c_batch_never_fuzzifies(self, monkeypatch):

@@ -50,9 +50,10 @@ SHA-256 digests of its dtype, shape and C-ordered bytes: one of the array as
 it is, and one after every NaN is made the dtype's canonical quiet NaN.
 
 The report lists each key whose exact digest differs and each key that one
-side lacks, then a count.  A key whose exact digests differ while its
-canonical ones match is listed as "equal up to NaN sign and payload": every
-bit but those of its NaNs, and every NaN position, is the same.  That class
+side lacks, then a count of both and of the NaN class below.  A key whose
+exact digests differ while its canonical ones match is listed as "equal up
+to NaN sign and payload": every bit but those of its NaNs, and every NaN
+position, is the same.  That class
 has one known cause: where two NaNs meet in a contiguous numpy sum, which
 one survives depends on the element's position (the FOUND line on NaN order
 in CHANGES.md), so a layout or block-size change can move NaN bits and no
@@ -352,12 +353,13 @@ def run_battery(checkout: Path) -> dict:
 def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
     """Report lines for two key -> [exact, canonical] digest maps, and whether they are identical."""
     differing = [key for key in parent if key in change and parent[key] != change[key]]
+    nan_bits = [key for key in differing if parent[key][1] == change[key][1]]
     lines = [f"differs: {key}" for key in differing if parent[key][1] != change[key][1]]
-    lines += [f"equal up to NaN sign and payload: {key}" for key in differing if parent[key][1] == change[key][1]]
+    lines += [f"equal up to NaN sign and payload: {key}" for key in nan_bits]
     lines += [f"missing in change: {key}" for key in parent if key not in change]
     lines += [f"missing in parent: {key}" for key in change if key not in parent]
-    keys = len(parent.keys() | change.keys())
-    lines.append(f"{keys} arrays, {len(lines)} differing or missing")
+    summary = f"{len(parent.keys() | change.keys())} arrays, {len(lines)} differing or missing"
+    lines.append(summary + (f", {len(nan_bits)} of them equal up to NaN sign and payload" if nan_bits else ""))
     return lines, len(lines) == 1
 
 
