@@ -173,7 +173,12 @@ class KanLayerParams:
 
 
 def kan_init(in_features: int, out_features: int, grid: SplineGrid | None = None, seed: int = 0) -> KanLayerParams:
-    """Seeded initialization: c ~ N(0, 0.1/sqrt(num_basis)), w_b = w_s = 1."""
+    """Seeded initialization: c ~ N(0, sigma^2) with sigma = 0.1/sqrt(num_basis), w_b = w_s = 1.
+
+    Two departures from Liu et al. (2024), section 2.2, which set w_s = 1 too: they draw w_b by Xavier
+    initialization, where this sets w_b = 1, and they draw c with sigma = 0.1, where this divides it by
+    sqrt(num_basis).
+    """
     grid = grid or SplineGrid()
     rng = np.random.default_rng(seed)
     scale = 0.1 / np.sqrt(grid.num_basis)

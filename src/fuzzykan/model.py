@@ -1,17 +1,22 @@
 """Assembly of the six compared architectures.
 
 A LeNet backbone (conv 6@5x5 -> act -> pool -> conv 16@5x5 -> act -> pool ->
-flatten 400) is combined with one of three pooling kinds and either an MLP
-head (400-120-84-10) or a KAN head (400-84-10).  Pooling is parameter-free,
-so all three variants of a head share the same parameter count.  ``build``
-writes the architecture down once, as ``Model.stages``: an ordered list of
-named ``Tensor -> Tensor`` steps that ``Model.forward`` runs in turn.
+flatten 400, both convolutions at stride 1) is combined with one of three
+pooling kinds and either an MLP head (400-120-84-10) or a KAN head
+(400-84-10).  Pooling is parameter-free, so all three variants of a head
+share the same parameter count.  ``build`` writes the architecture down
+once, as ``Model.stages``: an ordered list of named ``Tensor -> Tensor``
+steps that ``Model.forward`` runs in turn.  ``build`` sizes the head from
+those stages: it runs the conv, act and pool stages once on an empty batch
+and takes the head's input width from their output, so the geometry lives in
+the stages alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import types
 import typing
@@ -205,21 +210,12 @@ def build(
     """Construct a model with ``dtype`` (float64 or float32) parameters; the sizes are for tiny test builds.
 
     A config that cannot be built raises ``ValueError`` starting with the
-    field at fault: ``pooling`` that does not tile, or ``head_widths`` too
+    field at fault: ``pooling`` that does not tile (its own windows, or the
+    next conv's on what it leaves), or ``head_widths`` too
     large to allocate, a line that also names ``kan_grid`` for a KAN head.
     """
     rng = np.random.default_rng(config.seed)
     c_in = config.in_channels
-    f1, f2 = conv_channels
-    k1, k2 = conv_kernel
-    pooling = (config.pooling.k, config.pooling.stride)
-    hw = input_hw
-    try:
-        for k, stride in ((k1, 1), pooling, (k2, 1), pooling):
-            hw = T.windows(np.empty((0, 0, hw, hw)), k, stride).shape[2]  # the stage's own tiling check
-    except ValueError as e:
-        raise ValueError(f"pooling: {e}") from None
-    flat = f2 * hw * hw
 
     params: dict[str, T.Tensor] = {}
 
@@ -232,7 +228,7 @@ def build(
     # binds this module's ``pool`` when the model is built, so a substitute set before then is used
     pool_stage = partial(pool, config=config.pooling)
     stages = []
-    for i, (n_in, n_out, k) in enumerate(((c_in, f1, k1), (f1, f2, k2)), start=1):
+    for i, (n_in, n_out, k) in enumerate(zip((c_in, *conv_channels), conv_channels, conv_kernel), start=1):
         weight = param(f"conv{i}.weight", _glorot_uniform(rng, (n_out, n_in, k, k), n_in * k * k, n_out * k * k))
         bias = param(f"conv{i}.bias", np.zeros(n_out))
         stages += [
@@ -240,6 +236,15 @@ def build(
             (f"conv{i}.act", act),
             (f"pool{i}", pool_stage),
         ]
+    # the stages on an empty batch: each stage's own tiling check runs, and no data is read
+    h = T.Tensor(np.empty((0, c_in, input_hw, input_hw)))
+    try:
+        with T.no_grad():
+            for _, stage in stages:
+                h = stage(h)
+    except ValueError as e:
+        raise ValueError(f"pooling: {e}") from None
+    flat = math.prod(h.shape[1:])
     stages.append(("flatten", T.flatten))
 
     kan_layers: list[KanLayerParams] = []

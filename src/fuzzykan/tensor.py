@@ -15,7 +15,9 @@ reduces with unrolled partial sums.
 The second operand of ``add`` and ``mul`` is a number or a tensor of the
 first's shape, with no broadcasting, so each gradient has its operand's shape.
 
-``conv2d`` lays its im2col out as [(c,u,v), n, (i,j)] and contracts it with
+``conv2d`` is the paper's LeNet convolution: valid, at stride 1, the one
+stride any model uses (only pooling takes a stride, from its ``PoolConfig``).
+It lays its im2col out as [(c,u,v), n, (i,j)] and contracts it with
 one non-optimized einsum into a fresh filter-major [F, n, (i,j)] array: the
 inner loop is one axpy along all n*Ho*Wo pixels, and the reduction index
 (c,u,v) only selects which axpy runs next, so each output adds its terms one
@@ -359,10 +361,10 @@ def _im2col(win: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * k * k, n, ho * wo)
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """Valid (no-padding) 2-D cross-correlation.
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Valid (no-padding) 2-D cross-correlation at stride 1.
 
-    out[n,f,i,j] = bias[f] + sum_{c,u,v} x[n,c,i*s+u,j*s+v] * kernels[f,c,u,v]
+    out[n,f,i,j] = bias[f] + sum_{c,u,v} x[n,c,i+u,j+v] * kernels[f,c,u,v]
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise ValueError("conv2d expects input [N,C,H,W] and kernels [F,C,k,k]")
@@ -373,7 +375,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         got = bias.shape if isinstance(bias, Tensor) else bias
         raise ValueError(f"conv2d expects kernels [F,C,k,k] and bias [F], got {kernels.shape} and {got}")
     k = kh
-    win = windows(x.data, k, stride)
+    win = windows(x.data, k, 1)
     n, c, ho, wo = win.shape[:4]
     p, ckk = ho * wo, c * k * k
     # im2col laid out [(c,u,v), n, (i,j)]: the einsum runs axpys along a block's
@@ -396,7 +398,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             accumulate_grad(kernels, (g2.T @ _im2col(win).reshape(ckk, n * p).T).reshape(f, c, k, k))
         if x.requires_grad:
             dplanes = np.matmul(w2.T, g3).reshape(n, c, k * k, ho, wo).transpose(2, 0, 1, 3, 4)  # no copy
-            accumulate_grad(x, scatter_windows(dplanes, np.zeros(x.shape, dtype=dplanes.dtype), stride))
+            accumulate_grad(x, scatter_windows(dplanes, np.zeros(x.shape, dtype=dplanes.dtype), 1))
 
     return from_op(out_data, (x, kernels, bias), backward)
 

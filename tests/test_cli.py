@@ -241,6 +241,8 @@ class TestTrainCommand:
         [
             ({}, ["--seed", "-1"], "--seed: seed must be >= 0, got -1"),
             ({"model": {"pooling": {"stride": 3}}}, [], "model.pooling: window 2x2 with stride 3 does not tile input 28x28 exactly"),
+            # pool1 leaves conv1's 28x28 output 2x2, smaller than conv2's kernel: conv2's own check names it
+            ({"model": {"pooling": {"k": 14, "stride": 14}}}, [], "model.pooling: window 5x5 with stride 1 does not tile input 2x2 exactly"),
             # a width whose first head layer needs petabytes: the allocation fails outright
             ({"model": {"head_widths": [10**12]}}, [], "model.head_widths: [1000000000000] cannot be allocated: "),
             # the KAN coefficients are out x in x num_basis, so a huge grid is named too
@@ -250,7 +252,7 @@ class TestTrainCommand:
                 "model.head_widths: [84] cannot be allocated: kan_grid gives 1000000000003 basis functions per edge: ",
             ),
         ],
-        ids=["seed-negative", "pooling-stride-3", "head-widths-petabytes", "kan-grid-petabytes"],
+        ids=["seed-negative", "pooling-stride-3", "pooling-below-conv2-kernel", "head-widths-petabytes", "kan-grid-petabytes"],
     )
     def test_run_checked_before_data_is_read(self, tmp_path, capsys, monkeypatch, command, payload, flags, named):
         monkeypatch.delenv("FUZZY_KAN_DATA", raising=False)

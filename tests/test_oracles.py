@@ -44,6 +44,5 @@ def test_kernel_and_suite_modules_define_no_oracle(module):
 
 
 def test_readers_of_the_old_homes_get_the_same_objects():
-    # perfbench/bench.py reads pooling.fuzzy_window_reference; tools/parity.py imports checks.pool_window_oracle
+    # perfbench/bench.py reads pooling.fuzzy_window_reference
     assert pooling.fuzzy_window_reference is oracles.fuzzy_window_reference
-    assert checks.pool_window_oracle is oracles.pool_window_oracle

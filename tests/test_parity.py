@@ -92,7 +92,6 @@ def test_battery_runs_on_this_library(monkeypatch):
     monkeypatch.setattr(parity, "POOL_SHAPES", ((5, 2, 6, 6),))
     monkeypatch.setattr(parity, "ORACLE_SHAPE", (4, 1, 6, 6))
     monkeypatch.setattr(parity, "CONV_SHAPES", (((3, 2, 6, 6), 4, 3),))
-    monkeypatch.setattr(parity, "CONV_STRIDES", (2,))
     monkeypatch.setattr(parity, "IDX_CASES", (("mnist-28-gz", 28, True),))
     monkeypatch.setattr(parity, "IDX_IMAGES", 3)
     monkeypatch.setattr(parity, "CIFAR_RECORDS", {"test": 4, "train": 2})
@@ -106,7 +105,7 @@ def test_battery_runs_on_this_library(monkeypatch):
         expected |= {f"{case}/{stage}/{name}.grad" for name in names}
     expected |= {f"{case}/loaded/{name}" for name in names}
     expected |= {"pool/fuzzy-0.5/5x2x6x6/k3s1/float32/out", "pool/fuzzy-0.5/5x2x6x6/k3s1/float32/input.grad"}
-    expected |= {f"conv/3x2x7x7/4@3x3/s2/float32/{name}" for name in ("out", "input.grad", "kernels.grad", "bias.grad")}
+    expected |= {f"conv/3x2x6x6/4@3x3/s1/float32/{name}" for name in ("out", "input.grad", "kernels.grad", "bias.grad")}
     expected |= {"oracle/fuzzy-0.5/4x1x6x6/k3s1/float64"}
     for case in ("mnist-28-gz/train", "cifar10/test", "cifar10/train"):
         expected |= {f"data/{case}/images", f"data/{case}/labels"}

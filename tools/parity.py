@@ -22,16 +22,15 @@ so some image blocks average every window.  It records each output and
 input gradient.  Its conv slice runs the public ``conv2d`` with a bias,
 forward and backward under a seeded upstream gradient, on the train conv1
 [37,1,32,32] 6@5x5, train conv2 [37,6,14,14] 16@5x5 and eval conv1
-[37,3,32,32] 6@5x5 shapes, at stride 1 and at stride 2 on inputs one row and
-one column larger, in float64 and float32.  Batch 37 ends in a partial
-image block, except at eval conv1 stride 1, whose blocks are one image each.
-It records the output and the input, kernel and bias gradients.  Its oracle
+[37,3,32,32] 6@5x5 shapes, at stride 1 (the only stride ``conv2d`` has), in
+float64 and float32.  Batch 37 ends in a partial image block, except at eval
+conv1, whose blocks are one image each.  It records the output and the
+input, kernel and bias gradients; each key keeps the "s1" of its stride.  Its oracle
 slice runs the scalar ``oracles.pool_window_oracle`` on every window of one
 [4,2,24,24] float64 edge-value input per pooling of the pool slice and
 (k, stride) of its geometries, at least 1,152 windows a case, and records
 each case's values as one array, so moving or rewriting an oracle shows
-whether it keeps its bits; it imports the oracle through ``checks``, which
-older checkouts define it in.  Its data slice writes seeded dataset files
+whether it keeps its bits.  Its data slice writes seeded dataset files
 with this file's own writers: IDX train pairs of 28x28 images, plain and
 gzipped, and of 32x32 images; a CIFAR-10 test batch of the real 10,000
 records; and the five CIFAR-10 train batches at 300 records each, with
@@ -44,8 +43,8 @@ same writers and, inside the battery process, runs ``fuzzykan.cli.main`` on
 paths so ``config.json`` is the same on both sides.  It records the bytes of
 every file a run writes and of its captured stdout, with ``metrics.csv``'s
 ``seconds`` column and each "(N.Ns)" of stdout masked; each is one uint8
-array.  The battery has 3,456 model, 192 pool, 48 conv, 12 oracle and 10
-data arrays and 72 run outputs, 3,790 in all.  Each array is kept as two
+array.  The battery has 3,456 model, 192 pool, 24 conv, 12 oracle and 10
+data arrays and 72 run outputs, 3,766 in all.  Each array is kept as two
 SHA-256 digests of its dtype, shape and C-ordered bytes: one of the array as
 it is, and one after every NaN is made the dtype's canonical quiet NaN.
 
@@ -95,7 +94,6 @@ ORACLE_SHAPE = (4, 2, 24, 24)  # 1,152 windows at k=stride=2, more at stride 1
 SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 # train conv1, train conv2 and eval conv1 at batch 37: input [N, C, H, W] and F kernels of k x k
 CONV_SHAPES = (((37, 1, 32, 32), 6, 5), ((37, 6, 14, 14), 16, 5), ((37, 3, 32, 32), 6, 5))
-CONV_STRIDES = (1, 2)  # stride s runs on an input s - 1 rows and columns larger, so the windows tile
 # IDX cases: (name, image side, gzipped), IDX_IMAGES images each; CIFAR-10 records per batch file, per split
 IDX_CASES = (("mnist-28", 28, False), ("mnist-28-gz", 28, True), ("mnist-32", 32, False))
 IDX_IMAGES = 50
@@ -170,7 +168,7 @@ def pool_battery() -> dict:
 
 def oracle_battery() -> dict:
     """Key -> digest of the scalar pool oracle's value at every window of the oracle slice, one array per case."""
-    from fuzzykan.checks import pool_window_oracle
+    from fuzzykan.oracles import pool_window_oracle
     from fuzzykan.pooling import MembershipParams
 
     digests = {}
@@ -244,28 +242,33 @@ def cli_battery() -> dict:
 
     digests = {}
     rng = np.random.default_rng(0)
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):  # relative paths, so config.json is the same
-        data_dir = Path("data")
-        (data_dir / "mnist").mkdir(parents=True)
-        for split, n in RUN_IMAGES.items():
-            images = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
-            write_idx(data_dir / "mnist", split, images, rng.integers(0, 10, n, dtype=np.uint8))
-        for case, argv in RUNS.items():
-            for precision in RUN_PRECISIONS:
-                key, out_dir, stdout = f"run/{case}/{precision}", Path("runs") / case / precision, io.StringIO()
-                flags = ["--batch", str(RUN_BATCH), "--precision", precision, "--data-dir", str(data_dir)]
-                with contextlib.redirect_stdout(stdout):  # the battery's own stdout is its JSON
-                    code = main([*argv, *flags, "--out-dir", str(out_dir)])
-                if code != 0:
-                    raise RuntimeError(f"{key}: fuzzykan exited {code}")
-                outputs = {"stdout": STDOUT_SECONDS.sub("(-s)", stdout.getvalue()).encode()}
-                for path in out_dir.rglob("*"):
-                    if path.is_file():
-                        raw = path.read_bytes()
-                        if path.name == "metrics.csv":
-                            raw = masked_seconds(raw.decode()).encode()
-                        outputs[str(path.relative_to(out_dir))] = raw
-                digests.update({f"{key}/{name}": digest(np.frombuffer(raw, np.uint8)) for name, raw in outputs.items()})
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative paths, so config.json is the same
+        try:
+            data_dir = Path("data")
+            (data_dir / "mnist").mkdir(parents=True)
+            for split, n in RUN_IMAGES.items():
+                images = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
+                write_idx(data_dir / "mnist", split, images, rng.integers(0, 10, n, dtype=np.uint8))
+            for case, argv in RUNS.items():
+                for precision in RUN_PRECISIONS:
+                    key, out_dir, stdout = f"run/{case}/{precision}", Path("runs") / case / precision, io.StringIO()
+                    flags = ["--batch", str(RUN_BATCH), "--precision", precision, "--data-dir", str(data_dir)]
+                    with contextlib.redirect_stdout(stdout):  # the battery's own stdout is its JSON
+                        code = main([*argv, *flags, "--out-dir", str(out_dir)])
+                    if code != 0:
+                        raise RuntimeError(f"{key}: fuzzykan exited {code}")
+                    outputs = {"stdout": STDOUT_SECONDS.sub("(-s)", stdout.getvalue()).encode()}
+                    for path in out_dir.rglob("*"):
+                        if path.is_file():
+                            raw = path.read_bytes()
+                            if path.name == "metrics.csv":
+                                raw = masked_seconds(raw.decode()).encode()
+                            outputs[str(path.relative_to(out_dir))] = raw
+                    digests.update({f"{key}/{name}": digest(np.frombuffer(raw, np.uint8)) for name, raw in outputs.items()})
+        finally:
+            os.chdir(cwd)
     return digests
 
 
@@ -274,19 +277,17 @@ def conv_battery() -> dict:
     import fuzzykan.tensor as T
 
     digests = {}
-    for (n, c, h, w), f, k in CONV_SHAPES:
-        for stride in CONV_STRIDES:
-            shape = (n, c, h + stride - 1, w + stride - 1)
-            for dtype in DTYPES:
-                case = f"conv/{'x'.join(map(str, shape))}/{f}@{k}x{k}/s{stride}/{dtype}"
-                rng = np.random.default_rng(0)
-                x, kernels, bias = (T.Tensor(rng.uniform(-1.0, 1.0, s).astype(dtype), requires_grad=True)
-                                    for s in (shape, (f, c, k, k), (f,)))
-                out = T.conv2d(x, kernels, bias, stride=stride)
-                T.reduce_sum(T.mul(out, T.Tensor(rng.uniform(-1.0, 1.0, out.shape).astype(dtype)))).backward()
-                for name, array in (("out", out.data), ("input.grad", x.grad), ("kernels.grad", kernels.grad),
-                                    ("bias.grad", bias.grad)):
-                    digests[f"{case}/{name}"] = digest(array)
+    for shape, f, k in CONV_SHAPES:
+        for dtype in DTYPES:
+            case = f"conv/{'x'.join(map(str, shape))}/{f}@{k}x{k}/s1/{dtype}"
+            rng = np.random.default_rng(0)
+            x, kernels, bias = (T.Tensor(rng.uniform(-1.0, 1.0, s).astype(dtype), requires_grad=True)
+                                for s in (shape, (f, shape[1], k, k), (f,)))
+            out = T.conv2d(x, kernels, bias)
+            T.reduce_sum(T.mul(out, T.Tensor(rng.uniform(-1.0, 1.0, out.shape).astype(dtype)))).backward()
+            for name, array in (("out", out.data), ("input.grad", x.grad), ("kernels.grad", kernels.grad),
+                                ("bias.grad", bias.grad)):
+                digests[f"{case}/{name}"] = digest(array)
     return digests
 
 
